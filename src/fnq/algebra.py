@@ -91,21 +91,41 @@ class RingSpec:
         kind = doc["kind"]
         if kind not in _KINDS:
             raise InvalidRingSpec(f"unknown ring kind {kind!r}")
-        sub = tuple(sorted(set(doc["subring"]))) if "subring" in doc else None
-        if kind == "Zn":
-            return RingSpec(kind="Zn", n=int(doc["n"]), subring=sub)
-        if kind in ("GF", "PolyQuot"):
-            modulus = None
-            if kind == "GF" and "modulus" in doc:
-                modulus = tuple(int(c) for c in doc["modulus"])
-            return RingSpec(kind=kind, p=int(doc["p"]), k=int(doc["k"]),
-                            modulus=modulus, subring=sub)
-        if kind == "Product":
-            return RingSpec(kind="Product",
-                            left=RingSpec.from_json(doc["left"]),
-                            right=RingSpec.from_json(doc["right"]),
-                            subring=sub)
-        return RingSpec(kind="UT2", p=int(doc["p"]), subring=sub)
+
+        def integer(value, key: str) -> int:
+            if isinstance(value, (int, str)) and not isinstance(value, bool):
+                try:
+                    return int(value)
+                except ValueError:
+                    pass
+            raise InvalidRingSpec(
+                f"{kind} ring spec field {key!r} needs integers, got {value!r}")
+
+        def integers(key: str) -> tuple[int, ...]:
+            if not isinstance(doc[key], list):
+                raise InvalidRingSpec(f"{kind} ring spec field {key!r} must be a list")
+            return tuple(integer(v, key) for v in doc[key])
+
+        try:
+            sub = tuple(sorted(set(integers("subring")))) if "subring" in doc else None
+            if kind == "Zn":
+                return RingSpec(kind="Zn", n=integer(doc["n"], "n"), subring=sub)
+            if kind in ("GF", "PolyQuot"):
+                modulus = None
+                if kind == "GF" and "modulus" in doc:
+                    modulus = integers("modulus")
+                return RingSpec(kind=kind, p=integer(doc["p"], "p"),
+                                k=integer(doc["k"], "k"),
+                                modulus=modulus, subring=sub)
+            if kind == "Product":
+                return RingSpec(kind="Product",
+                                left=RingSpec.from_json(doc["left"]),
+                                right=RingSpec.from_json(doc["right"]),
+                                subring=sub)
+            return RingSpec(kind="UT2", p=integer(doc["p"], "p"), subring=sub)
+        except KeyError as exc:
+            raise InvalidRingSpec(
+                f"{kind} ring spec needs the field {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,6 +540,14 @@ def build_ring(spec: RingSpec, size_budget: int = DEFAULT_SIZE_BUDGET) -> Ring:
 
 def ring_from_json(doc: dict | str, size_budget: int = DEFAULT_SIZE_BUDGET) -> Ring:
     return build_ring(RingSpec.from_json(doc), size_budget)
+
+
+def same_carrier(a: Ring, b: Ring) -> bool:
+    """True when two Ring objects share the underlying operation tables."""
+    if a is b:
+        return True
+    return (a.size == b.size and np.array_equal(a.add, b.add)
+            and np.array_equal(a.mul, b.mul))
 
 
 def center(ring: Ring) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ produced counterexamples (the report is still written), 2 on usage or
 parse errors.  Reports are byte-deterministic for a fixed configuration;
 the worker count never changes the output.  The environment variable
 ``FNQ_BUDGET`` overrides the default pair budget when ``--budget`` is not
-given.
+given; either must be a positive integer.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ from fractions import Fraction
 from . import symbolic
 from .algebra import ring_from_json
 from .eqdsl import ast_to_json, equation_to_text, parse_equation
-from .errors import EquationSyntaxError, FnqError, ResidualNonzero, Unclassifiable
+from .errors import (EquationSyntaxError, FnqError, InvalidBudget,
+                     ResidualNonzero, Unclassifiable)
 from .maps import FnTable, class_from_string, enumerate_maps, class_space_size
 from .solver import (DEFAULT_BUDGET, SolveTask, solve, solution_set_to_csv,
                      solution_set_to_json, solution_set_to_json_bytes)
@@ -27,12 +28,16 @@ from .theorems import (classify_pexider, verify_alien, verify_mp,
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("FNQ_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    raw = os.environ.get("FNQ_BUDGET") if args.budget is None else args.budget
+    if raw is None or raw == "":
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise InvalidBudget(f"the pair budget must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _load_ring(args):
@@ -275,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ring", help="ring spec as inline JSON or @file")
         p.add_argument("--out", choices=("json", "csv", "text"), default="text")
         p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="kept for compatibility; search is single-threaded")
         p.add_argument("--budget", type=int, default=None,
                        help="pair budget (default from FNQ_BUDGET or builtin)")
         p.add_argument("--dry-run", action="store_true",

@@ -67,6 +67,10 @@ class InvalidTask(FnqError):
     """A solve task does not cover all free names of its equation."""
 
 
+class InvalidBudget(FnqError):
+    """A budget given on the command line is not a positive integer."""
+
+
 # -------------------------------------------------------------- theorems
 
 class NotCentral(FnqError):

@@ -14,9 +14,11 @@ identities hold at every pair of domain elements:
 * homo-deriv-sofy(eps)  additive and f(xy) = f(x)y + xf(y) + eps f(x)f(y)
 
 Enumeration yields every table of a class exactly once, in lexicographic
-order of the value vector.  Classes containing additivity are enumerated by
-assigning images to a greedy additive generating set and extending, which
-shrinks the scan from |Q|**|P| to |Q|**g.
+order of the value vector.  Multiplicative and Leibniz maps come from the
+level-wise search kernel (:mod:`fnq.search`) with the class identity as its
+equation.  Classes containing additivity are enumerated by assigning images
+to a greedy additive generating set and extending, which shrinks the scan
+from |Q|**|P| to |Q|**g.
 """
 from __future__ import annotations
 
@@ -26,11 +28,12 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .algebra import Ring
+from .algebra import Ring, same_carrier
+from .eqdsl import EquationAst, parse_equation
 from .errors import BudgetExceeded, EvalDomainError, NotAField
+from .search import PairConstraint, search
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
-_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -121,14 +124,6 @@ def zero_map(domain: Ring, codomain: Ring | None = None) -> FnTable:
                    (codomain.zero,) * len(domain.domain_elements))
 
 
-def same_carrier(a: Ring, b: Ring) -> bool:
-    """True when two Ring objects share the underlying operation tables."""
-    if a is b:
-        return True
-    return (a.size == b.size and np.array_equal(a.add, b.add)
-            and np.array_equal(a.mul, b.mul))
-
-
 def _domain_units(ring: Ring) -> tuple[int, ...]:
     """Units of the declared domain (two-sided inverses within it)."""
     if ring.one is None:
@@ -207,30 +202,6 @@ def holds_logarithmic(f: FnTable) -> bool:
     return True
 
 
-def satisfies_class(f: FnTable, cls: FunctionClass) -> bool:
-    kind = cls.kind
-    if kind == "arbitrary":
-        return True
-    if kind == "additive":
-        return holds_additive(f)
-    if kind == "multiplicative":
-        return holds_multiplicative(f)
-    if kind == "homomorphism":
-        return holds_additive(f) and holds_multiplicative(f)
-    if kind == "leibniz":
-        return holds_leibniz(f)
-    if kind == "derivation":
-        return holds_additive(f) and holds_leibniz(f)
-    if kind == "logarithmic":
-        return holds_logarithmic(f)
-    if kind == "homo-deriv-mp":
-        return (holds_additive(f) and holds_multiplicative(f)
-                and holds_leibniz(f))
-    if kind == "homo-deriv-sofy":
-        return holds_additive(f) and holds_sofy(f, cls.eps)
-    raise ValueError(f"unknown class {cls}")
-
-
 def classify_map(f: FnTable) -> set[FunctionClass]:
     """Every class tag whose defining identities hold at all domain pairs.
 
@@ -270,109 +241,100 @@ def inner_derivation(ring: Ring, b: int) -> FnTable:
     return FnTable(ring, ring, values)
 
 
-# --------------------------------------------------- staged pair filtering
-# Exhaustively scans all |codomain|**m value vectors while pruning with one
-# domain pair at a time.  Candidate id <-> value vector is the base-q digit
-# expansion with the first domain position as the most significant digit,
-# so ascending ids are exactly lexicographic value vectors.
+# ------------------------------------------------ identities as equations
 
-PairPredicate = Callable[[int, int, Callable[[int], np.ndarray]], np.ndarray]
+_IDENTITIES = {
+    "additive": "{u}(x+y)={u}(x)+{u}(y)",
+    "multiplicative": "{u}(x*y)={u}(x)*{u}(y)",
+    "leibniz": "{u}(x*y)={u}(x)*y+x*{u}(y)",
+    "sofy": "{u}(x*y)={u}(x)*y+x*{u}(y)+e*{u}(x)*{u}(y)",
+}
+# the identities each class requires at every domain pair
+_CLASS_IDENTITIES = {
+    "arbitrary": (),
+    "additive": ("additive",),
+    "multiplicative": ("multiplicative",),
+    "homomorphism": ("additive", "multiplicative"),
+    "leibniz": ("leibniz",),
+    "derivation": ("additive", "leibniz"),
+    "homo-deriv-mp": ("additive", "multiplicative", "leibniz"),
+    "homo-deriv-sofy": ("additive", "sofy"),
+}
 
 
-def _pair_schedule(elems) -> list[tuple[int, int]]:
-    diag = [(d, d) for d in elems]
-    rest = [(x, y) for x in elems for y in elems if x != y]
-    return diag + rest
+def multiplicative_equation(fn: str = "f") -> EquationAst:
+    return parse_equation(_IDENTITIES["multiplicative"].format(u=fn))
 
+
+def leibniz_equation(fn: str = "f") -> EquationAst:
+    return parse_equation(_IDENTITIES["leibniz"].format(u=fn))
+
+
+def class_constraints(ring: Ring, name: str,
+                      cls: FunctionClass) -> list[PairConstraint]:
+    """Membership of unknown ``name`` in a class, as search constraints.
+
+    The shifted identity binds its constant as the parameter ``e`` of its
+    own equation.  The logarithmic class is its identity on pairs of domain
+    units plus ``f(x)=0`` at every domain element that is not a unit.
+    """
+    if cls.kind == "logarithmic":
+        units = _domain_units(ring)
+        others = tuple((e, ring.zero) for e in ring.domain_elements
+                       if e not in units)
+        return [PairConstraint(parse_equation(f"{name}(x*y)={name}(x)+{name}(y)"),
+                               tuple((u, v) for u in units for v in units)),
+                PairConstraint(parse_equation(f"{name}(x)=0"), others)]
+    if cls.kind not in _CLASS_IDENTITIES:
+        raise ValueError(f"unknown class {cls}")
+    params = {"e": cls.eps} if cls.eps is not None else {}
+    return [PairConstraint(parse_equation(_IDENTITIES[i].format(u=name)),
+                           params=params)
+            for i in _CLASS_IDENTITIES[cls.kind]]
+
+
+# ------------------------------------------------------------- table scans
+# Candidate id <-> value vector is the base-q digit expansion with the first
+# domain position as the most significant digit, so ascending ids are
+# exactly lexicographic value vectors.
 
 def filter_tables(domain: Ring, codomain: Ring,
-                  predicates: list[PairPredicate],
-                  budget: int = DEFAULT_ENUM_BUDGET,
-                  id_range: tuple[int, int] | None = None) -> np.ndarray:
-    """Candidate ids of all tables satisfying every predicate at every pair.
+                  equations: list[EquationAst],
+                  budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+    """Ascending candidate ids of all tables satisfying every equation.
 
-    A predicate gets a pair (x, y) of domain elements and a column accessor
-    ``col(e)`` returning each surviving candidate's value at element ``e``,
-    and returns a boolean keep-mask.
+    The equations share one unknown and are required at every pair of
+    domain elements; the budget bounds the |codomain|**m candidate space.
     """
-    elems = domain.domain_elements
-    m = len(elems)
+    m = len(domain.domain_elements)
     q = codomain.size
     total = q ** m
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidate tables exceed the budget {budget}",
             needed=total)
-    lo, hi = id_range if id_range is not None else (0, total)
-    pos = domain.position
-    divisors = [q ** (m - 1 - j) for j in range(m)]
-    schedule = _pair_schedule(elems)
-
-    survivors: list[np.ndarray] = []
-    for start in range(lo, hi, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-        for x, y in schedule:
-            if ids.size == 0:
-                break
-
-            def col(e: int, ids=ids) -> np.ndarray:
-                j = int(pos[e])
-                if j < 0:
-                    raise EvalDomainError(
-                        f"element {e} is outside the declared domain")
-                return (ids // divisors[j]) % q
-
-            keep = np.ones(ids.size, dtype=bool)
-            for pred in predicates:
-                keep &= pred(x, y, col)
-            ids = ids[keep]
-        if ids.size:
-            survivors.append(ids)
-    if not survivors:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(survivors)
+    names = tuple(sorted({n for eq in equations for n in eq.free_functions}))
+    if len(names) != 1:
+        raise ValueError(f"equations must share exactly one unknown, got {names}")
+    values = search([PairConstraint(eq) for eq in equations], names,
+                    domain, codomain)[:, 0, :]
+    # ids past int64 are kept exact as Python integers
+    dtype = np.int64 if total <= np.iinfo(np.int64).max else object
+    weights = np.array([q ** (m - 1 - j) for j in range(m)], dtype=dtype)
+    return values.astype(dtype) @ weights if len(values) else np.empty(0, dtype)
 
 
-def _ids_to_tables(ids: np.ndarray, domain: Ring, codomain: Ring) -> Iterator[FnTable]:
-    m = len(domain.domain_elements)
-    q = codomain.size
-    for cid in ids:
-        cid = int(cid)
-        vals = []
-        for j in range(m):
-            vals.append((cid // q ** (m - 1 - j)) % q)
-        yield FnTable(domain, codomain, tuple(vals))
+def id_digits(ids: np.ndarray, m: int, q: int) -> np.ndarray:
+    """Value vectors (one row per id) of base-q candidate ids."""
+    ids = np.asarray(ids)
+    if not ids.size:
+        return np.empty((0, m), dtype=np.int64)
+    return np.stack([(ids // q ** (m - 1 - j)) % q for j in range(m)], axis=1)
 
 
-def multiplicative_predicate(domain: Ring, codomain: Ring) -> PairPredicate:
-    mul_d, mul_c = domain.mul, codomain.mul
-
-    def pred(x, y, col):
-        return col(int(mul_d[x, y])) == mul_c[col(x), col(y)]
-    return pred
-
-
-def leibniz_predicate(domain: Ring, codomain: Ring) -> PairPredicate:
-    if not same_carrier(domain, codomain):
-        raise EvalDomainError("Leibniz identity needs the domain inside the codomain")
-    mul_d, mul_c, add_c = domain.mul, codomain.mul, codomain.add
-
-    def pred(x, y, col):
-        rhs = add_c[mul_c[col(x), y], mul_c[x, col(y)]]
-        return col(int(mul_d[x, y])) == rhs
-    return pred
-
-
-def sofy_predicate(domain: Ring, codomain: Ring, eps: int) -> PairPredicate:
-    if not same_carrier(domain, codomain):
-        raise EvalDomainError("shifted identity needs the domain inside the codomain")
-    mul_d, mul_c, add_c = domain.mul, codomain.mul, codomain.add
-
-    def pred(x, y, col):
-        fx, fy = col(x), col(y)
-        rhs = add_c[add_c[mul_c[fx, y], mul_c[x, fy]], mul_c[eps, mul_c[fx, fy]]]
-        return col(int(mul_d[x, y])) == rhs
-    return pred
+def tables_from_ids(ids: np.ndarray, domain: Ring, codomain: Ring) -> list[FnTable]:
+    digits = id_digits(ids, len(domain.domain_elements), codomain.size)
+    return [FnTable(domain, codomain, tuple(row)) for row in digits.tolist()]
 
 
 # --------------------------------------------------- generator-based paths
@@ -490,15 +452,11 @@ def enumerate_maps(domain: Ring, codomain: Ring, cls: FunctionClass,
         for vals in iproduct(range(codomain.size), repeat=m):
             yield FnTable(domain, codomain, vals)
         return
-    if kind == "multiplicative":
-        ids = filter_tables(domain, codomain,
-                            [multiplicative_predicate(domain, codomain)], budget)
-        yield from _ids_to_tables(ids, domain, codomain)
-        return
-    if kind == "leibniz":
-        ids = filter_tables(domain, codomain,
-                            [leibniz_predicate(domain, codomain)], budget)
-        yield from _ids_to_tables(ids, domain, codomain)
+    if kind in ("multiplicative", "leibniz"):
+        equation = (multiplicative_equation() if kind == "multiplicative"
+                    else leibniz_equation())
+        ids = filter_tables(domain, codomain, [equation], budget)
+        yield from tables_from_ids(ids, domain, codomain)
         return
     if kind == "logarithmic":
         yield from _enumerate_logarithmic(domain, codomain, budget)

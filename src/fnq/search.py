@@ -1,0 +1,340 @@
+"""Level-wise constraint search for unknown function tables.
+
+The unknowns' value vectors form one row of digits: one digit per unknown
+at each domain position.  Positions are ordered unit first, then zero, then
+the rest ascending, with the unknowns interleaved at each position, because
+the x=1 and y=0 checks constrain most.  Before searching, every
+(constraint, x, y) check gets the level at which it becomes decidable, the
+last digit it reads, worked out with numpy over the whole pair grid.  An
+unknown applied to an argument that reads an unknown, as ``g`` in
+``g(h(x))``, may read any of its digits.  Such unknowns and the unknowns
+read inside their arguments take the first digits, and a check with such
+an application waits until all their digits are assigned, running after
+the other checks of that level.  The search then grows the surviving rows
+one digit at a time:
+every row is repeated once per codomain element, the new digit is
+appended, and that level's checks filter the rows with one gather per
+equation.  This is the finite-model search of SEM (Zhang & Zhang, IJCAI
+1995) and Mace4 (McCune, arXiv:cs/0310055).
+
+An unknown given a definition, an expression in ``x`` for its value at
+``x``, is not enumerated: each of its digits is computed from the row as
+soon as the digits its definition reads are assigned, and placed right
+after the last of them.  A budget bounds the rows a level may examine.
+
+Arguments of unknowns are computed in the domain ring and everything else
+in the codomain ring, so ``x`` or ``y`` outside an argument, or an unknown
+inside one, needs both rings to share their tables.  An unknown applied
+outside the declared domain raises :class:`EvalDomainError`: while planning
+when its argument reads no unknown, and otherwise as soon as a row that
+reaches the check reads outside.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .algebra import Ring, same_carrier
+from .eqdsl import (Add, EquationAst, Expr, FnApp, IntLit, Mul, Neg, Param,
+                    Sub, Var)
+from .errors import BudgetExceeded, EvalDomainError, UnboundName
+
+# (row, pair) cells evaluated at once; bounds the temporaries of one block
+_CELLS = 1 << 21
+
+
+@dataclass(frozen=True)
+class PairConstraint:
+    """An equation required at the given (x, y) domain pairs, or at all.
+
+    ``params`` bind parameters for this equation only and take precedence
+    over the parameters of the whole search.
+    """
+
+    equation: EquationAst
+    pairs: tuple[tuple[int, int], ...] | None = None
+    params: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass
+class _Check:
+    """The pairs of one constraint that one level decides."""
+
+    lhs: tuple
+    rhs: tuple
+    x: np.ndarray              # (1, P) domain elements
+    y: np.ndarray
+    slots: list[np.ndarray]    # digit read by each plain application, (P,)
+    nested: bool               # applies an unknown to an unknown's value
+
+
+def _eval(node: tuple, x, y, slots, rows):
+    """Value of a compiled node: an int, (1, P) or (rows, P)."""
+    tag = node[0]
+    if tag == "x":
+        return x
+    if tag == "y":
+        return y
+    if tag == "k":
+        return node[1]
+    if tag == "fn":
+        return rows[:, slots[node[1]]]
+    if tag == "neg":
+        return node[1][_eval(node[2], x, y, slots, rows)]
+    if tag == "nest":
+        _, digit_at, position, arg = node
+        pos = position[_eval(arg, x, y, slots, rows)]
+        if np.any(pos < 0):
+            raise EvalDomainError("function applied outside declared domain")
+        return np.take_along_axis(rows, digit_at[pos], axis=1)
+    return node[1][_eval(node[2], x, y, slots, rows),
+                   _eval(node[3], x, y, slots, rows)]
+
+
+class _Planner:
+    """Compiles constraints and assigns every check its level."""
+
+    def __init__(self, constraints, unknowns, domain: Ring, codomain: Ring,
+                 params, definitions):
+        self.unknowns = {n: i for i, n in enumerate(unknowns)}
+        self.domain, self.codomain = domain, codomain
+        self.params = params
+        self.mixable = same_carrier(domain, codomain)
+        m = len(domain.domain_elements)
+        first = [int(domain.position[domain.zero])]
+        if domain.one is not None and domain.position[domain.one] >= 0:
+            first.insert(0, int(domain.position[domain.one]))
+        order = first + [p for p in range(m) if p not in first]
+        rank = np.empty(m, dtype=np.int64)
+        rank[order] = np.arange(m)
+        dynamic: set[str] = set()
+        for expr in [*(c.equation.lhs for c in constraints),
+                     *(c.equation.rhs for c in constraints),
+                     *definitions.values()]:
+            _nested(expr, dynamic)
+        for name, expr in definitions.items():
+            if _applied(expr) & set(definitions):
+                raise ValueError(f"definition of {name!r} reads a defined unknown")
+        # enumerated digit index of unknown i at domain position p: the
+        # unknowns of nested applications first, then the others
+        self.digit_of = np.full((len(unknowns), m), -1, dtype=np.int64)
+        start = 0
+        for nested in (True, False):
+            block = [i for i, n in enumerate(unknowns)
+                     if (n in dynamic) == nested and n not in definitions]
+            for j, i in enumerate(block):
+                self.digit_of[i] = start + rank * len(block) + j
+            start += len(block) * m
+        # a computed digit goes right after the last digit its definition
+        # reads; renumber all digits in that order
+        keys = [np.arange(start, dtype=float)]
+        for expr in definitions.values():
+            keys.append(self._compile_definition(expr)[2][order] + 0.5)
+        new = np.empty(start + m * len(definitions), dtype=np.int64)
+        new[np.argsort(np.concatenate(keys), kind="stable")] = np.arange(len(new))
+        enumerated = self.digit_of >= 0
+        self.digit_of[enumerated] = new[self.digit_of[enumerated]]
+        self.digits = len(new)
+        self.computed: dict[int, tuple] = {}
+        for k, (name, expr) in enumerate(definitions.items()):
+            cols = new[start + k * m + np.arange(m)]
+            self.digit_of[self.unknowns[name], order] = cols
+            node, slots, _ = self._compile_definition(expr)
+            x = np.asarray(domain.domain_elements, dtype=np.int64)[None, :]
+            for p in order:
+                self.computed[int(cols[rank[p]])] = (
+                    node, x[:, [p]], x[:, [p]], [s[[p]] for s in slots])
+
+    def _compile_definition(self, expr: Expr):
+        """A definition compiled at every domain position: the node, the
+        digit each plain application reads and the last digit read (-1 for
+        none), both per position."""
+        elems = np.asarray(self.domain.domain_elements, dtype=np.int64)
+        self.pairs, self.slots, self.late = (elems, elems), [], -1
+        self.bound = self.params
+        node = self._build(expr, False)
+        last = np.maximum.reduce(self.slots + [np.full(len(elems), self.late)])
+        return node, self.slots, last
+
+    def compile(self, constraint: PairConstraint) -> list[tuple[int, _Check]]:
+        """(level, check) parts of one constraint."""
+        elems = np.asarray(self.domain.domain_elements, dtype=np.int64)
+        if constraint.pairs is None:
+            xs, ys = np.repeat(elems, len(elems)), np.tile(elems, len(elems))
+        else:
+            pairs = np.asarray(constraint.pairs, dtype=np.int64).reshape(-1, 2)
+            xs, ys = pairs[:, 0], pairs[:, 1]
+        if not len(xs):
+            return []
+        # last digit of the unknowns of the nested applications
+        self.pairs, self.slots, self.late = (xs, ys), [], -1
+        self.bound = {**self.params, **constraint.params}
+        lhs = self._build(constraint.equation.lhs, False)
+        rhs = self._build(constraint.equation.rhs, False)
+        levels = np.maximum.reduce(self.slots + [np.full(len(xs), self.late)])
+        order = np.argsort(levels, kind="stable")
+        parts = []
+        for sel in np.split(order, np.flatnonzero(np.diff(levels[order])) + 1):
+            check = _Check(lhs, rhs, xs[sel][None, :], ys[sel][None, :],
+                           [s[sel] for s in self.slots], self.late >= 0)
+            parts.append((int(levels[sel[0]]), check))
+        return parts
+
+    def _mixing(self, what: str) -> None:
+        if not self.mixable:
+            raise EvalDomainError(
+                f"{what} needs the domain inside the codomain")
+
+    def _build(self, expr: Expr, in_arg: bool) -> tuple:
+        """Compile ``expr``; ``in_arg`` marks an argument of an unknown."""
+        ring = self.domain if in_arg else self.codomain
+        if isinstance(expr, Var):
+            if not in_arg:
+                self._mixing("a domain element outside an argument")
+            return (expr.name,)
+        if isinstance(expr, IntLit):
+            return ("k", ring.int_embed(expr.value))
+        if isinstance(expr, Param):
+            if expr.name not in self.bound:
+                raise UnboundName(f"parameter {expr.name!r} is not bound")
+            return ("k", self.bound[expr.name])
+        if isinstance(expr, FnApp):
+            if expr.name not in self.unknowns:
+                raise UnboundName(f"function {expr.name!r} is not an unknown")
+            if in_arg:
+                self._mixing("a value used as an argument")
+            digit_at = self.digit_of[self.unknowns[expr.name]]
+            arg = self._build(expr.arg, True)
+            inner = _applied(expr.arg)
+            if inner:
+                self.late = max([self.late] + [
+                    int(self.digit_of[self.unknowns[n]].max())
+                    for n in inner | {expr.name}])
+                return ("nest", digit_at, self.domain.position, arg)
+            pos = self.domain.position[_eval(arg, *self.pairs, None, None)]
+            if np.any(pos < 0):
+                raise EvalDomainError(
+                    f"function {expr.name!r} applied outside declared domain")
+            self.slots.append(
+                np.broadcast_to(digit_at[pos], self.pairs[0].shape))
+            return ("fn", len(self.slots) - 1)
+        if isinstance(expr, Neg):
+            return ("neg", ring.neg, self._build(expr.operand, in_arg))
+        left = self._build(expr.left, in_arg)
+        right = self._build(expr.right, in_arg)
+        if isinstance(expr, Sub):
+            return ("add", ring.add, left, ("neg", ring.neg, right))
+        if isinstance(expr, Add):
+            return ("add", ring.add, left, right)
+        if isinstance(expr, Mul):
+            return ("mul", ring.mul, left, right)
+        raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _applied(expr: Expr) -> set[str]:
+    """The unknowns applied anywhere in ``expr``."""
+    if isinstance(expr, FnApp):
+        return {expr.name} | _applied(expr.arg)
+    if isinstance(expr, (Add, Sub, Mul)):
+        return _applied(expr.left) | _applied(expr.right)
+    if isinstance(expr, Neg):
+        return _applied(expr.operand)
+    return set()
+
+
+def _nested(expr: Expr, out: set[str]) -> None:
+    """Collect the unknowns of nested applications: the applied unknown and
+    the unknowns its argument reads."""
+    if isinstance(expr, FnApp):
+        inner = _applied(expr.arg)
+        if inner:
+            out |= inner | {expr.name}
+        _nested(expr.arg, out)
+    elif isinstance(expr, (Add, Sub, Mul)):
+        _nested(expr.left, out)
+        _nested(expr.right, out)
+    elif isinstance(expr, Neg):
+        _nested(expr.operand, out)
+
+
+def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
+           domain: Ring, codomain: Ring,
+           params: dict[str, int] | None = None,
+           definitions: dict[str, Expr] | None = None,
+           budget: int | None = None) -> np.ndarray:
+    """Every assignment of value vectors to the unknowns meeting all constraints.
+
+    ``definitions`` give unknowns computed from the others instead of
+    enumerated; a definition may not read a defined unknown.  ``budget``
+    bounds the rows one level examines times the squared domain size, the
+    pairs a candidate is checked on; a level past it raises
+    :class:`BudgetExceeded` before growing.
+
+    Returns an int array of shape (solutions, unknowns, domain size) in
+    lexicographic order of the concatenated value vectors, unknowns in the
+    given order and positions in domain order.
+    """
+    planner = _Planner(constraints, unknowns, domain, codomain, params or {},
+                       definitions or {})
+    levels: dict[int, list[_Check]] = {}
+    for constraint in constraints:
+        for level, check in planner.compile(constraint):
+            levels.setdefault(level, []).append(check)
+    for checks in levels.values():
+        checks.sort(key=lambda check: check.nested)
+
+    q = codomain.size
+    pairs = len(domain.domain_elements) ** 2
+    rows = _filter(np.zeros((1, 0), dtype=np.min_scalar_type(q - 1)),
+                   levels.get(-1, []))
+    for level in range(planner.digits):
+        if not len(rows):
+            rows = np.zeros((0, planner.digits), dtype=rows.dtype)
+            break
+        checks = levels.get(level, [])
+        if level in planner.computed:
+            rows = _filter(_append(rows, planner.computed[level]), checks)
+            continue
+        needed = len(rows) * q * pairs
+        if budget is not None and needed > budget:
+            raise BudgetExceeded(
+                f"search level {level} needs {needed} evaluated pairs, "
+                f"budget is {budget}", needed=needed)
+        rows = _grow(rows, q, checks)
+
+    values = rows[:, planner.digit_of.reshape(-1)].astype(np.int64)
+    if values.shape[1]:
+        values = values[np.lexsort(values.T[::-1])]
+    return values.reshape((len(values),) + planner.digit_of.shape)
+
+
+def _append(rows: np.ndarray, digit: tuple) -> np.ndarray:
+    """Append a computed digit: (node, x, y, slots) of its definition."""
+    node, x, y, slots = digit
+    value = np.broadcast_to(_eval(node, x, y, slots, rows), (len(rows), 1))
+    return np.concatenate([rows, value.astype(rows.dtype)], axis=1)
+
+
+def _grow(rows: np.ndarray, q: int, checks: list[_Check]) -> np.ndarray:
+    """Append every codomain element as the next digit and filter."""
+    count, width = rows.shape
+    step = max(1, _CELLS // (q * max((c.x.shape[1] for c in checks), default=1)))
+    parts = []
+    for start in range(0, count, step):
+        block = rows[start:start + step]
+        grown = np.empty((len(block) * q, width + 1), dtype=rows.dtype)
+        grown[:, :width] = np.repeat(block, q, axis=0)
+        grown[:, width] = np.tile(np.arange(q, dtype=rows.dtype), len(block))
+        parts.append(_filter(grown, checks))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _filter(rows: np.ndarray, checks: list[_Check]) -> np.ndarray:
+    for c in checks:
+        if not len(rows):
+            break
+        ok = np.equal(_eval(c.lhs, c.x, c.y, c.slots, rows),
+                      _eval(c.rhs, c.x, c.y, c.slots, rows))
+        rows = rows[np.broadcast_to(ok, (len(rows), c.x.shape[1])).all(axis=1)]
+    return rows

@@ -2,9 +2,21 @@
 
 Given a parsed equation, a ring and a structure class per unknown, the
 solver finds every binding of function tables satisfying the equation at
-all domain pairs.  When the left side is a lone unknown applied to ``x*y``
-over a unital ring, that unknown is computed from the others through the
-y=1 pivot instead of being enumerated; everything else is scanned.
+all domain pairs.  The equation and each unknown's class identities go to
+the level-wise search kernel (:mod:`fnq.search`) as one system, which grows
+all unknowns' value vectors together, one digit at a time.  The search is
+single-threaded; the ``workers`` argument is kept for compatibility and
+changes nothing.
+
+When the left side is a lone unknown applied to ``x*y`` over a unital
+domain, the y=1 pivot determines that unknown from the others: the kernel
+computes its digits from the definition instead of enumerating them.  The
+result records this (``pruned_by_pivot``) and leaves the pivoted unknown
+out of the candidate count and the budget.  The solutions are the same
+either way.
+
+The budget is checked twice: up front on the candidate count times the
+squared domain size, and by the kernel on the rows each level examines.
 
 Results are exact, exhaustive and deterministic: solutions come out in
 lexicographic order of the concatenated value vectors (free-function
@@ -15,9 +27,7 @@ returned.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -26,8 +36,8 @@ from .errors import BudgetExceeded, EvalDomainError, FnqError, InvalidTask
 from .eqdsl import (Add, Binding, Definition, EquationAst, Expr, FnApp, IntLit,
                     Mul, Neg, Param, Sub, Var, equation_to_text, eval_side,
                     pivot_reduce)
-from .maps import (FnTable, FunctionClass, class_space_size,
-                   enumerate_maps, filter_tables, satisfies_class)
+from .maps import FnTable, FunctionClass, class_constraints, class_space_size
+from .search import PairConstraint, search
 
 DEFAULT_BUDGET = 10 ** 8  # evaluated (x, y) pairs
 
@@ -37,7 +47,8 @@ class SolveTask:
     """A fully specified search: equation, ring, classes, parameters, budget.
 
     ``budget`` bounds the number of evaluated pairs, i.e. candidate count
-    times the squared domain size.
+    times the squared domain size; the search also stops with
+    :class:`BudgetExceeded` when one of its levels would examine more rows.
     """
 
     ast: EquationAst
@@ -57,133 +68,48 @@ class SolutionSet:
 
 # ----------------------------------------------------- vectorized evaluation
 
-class _Env:
-    """Evaluation context: fixed tables as (m,) arrays, batched as (B, m)."""
-
-    def __init__(self, ring: Ring, params: dict[str, int],
-                 fixed: dict[str, np.ndarray], batch: dict[str, np.ndarray],
-                 batch_size: int):
-        self.ring = ring
-        self.elems = np.asarray(ring.domain_elements, dtype=np.int64)
-        self.params = params
-        self.fixed = fixed
-        self.batch = batch
-        self.batch_size = batch_size
-        self._fixed_lookup: dict[str, np.ndarray] = {}
-        self._batch_lookup: dict[str, np.ndarray] = {}
-
-    def fixed_lookup(self, name: str) -> np.ndarray:
-        if name not in self._fixed_lookup:
-            full = np.full(self.ring.size, -1, dtype=np.int64)
-            full[self.elems] = self.fixed[name]
-            self._fixed_lookup[name] = full
-        return self._fixed_lookup[name]
-
-    def batch_lookup(self, name: str) -> np.ndarray:
-        if name not in self._batch_lookup:
-            full = np.full((self.batch_size, self.ring.size), -1, dtype=np.int64)
-            full[:, self.elems] = self.batch[name]
-            self._batch_lookup[name] = full
-        return self._batch_lookup[name]
-
-
-def _op2(table: np.ndarray, a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return int(table[a, b])
-    return table[a, b]
-
-
-def _apply_fn(env: _Env, name: str, arg, grid: bool):
-    """Apply an unknown's table(s) to evaluated argument values."""
-    if name in env.batch:
-        tab = env.batch[name]
-        if isinstance(arg, int):
-            pos = int(env.ring.position[arg])
-            if pos < 0:
-                raise EvalDomainError(f"element {arg} outside declared domain")
-            col = tab[:, pos]
-            return col.reshape(-1, 1, 1) if grid else col.reshape(-1, 1)
-        full = env.batch_lookup(name)
-        B = env.batch_size
-        tail = arg.shape[1:] if arg.shape[0] in (1, B) else arg.shape
-        idx = np.broadcast_to(arg, (B,) + tail).reshape(B, -1)
-        out = np.take_along_axis(full, idx, axis=1)
-        if (out < 0).any():
-            raise EvalDomainError("function applied outside declared domain")
-        return out.reshape((B,) + tail)
-    if isinstance(arg, int):
-        full = env.fixed_lookup(name)
-        v = int(full[arg])
-        if v < 0:
-            raise EvalDomainError(f"element {arg} outside declared domain")
-        return v
-    full = env.fixed_lookup(name)
-    out = full[arg]
-    if (out < 0).any():
-        raise EvalDomainError("function applied outside declared domain")
-    return out
-
-
-def _eval_cells(expr: Expr, env: _Env, grid: bool):
-    """Evaluate over the pair grid (grid=True) or over the x vector."""
-    ring = env.ring
-    if isinstance(expr, Var):
-        if expr.name == "x":
-            return env.elems[None, :, None] if grid else env.elems[None, :]
-        if not grid:
-            raise FnqError("y cannot appear in a pivot definition")
-        return env.elems[None, None, :]
-    if isinstance(expr, IntLit):
-        return ring.int_embed(expr.value)
-    if isinstance(expr, Param):
-        return env.params[expr.name]
-    if isinstance(expr, FnApp):
-        return _apply_fn(env, expr.name, _eval_cells(expr.arg, env, grid), grid)
-    if isinstance(expr, Add):
-        return _op2(ring.add, _eval_cells(expr.left, env, grid),
-                    _eval_cells(expr.right, env, grid))
-    if isinstance(expr, Sub):
-        right = _eval_cells(expr.right, env, grid)
-        neg = int(ring.neg[right]) if isinstance(right, int) else ring.neg[right]
-        return _op2(ring.add, _eval_cells(expr.left, env, grid), neg)
-    if isinstance(expr, Mul):
-        return _op2(ring.mul, _eval_cells(expr.left, env, grid),
-                    _eval_cells(expr.right, env, grid))
-    if isinstance(expr, Neg):
-        v = _eval_cells(expr.operand, env, grid)
-        return int(ring.neg[v]) if isinstance(v, int) else ring.neg[v]
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 def batch_satisfies(ast: EquationAst, ring: Ring, fixed: dict[str, FnTable],
                     batch: dict[str, np.ndarray], params: dict[str, int]) -> np.ndarray:
-    """Boolean mask over batched candidates satisfying the equation everywhere."""
-    B = max((arr.shape[0] for arr in batch.values()), default=1)
-    env = _Env(ring, params,
-               {n: t.as_array() for n, t in fixed.items()},
-               batch, B)
-    m = len(ring.domain_elements)
-    lhs = _eval_cells(ast.lhs, env, grid=True)
-    rhs = _eval_cells(ast.rhs, env, grid=True)
-    eq = np.equal(lhs, rhs)
-    if eq.ndim == 0:
-        return np.full(B, bool(eq))
-    eq = np.broadcast_to(eq, (B, m, m))
-    return eq.all(axis=(1, 2))
+    """Boolean mask over batched candidates satisfying the equation everywhere.
 
-
-def eval_definition(defn: Expr, ring: Ring, fixed: dict[str, FnTable],
-                    batch: dict[str, np.ndarray], params: dict[str, int]) -> np.ndarray:
-    """Value matrix (B, m) of a pivot definition over the domain elements."""
+    Both sides are evaluated over the whole (candidate, x, y) grid; a fixed
+    table counts as a batch of one row.
+    """
     B = max((arr.shape[0] for arr in batch.values()), default=1)
-    env = _Env(ring, params,
-               {n: t.as_array() for n, t in fixed.items()},
-               batch, B)
-    m = len(ring.domain_elements)
-    vals = _eval_cells(defn, env, grid=False)
-    if isinstance(vals, int):
-        return np.full((B, m), vals, dtype=np.int64)
-    return np.ascontiguousarray(np.broadcast_to(vals, (B, m)))
+    elems = np.asarray(ring.domain_elements, dtype=np.int64)
+    m = len(elems)
+    # each unknown as (rows, carrier size), -1 outside the declared domain
+    tables = {}
+    for name, values in [*((n, t.as_array()[None, :]) for n, t in fixed.items()),
+                         *batch.items()]:
+        tables[name] = np.full((len(values), ring.size), -1, dtype=ring.add.dtype)
+        tables[name][:, elems] = values
+
+    def cells(expr: Expr):
+        if isinstance(expr, Var):
+            return elems[None, :, None] if expr.name == "x" else elems[None, None, :]
+        if isinstance(expr, IntLit):
+            return ring.int_embed(expr.value)
+        if isinstance(expr, Param):
+            return params[expr.name]
+        if isinstance(expr, FnApp):
+            full = tables[expr.name]
+            out = full[np.arange(len(full))[:, None, None], cells(expr.arg)]
+            if (out < 0).any():
+                raise EvalDomainError("function applied outside declared domain")
+            return out
+        if isinstance(expr, Add):
+            return ring.add[cells(expr.left), cells(expr.right)]
+        if isinstance(expr, Sub):
+            return ring.add[cells(expr.left), ring.neg[cells(expr.right)]]
+        if isinstance(expr, Mul):
+            return ring.mul[cells(expr.left), cells(expr.right)]
+        if isinstance(expr, Neg):
+            return ring.neg[cells(expr.operand)]
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    eq = np.equal(cells(ast.lhs), cells(ast.rhs))
+    return np.broadcast_to(eq, (B, m, m)).all(axis=(1, 2))
 
 
 # --------------------------------------------------------------- residuals
@@ -192,7 +118,7 @@ def residual(ast: EquationAst, binding: Binding, ring: Ring) -> list[tuple[int, 
     """Every violating domain pair, in row-major domain order.
 
     This is the scalar re-verification channel: it shares no code with the
-    vectorized search paths.
+    search kernel.
     """
     out = []
     for x in ring.domain_elements:
@@ -204,84 +130,15 @@ def residual(ast: EquationAst, binding: Binding, ring: Ring) -> list[tuple[int, 
     return out
 
 
-# ------------------------------------------------------------ search paths
-
-def _has_nested_unknowns(expr: Expr, names: set[str], inside: bool = False) -> bool:
-    if isinstance(expr, FnApp):
-        if inside and expr.name in names:
-            return True
-        return _has_nested_unknowns(expr.arg, names, inside=True)
-    if isinstance(expr, (Add, Sub, Mul)):
-        return (_has_nested_unknowns(expr.left, names, inside)
-                or _has_nested_unknowns(expr.right, names, inside))
-    if isinstance(expr, Neg):
-        return _has_nested_unknowns(expr.operand, names, inside)
-    return False
-
-
-def _staged_predicates(ast: EquationAst, unknown: str, params: dict[str, int],
-                       ring: Ring):
-    """Pair predicates evaluating both sides against candidate columns."""
-
-    def eval_node(expr: Expr, x: int, y: int, col):
-        if isinstance(expr, Var):
-            return x if expr.name == "x" else y
-        if isinstance(expr, IntLit):
-            return ring.int_embed(expr.value)
-        if isinstance(expr, Param):
-            return params[expr.name]
-        if isinstance(expr, FnApp):
-            arg = eval_node(expr.arg, x, y, col)
-            if not isinstance(arg, int):
-                raise FnqError("nested unknowns have no staged path")
-            return col(arg)
-        if isinstance(expr, Add):
-            return _op2(ring.add, eval_node(expr.left, x, y, col),
-                        eval_node(expr.right, x, y, col))
-        if isinstance(expr, Sub):
-            right = eval_node(expr.right, x, y, col)
-            neg = int(ring.neg[right]) if isinstance(right, int) else ring.neg[right]
-            return _op2(ring.add, eval_node(expr.left, x, y, col), neg)
-        if isinstance(expr, Mul):
-            return _op2(ring.mul, eval_node(expr.left, x, y, col),
-                        eval_node(expr.right, x, y, col))
-        if isinstance(expr, Neg):
-            v = eval_node(expr.operand, x, y, col)
-            return int(ring.neg[v]) if isinstance(v, int) else ring.neg[v]
-        raise TypeError(f"not an expression node: {expr!r}")
-
-    def pred(x, y, col):
-        return np.equal(eval_node(ast.lhs, x, y, col),
-                        eval_node(ast.rhs, x, y, col))
-
-    return [pred]
-
-
-def _candidate_matrix(ring: Ring, cls: FunctionClass, budget: int) -> np.ndarray:
-    """All candidate value vectors of a class as an integer matrix."""
-    m = len(ring.domain_elements)
-    q = ring.size
-    if cls.kind == "arbitrary":
-        total = q ** m
-        if total > budget:
-            raise BudgetExceeded(
-                f"{total} candidates exceed the budget {budget}", needed=total)
-        ids = np.arange(total, dtype=np.int64)
-        cols = [(ids // q ** (m - 1 - j)) % q for j in range(m)]
-        return np.stack(cols, axis=1)
-    tables = list(enumerate_maps(ring, ring, cls, budget=budget))
-    if not tables:
-        return np.empty((0, m), dtype=np.int64)
-    return np.asarray([t.values for t in tables], dtype=np.int64)
-
-
-def _ids_to_matrix(ids: np.ndarray, m: int, q: int) -> np.ndarray:
-    cols = [(ids // q ** (m - 1 - j)) % q for j in range(m)]
-    return np.stack(cols, axis=1) if ids.size else np.empty((0, m), dtype=np.int64)
-
+# ------------------------------------------------------------------ solving
 
 def solve(task: SolveTask, workers: int = 1, use_pivot: bool = True) -> SolutionSet:
-    """Find every satisfying binding, exactly and deterministically."""
+    """Find every satisfying binding, exactly and deterministically.
+
+    ``workers`` is accepted for compatibility and changes nothing.  With
+    ``use_pivot=False`` the pivot is not applied, so every unknown counts
+    towards the candidates and the budget; the solutions are the same.
+    """
     ast, ring = task.ast, task.ring
     names = ast.free_functions
     missing = [n for n in names if n not in task.classes]
@@ -290,180 +147,45 @@ def solve(task: SolveTask, workers: int = 1, use_pivot: bool = True) -> Solution
     missing_p = [p for p in ast.free_params if p not in task.params]
     if missing_p:
         raise InvalidTask(f"no value bound for parameters {missing_p}")
-    workers = max(1, workers)
-    elems = ring.domain_elements
-    m = len(elems)
-    q = ring.size
+    m = len(ring.domain_elements)
 
     # pivot: only when the left side is one unknown applied to x*y and the
     # unit element is part of the quantified domain
-    pivot_name = None
-    definition = None
+    pivot_name, definitions = None, {}
     if (use_pivot and isinstance(ast.lhs, FnApp) and ast.lhs.name in names
-            and ring.one is not None and ring.one in set(elems)):
-        result = pivot_reduce(ast, ast.lhs.name)
-        if isinstance(result, Definition):
+            and ring.one is not None and ring.one in set(ring.domain_elements)):
+        reduced = pivot_reduce(ast, ast.lhs.name)
+        if isinstance(reduced, Definition):
             pivot_name = ast.lhs.name
-            definition = result.expr
+            definitions = {pivot_name: reduced.expr}
 
-    enumerated = [n for n in names if n != pivot_name]
-    spaces = {n: class_space_size(ring, ring, task.classes[n]) for n in enumerated}
     candidates_total = 1
-    for n in enumerated:
-        candidates_total *= spaces[n]
+    for n in names:
+        if n != pivot_name:
+            candidates_total *= class_space_size(ring, ring, task.classes[n])
     total_pairs = candidates_total * m * m
     if total_pairs > task.budget:
         raise BudgetExceeded(
             f"task needs {total_pairs} evaluated pairs, budget is {task.budget}",
             needed=total_pairs)
 
-    nested = (_has_nested_unknowns(ast.lhs, set(names))
-              or _has_nested_unknowns(ast.rhs, set(names)))
-
-    rows: list[tuple[tuple[int, ...], ...]] = []
-    if (pivot_name is None and len(enumerated) == 1 and not nested
-            and task.classes[enumerated[0]].kind == "arbitrary"):
-        rows = _solve_staged(task, enumerated[0], workers)
-    else:
-        rows = _solve_enumerative(task, pivot_name, definition, enumerated,
-                                  names, workers)
-
-    rows.sort(key=lambda r: tuple(v for vec in r for v in vec))
+    constraints = [PairConstraint(ast)]
+    for n in names:
+        constraints += class_constraints(ring, n, task.classes[n])
     solutions = []
-    for row in rows:
-        binding = Binding(functions={n: FnTable(ring, ring, vec)
+    found = search(constraints, names, ring, ring, task.params,
+                   definitions=definitions, budget=task.budget)
+    for row in found.tolist():
+        binding = Binding(functions={n: FnTable(ring, ring, tuple(vec))
                                      for n, vec in zip(names, row)},
                           params=dict(task.params))
-        bad = residual(ast, binding, ring)
-        if bad:
+        if residual(ast, binding, ring):
             raise FnqError(
-                f"internal error: vector search accepted a non-solution {row}")
+                f"internal error: search accepted a non-solution {row}")
         solutions.append(binding)
     return SolutionSet(task=task, solutions=solutions,
                        enumerated_count=candidates_total,
                        pruned_by_pivot=pivot_name is not None)
-
-
-def _solve_staged(task: SolveTask, unknown: str, workers: int):
-    ring = task.ring
-    m = len(ring.domain_elements)
-    q = ring.size
-    total = q ** m
-    preds = _staged_predicates(task.ast, unknown, task.params, ring)
-    bounds = [total * i // workers for i in range(workers + 1)]
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(workers)
-              if bounds[i] < bounds[i + 1]]
-
-    def run(rng):
-        return filter_tables(ring, ring, preds, budget=total, id_range=rng)
-
-    if len(ranges) == 1:
-        parts = [run(ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, ranges))
-    ids = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    matrix = _ids_to_matrix(ids, m, q)
-    return [(tuple(int(v) for v in row),) for row in matrix]
-
-
-def _solve_enumerative(task: SolveTask, pivot_name, definition, enumerated,
-                       names, workers: int):
-    ring = task.ring
-    streams = {n: _candidate_matrix(ring, task.classes[n], task.budget)
-               for n in enumerated}
-
-    def emit(fixed_rows: dict[str, tuple[int, ...]], batch_name: str | None,
-             batch_matrix: np.ndarray | None) -> list:
-        """Check one combo (optionally with the last unknown batched)."""
-        fixed_tables = {n: FnTable(ring, ring, vec)
-                        for n, vec in fixed_rows.items()}
-        batch: dict[str, np.ndarray] = {}
-        if batch_name is not None:
-            batch[batch_name] = batch_matrix
-        if pivot_name is not None:
-            pivot_vals = eval_definition(definition, ring, fixed_tables,
-                                         batch, task.params)
-            batch = dict(batch)
-            batch[pivot_name] = pivot_vals
-        mask = batch_satisfies(task.ast, ring, fixed_tables, batch, task.params)
-        found = []
-        pivot_cls = task.classes.get(pivot_name) if pivot_name else None
-        for b in np.nonzero(mask)[0]:
-            vecs = {}
-            vecs.update(fixed_rows)
-            if batch_name is not None:
-                vecs[batch_name] = tuple(int(v) for v in batch_matrix[b])
-            if pivot_name is not None:
-                vec = tuple(int(v) for v in batch[pivot_name][b])
-                if pivot_cls is not None and pivot_cls.kind != "arbitrary":
-                    if not satisfies_class(FnTable(ring, ring, vec), pivot_cls):
-                        continue
-                vecs[pivot_name] = vec
-            found.append(tuple(vecs[n] for n in names))
-        return found
-
-    if not enumerated:
-        return emit({}, None, None)
-
-    outer = enumerated[:-1]
-    last = enumerated[-1]
-    last_matrix = streams[last]
-    outer_streams = [streams[n] for n in outer]
-
-    def combos_for(first_range):
-        if not outer:
-            yield {}
-            return
-        first_name = outer[0]
-        first_rows = outer_streams[0][first_range[0]:first_range[1]]
-        rest_names = outer[1:]
-        rest_matrices = [streams[n] for n in rest_names]
-        for row in first_rows:
-            base = {first_name: tuple(int(v) for v in row)}
-            if not rest_names:
-                yield base
-                continue
-            for combo in iproduct(*(range(mat.shape[0]) for mat in rest_matrices)):
-                d = dict(base)
-                for n, mat, i in zip(rest_names, rest_matrices, combo):
-                    d[n] = tuple(int(v) for v in mat[i])
-                yield d
-
-    if outer:
-        first_count = outer_streams[0].shape[0]
-        bounds = [first_count * i // workers for i in range(workers + 1)]
-        ranges = [(bounds[i], bounds[i + 1]) for i in range(workers)
-                  if bounds[i] < bounds[i + 1]]
-
-        def run(rng):
-            out = []
-            for fixed_rows in combos_for(rng):
-                out.extend(emit(fixed_rows, last, last_matrix))
-            return out
-
-        if len(ranges) <= 1:
-            parts = [run(r) for r in ranges]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(run, ranges))
-        return [row for part in parts for row in part]
-
-    # single enumerated unknown: partition its candidate rows
-    count = last_matrix.shape[0]
-    bounds = [count * i // workers for i in range(workers + 1)]
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(workers)
-              if bounds[i] < bounds[i + 1]]
-
-    def run_single(rng):
-        return emit({}, last, last_matrix[rng[0]:rng[1]])
-
-    if len(ranges) <= 1:
-        parts = [run_single(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_single, ranges))
-    return [row for part in parts for row in part]
 
 
 # ------------------------------------------------------------ serialization

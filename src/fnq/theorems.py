@@ -32,9 +32,9 @@ from .errors import (BothZero, EpsilonZero, NotAField, NotCentral,
                      ResidualNonzero, Unclassifiable)
 from .maps import (ARBITRARY, FnTable, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
                    enumerate_maps, filter_tables, holds_leibniz,
-                   holds_multiplicative, identity_map, leibniz_predicate,
-                   lin_rank, linear_combination, multiplicative_predicate,
-                   zero_map)
+                   holds_multiplicative, id_digits, identity_map,
+                   leibniz_equation, lin_rank, linear_combination,
+                   multiplicative_equation, tables_from_ids, zero_map)
 from .solver import SolveTask, batch_satisfies, residual, solve
 
 _BACKWARD_CAP = 10 ** 6
@@ -48,14 +48,6 @@ DEFAULT_CHECK_BUDGET = 2 * 10 ** 9
 
 def homo_derivation_equation() -> EquationAst:
     return parse_equation("h(x*y)=h(x)*y+x*h(y)+e*h(x)*h(y)")
-
-
-def multiplicative_equation(fn: str = "f") -> EquationAst:
-    return parse_equation(f"{fn}(x*y)={fn}(x)*{fn}(y)")
-
-
-def leibniz_equation(fn: str = "f") -> EquationAst:
-    return parse_equation(f"{fn}(x*y)={fn}(x)*y+x*{fn}(y)")
 
 
 def pexider_equation() -> EquationAst:
@@ -273,20 +265,13 @@ def annihilator_witness(f: FnTable, ring: Ring | None = None) -> int | None:
     return None
 
 
-def _mp_solutions(ring: Ring, budget: int) -> list[FnTable]:
-    """Brute-force the system {multiplicative, Leibniz} over the domain."""
+def _mp_solutions(ring: Ring, budget: int) -> np.ndarray:
+    """Ascending candidate ids of the solutions of the system
+    {multiplicative, Leibniz} over the domain."""
     m = len(ring.domain_elements)
-    ids = filter_tables(ring, ring,
-                        [multiplicative_predicate(ring, ring),
-                         leibniz_predicate(ring, ring)],
-                        budget=max(budget // (m * m), 1))
-    q = ring.size
-    out = []
-    for cid in ids:
-        cid = int(cid)
-        vals = tuple((cid // q ** (m - 1 - j)) % q for j in range(m))
-        out.append(FnTable(ring, ring, vals))
-    return out
+    return filter_tables(ring, ring,
+                         [multiplicative_equation(), leibniz_equation()],
+                         budget=max(budget // (m * m), 1))
 
 
 def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
@@ -297,7 +282,8 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
     part of the claim being checked; candidate maps whose image is
     annihilated but which fail the system are counted informationally.
     """
-    sols = _mp_solutions(ring, budget)
+    sol_ids = _mp_solutions(ring, budget)
+    sols = tables_from_ids(sol_ids, ring, ring)
     witnesses = {s.values: annihilator_witness(s) for s in sols}
     counterexamples = [{"direction": "forward", "f": list(v)}
                        for v, w in witnesses.items() if w is None]
@@ -318,34 +304,37 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
         details["solution_set_is_zero"] = only_zero
         forward_ok = forward_ok and only_zero
 
-    # informational probe of the converse: annihilated image vs the system
-    mult_ast = multiplicative_equation()
-    leib_ast = leibniz_equation()
-    seen: set[tuple[int, ...]] = set()
+    # informational probe of the converse: annihilated image vs the system.
+    # Each alpha probes every value vector inside its annihilator, in
+    # lexicographic order, skipping vectors an earlier alpha already probed.
+    # Every probed vector is a candidate of the system, so it satisfies the
+    # system exactly when its id is among the solutions' ids.
+    probed: list[np.ndarray] = []  # membership masks of probed annihilators
     backward_bad = 0
     backward_sample: list = []
     m = len(ring.domain_elements)
+    weights = ring.size ** np.arange(m - 1, -1, -1, dtype=np.int64)
     capped = False
     for alpha in range(ring.size):
         if alpha == ring.zero:
             continue
-        ann = [t for t in range(ring.size)
-               if int(ring.mul[alpha, t]) == ring.zero
-               and int(ring.mul[t, alpha]) == ring.zero]
-        if len(ann) ** m > _BACKWARD_CAP:
+        member = ((ring.mul[alpha, :] == ring.zero)
+                  & (ring.mul[:, alpha] == ring.zero))
+        ann = np.flatnonzero(member)
+        count = len(ann) ** m
+        if count > _BACKWARD_CAP:
             capped = True
             continue
-        for vals in iproduct(ann, repeat=m):
-            if vals in seen:
-                continue
-            seen.add(vals)
-            batch = np.asarray([vals], dtype=np.int64)
-            ok = (batch_satisfies(mult_ast, ring, {}, {"f": batch}, {})[0]
-                  and batch_satisfies(leib_ast, ring, {}, {"f": batch}, {})[0])
-            if not ok:
-                backward_bad += 1
-                if len(backward_sample) < 5:
-                    backward_sample.append(list(vals))
+        batch = ann[id_digits(np.arange(count), m, len(ann))]
+        for mask in probed:
+            batch = batch[~mask[batch].all(axis=1)]
+        probed.append(member)
+        if not len(batch):
+            continue
+        ok = np.isin(batch @ weights, sol_ids)
+        bad = batch[~ok]
+        backward_bad += len(bad)
+        backward_sample += bad[:5 - len(backward_sample)].tolist()
     details["backward_informational"] = True
     details["backward_counterexample_count"] = backward_bad
     details["backward_sample"] = backward_sample

@@ -101,3 +101,68 @@ def is_homo_deriv_at(ring, values, x, y, eps):
     rhs = int(ring.add[ring.add[ring.mul[fx, y], ring.mul[x, fy]],
                        ring.mul[eps, ring.mul[fx, fy]]])
     return table_at(ring, values, p) == rhs
+
+
+def domain_units(ring):
+    """Units of the declared domain, by a scalar scan."""
+    elems = ring.domain_elements
+    if ring.one is None or ring.one not in elems:
+        return []
+    return [u for u in elems
+            if any(int(ring.mul[u, v]) == ring.one
+                   and int(ring.mul[v, u]) == ring.one for v in elems)]
+
+
+def is_logarithmic(ring, values):
+    units = domain_units(ring)
+    if any(table_at(ring, values, e) != ring.zero
+           for e in ring.domain_elements if e not in units):
+        return False
+    return all(table_at(ring, values, int(ring.mul[u, v]))
+               == int(ring.add[table_at(ring, values, u),
+                               table_at(ring, values, v)])
+               for u in units for v in units)
+
+
+_CLASS_PAIR_CHECKS = {
+    "arbitrary": (),
+    "additive": (is_additive_at,),
+    "multiplicative": (is_multiplicative_at,),
+    "homomorphism": (is_additive_at, is_multiplicative_at),
+    "leibniz": (is_leibniz_at,),
+    "derivation": (is_additive_at, is_leibniz_at),
+    "homo-deriv-mp": (is_additive_at, is_multiplicative_at, is_leibniz_at),
+}
+
+
+def in_class(ring, values, cls):
+    """Class membership by scalar point checks at every domain pair."""
+    if cls.kind == "logarithmic":
+        return is_logarithmic(ring, values)
+    if cls.kind == "homo-deriv-sofy":
+        checks = (is_additive_at,
+                  lambda r, v, x, y: is_homo_deriv_at(r, v, x, y, cls.eps))
+    else:
+        checks = _CLASS_PAIR_CHECKS[cls.kind]
+    elems = ring.domain_elements
+    return all(check(ring, values, x, y)
+               for check in checks for x in elems for y in elems)
+
+
+def ut2_2_additive_tables(ring):
+    """Every additive table of UT2(2) into itself, built from a basis.
+
+    The additive group is (Z_2)^3 with the index bits as coordinates, so a
+    table is fixed by the images of 1, 2 and 4.
+    """
+    out = []
+    for images in iproduct(range(ring.size), repeat=3):
+        values = []
+        for e in range(ring.size):
+            acc = ring.zero
+            for bit, image in zip((1, 2, 4), images):
+                if e & bit:
+                    acc = int(ring.add[acc, image])
+            values.append(acc)
+        out.append(tuple(values))
+    return sorted(out)

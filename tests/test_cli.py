@@ -162,3 +162,37 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
     assert main(["bogus"]) == 2
     capsys.readouterr()
+
+
+def test_ring_spec_missing_field_is_typed(capsys):
+    code, _, err = run_cli(capsys, "solve", "--ring", '{"kind":"Zn"}',
+                           "--eq", "f(x)=f(x)", "--json-errors")
+    assert code == 2
+    assert json.loads(err)["error"] == "InvalidRingSpec"
+
+
+def test_ring_spec_non_integer_field_is_typed(capsys):
+    code, _, err = run_cli(capsys, "solve", "--ring", '{"kind":"Zn","n":"abc"}',
+                           "--eq", "f(x)=f(x)", "--json-errors")
+    assert code == 2
+    assert json.loads(err)["error"] == "InvalidRingSpec"
+
+
+def test_budget_must_be_positive(capsys, monkeypatch):
+    solve_args = ("solve", "--ring", '{"kind":"Zn","n":2}', "--eq", "f(x)=f(x)",
+                  "--json-errors")
+    for budget in ("-5", "0"):
+        code, out, err = run_cli(capsys, *solve_args, "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidBudget"
+    monkeypatch.setenv("FNQ_BUDGET", "-5")
+    code, out, err = run_cli(capsys, *solve_args)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidBudget"
+    # subcommands that take no budget ignore it
+    solution = json.dumps({"f": [0, 2, 1], "h": [0, 1, 2], "k": [0, 2, 1]})
+    code, _, _ = run_cli(capsys, "classify", "--ring", '{"kind":"GF","p":3,"k":1}',
+                         "--solution", solution, "--out", "json")
+    assert code == 0

@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 
 import fnq
@@ -205,3 +207,76 @@ def test_classify_on_declared_subring():
     tags = classify_map(restricted_id)
     assert ADDITIVE in tags and MULTIPLICATIVE in tags
     assert LEIBNIZ not in tags  # 2*4=8=2 but the rule gives 2*4+2*4=4
+
+
+# --------------------------------------- kernel-backed scans vs plain scans
+
+import numpy as np
+
+from fnq.maps import filter_tables, leibniz_equation, multiplicative_equation
+
+
+def multiplicative_at(ring, col, x, y):
+    return col(int(ring.mul[x, y])) == ring.mul[col(x), col(y)]
+
+
+def leibniz_at(ring, col, x, y):
+    return col(int(ring.mul[x, y])) == ring.add[ring.mul[col(x), y],
+                                                ring.mul[x, col(y)]]
+
+
+def scan_all_tables(ring, identity, chunk=1 << 21):
+    """Every table passing ``identity`` at every domain pair.
+
+    A plain scan of all q**m candidate ids in chunks, diagonal pairs
+    first; the survivors of each pair are checked at the next one.
+    """
+    elems = ring.domain_elements
+    m, q = len(elems), ring.size
+    weight = {e: q ** (m - 1 - i) for i, e in enumerate(elems)}
+    pairs = ([(x, x) for x in elems]
+             + [(x, y) for x in elems for y in elems if x != y])
+    out = []
+    for start in range(0, q ** m, chunk):
+        ids = np.arange(start, min(start + chunk, q ** m), dtype=np.int64)
+        for x, y in pairs:
+            ids = ids[identity(ring, lambda e: ids // weight[e] % q, x, y)]
+        out += [tuple(int(cid) // weight[e] % q for e in elems) for cid in ids]
+    return out
+
+
+@pytest.mark.parametrize("cls,identity", [(MULTIPLICATIVE, multiplicative_at),
+                                          (LEIBNIZ, leibniz_at)])
+@pytest.mark.parametrize("ring_name", ["z8", "ut2_2"])
+def test_kernel_classes_match_plain_scan(cls, identity, ring_name, request):
+    ring = fnq.zn(8) if ring_name == "z8" else request.getfixturevalue(ring_name)
+    assert values_of(enumerate_maps(ring, ring, cls)) == scan_all_tables(
+        ring, identity)
+
+
+def test_kernel_classes_on_gf4_match_scalar_filter(gf4):
+    assert (values_of(enumerate_maps(gf4, gf4, MULTIPLICATIVE))
+            == brute_filter(gf4, is_multiplicative_at))
+    assert (values_of(enumerate_maps(gf4, gf4, LEIBNIZ))
+            == brute_filter(gf4, is_leibniz_at))
+
+
+def test_filter_tables_ids_and_budget(z2, z6):
+    ids = filter_tables(z2, z2, [multiplicative_equation()])
+    assert ids.tolist() == [0, 1, 3]  # (0,0), (0,1), (1,1)
+    both = filter_tables(z6, z6, [multiplicative_equation(), leibniz_equation()])
+    assert both.tolist() == sorted(both.tolist())
+    with pytest.raises(BudgetExceeded) as err:
+        filter_tables(z6, z6, [leibniz_equation()], budget=100)
+    assert err.value.needed == 6 ** 6
+
+
+def test_class_scans_between_different_rings(z4):
+    z2 = fnq.zn(2)
+    got = values_of(enumerate_maps(z2, z4, MULTIPLICATIVE))
+    oracle = [v for v in iproduct(range(4), repeat=2)
+              if all(v[x * y % 2] == int(z4.mul[v[x], v[y]])
+                     for x in range(2) for y in range(2))]
+    assert got == oracle
+    with pytest.raises(EvalDomainError):
+        list(enumerate_maps(z2, z4, LEIBNIZ))

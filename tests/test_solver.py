@@ -3,24 +3,34 @@ from itertools import product as iproduct
 import pytest
 
 import fnq
-from fnq.eqdsl import Binding, parse_equation
-from fnq.errors import BudgetExceeded, InvalidTask
-from fnq.maps import ADDITIVE, ARBITRARY, FnTable, enumerate_maps, homo_deriv_sofy
+from fnq.eqdsl import Binding, Definition, parse_equation, pivot_reduce
+from fnq.errors import BudgetExceeded, EvalDomainError, InvalidTask
+from fnq.maps import (ADDITIVE, ARBITRARY, FnTable, class_from_string,
+                      enumerate_maps, homo_deriv_sofy)
 from fnq.solver import (SolveTask, residual, solution_set_to_csv,
                         solution_set_to_json, solution_set_to_json_bytes,
                         solve)
+from fnq.search import PairConstraint, search
 
-from conftest import is_homo_deriv_at
+from conftest import (brute_tables, in_class, is_homo_deriv_at,
+                      ut2_2_additive_tables)
 
 
-def brute_solutions(ring, ast, params=None):
-    """Independent oracle: scan every table combination with scalar eval."""
+def brute_solutions(ring, ast, params=None, classes=None, tables=None):
+    """Independent oracle: scan every table combination with scalar eval.
+
+    Each unknown ranges over ``tables`` (default: all of them) that pass
+    its class's scalar point checks.
+    """
     from fnq.eqdsl import eval_side
     params = params or {}
+    classes = classes or {}
     names = ast.free_functions
-    m = len(ring.domain_elements)
+    pool = list(tables) if tables is not None else list(brute_tables(ring))
+    spaces = [[v for v in pool if in_class(ring, v, classes.get(n, ARBITRARY))]
+              for n in names]
     out = []
-    for combo in iproduct(iproduct(range(ring.size), repeat=m), repeat=len(names)):
+    for combo in iproduct(*spaces):
         binding = Binding(functions={n: FnTable(ring, ring, v)
                                      for n, v in zip(names, combo)},
                           params=params)
@@ -90,6 +100,36 @@ def test_pivot_vs_full_on_z4():
                  use_pivot=False)
     assert pruned.pruned_by_pivot
     assert solutions_as_tuples(pruned) == solutions_as_tuples(full)
+
+
+def test_pivot_digits_are_computed_not_enumerated():
+    """Every check of f(x*y)=g(5)*x*y on Z6 reads g(5), the last digit, so
+    enumerating f as well would grow 6**11 unfiltered rows.  Its digits
+    are computed from the pivot definition instead, and without the
+    definition the search stops at the budget rather than growing."""
+    ring = fnq.zn(6)
+    ast = parse_equation("f(x*y)=g(5)*x*y")
+    reduced = pivot_reduce(ast, "f")
+    assert isinstance(reduced, Definition)
+    found = search([PairConstraint(ast)], ("f", "g"), ring, ring,
+                   definitions={"f": reduced.expr}, budget=10 ** 8)
+    expected = sorted(tuple(g[5] * x % 6 for x in range(6)) + g
+                      for g in iproduct(range(6), repeat=6))
+    assert [tuple(row) for row in found.reshape(len(found), -1).tolist()] \
+        == expected
+    with pytest.raises(BudgetExceeded) as err:
+        search([PairConstraint(ast)], ("f", "g"), ring, ring, budget=10 ** 8)
+    assert err.value.needed > 10 ** 8
+
+
+def test_pivot_with_late_checks_solves(z4):
+    ast = parse_equation("f(x*y)=g(3)*x*y")
+    ss = solve(SolveTask(ast, z4, {"f": ARBITRARY, "g": ARBITRARY}))
+    assert ss.pruned_by_pivot
+    assert ss.enumerated_count == 4 ** 4
+    assert solutions_as_tuples(ss) == sorted(
+        (tuple(g[3] * x % 4 for x in range(4)), g)
+        for g in iproduct(range(4), repeat=4))
 
 
 def test_residual_examples(gf3, z6):
@@ -188,10 +228,124 @@ def test_nested_unknowns_fall_back(z2):
     assert len(ss.solutions) == 4  # identity holds for every f over Z_2
 
 
+# ------------------------------------------------ differential tests
+
+from functools import lru_cache
+
 from hypothesis import given, settings, strategies as st
 
 from fnq.eqdsl import Add, FnApp, IntLit, Mul, Neg, Param, Sub, Var
 from fnq.eqdsl import EquationAst
+
+_CARRIERS = {
+    "Z2": lambda: fnq.zn(2),
+    "Z3": lambda: fnq.zn(3),
+    "GF3": lambda: fnq.gf(3),
+    "Z4": lambda: fnq.zn(4),
+    "GF4": lambda: fnq.gf(2, 2, modulus=(1, 1, 1)),
+    "F2[x]/(x^2)": lambda: fnq.poly_quot(2, 2),
+    "Z6{0,2,4}": lambda: fnq.zn(6, subring=(0, 2, 4)),
+    "Z2xZ2": lambda: fnq.product(fnq.zn(2), fnq.zn(2)),
+    "UT2(2)": lambda: fnq.ut2(2),
+}
+_SMALL = ("Z4", "GF4", "F2[x]/(x^2)", "Z6{0,2,4}", "Z2xZ2")
+_ALL_KINDS = ("arbitrary", "additive", "multiplicative", "homomorphism",
+              "leibniz", "derivation", "logarithmic", "homo-deriv-mp",
+              "homo-deriv-sofy")
+# UT2(2) has 8**8 tables; the oracle scans its 512 additive ones instead
+_ADDITIVE_KINDS = ("additive", "homomorphism", "derivation", "homo-deriv-mp",
+                   "homo-deriv-sofy")
+
+
+@lru_cache(maxsize=None)
+def carrier(name):
+    return _CARRIERS[name]()
+
+
+def class_of(kind, ring):
+    if kind == "homo-deriv-sofy":
+        return homo_deriv_sofy(ring.one)
+    return class_from_string(kind)
+
+
+def check_against_oracle(ring_name, text, kinds=None, params=None):
+    ring = carrier(ring_name)
+    ast = parse_equation(text)
+    kinds = kinds or {}
+    classes = {n: class_of(kinds.get(n, "arbitrary"), ring)
+               for n in ast.free_functions}
+    tables = ut2_2_additive_tables(ring) if ring_name == "UT2(2)" else None
+    ss = solve(SolveTask(ast, ring, classes, params=dict(params or {})))
+    expected = brute_solutions(ring, ast, params, classes, tables)
+    assert solutions_as_tuples(ss) == expected
+    return ss
+
+
+@pytest.mark.parametrize("kind", _ALL_KINDS)
+@pytest.mark.parametrize("ring_name", _SMALL)
+def test_every_class_matches_scalar_oracle(ring_name, kind):
+    check_against_oracle(ring_name, "f(x*x)=f(x)*f(x)", {"f": kind})
+
+
+@pytest.mark.parametrize("kind", _ADDITIVE_KINDS)
+def test_classes_on_noncommutative_ut2(kind):
+    check_against_oracle("UT2(2)", "f(x*y-y*x)=f(x)*y-y*f(x)+x*f(y)-f(y)*x",
+                         {"f": kind})
+
+
+def test_class_parameter_does_not_clash_with_equation_parameter():
+    # the class binds its own e=3 while the equation's e is 1
+    ring = carrier("Z4")
+    ast = parse_equation("h(x*y)=h(x)*y+x*h(y)+e*h(x)*h(y)")
+    classes = {"h": homo_deriv_sofy(3)}
+    ss = solve(SolveTask(ast, ring, classes, params={"e": 1}))
+    assert solutions_as_tuples(ss) == brute_solutions(ring, ast, {"e": 1},
+                                                      classes)
+
+
+@pytest.mark.parametrize("ring_name,text,kinds,params", [
+    ("Z2", "f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y", {}, {}),
+    ("Z3", "f(x*y)=g(x)*g(y)", {}, {}),
+    ("Z3", "f(x+y)=g(x)+g(y)", {}, {}),
+    ("GF4", "f(x*y)=g(x)*y+x*g(y)", {"g": "leibniz"}, {}),
+    ("Z2xZ2", "f(x+y)=g(x)+g(y)", {"g": "additive"}, {}),
+    ("F2[x]/(x^2)", "f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y",
+     {"f": "additive", "h": "multiplicative", "k": "derivation"}, {}),
+    ("Z4", "f(f(x))=x", {}, {}),
+    ("GF4", "f(x+f(y))=f(x)+y", {}, {}),
+    ("Z2xZ2", "f(f(x)*y)=f(x)*f(y)", {}, {}),
+    ("Z6{0,2,4}", "f(f(x))=f(x)", {"f": "additive"}, {}),
+    ("GF4", "f(x*y)=g(g(x))*y", {"g": "multiplicative"}, {}),
+    ("Z3", "f(x*y)=g(x+h(y))", {"h": "additive"}, {}),
+    ("Z6{0,2,4}", "f(x*y)=g(x)*y+x*g(y)", {"f": "additive"}, {}),
+    ("Z4", "f(x*y)=a*f(x)*f(y)", {}, {"a": 3}),
+    ("GF4", "f(x*y)=f(x)*y+x*f(y)+b*x*y", {}, {"b": 2}),
+    ("Z2xZ2", "f(x*y)=f(x)*f(y)+2*x*y", {"f": "logarithmic"}, {}),
+    ("UT2(2)", "f(f(x))=x", {"f": "additive"}, {}),
+    ("UT2(2)", "h(x*y)=h(x)*y+x*h(y)+e*h(x)*h(y)", {"h": "additive"},
+     {"e": 5}),
+    ("UT2(2)", "f(x*y)=g(x)*y+x*g(y)", {"f": "additive", "g": "derivation"},
+     {}),
+])
+def test_multi_unknown_nested_and_parameterised(ring_name, text, kinds, params):
+    check_against_oracle(ring_name, text, kinds, params)
+
+
+@pytest.mark.parametrize("text", ["f(x+1)=f(x)", "f(f(x))=x"])
+def test_argument_outside_subring_raises_like_oracle(text):
+    ring = carrier("Z6{0,2,4}")
+    ast = parse_equation(text)
+    with pytest.raises(EvalDomainError):
+        solve(SolveTask(ast, ring, {"f": ARBITRARY}))
+    with pytest.raises(EvalDomainError):
+        brute_solutions(ring, ast)
+
+
+# carriers the generated tasks draw from, and which unknowns they may use:
+# two unknowns only where the oracle's product of table spaces stays small
+_GENERATED = {"Z2": ("f", "g"), "GF3": ("f", "g"), "Z4": ("f",),
+              "GF4": ("f",), "F2[x]/(x^2)": ("f",), "Z6{0,2,4}": ("f",),
+              "Z2xZ2": ("f",), "UT2(2)": ("f",)}
 
 
 def _solver_exprs(depth):
@@ -230,4 +384,57 @@ def test_solve_matches_scalar_brute_oracle(lhs, rhs, ring_name):
                          params=bound))
     got = solutions_as_tuples(ss)
     expected = brute_solutions(ring, ast, params=bound)
+    assert got == expected
+
+
+@st.composite
+def generated_tasks(draw):
+    ring_name = draw(st.sampled_from(sorted(_GENERATED)))
+    names = _GENERATED[ring_name]
+    leaves = [Var("x"), Var("y"), Param("lam")]
+    for n in names:
+        leaves += [FnApp(n, Var("x")), FnApp(n, Var("y")),
+                   FnApp(n, Mul(Var("x"), Var("y")))]
+    if ring_name != "Z6{0,2,4}":
+        # a nested argument may leave a subring after the oracle has
+        # stopped at an earlier failing pair; tested separately above
+        leaves += [FnApp("f", FnApp("f", Var("x"))),
+                   FnApp("f", FnApp(names[-1], Var("y")))]
+    leaf = st.one_of(st.sampled_from(leaves),
+                     st.integers(min_value=0, max_value=2).map(IntLit))
+
+    def grow(sub):
+        return st.one_of(
+            st.tuples(sub, sub).map(lambda p: Add(*p)),
+            st.tuples(sub, sub).map(lambda p: Sub(*p)),
+            st.tuples(sub, sub).map(lambda p: Mul(*p)),
+            sub.map(Neg))
+
+    expr = st.recursive(leaf, grow, max_leaves=6)
+    lhs, rhs = draw(expr), draw(expr)
+    kinds = _ADDITIVE_KINDS if ring_name == "UT2(2)" else _ALL_KINDS
+    classes = {n: draw(st.sampled_from(kinds)) for n in names}
+    return ring_name, lhs, rhs, classes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(task=generated_tasks())
+def test_solve_matches_scalar_brute_oracle_on_generated_tasks(task):
+    """The search agrees with plain scalar enumeration on generated
+    equations: several carriers (a subring and a noncommutative one among
+    them), two unknowns, nested unknowns, parameters and every class."""
+    ring_name, lhs, rhs, kinds = task
+    ring = carrier(ring_name)
+    functions = []
+    params = []
+    from fnq.eqdsl import _collect_names
+    _collect_names(lhs, functions, params)
+    _collect_names(rhs, functions, params)
+    ast = EquationAst(lhs, rhs, tuple(functions), tuple(params))
+    bound = {"lam": 1} if "lam" in params else {}
+    classes = {n: class_of(kinds[n], ring) for n in functions}
+    tables = ut2_2_additive_tables(ring) if ring_name == "UT2(2)" else None
+    ss = solve(SolveTask(ast, ring, classes, params=bound))
+    got = solutions_as_tuples(ss)
+    expected = brute_solutions(ring, ast, bound, classes, tables)
     assert got == expected

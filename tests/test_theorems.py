@@ -220,9 +220,12 @@ def test_verify_sofy_on_declared_subring():
     assert report.details["enumerated_count"] == 6 ** 3
 
 
-@pytest.mark.slow
 def test_pexider_completeness_on_gf5():
     report = verify_pexider(fnq.gf(5))
+    # N(q) = q^2 + q(q-1)^2 + (q-1)^3 + (q-1)^4 solutions over GF(q)
+    q = 5
+    n_q = q ** 2 + q * (q - 1) ** 2 + (q - 1) ** 3 + (q - 1) ** 4
+    assert report.solutions_found == n_q == 425
     assert report.details["unclassifiable"] == 0
     assert report.forward_ok and report.backward_ok
     assert sum(report.details["families"].values()) == report.solutions_found
