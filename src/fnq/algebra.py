@@ -196,6 +196,17 @@ class Ring:
             inv[rows] = cols
         return inv
 
+    @cached_property
+    def domain_units(self) -> tuple[int, ...]:
+        """Units of the declared domain: elements whose two-sided inverse
+        lies in it too, in domain order (none when ``one`` lies outside)."""
+        if self.one is None or self.position[self.one] < 0:
+            return ()
+        elems = np.asarray(self.domain_elements, dtype=np.int64)
+        inv = self.inverse[elems]
+        inside = (inv >= 0) & (self.position[inv] >= 0)
+        return tuple(int(u) for u in elems[inside])
+
     def sub(self, a: int, b: int) -> int:
         return int(self.add[a, self.neg[b]])
 

@@ -15,11 +15,13 @@ textual operand order, so the DSL is sound over noncommutative rings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
-from .algebra import Ring
-from .errors import ArityError, EquationSyntaxError, UnboundName
+import numpy as np
+
+from .algebra import Ring, same_carrier
+from .errors import ArityError, EquationSyntaxError, EvalDomainError, UnboundName
 
 # --------------------------------------------------------------------- AST
 
@@ -77,6 +79,19 @@ class EquationAst:
     rhs: Expr
     free_functions: tuple[str, ...]
     free_params: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class PairConstraint:
+    """An equation required at the given (x, y) domain pairs, or at all.
+
+    ``params`` bind parameters for this equation only and take precedence
+    over the parameters given alongside it.
+    """
+
+    equation: EquationAst
+    pairs: tuple[tuple[int, int], ...] | None = None
+    params: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -329,6 +344,84 @@ def eval_side(side: Expr, binding: Binding, x: int, y: int, ring: Ring) -> int:
     if isinstance(side, Neg):
         return int(ring.neg[eval_side(side.operand, binding, x, y, ring)])
     raise TypeError(f"not an expression node: {side!r}")
+
+
+def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
+                   tables: dict[str, np.ndarray],
+                   params: dict[str, int]) -> np.ndarray:
+    """Boolean mask over batched tables meeting a constraint at all its pairs.
+
+    ``tables`` give each unknown's value vectors over the domain positions,
+    one row per candidate; a single row counts for every candidate.  Both
+    sides are evaluated over the whole (candidate, pair) grid: arguments of
+    unknowns in the domain ring and everything else in the codomain ring,
+    so ``x`` or ``y`` outside an argument, or an unknown inside one, needs
+    both rings to share their tables.
+    """
+    elems = np.asarray(domain.domain_elements, dtype=np.int64)
+    if constraint.pairs is None:
+        xs, ys = elems[None, :, None], elems[None, None, :]
+    else:
+        pairs = np.asarray(constraint.pairs, dtype=np.int64).reshape(1, -1, 2)
+        xs, ys = pairs[..., :1], pairs[..., 1:]
+    bound = {**params, **constraint.params}
+    # each unknown over the whole carrier, -1 outside the declared domain
+    carrier = {}
+    for name, values in tables.items():
+        carrier[name] = np.full((len(values), domain.size), -1,
+                                dtype=codomain.add.dtype)
+        carrier[name][:, elems] = values
+
+    def op(table: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        # one gather from the flat table is faster than a two-index gather
+        return table.reshape(-1)[left.astype(np.intp) * len(table) + right]
+
+    def mixing(what: str) -> None:
+        if not same_carrier(domain, codomain):
+            raise EvalDomainError(f"{what} needs the domain inside the codomain")
+
+    def cells(expr: Expr, in_arg: bool) -> np.ndarray:
+        """Values over the grid, shaped (1 or rows, *grid)."""
+        ring = domain if in_arg else codomain
+        if isinstance(expr, Var):
+            if not in_arg:
+                mixing("a domain element outside an argument")
+            return xs if expr.name == "x" else ys
+        if isinstance(expr, IntLit):
+            return np.full((1, 1, 1), ring.int_embed(expr.value))
+        if isinstance(expr, Param):
+            if expr.name not in bound:
+                raise UnboundName(f"parameter {expr.name!r} is not bound")
+            return np.full((1, 1, 1), bound[expr.name])
+        if isinstance(expr, FnApp):
+            if expr.name not in carrier:
+                raise UnboundName(f"function {expr.name!r} is not bound")
+            if in_arg:
+                mixing("a value used as an argument")
+            table = carrier[expr.name]
+            arg = cells(expr.arg, True)
+            # an argument that reads no unknown is the same in every row
+            out = (table[:, arg[0]] if len(arg) == 1 else
+                   table[np.arange(len(table))[:, None, None], arg])
+            if (out < 0).any():
+                raise EvalDomainError("function applied outside declared domain")
+            return out
+        if isinstance(expr, Add):
+            return op(ring.add, cells(expr.left, in_arg), cells(expr.right, in_arg))
+        if isinstance(expr, Sub):
+            return op(ring.add, cells(expr.left, in_arg),
+                      ring.neg[cells(expr.right, in_arg)])
+        if isinstance(expr, Mul):
+            return op(ring.mul, cells(expr.left, in_arg), cells(expr.right, in_arg))
+        if isinstance(expr, Neg):
+            return ring.neg[cells(expr.operand, in_arg)]
+        raise TypeError(f"not an expression node: {expr!r}")
+
+    equation = constraint.equation
+    ok = np.equal(cells(equation.lhs, False), cells(equation.rhs, False))
+    rows = max((len(t) for t in tables.values()), default=1)
+    grid = np.broadcast_shapes(xs.shape, ys.shape)[1:]
+    return np.broadcast_to(ok, (rows, *grid)).all(axis=(1, 2))
 
 
 # ----------------------------------------------------------- pivot at y=1

@@ -64,7 +64,8 @@ class EvalDomainError(FnqError):
 # ---------------------------------------------------------------- solver
 
 class InvalidTask(FnqError):
-    """A solve task does not cover all free names of its equation."""
+    """A task is malformed: a free name of its equation is not covered, a
+    class string names no class, or a shift constant is no element."""
 
 
 class InvalidBudget(FnqError):

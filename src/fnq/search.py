@@ -13,9 +13,19 @@ an application waits until all their digits are assigned, running after
 the other checks of that level.  The search then grows the surviving rows
 one digit at a time:
 every row is repeated once per codomain element, the new digit is
-appended, and that level's checks filter the rows with one gather per
-equation.  This is the finite-model search of SEM (Zhang & Zhang, IJCAI
-1995) and Mace4 (McCune, arXiv:cs/0310055).
+appended, and that level's checks filter the rows.  This is the
+finite-model search of SEM (Zhang & Zhang, IJCAI 1995) and Mace4 (McCune,
+arXiv:cs/0310055).
+
+A check takes its pairs in chunks: the first covers about 4,096 (row,
+pair) cells and each next one twice the pairs of the last, and every
+chunk drops the rows it refutes before the next runs.  One selective pair
+thus prunes a large level before the rest is evaluated: for the additive
+identity on Z256, the pair (1, 255) alone fixes each new digit, where the
+whole level would check ~3p pairs on 65,536 rows.  A tiny search still
+takes one numpy pass per check, since its first chunk holds every pair:
+starting at one pair instead raised the median solve of the benchmark's
+200 small seeded tasks from about 0.9 ms to 1.2-1.6 ms.
 
 An unknown given a definition, an expression in ``x`` for its value at
 ``x``, is not enumerated: each of its digits is computed from the row as
@@ -31,30 +41,21 @@ reaches the check reads outside.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import Ring, same_carrier
-from .eqdsl import (Add, EquationAst, Expr, FnApp, IntLit, Mul, Neg, Param,
+from .eqdsl import (Add, Expr, FnApp, IntLit, Mul, Neg, PairConstraint, Param,
                     Sub, Var)
 from .errors import BudgetExceeded, EvalDomainError, UnboundName
 
 # (row, pair) cells evaluated at once; bounds the temporaries of one block
 _CELLS = 1 << 21
-
-
-@dataclass(frozen=True)
-class PairConstraint:
-    """An equation required at the given (x, y) domain pairs, or at all.
-
-    ``params`` bind parameters for this equation only and take precedence
-    over the parameters of the whole search.
-    """
-
-    equation: EquationAst
-    pairs: tuple[tuple[int, int], ...] | None = None
-    params: dict[str, int] = field(default_factory=dict)
+# (row, pair) cells of a check's first chunk of pairs; each next chunk has
+# twice the pairs, so one selective pair prunes the rows before the rest of
+# the check runs, while a small level still takes one pass per check
+_FIRST_CHUNK = 1 << 12
 
 
 @dataclass
@@ -331,10 +332,17 @@ def _grow(rows: np.ndarray, q: int, checks: list[_Check]) -> np.ndarray:
 
 
 def _filter(rows: np.ndarray, checks: list[_Check]) -> np.ndarray:
+    """Rows passing every check.  A plain check takes its pairs in growing
+    chunks; a nested check takes all at once, so every row reaching it
+    raises if it reads outside the domain at any pair."""
     for c in checks:
-        if not len(rows):
-            break
-        ok = np.equal(_eval(c.lhs, c.x, c.y, c.slots, rows),
-                      _eval(c.rhs, c.x, c.y, c.slots, rows))
-        rows = rows[np.broadcast_to(ok, (len(rows), c.x.shape[1])).all(axis=1)]
+        size = c.x.shape[1] if c.nested else _FIRST_CHUNK // max(len(rows), 1)
+        start, size = 0, max(1, size)
+        while start < c.x.shape[1] and len(rows):
+            part = slice(start, start + size)
+            x, y, slots = c.x[:, part], c.y[:, part], [s[part] for s in c.slots]
+            ok = np.equal(_eval(c.lhs, x, y, slots, rows),
+                          _eval(c.rhs, x, y, slots, rows))
+            rows = rows[np.broadcast_to(ok, (len(rows), x.shape[1])).all(axis=1)]
+            start, size = start + size, 2 * size
     return rows

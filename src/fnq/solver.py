@@ -32,12 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Ring
-from .errors import BudgetExceeded, EvalDomainError, FnqError, InvalidTask
-from .eqdsl import (Add, Binding, Definition, EquationAst, Expr, FnApp, IntLit,
-                    Mul, Neg, Param, Sub, Var, equation_to_text, eval_side,
-                    pivot_reduce)
+from .errors import BudgetExceeded, FnqError, InvalidTask
+from .eqdsl import (Binding, Definition, EquationAst, FnApp, PairConstraint,
+                    equation_to_text, eval_side, grid_satisfies, pivot_reduce)
 from .maps import FnTable, FunctionClass, class_constraints, class_space_size
-from .search import PairConstraint, search
+from .search import search
 
 DEFAULT_BUDGET = 10 ** 8  # evaluated (x, y) pairs
 
@@ -75,41 +74,8 @@ def batch_satisfies(ast: EquationAst, ring: Ring, fixed: dict[str, FnTable],
     Both sides are evaluated over the whole (candidate, x, y) grid; a fixed
     table counts as a batch of one row.
     """
-    B = max((arr.shape[0] for arr in batch.values()), default=1)
-    elems = np.asarray(ring.domain_elements, dtype=np.int64)
-    m = len(elems)
-    # each unknown as (rows, carrier size), -1 outside the declared domain
-    tables = {}
-    for name, values in [*((n, t.as_array()[None, :]) for n, t in fixed.items()),
-                         *batch.items()]:
-        tables[name] = np.full((len(values), ring.size), -1, dtype=ring.add.dtype)
-        tables[name][:, elems] = values
-
-    def cells(expr: Expr):
-        if isinstance(expr, Var):
-            return elems[None, :, None] if expr.name == "x" else elems[None, None, :]
-        if isinstance(expr, IntLit):
-            return ring.int_embed(expr.value)
-        if isinstance(expr, Param):
-            return params[expr.name]
-        if isinstance(expr, FnApp):
-            full = tables[expr.name]
-            out = full[np.arange(len(full))[:, None, None], cells(expr.arg)]
-            if (out < 0).any():
-                raise EvalDomainError("function applied outside declared domain")
-            return out
-        if isinstance(expr, Add):
-            return ring.add[cells(expr.left), cells(expr.right)]
-        if isinstance(expr, Sub):
-            return ring.add[cells(expr.left), ring.neg[cells(expr.right)]]
-        if isinstance(expr, Mul):
-            return ring.mul[cells(expr.left), cells(expr.right)]
-        if isinstance(expr, Neg):
-            return ring.neg[cells(expr.operand)]
-        raise TypeError(f"not an expression node: {expr!r}")
-
-    eq = np.equal(cells(ast.lhs), cells(ast.rhs))
-    return np.broadcast_to(eq, (B, m, m)).all(axis=(1, 2))
+    tables = {n: t.as_array()[None, :] for n, t in fixed.items()} | batch
+    return grid_satisfies(PairConstraint(ast), ring, ring, tables, params)
 
 
 # --------------------------------------------------------------- residuals

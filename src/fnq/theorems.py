@@ -31,9 +31,8 @@ from .eqdsl import Binding, EquationAst, parse_equation
 from .errors import (BothZero, EpsilonZero, NotAField, NotCentral,
                      ResidualNonzero, Unclassifiable)
 from .maps import (ARBITRARY, FnTable, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
-                   enumerate_maps, filter_tables, holds_leibniz,
-                   holds_multiplicative, id_digits, identity_map,
-                   leibniz_equation, lin_rank, linear_combination,
+                   enumerate_maps, filter_tables, id_digits, identity_map,
+                   in_class, leibniz_equation, lin_rank, linear_combination,
                    multiplicative_equation, tables_from_ids, zero_map)
 from .solver import SolveTask, batch_satisfies, residual, solve
 
@@ -175,7 +174,7 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
     for binding in sols.solutions:
         h = binding.functions["h"]
         shifted = multiplicative_shift(h, eps)
-        if holds_multiplicative(shifted):
+        if in_class(shifted, MULTIPLICATIVE):
             if len(witnesses) < _WITNESS_LIMIT:
                 witnesses.append(
                     FamilyTag("SofyShift", {"eps": eps},
@@ -421,7 +420,7 @@ def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassificatio
             delta = _table(ring, add[kv, neg[scaled(k1)]])
             coef = int(add[mul[lam, lam], add[k1, k1]])
             expected_f = add[scaled(coef), delta.as_array()]
-            if (np.array_equal(hv, scaled(lam)) and holds_leibniz(delta)
+            if (np.array_equal(hv, scaled(lam)) and in_class(delta, LEIBNIZ)
                     and np.array_equal(fv, expected_f)):
                 tag = FamilyTag("LinearPlusLeibniz", {"lam": lam, "k1": k1},
                                 {"delta": delta})
@@ -436,7 +435,7 @@ def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassificatio
             mwit = _table(ring, mvals)
             two_lam = int(add[lam, lam])
             expected_f = add[mul[int(mul[h1, h1]), mvals], scaled(two_lam)]
-            if (np.array_equal(kv, scaled(lam)) and holds_multiplicative(mwit)
+            if (np.array_equal(kv, scaled(lam)) and in_class(mwit, MULTIPLICATIVE)
                     and np.array_equal(fv, expected_f)):
                 tag = FamilyTag("MultiplicativeSquare", {"h1": h1, "lam": lam},
                                 {"m": mwit})
@@ -456,7 +455,7 @@ def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassificatio
                 coef = int(mul[int(mul[gamma, gamma]), int(mul[lam, lam])])
                 expected_f = add[mul[int(neg[u]), elems], mul[coef, mvals]]
                 expected_k = add[mul[int(neg[u]), elems], mul[gamma, mvals]]
-                if (holds_multiplicative(mwit) and np.array_equal(kv, expected_k)
+                if (in_class(mwit, MULTIPLICATIVE) and np.array_equal(kv, expected_k)
                         and np.array_equal(fv, expected_f)):
                     tag = FamilyTag("LambdaKFamilyB",
                                     {"lam": lam, "gamma": gamma}, {"m": mwit})

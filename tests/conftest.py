@@ -52,6 +52,16 @@ def ut2_2():
     return fnq.ut2(2)
 
 
+@pytest.fixture(scope="session")
+def z6_sub():
+    return fnq.zn(6, subring=(0, 2, 4))
+
+
+@pytest.fixture(scope="session")
+def z2xz2():
+    return fnq.product(fnq.zn(2), fnq.zn(2))
+
+
 def brute_tables(ring):
     """All value vectors over the ring's domain, lexicographically."""
     m = len(ring.domain_elements)

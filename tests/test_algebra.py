@@ -152,3 +152,12 @@ def test_table_hash_stable(z6):
     again = fnq.zn(6)
     assert z6.table_hash == again.table_hash
     assert z6.table_hash != fnq.zn(5).table_hash
+
+
+def test_domain_units_match_scalar_scan(z4, z6, gf4, pq22, ut2_2, z6_sub, z2xz2):
+    from conftest import domain_units
+    rings = [z4, z6, gf4, pq22, ut2_2, z6_sub, z2xz2, fnq.ut2(5),
+             fnq.zn(12, subring=(0, 3, 6, 9)), fnq.zn(36)]
+    for ring in rings:
+        assert list(ring.domain_units) == domain_units(ring)
+    assert z6_sub.domain_units == ()  # 1 lies outside {0, 2, 4}

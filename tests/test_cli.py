@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fnq.cli import main
 
 
@@ -196,3 +198,28 @@ def test_budget_must_be_positive(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "classify", "--ring", '{"kind":"GF","p":3,"k":1}',
                          "--solution", solution, "--out", "json")
     assert code == 0
+
+
+@pytest.mark.parametrize("text", [
+    "homo-deriv-sofy:9",    # not an element of Z4
+    "homo-deriv-sofy:-1",   # negative index
+    "homo-deriv-sofy:abc",  # not an integer
+    "additive:1",           # class without a parameter
+    "no-such-class",
+])
+@pytest.mark.parametrize("command", ["solve", "enumerate"])
+def test_bad_class_string_is_typed(text, command, capsys):
+    args = (("solve", "--eq", "f(x*y)=f(x)*f(y)", "--class", f"f={text}")
+            if command == "solve" else ("enumerate", "--class", text))
+    code, out, err = run_cli(capsys, *args, "--ring", '{"kind":"Zn","n":4}',
+                             "--json-errors")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidTask"
+
+
+def test_shift_constant_at_the_top_of_the_carrier(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--ring", '{"kind":"Zn","n":4}',
+                           "--class", "homo-deriv-sofy:3", "--out", "json")
+    assert code == 0
+    assert json.loads(out)["class"] == "homo-deriv-sofy:3"

@@ -1,3 +1,4 @@
+import functools
 from itertools import product as iproduct
 
 import pytest
@@ -11,8 +12,8 @@ from fnq.maps import (ADDITIVE, ARBITRARY, DERIVATION, HOMOMORPHISM,
                       inner_derivation, lin_rank, linear_combination,
                       zero_map)
 
-from conftest import (brute_filter, is_additive_at, is_leibniz_at,
-                      is_multiplicative_at)
+from conftest import (brute_filter, brute_tables, in_class, is_additive_at,
+                      is_leibniz_at, is_multiplicative_at)
 
 
 def values_of(stream):
@@ -124,16 +125,86 @@ def test_linear_combination(gf5):
     assert linear_combination(legendre_like, [ident], gf5) is None
 
 
-@pytest.mark.parametrize("cls", [ADDITIVE, MULTIPLICATIVE, HOMOMORPHISM,
-                                 LEIBNIZ, DERIVATION, HOMO_DERIV_MP,
-                                 LOGARITHMIC, homo_deriv_sofy(1)])
-@pytest.mark.parametrize("ring_name", ["z2", "z4", "gf3"])
+ALL_CLASSES = [ADDITIVE, MULTIPLICATIVE, HOMOMORPHISM, LEIBNIZ, DERIVATION,
+               HOMO_DERIV_MP, LOGARITHMIC, homo_deriv_sofy(1)]
+# every carrier with at most 256 tables
+SMALL_RINGS = ["z2", "z4", "gf3", "gf4", "pq22", "z6_sub", "z2xz2"]
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+@pytest.mark.parametrize("ring_name", SMALL_RINGS)
 def test_enumeration_matches_classification_filter(cls, ring_name, request):
     ring = request.getfixturevalue(ring_name)
     enumerated = values_of(enumerate_maps(ring, ring, cls))
     filtered = [t.values for t in enumerate_maps(ring, ring, ARBITRARY)
                 if cls in classify_map(t)]
     assert enumerated == filtered
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+@pytest.mark.parametrize("ring_name", SMALL_RINGS)
+def test_enumeration_matches_scalar_oracle(cls, ring_name, request):
+    ring = request.getfixturevalue(ring_name)
+    assert values_of(enumerate_maps(ring, ring, cls)) == [
+        v for v in brute_tables(ring) if in_class(ring, v, cls)]
+
+
+@pytest.mark.parametrize("ring_name", SMALL_RINGS)
+def test_classification_matches_scalar_oracle(ring_name, request):
+    ring = request.getfixturevalue(ring_name)
+    classes = [ARBITRARY, *ALL_CLASSES[:-1]] + [
+        homo_deriv_sofy(e) for e in ring.center if e != ring.zero]
+    for values in brute_tables(ring):
+        assert classify_map(FnTable(ring, ring, values)) == {
+            cls for cls in classes if in_class(ring, values, cls)}
+
+
+def test_leibniz_type_classes_between_different_rings(z4):
+    # x*f(y) reads a domain element in the codomain, which Z2 -> Z4 lacks
+    z2 = fnq.zn(2)
+    leibniz_type = ("leibniz", "derivation", "homo-deriv-mp", "homo-deriv-sofy")
+    for cls in (LEIBNIZ, DERIVATION, HOMO_DERIV_MP, homo_deriv_sofy(1)):
+        with pytest.raises(EvalDomainError):
+            list(enumerate_maps(z2, z4, cls))
+    for values in iproduct(range(4), repeat=2):
+        tags = classify_map(FnTable(z2, z4, values))
+        assert ARBITRARY in tags
+        assert not any(t.kind in leibniz_type for t in tags)
+
+
+# ------------------------------------------- closed forms over Z_n
+
+zn = functools.cache(fnq.zn)  # Z256 takes most of a second to build
+
+
+def omega(n):
+    return sum(1 for p in range(2, n + 1)
+               if n % p == 0 and all(p % d for d in range(2, p)))
+
+
+@pytest.mark.parametrize("n", [6, 12, 30, 64, 210, 256])
+def test_zn_homomorphisms_are_idempotent_scalings(n):
+    # a ring endomorphism of Z_n is x -> e*x with e = f(1) idempotent
+    ring = zn(n)
+    got = values_of(enumerate_maps(ring, ring, HOMOMORPHISM))
+    idempotents = [e for e in range(n) if e * e % n == e]
+    assert len(idempotents) == 2 ** omega(n)
+    assert got == sorted(tuple(e * x % n for x in range(n))
+                         for e in idempotents)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_zn_additive_maps_are_scalings(n):
+    ring = zn(n)
+    assert values_of(enumerate_maps(ring, ring, ADDITIVE)) == [
+        tuple(a * x % n for x in range(n)) for a in range(n)]
+
+
+@pytest.mark.parametrize("n", [6, 12, 30, 64, 210, 256])
+def test_zn_derivations_vanish(n):
+    # d(1) = d(1*1) = 2 d(1) forces d(1) = 0, and additivity spreads it
+    ring = zn(n)
+    assert values_of(enumerate_maps(ring, ring, DERIVATION)) == [(0,) * n]
 
 
 @pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),

@@ -290,9 +290,9 @@ def test_pivot_respects_declared_class(gf3):
     all_sols = solve(SolveTask(ast, gf3, {"f": fnq.ARBITRARY,
                                           "h": fnq.ARBITRARY,
                                           "k": fnq.ARBITRARY}))
-    from fnq.maps import holds_additive
+    from conftest import in_class
     expected = [b for b in all_sols.solutions
-                if holds_additive(b.functions["f"])]
+                if in_class(gf3, b.functions["f"].values, ADDITIVE)]
     assert len(ss.solutions) == len(expected)
     assert ({tuple(b.functions[n].values for n in ("f", "h", "k"))
              for b in ss.solutions}
