@@ -174,12 +174,19 @@ class _Planner:
         lhs = self._build(constraint.equation.lhs, False)
         rhs = self._build(constraint.equation.rhs, False)
         levels = np.maximum.reduce(self.slots + [np.full(len(xs), self.late)])
+        # sort once and give each level views: copies per level were
+        # thousands of small allocations, after which the next Z256 build
+        # peaked 7 MB higher in a process that had planned Hom(Z256)
         order = np.argsort(levels, kind="stable")
+        levels, xs, ys = levels[order], xs[order], ys[order]
+        slots = [s[order] for s in self.slots]
+        cuts = [0, *(np.flatnonzero(np.diff(levels)) + 1), len(levels)]
         parts = []
-        for sel in np.split(order, np.flatnonzero(np.diff(levels[order])) + 1):
-            check = _Check(lhs, rhs, xs[sel][None, :], ys[sel][None, :],
-                           [s[sel] for s in self.slots], self.late >= 0)
-            parts.append((int(levels[sel[0]]), check))
+        for start, stop in zip(cuts, cuts[1:]):
+            part = slice(start, stop)
+            check = _Check(lhs, rhs, xs[None, part], ys[None, part],
+                           [s[part] for s in slots], self.late >= 0)
+            parts.append((int(levels[start]), check))
         return parts
 
     def _mixing(self, what: str) -> None:
