@@ -301,47 +301,37 @@ def tables_from_ids(ids: np.ndarray, domain: Ring, codomain: Ring) -> list[FnTab
 
 # ------------------------------------------------- class candidate spaces
 
-def additive_generators(ring: Ring) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Greedy additive generating set with a generator word per element."""
-    elems = ring.domain_elements
-    add = ring.add
-    words: dict[int, tuple[int, ...]] = {ring.zero: ()}
+def _greedy_generators(elements, start: int, op: np.ndarray
+                       ) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Generators of ``elements`` under the table ``op``, picked greedily by
+    smallest index from ``start``, with a generator word per element."""
+    words: dict[int, tuple[int, ...]] = {start: ()}
     gens: list[int] = []
-    while len(words) < len(elems):
-        g = min(e for e in elems if e not in words)
+    while len(words) < len(elements):
+        g = min(e for e in elements if e not in words)
         gens.append(g)
         changed = True
         while changed:
             changed = False
             for e in list(words):
                 for gi, gval in enumerate(gens):
-                    s = int(add[e, gval])
+                    s = int(op[e, gval])
                     if s not in words:
                         words[s] = words[e] + (gi,)
                         changed = True
     return gens, words
 
 
+def additive_generators(ring: Ring) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Greedy additive generating set with a generator word per element."""
+    return _greedy_generators(ring.domain_elements, ring.zero, ring.add)
+
+
 def _unit_generators(ring: Ring) -> tuple[tuple[int, ...], list[int], dict[int, tuple[int, ...]]]:
     units = ring.domain_units
     if not units:
         return (), [], {}
-    mul = ring.mul
-    words: dict[int, tuple[int, ...]] = {ring.one: ()}
-    gens: list[int] = []
-    while len(words) < len(units):
-        g = min(u for u in units if u not in words)
-        gens.append(g)
-        changed = True
-        while changed:
-            changed = False
-            for e in list(words):
-                for gi, gval in enumerate(gens):
-                    s = int(mul[e, gval])
-                    if s not in words:
-                        words[s] = words[e] + (gi,)
-                        changed = True
-    return units, gens, words
+    return (units, *_greedy_generators(units, ring.one, ring.mul))
 
 
 def enumerate_maps(domain: Ring, codomain: Ring, cls: FunctionClass,
@@ -417,10 +407,37 @@ def class_space_size(domain: Ring, codomain: Ring, cls: FunctionClass) -> int:
 
 # ------------------------------------------------------------- linear rank
 
-def _field_inverse(scalars: Ring) -> np.ndarray:
+def _require_field(scalars: Ring) -> None:
     if not scalars.is_field:
         raise NotAField(f"{scalars.spec.kind} of size {scalars.size} is not a field")
-    return scalars.inverse
+
+
+def _eliminate(rows: list[list[int]], ncols: int,
+               scalars: Ring) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination of ``rows`` in place over the field
+    ``scalars``, pivoting in the first ``ncols`` columns; returns the
+    (row, column) pivots in order."""
+    add, mul, neg, inv = scalars.add, scalars.mul, scalars.neg, scalars.inverse
+    zero = scalars.zero
+    pivots: list[tuple[int, int]] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(rows):
+            break
+        pivot = next((r for r in range(row, len(rows)) if rows[r][col] != zero),
+                     None)
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        scale = int(inv[rows[row][col]])
+        rows[row] = [int(mul[scale, v]) for v in rows[row]]
+        for r in range(len(rows)):
+            if r != row and rows[r][col] != zero:
+                factor = rows[r][col]
+                rows[r] = [int(add[a, neg[mul[factor, b]]])
+                           for a, b in zip(rows[r], rows[row])]
+        pivots.append((row, col))
+    return pivots
 
 
 def lin_rank(tables: list[FnTable], scalars: Ring) -> int:
@@ -429,7 +446,7 @@ def lin_rank(tables: list[FnTable], scalars: Ring) -> int:
     Gaussian elimination with exact field arithmetic through the lookup
     tables; all maps must share a domain and take values in ``scalars``.
     """
-    inv = _field_inverse(scalars)
+    _require_field(scalars)
     if not tables:
         return 0
     m = len(tables[0].values)
@@ -438,58 +455,21 @@ def lin_rank(tables: list[FnTable], scalars: Ring) -> int:
             raise ValueError("maps must share a domain")
         if not same_carrier(t.codomain, scalars):
             raise ValueError("maps must take values in the scalar field")
-    add, mul, neg, zero = scalars.add, scalars.mul, scalars.neg, scalars.zero
-    rows = [list(t.values) for t in tables]
-    rank = 0
-    for col in range(m):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != zero),
-                     None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        scale = int(inv[rows[rank][col]])
-        rows[rank] = [int(mul[scale, v]) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != zero:
-                factor = rows[r][col]
-                rows[r] = [int(add[rows[r][i], neg[mul[factor, rows[rank][i]]]])
-                           for i in range(m)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_eliminate([list(t.values) for t in tables], m, scalars))
 
 
 def linear_combination(target: FnTable, basis: list[FnTable],
                        scalars: Ring) -> tuple[int, ...] | None:
     """Coefficients writing target as a combination of basis maps, if any."""
-    inv = _field_inverse(scalars)
-    add, mul, neg, zero = scalars.add, scalars.mul, scalars.neg, scalars.zero
-    m = len(target.values)
+    _require_field(scalars)
     n = len(basis)
     # augmented system: columns are basis vectors, rhs is the target
-    matrix = [[basis[j].values[i] for j in range(n)] + [target.values[i]]
-              for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if matrix[r][col] != zero), None)
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        scale = int(inv[matrix[row][col]])
-        matrix[row] = [int(mul[scale, v]) for v in matrix[row]]
-        for r in range(m):
-            if r != row and matrix[r][col] != zero:
-                factor = matrix[r][col]
-                matrix[r] = [int(add[matrix[r][i], neg[mul[factor, matrix[row][i]]]])
-                             for i in range(n + 1)]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, m):
-        if matrix[r][n] != zero:
-            return None
-    coeffs = [zero] * n
+    matrix = [[b.values[i] for b in basis] + [v]
+              for i, v in enumerate(target.values)]
+    pivots = _eliminate(matrix, n, scalars)
+    if any(row[n] != scalars.zero for row in matrix[len(pivots):]):
+        return None
+    coeffs = [scalars.zero] * n
     for r, c in pivots:
         coeffs[c] = matrix[r][n]
     return tuple(coeffs)

@@ -30,7 +30,7 @@ from .algebra import Ring
 from .eqdsl import Binding, EquationAst, parse_equation
 from .errors import (BothZero, EpsilonZero, NotAField, NotCentral,
                      ResidualNonzero, Unclassifiable)
-from .maps import (ARBITRARY, FnTable, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
+from .maps import (ARBITRARY, FnTable, LEIBNIZ, MULTIPLICATIVE,
                    enumerate_maps, filter_tables, id_digits, identity_map,
                    in_class, leibniz_equation, lin_rank, linear_combination,
                    multiplicative_equation, tables_from_ids, zero_map)
@@ -126,6 +126,12 @@ class FamilyTag:
     Tag names: SofyShift, MPAnnihilated, AllLinear, LinearPlusLeibniz,
     MultiplicativeSquare, LambdaKFamilyA, LambdaKFamilyB, TwoExponential,
     NonDegenerate, AlienA, AlienB, AlienZero, AlienScaled.
+
+    NonDegenerate can be built by :func:`pexider_family_binding` but is
+    never returned by :func:`classify_pexider` over a finite field: its
+    logarithmic witness maps the unit group, of order q-1, into the
+    additive group, whose nonzero elements have order p, and p does not
+    divide q-1, so the witness is zero and the instance has rank below 3.
     """
 
     name: str
@@ -362,22 +368,24 @@ def _require_field(scalars: Ring) -> None:
             f"classification needs field scalars, got size {scalars.size}")
 
 
-def _scaled_identity(ring: Ring, c: int) -> np.ndarray:
-    elems = np.asarray(ring.domain_elements, dtype=np.int64)
-    return ring.mul[c, elems]
-
-
 def _table(ring: Ring, vals: np.ndarray) -> FnTable:
     return FnTable(ring, ring, tuple(int(v) for v in vals))
+
+
+# the class each family witness must lie in; rebuilding the triple from
+# the family's parameters does not imply it
+_WITNESS_CLASSES = {"delta": LEIBNIZ, "m": MULTIPLICATIVE}
 
 
 def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassification:
     """Assign a solution triple of the Pexider equation to its family.
 
-    Dispatches on the rank of {id, h, k} over the scalar field; the family
-    parameters and generator witnesses are extracted exactly from the value
-    vectors and the reconstruction is compared to the input, never matched
-    heuristically.  Ties between families resolve to the lowest rank.
+    Dispatches on the rank of {id, h, k} over the scalar field.  Each branch
+    reads the family parameters and generator witnesses off the value
+    vectors; the instance :func:`pexider_family_binding` builds from them
+    must reproduce the input triple exactly, and each witness must lie in
+    its class, so nothing is matched heuristically.  Ties between families
+    resolve to the lowest rank.
     """
     ring = f.domain
     scalars = f.codomain
@@ -398,141 +406,69 @@ def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassificatio
             "only known complete away from characteristic 2")
 
     r = lin_rank([ident, h, k], scalars)
-    fv, hv, kv = f.as_array(), h.as_array(), k.as_array()
+    hv, kv = h.as_array(), k.as_array()
+    h1, k1 = int(hv[one_pos]), int(kv[one_pos])
 
-    def scaled(c):
-        return _scaled_identity(ring, c)
+    def fit(name, params, witnesses, reason):
+        built = pexider_family_binding(name, ring, params, witnesses).functions
+        if (any(built[n].values != t.values for n, t in zip("fhk", (f, h, k)))
+                or not all(in_class(w, _WITNESS_CLASSES[n])
+                           for n, w in witnesses.items())):
+            raise Unclassifiable(reason)
+        return PexiderClassification(FamilyTag(name, params, witnesses), r,
+                                     details)
 
     if r == 1:
-        lam1 = int(hv[one_pos])
-        lam2 = int(kv[one_pos])
-        coef = int(add[mul[lam1, lam1], add[lam2, lam2]])
-        if (np.array_equal(hv, scaled(lam1)) and np.array_equal(kv, scaled(lam2))
-                and np.array_equal(fv, scaled(coef))):
-            tag = FamilyTag("AllLinear", {"lam1": lam1, "lam2": lam2})
-            return PexiderClassification(tag, r, details)
-        raise Unclassifiable("rank-1 triple is not a pair of scalings")
+        return fit("AllLinear", {"lam1": h1, "lam2": k1}, {},
+                   "rank-1 triple is not a pair of scalings")
+    if r == 3:
+        # The only rank-3 family, NonDegenerate, needs a nonzero logarithmic
+        # map l.  Over GF(q) such a map is a homomorphism from the unit
+        # group, of order q-1, into (GF(q), +), where every nonzero element
+        # has order p, the characteristic; p does not divide q-1, so l = 0
+        # and no extraction can succeed.
+        raise Unclassifiable("rank-3 triple admits no consistent extraction")
 
-    if r == 2:
-        if lin_rank([ident, h], scalars) == 1:
-            lam = int(hv[one_pos])
-            k1 = int(kv[one_pos])
-            delta = _table(ring, add[kv, neg[scaled(k1)]])
-            coef = int(add[mul[lam, lam], add[k1, k1]])
-            expected_f = add[scaled(coef), delta.as_array()]
-            if (np.array_equal(hv, scaled(lam)) and in_class(delta, LEIBNIZ)
-                    and np.array_equal(fv, expected_f)):
-                tag = FamilyTag("LinearPlusLeibniz", {"lam": lam, "k1": k1},
-                                {"delta": delta})
-                return PexiderClassification(tag, r, details)
-            raise Unclassifiable("dependent {id,h} but no Leibniz remainder")
-        if lin_rank([ident, k], scalars) == 1:
-            lam = int(kv[one_pos])
-            h1 = int(hv[one_pos])
-            if h1 == scalars.zero:
-                raise Unclassifiable("vanishing h(1) with nonlinear h")
-            mvals = mul[int(inv[h1]), hv]
-            mwit = _table(ring, mvals)
-            two_lam = int(add[lam, lam])
-            expected_f = add[mul[int(mul[h1, h1]), mvals], scaled(two_lam)]
-            if (np.array_equal(kv, scaled(lam)) and in_class(mwit, MULTIPLICATIVE)
-                    and np.array_equal(fv, expected_f)):
-                tag = FamilyTag("MultiplicativeSquare", {"h1": h1, "lam": lam},
-                                {"m": mwit})
-                return PexiderClassification(tag, r, details)
-            raise Unclassifiable("dependent {id,k} but no multiplicative core")
-        if lin_rank([h, k], scalars) == 1:
-            # h = lam * k with both outside span{id}
-            pivot_idx = next(i for i in range(len(kv)) if kv[i] != scalars.zero)
-            lam = int(mul[int(hv[pivot_idx]), int(inv[kv[pivot_idx]])])
-            if lam != scalars.zero and np.array_equal(hv, mul[lam, kv]):
-                u = int(inv[mul[lam, lam]])
-                gamma = int(add[int(kv[one_pos]), u])
-                if gamma == scalars.zero:
-                    raise Unclassifiable("degenerate mixed family (gamma = 0)")
-                mvals = mul[int(inv[gamma]), add[kv, scaled(u)]]
-                mwit = _table(ring, mvals)
-                coef = int(mul[int(mul[gamma, gamma]), int(mul[lam, lam])])
-                expected_f = add[mul[int(neg[u]), elems], mul[coef, mvals]]
-                expected_k = add[mul[int(neg[u]), elems], mul[gamma, mvals]]
-                if (in_class(mwit, MULTIPLICATIVE) and np.array_equal(kv, expected_k)
-                        and np.array_equal(fv, expected_f)):
-                    tag = FamilyTag("LambdaKFamilyB",
-                                    {"lam": lam, "gamma": gamma}, {"m": mwit})
-                    return PexiderClassification(tag, r, details)
-            raise Unclassifiable("dependent {h,k} but no multiplicative core")
-        # no dependent pair at rank 2: both h and k mix the identity with a
-        # single multiplicative generator (the collapsed two-generator shape)
-        m_len = len(ring.domain_elements)
-        for mwit in enumerate_maps(ring, ring, MULTIPLICATIVE,
-                                   budget=ring.size ** m_len):
-            basis = [ident, mwit]
-            ch = linear_combination(h, basis, scalars)
-            ck = linear_combination(k, basis, scalars)
-            cf = linear_combination(f, basis, scalars)
-            if ch is None or ck is None or cf is None:
-                continue
-            b1, b2 = ch
-            g1, g2 = ck
-            a_id, a_m = cf
-            if b2 == scalars.zero:
-                continue
-            if int(add[g2, mul[b1, b2]]) != scalars.zero:
-                continue
-            if a_id != int(add[mul[b1, b1], add[g1, g1]]):
-                continue
-            if a_m != int(mul[b2, b2]):
-                continue
-            tag = FamilyTag("TwoExponential",
-                            {"b1": b1, "b2": b2, "g1": g1, "g2": g2},
-                            {"m": mwit})
-            return PexiderClassification(tag, r, details)
-        raise Unclassifiable("rank-2 triple admits no two-generator extraction")
-
-    # rank 3: scan generator pairs for an exact parameter extraction
-    m_len = len(ring.domain_elements)
-    for mwit in enumerate_maps(ring, ring, MULTIPLICATIVE,
-                               budget=ring.size ** m_len):
-        basis_h = [ident, mwit]
-        coeff_h = linear_combination(h, basis_h, scalars)
-        if coeff_h is None:
-            continue
-        b2, b3 = coeff_h
-        if b3 == scalars.zero:
-            continue
-        for lwit in enumerate_maps(ring, ring, LOGARITHMIC,
-                                   budget=ring.size ** m_len):
-            lid = _table(ring, mul[lwit.as_array(), elems])
-            basis = [ident, lid, mwit]
-            ck = linear_combination(k, basis, scalars)
-            cf = linear_combination(f, basis, scalars)
-            if ck is None or cf is None:
-                continue
-            g2, g1, g3 = ck
-            a_id, a_l, a_m = cf
-            if g1 == scalars.zero:
-                continue
-            if a_l != g1:
-                continue
-            if a_id != int(add[mul[b2, b2], add[g2, g2]]):
-                continue
-            if a_m != int(mul[b3, b3]):
-                continue
-            if int(add[g3, mul[b2, b3]]) != scalars.zero:
-                continue
-            tag = FamilyTag("NonDegenerate",
-                            {"b2": b2, "b3": b3, "g1": g1, "g2": g2, "g3": g3},
-                            {"m": mwit, "l": lwit})
-            return PexiderClassification(tag, r, details)
-    raise Unclassifiable("rank-3 triple admits no consistent extraction")
+    if lin_rank([ident, h], scalars) == 1:
+        delta = _table(ring, add[kv, neg[mul[k1, elems]]])
+        return fit("LinearPlusLeibniz", {"lam": h1, "k1": k1},
+                   {"delta": delta}, "dependent {id,h} but no Leibniz remainder")
+    if lin_rank([ident, k], scalars) == 1:
+        if h1 == scalars.zero:
+            raise Unclassifiable("vanishing h(1) with nonlinear h")
+        return fit("MultiplicativeSquare", {"h1": h1, "lam": k1},
+                   {"m": _table(ring, mul[int(inv[h1]), hv])},
+                   "dependent {id,k} but no multiplicative core")
+    if lin_rank([h, k], scalars) == 1:
+        # h = lam * k with both outside span{id}
+        pivot_idx = next(i for i in range(len(kv)) if kv[i] != scalars.zero)
+        lam = int(mul[int(hv[pivot_idx]), int(inv[kv[pivot_idx]])])
+        u = int(inv[mul[lam, lam]])
+        gamma = int(add[k1, u])
+        if gamma == scalars.zero:
+            raise Unclassifiable("degenerate mixed family (gamma = 0)")
+        mwit = _table(ring, mul[int(inv[gamma]), add[kv, mul[u, elems]]])
+        return fit("LambdaKFamilyB", {"lam": lam, "gamma": gamma}, {"m": mwit},
+                   "dependent {h,k} but no multiplicative core")
+    # no dependent pair at rank 2: h = b1*id + b2*m and k = g1*id + g2*m with
+    # g2 = -b1*b2, so k = (g1 + b1^2)*id - b1*h, and m(1) = 1 for the
+    # multiplicative m != 0 gives b2 = h(1) - b1
+    reason = "rank-2 triple admits no two-generator extraction"
+    coeffs = linear_combination(k, [ident, h], scalars)
+    if coeffs is None:
+        raise Unclassifiable(reason)
+    b1 = int(neg[coeffs[1]])
+    g1 = int(add[coeffs[0], neg[mul[b1, b1]]])
+    b2 = int(add[h1, neg[b1]])
+    if b2 == scalars.zero:
+        raise Unclassifiable(reason)
+    mwit = _table(ring, mul[int(inv[b2]), add[hv, neg[mul[b1, elems]]]])
+    return fit("TwoExponential",
+               {"b1": b1, "b2": b2, "g1": g1, "g2": int(add[k1, neg[g1]])},
+               {"m": mwit}, reason)
 
 
 # --------------------------------------------- pexider family instantiation
-
-_PEXIDER_FAMILIES = ("AllLinear", "LinearPlusLeibniz", "MultiplicativeSquare",
-                     "LambdaKFamilyA", "LambdaKFamilyB", "TwoExponential",
-                     "NonDegenerate")
-
 
 def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
                            witnesses: dict[str, FnTable] | None = None) -> Binding:
@@ -612,71 +548,31 @@ def pexider_closure_samples(field_ring: Ring, per_family_cap: int = 200):
     """Deterministic family instantiations, capped per family.
 
     Yields (family name, binding) pairs covering every scalar parameter and
-    every enumerated Leibniz / multiplicative witness.
+    every enumerated Leibniz / multiplicative witness; within a family the
+    parameters vary in the order listed, the witness fastest.
     """
     _require_field(field_ring)
     n = field_ring.size
     m = len(field_ring.domain_elements)
-    leibniz = list(enumerate_maps(field_ring, field_ring, LEIBNIZ,
-                                  budget=n ** m))
-    multiplicative = list(enumerate_maps(field_ring, field_ring,
-                                         MULTIPLICATIVE, budget=n ** m))
-
-    def all_linear():
-        for lam1 in range(n):
-            for lam2 in range(n):
-                yield pexider_family_binding(
-                    "AllLinear", field_ring, {"lam1": lam1, "lam2": lam2})
-
-    def linear_plus_leibniz():
-        for lam in range(n):
-            for k1 in range(n):
-                for delta in leibniz:
-                    yield pexider_family_binding(
-                        "LinearPlusLeibniz", field_ring,
-                        {"lam": lam, "k1": k1}, {"delta": delta})
-
-    def multiplicative_square():
-        for h1 in range(n):
-            for lam in range(n):
-                for mw in multiplicative:
-                    yield pexider_family_binding(
-                        "MultiplicativeSquare", field_ring,
-                        {"h1": h1, "lam": lam}, {"m": mw})
-
-    def lambda_k_a():
-        for gamma in range(n):
-            for lam in range(n):
-                yield pexider_family_binding(
-                    "LambdaKFamilyA", field_ring, {"gamma": gamma, "lam": lam})
-
-    def lambda_k_b():
-        for lam in range(n):
-            if lam == field_ring.zero:
-                continue
-            for gamma in range(n):
-                for mw in multiplicative:
-                    yield pexider_family_binding(
-                        "LambdaKFamilyB", field_ring,
-                        {"gamma": gamma, "lam": lam}, {"m": mw})
-
-    def two_exponential():
-        for b1 in range(n):
-            for b2 in range(n):
-                for g1 in range(n):
-                    for mw in multiplicative:
-                        yield pexider_family_binding(
-                            "TwoExponential", field_ring,
-                            {"b1": b1, "b2": b2, "g1": g1}, {"m": mw})
-
-    generators = [("AllLinear", all_linear), ("LinearPlusLeibniz",
-                  linear_plus_leibniz), ("MultiplicativeSquare",
-                  multiplicative_square), ("LambdaKFamilyA", lambda_k_a),
-                  ("LambdaKFamilyB", lambda_k_b),
-                  ("TwoExponential", two_exponential)]
-    for name, gen in generators:
-        for binding in islice(gen(), per_family_cap):
-            yield name, binding
+    leibniz = [{"delta": t} for t in enumerate_maps(field_ring, field_ring,
+                                                    LEIBNIZ, budget=n ** m)]
+    multiplicative = [{"m": t} for t in enumerate_maps(
+        field_ring, field_ring, MULTIPLICATIVE, budget=n ** m)]
+    every = range(n)
+    nonzero = [c for c in every if c != field_ring.zero]
+    families = (
+        ("AllLinear", {"lam1": every, "lam2": every}, [{}]),
+        ("LinearPlusLeibniz", {"lam": every, "k1": every}, leibniz),
+        ("MultiplicativeSquare", {"h1": every, "lam": every}, multiplicative),
+        ("LambdaKFamilyA", {"gamma": every, "lam": every}, [{}]),
+        ("LambdaKFamilyB", {"lam": nonzero, "gamma": every}, multiplicative),
+        ("TwoExponential", {"b1": every, "b2": every, "g1": every},
+         multiplicative))
+    for name, params, witnesses in families:
+        for *values, wit in islice(iproduct(*params.values(), witnesses),
+                                   per_family_cap):
+            yield name, pexider_family_binding(
+                name, field_ring, dict(zip(params, values)), wit)
 
 
 def verify_pexider(field_ring: Ring, per_family_cap: int = 200,

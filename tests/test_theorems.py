@@ -4,8 +4,9 @@ import pytest
 
 import fnq
 from fnq.errors import (BothZero, EpsilonZero, NotAField, NotCentral,
-                        ResidualNonzero)
-from fnq.maps import MULTIPLICATIVE, FnTable, enumerate_maps, identity_map, zero_map
+                        ResidualNonzero, Unclassifiable)
+from fnq.maps import (LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE, FnTable,
+                      enumerate_maps, identity_map, zero_map)
 from fnq.solver import residual
 from fnq.theorems import (annihilator_witness, classify_pexider,
                           multiplicative_shift, pexider_closure_samples,
@@ -142,6 +143,9 @@ def test_classify_two_exponential(gf3):
     assert result.tag.name == "TwoExponential"
     assert result.rank == 2
     assert result.tag.params["b2"] != 0
+    # the read-off recovers the instance, with g2 = -b1*b2
+    assert result.tag.params == {"b1": 1, "b2": 2, "g1": 1, "g2": 1}
+    assert result.tag.witnesses["m"].values == m.values
 
 
 def test_family_instantiations_solve(gf5):
@@ -229,6 +233,72 @@ def test_pexider_completeness_on_gf5():
     assert report.details["unclassifiable"] == 0
     assert report.forward_ok and report.backward_ok
     assert sum(report.details["families"].values()) == report.solutions_found
+
+
+def test_classify_accepts_only_an_exact_rebuild(gf3, monkeypatch):
+    # with the residual check out of the way, a triple whose parameters read
+    # off cleanly but whose tables the family does not reproduce is refused
+    import fnq.theorems
+    monkeypatch.setattr(fnq.theorems, "residual", lambda *args: [])
+    z = zero_map(gf3)
+    with pytest.raises(Unclassifiable, match="not a pair of scalings"):
+        classify_pexider(identity_map(gf3), z, z)
+
+
+@pytest.mark.parametrize("ring", [fnq.gf(3), fnq.gf(2, 2)],
+                         ids=lambda r: f"gf{r.size}")
+def test_closure_samples_cover_every_parameter(ring):
+    q = ring.size
+    n_leibniz = len(list(enumerate_maps(ring, ring, LEIBNIZ)))
+    n_mult = len(list(enumerate_maps(ring, ring, MULTIPLICATIVE)))
+    counts: dict[str, int] = {}
+    for name, _ in pexider_closure_samples(ring, per_family_cap=10 ** 6):
+        counts[name] = counts.get(name, 0) + 1
+    assert counts == {"AllLinear": q * q, "LinearPlusLeibniz": q * q * n_leibniz,
+                      "MultiplicativeSquare": q * q * n_mult,
+                      "LambdaKFamilyA": q * q,
+                      "LambdaKFamilyB": (q - 1) * q * n_mult,
+                      "TwoExponential": q ** 3 * n_mult}
+
+
+@pytest.mark.parametrize("ring", [fnq.gf(3), fnq.gf(2, 2), fnq.gf(5),
+                                  fnq.gf(7)], ids=lambda r: f"gf{r.size}")
+def test_classification_rebuilds_every_closure_sample(ring):
+    # a tag is a family instance: its parameters and witnesses rebuild the
+    # classified triple exactly, though a sample may land in a lower-rank
+    # family that ties with its own (LambdaKFamilyA -> AllLinear)
+    for name, binding in pexider_closure_samples(ring):
+        triple = tuple(binding.functions[n] for n in "fhk")
+        tag = classify_pexider(*triple).tag
+        rebuilt = pexider_family_binding(tag.name, ring, tag.params,
+                                         tag.witnesses).functions
+        assert tuple(rebuilt[n].values for n in "fhk") == tuple(
+            t.values for t in triple), (name, tag.to_json())
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                                 (3, 2)])
+def test_logarithmic_maps_of_a_field_vanish(p, k):
+    # the premise of the rank-3 branch of classify_pexider: a logarithmic
+    # map sends a unit group of order q-1 into an additive group of
+    # exponent p, which does not divide q-1
+    ring = fnq.gf(p, k)
+    maps = list(enumerate_maps(ring, ring, LOGARITHMIC))
+    assert [t.values for t in maps] == [zero_map(ring).values]
+
+
+@pytest.mark.parametrize("ring,budget", [
+    (fnq.gf(3), None), (fnq.gf(2, 2), None), (fnq.gf(5), None),
+    (fnq.gf(7), 7 ** 16)], ids=["gf3", "gf4", "gf5", "gf7"])
+def test_pexider_family_counts_match_closed_forms(ring, budget):
+    report = (verify_pexider(ring) if budget is None
+              else verify_pexider(ring, budget=budget))
+    q = ring.size
+    assert report.details["families"] == {
+        "AllLinear": q ** 2, "LambdaKFamilyB": (q - 1) ** 3,
+        "MultiplicativeSquare": q * (q - 1) ** 2,
+        "TwoExponential": (q - 1) ** 4}
+    assert report.holds()
 
 
 def test_checks_fail_loudly_on_oversized_carriers():
