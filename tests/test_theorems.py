@@ -8,8 +8,9 @@ from fnq.errors import (BothZero, EpsilonZero, NotAField, NotCentral,
 from fnq.maps import (LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE, FnTable,
                       enumerate_maps, identity_map, zero_map)
 from fnq.solver import residual
-from fnq.theorems import (annihilator_witness, classify_pexider,
-                          multiplicative_shift, pexider_closure_samples,
+from fnq.theorems import (DEFAULT_CHECK_BUDGET, annihilator_witness,
+                          classify_pexider, multiplicative_shift,
+                          pexider_closure_samples,
                           pexider_equation, pexider_family_binding,
                           verify_alien, verify_mp, verify_pexider,
                           verify_sofy, verify_thm5_symbolic)
@@ -288,11 +289,11 @@ def test_logarithmic_maps_of_a_field_vanish(p, k):
 
 
 @pytest.mark.parametrize("ring,budget", [
-    (fnq.gf(3), None), (fnq.gf(2, 2), None), (fnq.gf(5), None),
-    (fnq.gf(7), 7 ** 16)], ids=["gf3", "gf4", "gf5", "gf7"])
+    (fnq.gf(3), DEFAULT_CHECK_BUDGET), (fnq.gf(2, 2), DEFAULT_CHECK_BUDGET),
+    (fnq.gf(5), DEFAULT_CHECK_BUDGET), (fnq.gf(7), 7 ** 16)],
+    ids=["gf3", "gf4", "gf5", "gf7"])
 def test_pexider_family_counts_match_closed_forms(ring, budget):
-    report = (verify_pexider(ring) if budget is None
-              else verify_pexider(ring, budget=budget))
+    report = verify_pexider(ring, budget=budget)
     q = ring.size
     assert report.details["families"] == {
         "AllLinear": q ** 2, "LambdaKFamilyB": (q - 1) ** 3,
