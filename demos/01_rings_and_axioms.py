@@ -36,7 +36,9 @@ print("regular elements are the non-zero-divisors:")
 for e in range(6):
     print(f"  {e} in Z_6: regular={fnq.is_regular(z6, e)}")
 
-# the axiom check is not decorative: a corrupted table is rejected
+# the axiom check is not decorative: a corrupted table is rejected.  This
+# cell breaks both distributivity and multiplicative associativity; the
+# check proves distributivity first, so that is the failure it reports
 import numpy as np
 from fnq.algebra import _verify_axioms
 from fnq.errors import AxiomViolation

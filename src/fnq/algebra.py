@@ -1,11 +1,13 @@
-"""Small finite rings backed by exhaustively verified operation tables.
+"""Small finite rings backed by verified operation tables.
 
 Every element is a dense index ``0..size-1`` and both operations are total
 lookup tables, which makes noncommutative carriers free and keeps all
 downstream equation checking away from ad-hoc modular arithmetic.  The
-constructors re-verify the ring axioms over the whole carrier before a
-:class:`Ring` is handed out; they are the trusted computing base for every
-solver and theorem check built on top.
+constructors prove the ring axioms for the whole carrier before a
+:class:`Ring` is handed out, checking the laws over three elements with one
+argument running over an additive generating set (see ``_verify_axioms``);
+they are the trusted computing base for every solver and theorem check
+built on top.
 
 Carrier orderings are fixed so that reports are reproducible:
 
@@ -276,14 +278,6 @@ def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]
     return _poly_trim(tuple(c % p for c in a))
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
-
-
 def _monic_polys(degree: int, p: int):
     for lower in iproduct(range(p), repeat=degree):
         yield tuple(lower) + (1,)
@@ -337,24 +331,28 @@ def _zn_tables(n: int):
 def _poly_ring_tables(p: int, k: int, modulus: tuple[int, ...]):
     size = p ** k
     # index <-> coefficient vector, constant term first, lexicographic order
-    vecs = [tuple(vec) for vec in iproduct(range(p), repeat=k)]
-    index_of = {v: i for i, v in enumerate(vecs)}
-
-    def reduce_to_index(poly: tuple[int, ...]) -> int:
-        r = _poly_mod(poly, modulus, p)
-        vec = tuple((r[i] if i < len(r) else 0) for i in range(k))
-        return index_of[vec]
-
+    weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(size, dtype=np.int64)[:, None] // weights) % p
     add = np.zeros((size, size), dtype=np.int64)
+    for i in range(k):
+        add += (digits[:, i, None] + digits[None, :, i]) % p * weights[i]
+    neg = (-digits) % p @ weights
+    # shifted[i] holds the digits of x^i * b for every b: multiply by x, then
+    # replace x^k by -(m_0 + .. + m_{k-1} x^{k-1}) of the monic modulus
+    low = np.asarray(modulus[:k], dtype=np.int64)
+    shifted = [digits]
+    for _ in range(k - 1):
+        prev = shifted[-1]
+        step = np.zeros_like(prev)
+        step[:, 1:] = prev[:, :-1]
+        shifted.append((step - prev[:, k - 1, None] * low) % p)
+    # digit j of a*b is sum_i a_i * (x^i b)_j
     mul = np.zeros((size, size), dtype=np.int64)
-    neg = np.zeros(size, dtype=np.int64)
-    for i, a in enumerate(vecs):
-        neg[i] = index_of[tuple((-c) % p for c in a)]
-        for j, b in enumerate(vecs):
-            add[i, j] = index_of[tuple((ac + bc) % p for ac, bc in zip(a, b))]
-            mul[i, j] = reduce_to_index(_poly_mul(a, b, p))
-    one = index_of[(1,) + (0,) * (k - 1)] if k >= 1 else None
-    names = tuple(_poly_name(v) for v in vecs)
+    for j in range(k):
+        column = np.stack([s[:, j] for s in shifted])
+        mul += (digits @ column) % p * weights[j]
+    one = int(weights[0])
+    names = tuple(_poly_name(tuple(v)) for v in digits.tolist())
     return size, add, mul, neg, 0, one, names
 
 
@@ -380,21 +378,18 @@ def _product_tables(left: Ring, right: Ring):
 def _ut2_tables(p: int):
     """Upper triangular 2x2 matrices [[a, b], [0, c]] over F_p."""
     size = p ** 3
-    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
-    index_of = {t: i for i, t in enumerate(triples)}
-    add = np.zeros((size, size), dtype=np.int64)
-    mul = np.zeros((size, size), dtype=np.int64)
-    neg = np.zeros(size, dtype=np.int64)
-    for i, (a1, b1, c1) in enumerate(triples):
-        neg[i] = index_of[((-a1) % p, (-b1) % p, (-c1) % p)]
-        for j, (a2, b2, c2) in enumerate(triples):
-            add[i, j] = index_of[((a1 + a2) % p, (b1 + b2) % p, (c1 + c2) % p)]
-            mul[i, j] = index_of[((a1 * a2) % p,
-                                  (a1 * b2 + b1 * c2) % p,
-                                  (c1 * c2) % p)]
-    one = index_of[(1, 0, 1)]
-    names = tuple(f"[{a} {b};0 {c}]" for a, b, c in triples)
-    return size, add, mul, neg, 0, one, names
+    idx = np.arange(size, dtype=np.int64)
+    a, b, c = idx // (p * p), idx // p % p, idx % p
+
+    def index(x, y, z):
+        return (x % p * p + y % p) * p + z % p
+
+    add = index(a[:, None] + a, b[:, None] + b, c[:, None] + c)
+    mul = index(a[:, None] * a, a[:, None] * b + b[:, None] * c, c[:, None] * c)
+    neg = index(-a, -b, -c)
+    names = tuple(f"[{x} {y};0 {z}]"
+                  for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()))
+    return size, add, mul, neg, 0, index(1, 0, 1), names
 
 
 def _spec_size(spec: RingSpec) -> int:
@@ -419,11 +414,58 @@ def _spec_size(spec: RingSpec) -> int:
 
 # --------------------------------------------------------- axiom checking
 
-def _verify_axioms(size, add, mul, neg, zero, one):
-    """Exhaustive check of every ring axiom on the full carrier.
+# carriers up to this size test every element as a generator, which is the
+# exhaustive check and cheaper there than finding a generating set
+_EXHAUSTIVE_SIZE = 20
+# cells of one (size, chunk, size) temporary in the generator checks
+_CHUNK_CELLS = 1 << 18
 
-    All size**3 triple checks are vectorized; at the default budget of 256
-    this stays around 16M index operations per axiom.
+
+def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
+    """A generating set of the magma (R, +): the smallest unreached element,
+    then every sum of reached elements, until the carrier is reached.
+
+    Only sums of reached elements are formed, so every reached element is a
+    sum of generators whatever the table holds.  In a group each generator
+    at least doubles the reached subgroup, so there are at most log2(size).
+    """
+    reached = np.zeros(len(add), dtype=bool)
+    reached[zero] = True
+    gens = []
+    while not reached.all():
+        frontier = np.array([np.argmin(reached)])
+        gens.append(int(frontier[0]))
+        while frontier.size:
+            reached[frontier] = True
+            sums = add[np.ix_(frontier, np.flatnonzero(reached))].ravel()
+            frontier = np.unique(sums[~reached[sums]])
+    return np.array(gens, dtype=np.intp)
+
+
+def _verify_axioms(size, add, mul, neg, zero, one):
+    """Exact check of every ring axiom on the full carrier.
+
+    Totality, commutativity of +, the zero, negation and the unit are
+    checked cell by cell.  The laws over three elements are checked with one
+    argument running over a generating set A of (R, +): every element is a
+    sum of elements of A and 0, so a set of elements that holds A and 0 and
+    is closed under + is the whole carrier.  Each step is exact given the
+    ones before it:
+
+    * (x+a)+y = x+(a+y) for all x, y and a in A.  The a that pass hold 0
+      and are closed under + (Light's associativity test), so + is
+      associative and (R, +) is a finite abelian group.
+    * x(y+a) = xy+xa and (y+a)x = yx+ax for all x, y and a in A.  With +
+      associative the a that pass either test are closed under +, and a
+      nonempty set closed under + in a finite group holds 0, so both
+      distributive laws hold everywhere.
+    * (ab)c = a(bc) for a, b, c in A.  By distributivity, for fixed y and z
+      the x with (xy)z = x(yz) are closed under +, and likewise y and z,
+      so associativity extends to the carrier one argument at a time.
+
+    The work is O(|A| size**2), with |A| <= log2(size) in a group.  Up to
+    ``_EXHAUSTIVE_SIZE`` A is the whole carrier, which makes this the
+    exhaustive check.
     """
     rng = np.arange(size)
     for name, table in (("add", add), ("mul", mul)):
@@ -431,23 +473,39 @@ def _verify_axioms(size, add, mul, neg, zero, one):
             raise AxiomViolation(f"{name} table is not total on the carrier")
     if neg.shape != (size,) or neg.min() < 0 or neg.max() >= size:
         raise AxiomViolation("negation table is not total on the carrier")
-    if not np.array_equal(add, add.T):
+    # the shapes are fixed from here on, so == compares whole tables
+    if not (add == add.T).all():
         raise AxiomViolation("addition is not commutative")
-    if not (np.array_equal(add[zero], rng) and np.array_equal(add[:, zero], rng)):
+    if not ((add[zero] == rng).all() and (add[:, zero] == rng).all()):
         raise AxiomViolation("zero is not an additive identity")
-    if not np.array_equal(add[rng, neg], np.full(size, zero)):
+    if not (add[rng, neg] == zero).all():
         raise AxiomViolation("negation does not give additive inverses")
-    if not np.array_equal(add[add, :], add[:, add]):
-        raise AxiomViolation("addition is not associative")
-    if not np.array_equal(mul[mul, :], mul[:, mul]):
-        raise AxiomViolation("multiplication is not associative")
-    if not np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]]):
-        raise AxiomViolation("left distributivity fails")
-    if not np.array_equal(mul[add, :], add[mul[:, None, :], mul[None, :, :]]):
-        raise AxiomViolation("right distributivity fails")
+    if size <= _EXHAUSTIVE_SIZE:
+        gens = slice(None)
+        chunks = [gens]
+    else:
+        # intp tables index the large temporaries without a conversion
+        add, mul = add.astype(np.intp), mul.astype(np.intp)
+        gens = _additive_generators(add, zero)
+        step = max(1, _CHUNK_CELLS // (size * size))
+        chunks = [gens[i:i + step] for i in range(0, len(gens), step)]
+    # indices [x, a, y], [x, y, a] and [y, a, x]
+    for a in chunks:
+        if not (add[add[:, a]] == add[:, add[a]]).all():
+            raise AxiomViolation("addition is not associative")
+    for a in chunks:
+        if not (mul[:, add[:, a]]
+                == add[mul[:, :, None], mul[:, a][:, None, :]]).all():
+            raise AxiomViolation("left distributivity fails")
+    for a in chunks:
+        if not (mul[add[:, a]] == add[mul[:, None, :], mul[a][None, :, :]]).all():
+            raise AxiomViolation("right distributivity fails")
     if one is not None:
-        if not (np.array_equal(mul[one], rng) and np.array_equal(mul[:, one], rng)):
+        if not ((mul[one] == rng).all() and (mul[:, one] == rng).all()):
             raise AxiomViolation("declared unit is not a two-sided identity")
+    pairs = mul[gens][:, gens]
+    if not (mul[pairs][:, :, gens] == mul[gens][:, pairs]).all():
+        raise AxiomViolation("multiplication is not associative")
 
 
 def _structure_caches(size, add, mul, neg, zero, one):
@@ -485,7 +543,7 @@ def _validate_subring(sub: tuple[int, ...], size, add, mul, neg, zero):
 
 
 def build_ring(spec: RingSpec, size_budget: int = DEFAULT_SIZE_BUDGET) -> Ring:
-    """Build and exhaustively verify the ring described by ``spec``.
+    """Build the ring described by ``spec`` and prove its axioms.
 
     Raises :class:`BudgetExceeded` before any table is materialized when the
     resulting carrier would be larger than ``size_budget``.
@@ -532,7 +590,7 @@ def build_ring(spec: RingSpec, size_budget: int = DEFAULT_SIZE_BUDGET) -> Ring:
     else:
         raise InvalidRingSpec(f"unknown ring kind {spec.kind!r}")
 
-    # int16 keeps the size**3 temporaries of the axiom check near 33MB each
+    # int16 holds every index below 2**15 and is the layout table_hash digests
     add = np.ascontiguousarray(add, dtype=np.int16)
     mul = np.ascontiguousarray(mul, dtype=np.int16)
     neg = np.ascontiguousarray(neg, dtype=np.int16)

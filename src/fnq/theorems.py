@@ -45,21 +45,28 @@ DEFAULT_CHECK_BUDGET = 2 * 10 ** 9
 
 # ------------------------------------------------------ equations, reports
 
+# the fixed equations of the checks, parsed once; EquationAst is immutable
+_HOMO_DERIVATION = parse_equation("h(x*y)=h(x)*y+x*h(y)+e*h(x)*h(y)")
+_PEXIDER = parse_equation("f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
+_ALIEN_COMBINATION = parse_equation(
+    "lam*(f(x*y)-f(x)*y-x*f(y))+mu*(f(x*y)-f(x)*f(y))=0")
+_ALIEN_PAIR = parse_equation("h(x*y)+k(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
+
+
 def homo_derivation_equation() -> EquationAst:
-    return parse_equation("h(x*y)=h(x)*y+x*h(y)+e*h(x)*h(y)")
+    return _HOMO_DERIVATION
 
 
 def pexider_equation() -> EquationAst:
-    return parse_equation("f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
+    return _PEXIDER
 
 
 def alien_combination_equation() -> EquationAst:
-    return parse_equation(
-        "lam*(f(x*y)-f(x)*y-x*f(y))+mu*(f(x*y)-f(x)*f(y))=0")
+    return _ALIEN_COMBINATION
 
 
 def alien_pair_equation() -> EquationAst:
-    return parse_equation("h(x*y)+k(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
+    return _ALIEN_PAIR
 
 
 @dataclass

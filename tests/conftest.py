@@ -7,9 +7,11 @@ through a second, independent route.
 """
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 import fnq
+from fnq.errors import AxiomViolation
 
 
 @pytest.fixture(scope="session")
@@ -176,3 +178,31 @@ def ut2_2_additive_tables(ring):
             values.append(acc)
         out.append(tuple(values))
     return sorted(out)
+
+
+def exhaustive_axioms(size, add, mul, neg, zero, one):
+    """Every ring axiom checked on all size**3 triples, in the reference
+    order; raises AxiomViolation with the message of the first failure."""
+    rng = np.arange(size)
+    for name, table in (("add", add), ("mul", mul)):
+        if table.shape != (size, size) or table.min() < 0 or table.max() >= size:
+            raise AxiomViolation(f"{name} table is not total on the carrier")
+    if neg.shape != (size,) or neg.min() < 0 or neg.max() >= size:
+        raise AxiomViolation("negation table is not total on the carrier")
+    if not np.array_equal(add, add.T):
+        raise AxiomViolation("addition is not commutative")
+    if not (np.array_equal(add[zero], rng) and np.array_equal(add[:, zero], rng)):
+        raise AxiomViolation("zero is not an additive identity")
+    if not np.array_equal(add[rng, neg], np.full(size, zero)):
+        raise AxiomViolation("negation does not give additive inverses")
+    if not np.array_equal(add[add, :], add[:, add]):
+        raise AxiomViolation("addition is not associative")
+    if not np.array_equal(mul[mul, :], mul[:, mul]):
+        raise AxiomViolation("multiplication is not associative")
+    if not np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]]):
+        raise AxiomViolation("left distributivity fails")
+    if not np.array_equal(mul[add, :], add[mul[:, None, :], mul[None, :, :]]):
+        raise AxiomViolation("right distributivity fails")
+    if one is not None:
+        if not (np.array_equal(mul[one], rng) and np.array_equal(mul[:, one], rng)):
+            raise AxiomViolation("declared unit is not a two-sided identity")

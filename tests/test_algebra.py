@@ -1,9 +1,13 @@
 import json
+import pathlib
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fnq
+from fnq import algebra
 from fnq.algebra import RingSpec, _verify_axioms
 from fnq.errors import (AxiomViolation, BudgetExceeded, InvalidRingSpec,
                         LiteralInNonUnitalRing, NonPrimeModulus,
@@ -83,9 +87,145 @@ def test_product_center_is_product_of_centers(z4, ut2_2):
 
 def test_axiom_checker_rejects_corruption(z6):
     bad_mul = np.array(z6.mul, copy=True)
-    bad_mul[2, 3] = (bad_mul[2, 3] + 1) % 6  # breaks associativity
-    with pytest.raises(AxiomViolation):
+    # breaks distributivity and associativity; distributivity is checked first
+    bad_mul[2, 3] = (bad_mul[2, 3] + 1) % 6
+    with pytest.raises(AxiomViolation, match="left distributivity fails"):
         _verify_axioms(6, np.array(z6.add), bad_mul, np.array(z6.neg), 0, 1)
+
+
+_AXIOM_MESSAGES = {
+    "add table is not total on the carrier",
+    "mul table is not total on the carrier",
+    "negation table is not total on the carrier",
+    "addition is not commutative",
+    "zero is not an additive identity",
+    "negation does not give additive inverses",
+    "addition is not associative",
+    "left distributivity fails",
+    "right distributivity fails",
+    "declared unit is not a two-sided identity",
+    "multiplication is not associative",
+}
+
+
+def _z2_cubed(product):
+    """(Z_2)^3 with index bits as coordinates and the given product."""
+    vecs = [((i >> 2) & 1, (i >> 1) & 1, i & 1) for i in range(8)]
+
+    def index(v):
+        return 4 * (v[0] % 2) + 2 * (v[1] % 2) + v[2] % 2
+    mul = np.array([[index(product(a, b)) for b in vecs] for a in vecs])
+    add = np.array([[i ^ j for j in range(8)] for i in range(8)])
+    return 8, add, mul, np.arange(8), 0, None
+
+
+def _hand_built_tables(z6):
+    """Tables that break one law that random corruptions rarely reach."""
+    def cross(a, b):  # distributive, not associative
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0])
+    wrong_one = (6, np.array(z6.add), np.array(z6.mul), np.array(z6.neg), 0, 5)
+    # Z3xZ3 with x*y = (1,0) for y off {0}xZ3, else 0: associative, and left
+    # distributive along {0}xZ3 only, so just the generator (1,0) shows it
+    z3xz3 = fnq.product(fnq.zn(3), fnq.zn(3))
+    off_subgroup = np.array([[3 if y >= 3 else 0 for y in range(9)]] * 9)
+    return [_z2_cubed(cross), wrong_one,
+            _z2_cubed(lambda a, b: a),   # associative, not left distributive
+            _z2_cubed(lambda a, b: b),   # associative, not right distributive
+            (9, np.array(z3xz3.add), off_subgroup, np.array(z3xz3.neg), 0, None)]
+
+
+def _corrupted_tables(rings, cases, seed):
+    """Ring tables with 1-2 cells of add, mul or neg overwritten; one value
+    in twenty is off the carrier, for the totality checks."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        ring = rng.choice(rings)
+        tables = {"add": np.array(ring.add), "mul": np.array(ring.mul),
+                  "neg": np.array(ring.neg)}
+        for _ in range(rng.randint(1, 2)):
+            table = tables[rng.choice(("add", "mul", "neg"))]
+            cell = tuple(rng.randrange(n) for n in table.shape)
+            if rng.random() < 0.05:
+                table[cell] = rng.choice((-1, ring.size))
+            else:
+                table[cell] = rng.randrange(ring.size)
+        yield (ring.size, tables["add"], tables["mul"], tables["neg"],
+               ring.zero, ring.one)
+
+
+def _axiom_failure(check, args):
+    try:
+        check(*args)
+    except AxiomViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("exhaustive_size", [0, algebra._EXHAUSTIVE_SIZE])
+def test_axiom_check_agrees_with_exhaustive_reference(
+        monkeypatch, exhaustive_size, z4, z6, gf4, pq22, z2xz2, ut2_2):
+    """The generator-based check raises exactly when the size**3 reference
+    does, with the same message unless the reference's first failure is
+    multiplicative associativity, which `_verify_axioms` checks last.
+    Size 0 runs every carrier through the generating-set path."""
+    from conftest import exhaustive_axioms
+    monkeypatch.setattr(algebra, "_EXHAUSTIVE_SIZE", exhaustive_size)
+    hand_built = _hand_built_tables(z6)
+    cases = list(_corrupted_tables([z4, z6, gf4, pq22, z2xz2, ut2_2], 4000, 5))
+    cases += hand_built
+    seen = set()
+    for args in cases:
+        want = _axiom_failure(exhaustive_axioms, args)
+        got = _axiom_failure(_verify_axioms, args)
+        seen.add(want)
+        assert (got is None) == (want is None), (want, got)
+        if want != "multiplication is not associative":
+            assert got == want
+    assert seen == _AXIOM_MESSAGES | {None}
+    cross = hand_built[0]
+    assert _axiom_failure(_verify_axioms, cross) == "multiplication is not associative"
+
+
+def test_vectorized_builders_reproduce_pinned_tables():
+    """Table hashes of GF(p^k) for every p^k <= 256 (three explicit moduli),
+    PolyQuot, UT2 and products, as computed by the scalar builders."""
+    pinned = json.loads((pathlib.Path(__file__).parent
+                         / "table_hashes.json").read_text())
+    kinds = {entry["spec"]["kind"] for entry in pinned}
+    assert kinds == {"GF", "PolyQuot", "UT2", "Product"}
+    for entry in pinned:
+        ring = fnq.ring_from_json(entry["spec"])
+        assert ring.table_hash == entry["table_hash"], entry["spec"]
+
+
+def _boolean_ring_256():
+    spec = RingSpec(kind="Zn", n=2)
+    for _ in range(7):
+        spec = RingSpec(kind="Product", left=RingSpec(kind="Zn", n=2), right=spec)
+    return spec
+
+
+@pytest.mark.parametrize("spec", [
+    RingSpec(kind="Zn", n=256),
+    RingSpec(kind="GF", p=2, k=8),
+    RingSpec(kind="Product", left=RingSpec(kind="Zn", n=16),
+             right=RingSpec(kind="Zn", n=16)),
+    RingSpec(kind="UT2", p=5),
+    _boolean_ring_256(),
+], ids=["Z256", "GF256", "Z16xZ16", "UT2(5)", "Z2^8"])
+def test_build_peak_memory_below_one_cube(spec):
+    """No build allocates a size**3 temporary, even the Boolean ring, whose
+    multiplicative generating sets are as large as the carrier."""
+    cube_int16 = 256 ** 3 * 2
+    tracemalloc.start()
+    try:
+        ring = fnq.build_ring(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ring.size in (125, 256)
+    assert peak < cube_int16, peak
 
 
 def test_constructor_errors():
