@@ -130,6 +130,16 @@ class RingSpec:
                 f"{kind} ring spec needs the field {exc.args[0]!r}") from None
 
 
+@dataclass(frozen=True)
+class TableLists:
+    """A ring's tables as nested Python lists, for the scalar evaluator."""
+
+    add: list[list[int]]
+    mul: list[list[int]]
+    neg: list[int]
+    position: list[int]
+
+
 @dataclass(frozen=True, eq=False)
 class Ring:
     """A finite ring as verified addition/multiplication tables.
@@ -208,6 +218,13 @@ class Ring:
         inv = self.inverse[elems]
         inside = (inv >= 0) & (self.position[inv] >= 0)
         return tuple(int(u) for u in elems[inside])
+
+    @cached_property
+    def lists(self) -> TableLists:
+        """List views of ``add``/``mul``/``neg``/``position``: one scalar
+        lookup in a list is several times cheaper than in an array."""
+        return TableLists(self.add.tolist(), self.mul.tolist(),
+                          self.neg.tolist(), self.position.tolist())
 
     def sub(self, a: int, b: int) -> int:
         return int(self.add[a, self.neg[b]])

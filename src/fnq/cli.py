@@ -5,7 +5,8 @@ produced counterexamples (the report is still written), 2 on usage or
 parse errors.  Reports are byte-deterministic for a fixed configuration;
 the worker count never changes the output.  The environment variable
 ``FNQ_BUDGET`` overrides the default pair budget when ``--budget`` is not
-given; either must be a positive integer.
+given; either must be a positive integer.  Without either, ``solve`` and
+``enumerate`` use the solver's default and ``verify`` the checks' own.
 """
 from __future__ import annotations
 
@@ -23,14 +24,15 @@ from .errors import (EquationSyntaxError, FnqError, InvalidBudget,
 from .maps import FnTable, class_from_string, enumerate_maps, class_space_size
 from .solver import (DEFAULT_BUDGET, SolveTask, solve, solution_set_to_csv,
                      solution_set_to_json, solution_set_to_json_bytes)
-from .theorems import (classify_pexider, verify_alien, verify_mp,
-                       verify_pexider, verify_sofy, verify_thm5_symbolic)
+from .theorems import (DEFAULT_CHECK_BUDGET, classify_pexider, verify_alien,
+                       verify_mp, verify_pexider, verify_sofy,
+                       verify_thm5_symbolic)
 
 
-def _budget(args) -> int:
+def _budget(args, default: int = DEFAULT_BUDGET) -> int:
     raw = os.environ.get("FNQ_BUDGET") if args.budget is None else args.budget
     if raw is None or raw == "":
-        return DEFAULT_BUDGET
+        return default
     try:
         budget = int(raw)
     except ValueError:
@@ -240,26 +242,28 @@ def _cmd_verify(args) -> int:
         report = verify_thm5_symbolic()
     else:
         ring = _load_ring(args)
+        # the checks' own default: Pexider GF(5) needs 5**10 * 25 pairs
+        budget = _budget(args, DEFAULT_CHECK_BUDGET)
         if args.dry_run:
             m = len(ring.domain_elements)
             _write(args, _json_dump({
                 "action": "verify", "check": check, "ring_size": ring.size,
                 "scan_space": ring.size ** m,
-                "budget": _budget(args)}))
+                "budget": budget}))
             return 0
         if check == "thm4":
             if args.eps is None:
                 raise FnqError("thm4 needs --eps")
-            report = verify_sofy(ring, ring.int_embed(args.eps))
+            report = verify_sofy(ring, ring.int_embed(args.eps), budget=budget)
         elif check == "prop1":
-            report = verify_mp(ring)
+            report = verify_mp(ring, budget=budget)
         elif check == "pexider":
-            report = verify_pexider(ring)
+            report = verify_pexider(ring, budget=budget)
         elif check == "alien":
             if args.lam is None or args.mu is None:
                 raise FnqError("alien needs --lam and --mu")
             report = verify_alien(ring, ring.int_embed(args.lam),
-                                  ring.int_embed(args.mu))
+                                  ring.int_embed(args.mu), budget=budget)
         else:
             raise FnqError(f"unknown check {check!r}")
     if args.out == "text":

@@ -12,11 +12,19 @@ A bare identifier (other than ``x``/``y``) is a scalar parameter; an applied
 identifier is an unknown function of arity one.  Multiplication is
 left-associative and never assumed commutative: evaluation respects the
 textual operand order, so the DSL is sound over noncommutative rings.
+
+Two evaluators share nothing but the AST.  The scalar one
+(:func:`compile_side`, and :func:`eval_side` on top of it) compiles a side
+once per call into a function of (x, y) over list views of the ring
+tables, then evaluates it per pair; it is the independent re-verifier of
+every reported solution.  The grid one (:func:`grid_satisfies`) evaluates
+batched tables over all pairs at once with numpy.  Neither shares code with
+the search kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -309,41 +317,122 @@ def ast_to_json(ast: EquationAst) -> dict:
 
 # -------------------------------------------------------------- evaluation
 
-def eval_side(side: Expr, binding: Binding, x: int, y: int, ring: Ring) -> int:
-    """Evaluate one side at concrete elements, inside out.
+Scalar = Callable[[int, int], int]
+"""A compiled side: its value at one (x, y) pair."""
 
-    Integer literals are embedded as ``n*1``; parameters evaluate to their
-    bound carrier index; all arithmetic happens through the ring tables in
-    textual operand order.
+
+def _x(x: int, y: int) -> int:
+    return x
+
+
+def _y(x: int, y: int) -> int:
+    return y
+
+
+def _constant(value) -> Scalar:
+    return lambda x, y: value
+
+
+def _index(vec: list, node):
+    """``vec`` indexed by a compiled node; a constant node folds."""
+    if node is _x:
+        return lambda x, y: vec[x]
+    if node is _y:
+        return lambda x, y: vec[y]
+    if callable(node):
+        return lambda x, y: vec[node(x, y)]
+    return vec[node]
+
+
+def _binary(table: list[list[int]], left, right):
+    """``table[left][right]``; a constant operand picks its row or column
+    now, and the operand shapes of ``x*y``, ``x*f(y)`` and ``f(x)*y`` read
+    ``x`` and ``y`` directly."""
+    if not callable(left):
+        return _index(table[left], right)
+    if not callable(right):
+        return _index([row[right] for row in table], left)
+    if left is _x:
+        if right is _y:
+            return lambda x, y: table[x][y]
+        return lambda x, y: table[x][right(x, y)]
+    if right is _y:
+        return lambda x, y: table[left(x, y)][y]
+    return lambda x, y: table[left(x, y)][right(x, y)]
+
+
+def _fails(error: type, message: str) -> Scalar:
+    def fail(x, y):
+        raise error(message)
+    return fail
+
+
+def compile_side(side: Expr, binding: Binding, ring: Ring) -> Scalar:
+    """One side as a function of (x, y), with every name resolved once.
+
+    Literals (``n*1``), parameters, tables and value vectors are looked up
+    here, so a call only indexes the plain lists of ``ring.lists``; any
+    other callable bound as a function is called.  All arithmetic happens
+    through the ring tables in textual operand order.  A name that cannot
+    be resolved compiles into a step that raises when evaluation reaches
+    it, so errors come in the order of evaluating the tree inside out, left
+    operand first.  Shares no code with the search kernel or
+    :func:`grid_satisfies`.
     """
-    if isinstance(side, Var):
-        return x if side.name == "x" else y
-    if isinstance(side, IntLit):
-        return ring.int_embed(side.value)
-    if isinstance(side, Param):
-        try:
-            return binding.params[side.name]
-        except KeyError:
-            raise UnboundName(f"parameter {side.name!r} is not bound") from None
-    if isinstance(side, FnApp):
-        try:
-            table = binding.functions[side.name]
-        except KeyError:
-            raise UnboundName(f"function {side.name!r} is not bound") from None
-        arg = eval_side(side.arg, binding, x, y, ring)
-        return table(arg)
-    if isinstance(side, Add):
-        return int(ring.add[eval_side(side.left, binding, x, y, ring),
-                            eval_side(side.right, binding, x, y, ring)])
-    if isinstance(side, Sub):
-        return ring.sub(eval_side(side.left, binding, x, y, ring),
-                        eval_side(side.right, binding, x, y, ring))
-    if isinstance(side, Mul):
-        return int(ring.mul[eval_side(side.left, binding, x, y, ring),
-                            eval_side(side.right, binding, x, y, ring)])
-    if isinstance(side, Neg):
-        return int(ring.neg[eval_side(side.operand, binding, x, y, ring)])
-    raise TypeError(f"not an expression node: {side!r}")
+    t = ring.lists
+
+    def build(e: Expr):
+        """A constant or a :data:`Scalar`."""
+        if isinstance(e, FnApp):
+            if e.name not in binding.functions:
+                return _fails(UnboundName, f"function {e.name!r} is not bound")
+            table = binding.functions[e.name]
+            arg = build(e.arg)
+            domain = getattr(table, "domain", None)
+            if isinstance(domain, Ring) and domain.subring is None:
+                # a value table whose positions are carrier indices
+                return _index(table.values, arg)
+            arg = arg if callable(arg) else _constant(arg)
+            if not isinstance(domain, Ring):
+                # any other callable, such as a table still being filled
+                return lambda x, y: table(arg(x, y))
+            pos, values = domain.lists.position, table.values
+
+            def apply(x, y):
+                a = arg(x, y)
+                if pos[a] < 0:
+                    raise EvalDomainError(
+                        f"element {a} is outside the declared domain")
+                return values[pos[a]]
+            return apply
+        if isinstance(e, Mul):
+            return _binary(t.mul, build(e.left), build(e.right))
+        if isinstance(e, Add):
+            return _binary(t.add, build(e.left), build(e.right))
+        if isinstance(e, Var):
+            return _x if e.name == "x" else _y
+        if isinstance(e, Sub):
+            return _binary(t.add, build(e.left), _index(t.neg, build(e.right)))
+        if isinstance(e, Neg):
+            return _index(t.neg, build(e.operand))
+        if isinstance(e, Param):
+            if e.name not in binding.params:
+                return _fails(UnboundName, f"parameter {e.name!r} is not bound")
+            return binding.params[e.name]
+        if isinstance(e, IntLit):
+            if e.value != 0 and ring.one is None:
+                # raises LiteralInNonUnitalRing when evaluation reaches it
+                return lambda x, y: ring.int_embed(e.value)
+            return ring.int_embed(e.value)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    node = build(side)
+    return node if callable(node) else _constant(node)
+
+
+def eval_side(side: Expr, binding: Binding, x: int, y: int, ring: Ring) -> int:
+    """Evaluate one side at concrete elements: compile, then call."""
+    return compile_side(side, binding, ring)(x, y)
 
 
 def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,

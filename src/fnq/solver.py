@@ -21,8 +21,9 @@ squared domain size, and by the kernel on the rows each level examines.
 Results are exact, exhaustive and deterministic: solutions come out in
 lexicographic order of the concatenated value vectors (free-function
 order), regardless of pivoting or worker count.  Every reported solution
-is re-verified point by point through the scalar evaluator before it is
-returned.
+is re-verified point by point through the scalar evaluator
+(:func:`fnq.eqdsl.compile_side`: compiled once per call, evaluated per
+pair, sharing no code with the search or the grid) before it is returned.
 """
 from __future__ import annotations
 
@@ -34,7 +35,8 @@ import numpy as np
 from .algebra import Ring
 from .errors import BudgetExceeded, FnqError, InvalidTask
 from .eqdsl import (Binding, Definition, EquationAst, FnApp, PairConstraint,
-                    equation_to_text, eval_side, grid_satisfies, pivot_reduce)
+                    compile_side, equation_to_text, grid_satisfies,
+                    pivot_reduce)
 from .maps import FnTable, FunctionClass, class_constraints, class_space_size
 from .search import search
 
@@ -83,17 +85,14 @@ def batch_satisfies(ast: EquationAst, ring: Ring, fixed: dict[str, FnTable],
 def residual(ast: EquationAst, binding: Binding, ring: Ring) -> list[tuple[int, int]]:
     """Every violating domain pair, in row-major domain order.
 
-    This is the scalar re-verification channel: it shares no code with the
-    search kernel.
+    This is the scalar re-verification channel: each side is compiled once
+    for the call and evaluated at every pair; it shares no code with the
+    search kernel or the grid evaluator.
     """
-    out = []
-    for x in ring.domain_elements:
-        for y in ring.domain_elements:
-            lhs = eval_side(ast.lhs, binding, x, y, ring)
-            rhs = eval_side(ast.rhs, binding, x, y, ring)
-            if lhs != rhs:
-                out.append((x, y))
-    return out
+    lhs = compile_side(ast.lhs, binding, ring)
+    rhs = compile_side(ast.rhs, binding, ring)
+    elems = ring.domain_elements
+    return [(x, y) for x in elems for y in elems if lhs(x, y) != rhs(x, y)]
 
 
 # ------------------------------------------------------------------ solving

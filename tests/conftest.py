@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import fnq
-from fnq.errors import AxiomViolation
+from fnq.eqdsl import Add, FnApp, IntLit, Mul, Neg, Param, Sub, Var
+from fnq.errors import AxiomViolation, UnboundName
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +63,52 @@ def z6_sub():
 @pytest.fixture(scope="session")
 def z2xz2():
     return fnq.product(fnq.zn(2), fnq.zn(2))
+
+
+def reference_eval(side, binding, x, y, ring):
+    """Reference scalar evaluator: walk the tree at one pair, inside out.
+
+    Integer literals are embedded as ``n*1``, parameters read their bound
+    element, unknowns are called, and all arithmetic goes through the numpy
+    ring tables in textual operand order.  Errors arise where the walk
+    meets them.  This is the package's evaluator before it was compiled,
+    kept as the oracle that ``fnq.eqdsl.compile_side`` is tested against.
+    """
+    if isinstance(side, Var):
+        return x if side.name == "x" else y
+    if isinstance(side, IntLit):
+        return ring.int_embed(side.value)
+    if isinstance(side, Param):
+        try:
+            return binding.params[side.name]
+        except KeyError:
+            raise UnboundName(f"parameter {side.name!r} is not bound") from None
+    if isinstance(side, FnApp):
+        try:
+            table = binding.functions[side.name]
+        except KeyError:
+            raise UnboundName(f"function {side.name!r} is not bound") from None
+        return table(reference_eval(side.arg, binding, x, y, ring))
+    if isinstance(side, Add):
+        return int(ring.add[reference_eval(side.left, binding, x, y, ring),
+                            reference_eval(side.right, binding, x, y, ring)])
+    if isinstance(side, Sub):
+        return ring.sub(reference_eval(side.left, binding, x, y, ring),
+                        reference_eval(side.right, binding, x, y, ring))
+    if isinstance(side, Mul):
+        return int(ring.mul[reference_eval(side.left, binding, x, y, ring),
+                            reference_eval(side.right, binding, x, y, ring)])
+    if isinstance(side, Neg):
+        return int(ring.neg[reference_eval(side.operand, binding, x, y, ring)])
+    raise TypeError(f"not an expression node: {side!r}")
+
+
+def reference_residual(ast, binding, ring):
+    """Every violating domain pair by the reference evaluator, row-major."""
+    elems = ring.domain_elements
+    return [(x, y) for x in elems for y in elems
+            if reference_eval(ast.lhs, binding, x, y, ring)
+            != reference_eval(ast.rhs, binding, x, y, ring)]
 
 
 def brute_tables(ring):

@@ -63,6 +63,36 @@ def test_budget_env_respected(capsys, monkeypatch):
     assert json.loads(err)["error"] == "BudgetExceeded"
 
 
+def test_verify_passes_the_budget_through(capsys, monkeypatch):
+    gf3 = '{"kind":"GF","p":3,"k":1}'
+    code, out, err = run_cli(capsys, "verify", "pexider", "--ring", gf3,
+                             "--budget", "10", "--json-errors")
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "BudgetExceeded"
+    # h and k range over 3**3 tables each once f is pivoted: 729 * 9 pairs
+    assert "needs 6561 evaluated pairs" in doc["message"]
+    monkeypatch.setenv("FNQ_BUDGET", "10")
+    code, _, err = run_cli(capsys, "verify", "thm4", "--ring",
+                           '{"kind":"Zn","n":4}', "--eps", "1",
+                           "--json-errors")
+    assert code == 2
+    assert json.loads(err)["error"] == "BudgetExceeded"
+
+
+def test_verify_dry_run_prints_the_budget_it_uses(capsys, monkeypatch):
+    argv = ("verify", "pexider", "--ring", '{"kind":"GF","p":5,"k":1}',
+            "--dry-run")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # the checks' default, not the solver's 10**8, which Pexider GF(5)
+    # (5**10 * 25 pairs) would exceed
+    assert json.loads(out)["budget"] == 2 * 10 ** 9
+    code, out, _ = run_cli(capsys, *argv, "--budget", "12345")
+    assert json.loads(out)["budget"] == 12345
+
+
 def test_worker_bytes_identical(capsys):
     outs = []
     for workers in ("1", "2", "8"):

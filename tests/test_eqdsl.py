@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 import fnq
 from fnq.eqdsl import (Add, Binding, Constraint, Definition, FnApp, IntLit,
                        Mul, Neg, NotReducible, Param, Sub, Var,
-                       equation_to_text, eval_side, expr_to_text,
+                       compile_side, equation_to_text, eval_side,
+                       expr_to_text,
                        parse_equation, pivot_reduce, substitute)
 from fnq.errors import (ArityError, EquationSyntaxError,
                         LiteralInNonUnitalRing, UnboundName)
 from fnq.maps import FnTable, identity_map, zero_map
+
+from conftest import reference_eval
 
 
 def test_parse_free_names():
@@ -76,6 +79,32 @@ def test_eval_respects_operand_order(ut2_2):
     # y=[[0,0],[0,1]] (idx 1): x*y=[[0,1],[0,0]] but y*x=[[0,0],[0,0]]
     assert eval_side(left, binding, 2, 1, ut2_2) == 2
     assert eval_side(right, binding, 2, 1, ut2_2) == 0
+
+
+# operand shapes the compiler treats apart: constants on either side of an
+# operation, x*y and its mixes with an unknown, subtraction and negation,
+# nested unknowns and parameters (lam=2 is not central in UT2(2))
+_SHAPES = ["f(x*y)=y*x", "f(2*x)=x*3", "f(x)-y=-(f(y)-2)",
+           "lam*f(x)=f(x)*lam", "f(x*x)=y*y", "f(f(y))-1=lam-x",
+           "f(1)=-x*f(y)*y", "x*f(y)=f(x)*y", "f(x+y)=2-lam", "0=3"]
+
+
+@pytest.mark.parametrize("text", _SHAPES)
+@pytest.mark.parametrize("ring_name", ["z6", "ut2_2"])
+def test_compiled_sides_match_reference(text, ring_name, request):
+    ring = request.getfixturevalue(ring_name)
+    ast = parse_equation(text)
+    table = FnTable(ring, ring, tuple((3 * e + 1) % ring.size
+                                      for e in range(ring.size)))
+    # a value table is read directly, any other callable is called
+    for f in (table, lambda e: table(e)):
+        binding = Binding(functions={"f": f}, params={"lam": 2})
+        for side in (ast.lhs, ast.rhs):
+            compiled = compile_side(side, binding, ring)
+            for x, y in iproduct(range(ring.size), repeat=2):
+                want = reference_eval(side, binding, x, y, ring)
+                assert compiled(x, y) == want
+                assert eval_side(side, binding, x, y, ring) == want
 
 
 def test_eval_literals(gf3):

@@ -1,19 +1,23 @@
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 import fnq
+import fnq.solver
 from fnq.eqdsl import Binding, Definition, parse_equation, pivot_reduce
-from fnq.errors import BudgetExceeded, EvalDomainError, InvalidTask
+from fnq.errors import (BudgetExceeded, EvalDomainError, FnqError,
+                        InvalidTask, UnboundName)
 from fnq.maps import (ADDITIVE, ARBITRARY, FnTable, class_from_string,
                       enumerate_maps, homo_deriv_sofy)
 from fnq.solver import (SolveTask, residual, solution_set_to_csv,
                         solution_set_to_json, solution_set_to_json_bytes,
                         solve)
+from fnq.eqdsl import grid_satisfies
 from fnq.search import PairConstraint, search
 
 from conftest import (brute_tables, in_class, is_homo_deriv_at,
-                      ut2_2_additive_tables)
+                      reference_residual, ut2_2_additive_tables)
 
 
 def brute_solutions(ring, ast, params=None, classes=None, tables=None):
@@ -22,7 +26,6 @@ def brute_solutions(ring, ast, params=None, classes=None, tables=None):
     Each unknown ranges over ``tables`` (default: all of them) that pass
     its class's scalar point checks.
     """
-    from fnq.eqdsl import eval_side
     params = params or {}
     classes = classes or {}
     names = ast.free_functions
@@ -34,9 +37,7 @@ def brute_solutions(ring, ast, params=None, classes=None, tables=None):
         binding = Binding(functions={n: FnTable(ring, ring, v)
                                      for n, v in zip(names, combo)},
                           params=params)
-        if all(eval_side(ast.lhs, binding, x, y, ring)
-               == eval_side(ast.rhs, binding, x, y, ring)
-               for x in ring.domain_elements for y in ring.domain_elements):
+        if not reference_residual(ast, binding, ring):
             out.append(combo)
     return sorted(out, key=lambda c: tuple(v for vec in c for v in vec))
 
@@ -146,6 +147,22 @@ def test_residual_examples(gf3, z6):
     zero_binding = Binding(functions={"h": FnTable(z6, z6, (0,) * 6)},
                            params={"e": 1})
     assert residual(hd, zero_binding, z6) == []
+
+
+def test_corrupted_kernel_is_caught_by_reverification(gf3, monkeypatch):
+    # the only Leibniz map of GF(3) is zero; the identity violates the
+    # equation at (1, 1), so the scalar re-verification must refuse it
+    real_search = fnq.solver.search
+
+    def corrupted(*args, **kwargs):
+        found = real_search(*args, **kwargs)
+        return np.concatenate([found, [[[0, 1, 2]]]]).astype(found.dtype)
+
+    monkeypatch.setattr(fnq.solver, "search", corrupted)
+    ast = parse_equation("f(x*y)=f(x)*y+x*f(y)")
+    with pytest.raises(FnqError, match=r"internal error: search accepted "
+                                       r"a non-solution \[\[0, 1, 2\]\]"):
+        solve(SolveTask(ast, gf3, {"f": ARBITRARY}))
 
 
 def test_solution_order_is_canonical(gf3):
@@ -341,6 +358,15 @@ def test_argument_outside_subring_raises_like_oracle(text):
         brute_solutions(ring, ast)
 
 
+def _generated_ast(lhs, rhs):
+    """The equation of two generated sides, with its free names."""
+    functions, params = [], []
+    from fnq.eqdsl import _collect_names
+    _collect_names(lhs, functions, params)
+    _collect_names(rhs, functions, params)
+    return EquationAst(lhs, rhs, tuple(functions), tuple(params))
+
+
 # carriers the generated tasks draw from, and which unknowns they may use:
 # two unknowns only where the oracle's product of table spaces stays small
 _GENERATED = {"Z2": ("f", "g"), "GF3": ("f", "g"), "Z4": ("f",),
@@ -373,14 +399,9 @@ def test_solve_matches_scalar_brute_oracle(lhs, rhs, ring_name):
     """The vectorized search agrees with plain scalar enumeration on
     arbitrary generated equations (pivoted or not)."""
     ring = {"z2": fnq.zn(2), "gf3": fnq.gf(3)}[ring_name]
-    functions = []
-    params = []
-    from fnq.eqdsl import _collect_names
-    _collect_names(lhs, functions, params)
-    _collect_names(rhs, functions, params)
-    ast = EquationAst(lhs, rhs, tuple(functions), tuple(params))
-    bound = {"lam": 1} if "lam" in params else {}
-    ss = solve(SolveTask(ast, ring, {n: ARBITRARY for n in functions},
+    ast = _generated_ast(lhs, rhs)
+    bound = {"lam": 1} if "lam" in ast.free_params else {}
+    ss = solve(SolveTask(ast, ring, {n: ARBITRARY for n in ast.free_functions},
                          params=bound))
     got = solutions_as_tuples(ss)
     expected = brute_solutions(ring, ast, params=bound)
@@ -425,16 +446,55 @@ def test_solve_matches_scalar_brute_oracle_on_generated_tasks(task):
     them), two unknowns, nested unknowns, parameters and every class."""
     ring_name, lhs, rhs, kinds = task
     ring = carrier(ring_name)
-    functions = []
-    params = []
-    from fnq.eqdsl import _collect_names
-    _collect_names(lhs, functions, params)
-    _collect_names(rhs, functions, params)
-    ast = EquationAst(lhs, rhs, tuple(functions), tuple(params))
-    bound = {"lam": 1} if "lam" in params else {}
-    classes = {n: class_of(kinds[n], ring) for n in functions}
+    ast = _generated_ast(lhs, rhs)
+    bound = {"lam": 1} if "lam" in ast.free_params else {}
+    classes = {n: class_of(kinds[n], ring) for n in ast.free_functions}
     tables = ut2_2_additive_tables(ring) if ring_name == "UT2(2)" else None
     ss = solve(SolveTask(ast, ring, classes, params=bound))
     got = solutions_as_tuples(ss)
     expected = brute_solutions(ring, ast, bound, classes, tables)
     assert got == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(task=generated_tasks(), data=st.data())
+def test_residual_matches_reference_and_grid_on_generated_tasks(task, data):
+    """The compiled scalar re-verifier lists the same violating pairs as
+    the reference walk, and its verdict is the grid evaluator's, on
+    arbitrary tables (the zero map among them, which often solves)."""
+    ring_name, lhs, rhs, _ = task
+    ring = carrier(ring_name)
+    ast = _generated_ast(lhs, rhs)
+    m = len(ring.domain_elements)
+    values = st.one_of(
+        st.just((ring.zero,) * m),
+        st.tuples(*[st.integers(0, ring.size - 1)] * m))
+    tables = {n: data.draw(values) for n in ast.free_functions}
+    params = {"lam": 1} if "lam" in ast.free_params else {}
+    binding = Binding(functions={n: FnTable(ring, ring, v)
+                                 for n, v in tables.items()}, params=params)
+    bad = residual(ast, binding, ring)
+    assert bad == reference_residual(ast, binding, ring)
+    grid = grid_satisfies(PairConstraint(ast), ring, ring,
+                          {n: np.asarray([v]) for n, v in tables.items()},
+                          params)
+    assert bool(grid[0]) == (bad == [])
+
+
+@pytest.mark.parametrize("text,params,error", [
+    ("f(x+1)=f(x)", {}, EvalDomainError),      # x+1 leaves {0,2,4}
+    ("f(f(x))=x", {}, EvalDomainError),         # f(0)=1 lies outside
+    ("f(x+1)=lam", {}, EvalDomainError),        # the left side fails first
+    ("lam=f(x+1)", {}, UnboundName),            # the unbound name first
+    ("f(x*y)=lam*x", {}, UnboundName),
+    ("g(x)=f(x)", {}, UnboundName),
+])
+def test_residual_errors_match_reference(text, params, error):
+    ring = carrier("Z6{0,2,4}")
+    ast = parse_equation(text)
+    binding = Binding(functions={"f": FnTable(ring, ring, (1, 0, 0))},
+                      params=params)
+    with pytest.raises(error):
+        reference_residual(ast, binding, ring)
+    with pytest.raises(error):
+        residual(ast, binding, ring)
