@@ -7,10 +7,17 @@ the worker count never changes the output.  The environment variable
 ``FNQ_BUDGET`` overrides the default pair budget when ``--budget`` is not
 given; either must be a positive integer.  Without either, ``solve`` and
 ``enumerate`` use the solver's default and ``verify`` the checks' own.
+
+The argument parser is built once per process, on the first call of
+:func:`main`, and reused by every later call: ``parse_args`` returns a fresh
+namespace and leaves the parser unchanged, no default is mutable, and the
+budget and the help width are read when they are used, not when the parser
+is built.  Importing the module builds nothing.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -273,6 +280,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.holds() else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fnq",

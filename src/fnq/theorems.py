@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import islice, product as iproduct
+from math import prod
 
 import numpy as np
 
@@ -168,8 +169,9 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
 
     Forward: every brute-force solution h maps to a multiplicative function
     under h -> eps*h + id.  Backward: for every multiplicative m, every
-    pointwise solution h of eps*h = m - id satisfies the equation (preimages
-    are enumerated when eps is not invertible).  When eps is a unit the two
+    pointwise solution h of eps*h = m - id satisfies the equation.  The
+    non-solutions among these preimages are counted exactly; the first few
+    are enumerated as counterexamples.  When eps is a unit the two
     directions form a bijection and the counts are compared.
     """
     if eps == ring.zero:
@@ -184,10 +186,12 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
 
     counterexamples: list = []
     witnesses = []
+    shifted_to_multiplicative = 0
     for binding in sols.solutions:
         h = binding.functions["h"]
         shifted = multiplicative_shift(h, eps)
         if in_class(shifted, MULTIPLICATIVE):
+            shifted_to_multiplicative += 1
             if len(witnesses) < _WITNESS_LIMIT:
                 witnesses.append(
                     FamilyTag("SofyShift", {"eps": eps},
@@ -215,28 +219,26 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
         elems = np.asarray(ring.domain_elements, dtype=np.int64)
         preimage = [[w for w in range(ring.size) if int(ring.mul[eps, w]) == t]
                     for t in range(ring.size)]
-        backward_ok = True
-        capped = False
-        backward_violations = 0
-        for mt in mult_maps:
-            targets = [ring.sub(v, int(e)) for v, e in zip(mt.values, elems)]
-            options = [preimage[t] for t in targets]
-            count = 1
-            for opt in options:
-                count *= len(opt)
-            if count == 0:
-                continue  # this multiplicative map is not a shift of any h
-            if count > _BACKWARD_CAP:
-                capped = True
+        options_of = [[preimage[ring.sub(v, int(e))]
+                       for v, e in zip(mt.values, elems)] for mt in mult_maps]
+        sizes = [prod(len(opt) for opt in options) for options in options_of]
+        # The preimage sets P(m) = {h : eps*h = m - id} are disjoint, and a
+        # solution lies in one exactly when its shift is multiplicative, so
+        # the non-solutions among them are counted without enumerating any.
+        backward_violations = sum(sizes) - shifted_to_multiplicative
+        backward_ok = backward_violations == 0
+        # the sample of counterexamples enumerates the sets in order, skipping
+        # those above the cap, until it is full
+        for mt, options, count in zip(mult_maps, options_of, sizes):
+            if backward_ok or len(counterexamples) >= _WITNESS_LIMIT:
+                break
+            if count == 0 or count > _BACKWARD_CAP:
                 continue
             candidates = np.asarray(list(iproduct(*options)), dtype=np.int64)
             mask = batch_satisfies(ast, ring, {}, {"h": candidates},
                                    {"e": eps})
-            for bad in np.nonzero(~mask)[0]:
-                backward_ok = False
-                backward_violations += 1
-                if len(counterexamples) >= _WITNESS_LIMIT:
-                    continue
+            room = _WITNESS_LIMIT - len(counterexamples)
+            for bad in np.nonzero(~mask)[0][:room]:
                 h_vals = [int(v) for v in candidates[bad]]
                 bind = Binding(functions={"h": FnTable(ring, ring, tuple(h_vals))},
                                params={"e": eps})
@@ -246,7 +248,8 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
                     "h": h_vals,
                     "violations": residual(ast, bind, ring)[:5],
                 })
-        details["backward_enumeration_capped"] = capped
+        details["backward_enumeration_capped"] = any(
+            count > _BACKWARD_CAP for count in sizes)
         details["backward_violation_count"] = backward_violations
         if eps_is_unit:
             shifts = {multiplicative_shift(b.functions["h"], eps).values
@@ -394,14 +397,19 @@ def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassificatio
     its class, so nothing is matched heuristically.  Ties between families
     resolve to the lowest rank.
     """
-    ring = f.domain
-    scalars = f.codomain
-    _require_field(scalars)
+    _require_field(f.codomain)
     binding = Binding(functions={"f": f, "h": h, "k": k}, params={})
-    bad = residual(pexider_equation(), binding, ring)
+    bad = residual(pexider_equation(), binding, f.domain)
     if bad:
         raise ResidualNonzero("the triple does not solve the equation", bad)
+    return _classify_solution(f, h, k)
 
+
+def _classify_solution(f: FnTable, h: FnTable,
+                       k: FnTable) -> PexiderClassification:
+    """:func:`classify_pexider` for a triple known to solve the equation."""
+    ring = f.domain
+    scalars = f.codomain
     ident = identity_map(ring)
     elems = np.asarray(ring.domain_elements, dtype=np.int64)
     one_pos = int(ring.position[ring.one])
@@ -597,9 +605,10 @@ def verify_pexider(field_ring: Ring, per_family_cap: int = 200,
     counterexamples: list = []
     for binding in sols.solutions:
         try:
-            cls = classify_pexider(binding.functions["f"],
-                                   binding.functions["h"],
-                                   binding.functions["k"])
+            # solve has already checked every triple at every pair
+            cls = _classify_solution(binding.functions["f"],
+                                     binding.functions["h"],
+                                     binding.functions["k"])
             histogram[cls.tag.name] = histogram.get(cls.tag.name, 0) + 1
         except Unclassifiable as exc:
             unclassifiable += 1

@@ -162,6 +162,29 @@ def is_homo_deriv_at(ring, values, x, y, eps):
     return table_at(ring, values, p) == rhs
 
 
+def thm4_backward_violations(ring, eps):
+    """Maps h whose shift eps*h + id is multiplicative but which do not
+    solve the shifted homo-derivation equation, by brute force.
+
+    The pair checks are those of ``is_multiplicative_at`` and
+    ``is_homo_deriv_at`` on plain lists, which keeps Z6's 6**6 maps per
+    shift constant under a second."""
+    add, mul = ring.add.tolist(), ring.mul.tolist()
+    elems = ring.domain_elements
+    at = {x: i for i, x in enumerate(elems)}
+    # (x, y, x*y) as positions in the value vector, with x and y themselves
+    pairs = [(at[x], at[y], at[mul[x][y]], x, y) for x in elems for y in elems]
+    count = 0
+    for h in brute_tables(ring):
+        m = [add[mul[eps][v]][x] for v, x in zip(h, elems)]
+        if (all(m[p] == mul[m[i]][m[j]] for i, j, p, _, _ in pairs)
+                and not all(h[p] == add[add[mul[h[i]][y]][mul[x][h[j]]]]
+                                       [mul[eps][mul[h[i]][h[j]]]]
+                            for i, j, p, x, y in pairs)):
+            count += 1
+    return count
+
+
 def domain_units(ring):
     """Units of the declared domain, by a scalar scan."""
     elems = ring.domain_elements

@@ -1,7 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fnq
+from fnq import cli
 from fnq.cli import main
 
 
@@ -253,3 +260,71 @@ def test_shift_constant_at_the_top_of_the_carrier(capsys):
                            "--class", "homo-deriv-sofy:3", "--out", "json")
     assert code == 0
     assert json.loads(out)["class"] == "homo-deriv-sofy:3"
+
+
+_Z2 = '{"kind":"Zn","n":2}'
+_Z3 = '{"kind":"Zn","n":3}'
+_MULT = "f(x*y)=f(x)*f(y)"
+# every kind of call main answers: reports in each format, a check, a
+# listing, a syntax error, usage errors and help, interleaved
+_INTERLEAVED = (
+    ("solve", "--ring", _Z3, "--eq", _MULT, "--out", "json"),
+    ("verify", "thm4", "--ring", _Z2, "--eps", "1", "--out", "json"),
+    ("solve", "--ring", _Z3, "--eq", _MULT, "--out", "csv"),
+    ("solve",),
+    ("enumerate", "--ring", _Z2, "--class", "multiplicative"),
+    ("solve", "--ring", _Z3, "--eq", "f(x*y)=", "--json-errors"),
+    ("--help",),
+    ("solve", "--ring", _Z3, "--eq", _MULT, "--param", "a=1", "--out", "text"),
+    ("verify", "bogus"),
+    ("solve", "--ring", _Z3, "--eq", "f(x*y)="),
+    ("verify", "--help"),
+    ("verify", "thm4", "--ring", _Z2, "--eps", "1", "--out", "text"),
+)
+
+
+def _run_all(capsys, calls):
+    results = []
+    for argv in calls:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        reused = _run_all(capsys, _INTERLEAVED)
+    finally:
+        cli._build_parser.cache_clear()
+    # the top-level parser and each subcommand's parser, once each
+    assert built.count("fnq") == 1
+    assert len(built) == len(set(built))
+
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _run_all(capsys, _INTERLEAVED)
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 2, 0, 0, 2, 2,
+                                               0, 0]
+
+
+def test_python_m_fnq_matches_the_in_process_call(capsys):
+    argv = ["verify", "thm4", "--ring", _Z2, "--eps", "1", "--out", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    src = str(Path(fnq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "fnq", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode() == b""

@@ -15,7 +15,7 @@ from fnq.theorems import (DEFAULT_CHECK_BUDGET, annihilator_witness,
                           verify_alien, verify_mp, verify_pexider,
                           verify_sofy, verify_thm5_symbolic)
 
-from conftest import is_homo_deriv_at
+from conftest import is_homo_deriv_at, thm4_backward_violations
 
 
 def test_thm4_z2_bijection(z2):
@@ -56,6 +56,53 @@ def test_thm4_zero_divisor_probe_reports(z6):
         ce = report.counterexamples[0]
         assert ce["direction"] == "backward"
         assert ce["violations"]
+
+
+@pytest.mark.parametrize("ring", [fnq.zn(4), fnq.zn(6), fnq.poly_quot(2, 2),
+                                  fnq.product(fnq.zn(2), fnq.zn(2))],
+                         ids=["Z4", "Z6", "F2[x]/(x^2)", "Z2xZ2"])
+def test_thm4_backward_count_matches_brute_force(ring):
+    for eps in ring.center:
+        if eps == ring.zero:
+            continue
+        report = verify_sofy(ring, eps)
+        count = report.details["backward_violation_count"]
+        assert count == thm4_backward_violations(ring, eps)
+        assert report.backward_ok == (count == 0)
+        # a finite ring's converse holds exactly for unit shift constants
+        assert report.backward_ok == report.details["eps_is_unit"]
+
+
+@pytest.mark.parametrize("n, eps, count", [
+    (6, 3, 3_640), (8, 2, 12_272), (8, 4, 524_272), (9, 3, 177_138)])
+def test_thm4_backward_count_matches_the_enumerated_one(n, eps, count):
+    # the counts the full preimage enumeration reports on these rings
+    ring = fnq.zn(n)
+    report = verify_sofy(ring, eps, budget=10 ** 30)
+    assert report.details["backward_violation_count"] == count
+    assert not report.details["backward_enumeration_capped"]
+    assert not report.backward_ok and not report.holds()
+    sample = [ce for ce in report.counterexamples
+              if ce["direction"] == "backward"]
+    assert len(sample) == 20
+    for ce in sample:
+        h = FnTable(ring, ring, tuple(ce["h"]))
+        assert multiplicative_shift(h, eps).values == tuple(ce["m"])
+        bind = fnq.eqdsl.Binding(functions={"h": h}, params={"e": eps})
+        assert ce["violations"] == residual(
+            fnq.theorems.homo_derivation_equation(), bind, ring)[:5] != []
+
+
+def test_thm4_converse_fails_on_capped_preimage_sets():
+    # eps = 5 in Z10: preimage sets of up to 5**10 maps, too many to
+    # enumerate, still count towards the verdict
+    ring = fnq.zn(10)
+    report = verify_sofy(ring, 5, budget=10 ** 30)
+    assert report.forward_ok
+    assert report.details["backward_enumeration_capped"]
+    assert report.details["backward_violation_count"] == 48_828_120
+    assert report.backward_ok is False
+    assert not report.holds()
 
 
 def test_thm4_argument_guards(z6, ut2_2):
