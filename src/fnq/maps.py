@@ -142,26 +142,34 @@ def in_class(f: FnTable, cls: FunctionClass) -> bool:
     An identity reading a domain element outside an argument holds for no
     map between rings that do not share their tables.
     """
-    return _holds(f, cls, {})
+    return bool(class_mask(f.domain, f.codomain, f.as_array()[None, :], cls)[0])
 
 
-def _holds(f: FnTable, cls: FunctionClass, seen: dict) -> bool:
-    """:func:`in_class`, evaluating each constraint once per ``seen``: a
-    constraint of ``class_constraints(f.domain, "f", ...)`` is fixed by its
-    equation and the values of that equation's parameters."""
-    tables = {"f": f.as_array()[None, :]}
+def class_mask(domain: Ring, codomain: Ring, rows: np.ndarray,
+               cls: FunctionClass, seen: dict | None = None) -> np.ndarray:
+    """:func:`in_class` for each row of value vectors: one grid evaluation
+    per class constraint over all rows.
+
+    ``seen`` caches each constraint's mask over the same rows: a constraint
+    of ``class_constraints(domain, "f", ...)`` is fixed by its equation and
+    the values of that equation's parameters.  A class identity reads no
+    unknown inside an argument, so an argument outside the declared domain
+    fails every row alike.
+    """
+    seen = {} if seen is None else seen
+    ok = np.ones(len(rows), dtype=bool)
     try:
-        for c in class_constraints(f.domain, "f", cls):
+        for c in class_constraints(domain, "f", cls):
+            if not ok.any():
+                break
             key = (c.equation,
                    tuple(c.params[p] for p in c.equation.free_params))
             if key not in seen:
-                seen[key] = bool(grid_satisfies(c, f.domain, f.codomain,
-                                                tables, {})[0])
-            if not seen[key]:
-                return False
+                seen[key] = grid_satisfies(c, domain, codomain, {"f": rows}, {})
+            ok &= seen[key]
     except EvalDomainError:
-        return False
-    return True
+        ok[:] = False
+    return ok
 
 
 def classify_map(f: FnTable) -> set[FunctionClass]:
@@ -172,11 +180,15 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
     produces its own parameterized tag.
     """
     seen: dict = {}
-    tags = {cls for cls in _NAMED.values() if _holds(f, cls, seen)}
+    rows = f.as_array()[None, :]
+
+    def holds(cls: FunctionClass) -> bool:
+        return bool(class_mask(f.domain, f.codomain, rows, cls, seen)[0])
+
+    tags = {cls for cls in _NAMED.values() if holds(cls)}
     if ADDITIVE in tags and same_carrier(f.domain, f.codomain):
         tags |= {homo_deriv_sofy(eps) for eps in f.codomain.center
-                 if eps != f.codomain.zero
-                 and _holds(f, homo_deriv_sofy(eps), seen)}
+                 if eps != f.codomain.zero and holds(homo_deriv_sofy(eps))}
     return tags
 
 

@@ -22,23 +22,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import islice, product as iproduct
+from itertools import product as iproduct
 from math import prod
 
 import numpy as np
 
 from .algebra import Ring
-from .eqdsl import Binding, EquationAst, parse_equation
+from .eqdsl import (Binding, EquationAst, PairConstraint, grid_satisfies,
+                    parse_equation)
 from .errors import (BothZero, EpsilonZero, NotAField, NotCentral,
                      ResidualNonzero, Unclassifiable)
-from .maps import (ARBITRARY, FnTable, LEIBNIZ, MULTIPLICATIVE,
-                   enumerate_maps, filter_tables, id_digits, identity_map,
-                   in_class, leibniz_equation, lin_rank, linear_combination,
+from .maps import (ARBITRARY, FnTable, LEIBNIZ, MULTIPLICATIVE, class_mask,
+                   enumerate_maps, filter_tables, leibniz_equation,
                    multiplicative_equation, tables_from_ids, zero_map)
-from .solver import SolveTask, batch_satisfies, residual, solve
+from .solver import SolveTask, residual, solve
 
 _BACKWARD_CAP = 10 ** 6
 _WITNESS_LIMIT = 20
+# rows of one block of the lazy walks over preimage and annihilator sets
+_SAMPLE_CHUNK = 1 << 12
 # scans a check may run without an explicit override; large carriers fail
 # loudly instead of starting day-long enumerations
 DEFAULT_CHECK_BUDGET = 2 * 10 ** 9
@@ -127,6 +129,41 @@ def _ring_doc(ring: Ring) -> dict:
             "hash": ring.table_hash}
 
 
+def _table(ring: Ring, vals) -> FnTable:
+    return FnTable(ring, ring, tuple(int(v) for v in vals))
+
+
+def _value_rows(bindings: list[Binding], name: str, m: int) -> np.ndarray:
+    """The (N, m) value rows of one unknown across solution bindings."""
+    return np.array([b.functions[name].values for b in bindings],
+                    dtype=np.int64).reshape(len(bindings), m)
+
+
+def _row_ids(rows: np.ndarray, q: int) -> np.ndarray:
+    """Base-q candidate ids of value rows (first position most
+    significant), kept exact past int64 as Python integers."""
+    m = rows.shape[1]
+    dtype = np.int64 if q ** m <= np.iinfo(np.int64).max else object
+    weights = np.array([q ** (m - 1 - j) for j in range(m)], dtype=dtype)
+    return rows.astype(dtype) @ weights
+
+
+def _product_blocks(options: list[list[int]], max_rows: int):
+    """The product of per-position option lists, lazily and in
+    lexicographic order, as blocks of value rows: each block fixes a prefix
+    and runs through the longest suffix of at most ``max_rows`` rows (at
+    least the last position)."""
+    split = len(options) - 1
+    while split > 0 and prod(len(o) for o in options[split - 1:]) <= max_rows:
+        split -= 1
+    grids = np.meshgrid(*(np.asarray(o, dtype=np.int64)
+                          for o in options[split:]), indexing="ij")
+    tail = np.stack([g.ravel() for g in grids], axis=1)
+    for head in iproduct(*options[:split]):
+        yield np.hstack([np.broadcast_to(np.array(head, dtype=np.int64),
+                                         (len(tail), split)), tail])
+
+
 @dataclass
 class FamilyTag:
     """Which parametric family a solution belongs to, with witnesses.
@@ -183,23 +220,21 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
     task = SolveTask(ast=ast, ring=ring, classes={"h": ARBITRARY},
                      params={"e": eps}, budget=budget)
     sols = solve(task)
+    elems = np.asarray(ring.domain_elements, dtype=np.int64)
+    hs = _value_rows(sols.solutions, "h", m)
+    shifts = ring.add[ring.mul[eps, hs], elems]
+    multiplicative = class_mask(ring, ring, shifts, MULTIPLICATIVE)
 
     counterexamples: list = []
     witnesses = []
-    shifted_to_multiplicative = 0
-    for binding in sols.solutions:
-        h = binding.functions["h"]
-        shifted = multiplicative_shift(h, eps)
-        if in_class(shifted, MULTIPLICATIVE):
-            shifted_to_multiplicative += 1
-            if len(witnesses) < _WITNESS_LIMIT:
-                witnesses.append(
-                    FamilyTag("SofyShift", {"eps": eps},
-                              {"m": shifted}).to_json() | {"h": list(h.values)})
-        else:
-            counterexamples.append({"direction": "forward",
-                                    "h": list(h.values),
-                                    "shift": list(shifted.values)})
+    for h_vals, shift, ok in zip(hs.tolist(), shifts.tolist(), multiplicative):
+        if not ok:
+            counterexamples.append({"direction": "forward", "h": h_vals,
+                                    "shift": shift})
+        elif len(witnesses) < _WITNESS_LIMIT:
+            witnesses.append(FamilyTag("SofyShift", {"eps": eps},
+                                       {"m": _table(ring, shift)}).to_json()
+                             | {"h": h_vals})
     forward_ok = not counterexamples
 
     eps_is_unit = eps in set(ring.units)
@@ -216,7 +251,6 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
         mult_maps = list(enumerate_maps(ring, ring, MULTIPLICATIVE,
                                         budget=max(budget // (m * m), 1)))
         predicted_count = len(mult_maps)
-        elems = np.asarray(ring.domain_elements, dtype=np.int64)
         preimage = [[w for w in range(ring.size) if int(ring.mul[eps, w]) == t]
                     for t in range(ring.size)]
         options_of = [[preimage[ring.sub(v, int(e))]
@@ -225,37 +259,37 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
         # The preimage sets P(m) = {h : eps*h = m - id} are disjoint, and a
         # solution lies in one exactly when its shift is multiplicative, so
         # the non-solutions among them are counted without enumerating any.
-        backward_violations = sum(sizes) - shifted_to_multiplicative
+        backward_violations = sum(sizes) - int(multiplicative.sum())
         backward_ok = backward_violations == 0
-        # the sample of counterexamples enumerates the sets in order, skipping
-        # those above the cap, until it is full
-        for mt, options, count in zip(mult_maps, options_of, sizes):
+        # The sample walks the sets in order, each in lexicographic order and
+        # in chunks, until it is full.  Every preimage is a candidate of the
+        # equation, so it is a non-solution exactly when its id is not among
+        # the solutions' ids.
+        sol_ids = _row_ids(hs, ring.size)
+        chunk = max(1, min(_SAMPLE_CHUNK, budget // (m * m)))
+        for mt, options in zip(mult_maps, options_of):
             if backward_ok or len(counterexamples) >= _WITNESS_LIMIT:
                 break
-            if count == 0 or count > _BACKWARD_CAP:
-                continue
-            candidates = np.asarray(list(iproduct(*options)), dtype=np.int64)
-            mask = batch_satisfies(ast, ring, {}, {"h": candidates},
-                                   {"e": eps})
-            room = _WITNESS_LIMIT - len(counterexamples)
-            for bad in np.nonzero(~mask)[0][:room]:
-                h_vals = [int(v) for v in candidates[bad]]
-                bind = Binding(functions={"h": FnTable(ring, ring, tuple(h_vals))},
-                               params={"e": eps})
-                counterexamples.append({
-                    "direction": "backward",
-                    "m": list(mt.values),
-                    "h": h_vals,
-                    "violations": residual(ast, bind, ring)[:5],
-                })
+            for block in _product_blocks(options, chunk):
+                room = _WITNESS_LIMIT - len(counterexamples)
+                if not room:
+                    break
+                bad = block[~np.isin(_row_ids(block, ring.size), sol_ids)]
+                for h_vals in bad[:room].tolist():
+                    bind = Binding(functions={"h": _table(ring, h_vals)},
+                                   params={"e": eps})
+                    counterexamples.append({
+                        "direction": "backward",
+                        "m": list(mt.values),
+                        "h": h_vals,
+                        "violations": residual(ast, bind, ring)[:5],
+                    })
         details["backward_enumeration_capped"] = any(
             count > _BACKWARD_CAP for count in sizes)
         details["backward_violation_count"] = backward_violations
         if eps_is_unit:
-            shifts = {multiplicative_shift(b.functions["h"], eps).values
-                      for b in sols.solutions}
-            details["bijection"] = (len(shifts) == len(sols.solutions)
-                                    == predicted_count)
+            details["bijection"] = (len(set(map(tuple, shifts.tolist())))
+                                    == len(sols.solutions) == predicted_count)
 
     return TheoremReport(theorem="thm4", ring=_ring_doc(ring),
                          params={"eps": eps},
@@ -321,14 +355,14 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
 
     # informational probe of the converse: annihilated image vs the system.
     # Each alpha probes every value vector inside its annihilator, in
-    # lexicographic order, skipping vectors an earlier alpha already probed.
-    # Every probed vector is a candidate of the system, so it satisfies the
-    # system exactly when its id is among the solutions' ids.
+    # lexicographic order and in blocks, skipping vectors an earlier alpha
+    # already probed.  Every probed vector is a candidate of the system, so
+    # it satisfies the system exactly when its id is among the solutions'
+    # ids.
     probed: list[np.ndarray] = []  # membership masks of probed annihilators
     backward_bad = 0
     backward_sample: list = []
     m = len(ring.domain_elements)
-    weights = ring.size ** np.arange(m - 1, -1, -1, dtype=np.int64)
     capped = False
     for alpha in range(ring.size):
         if alpha == ring.zero:
@@ -336,20 +370,16 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
         member = ((ring.mul[alpha, :] == ring.zero)
                   & (ring.mul[:, alpha] == ring.zero))
         ann = np.flatnonzero(member)
-        count = len(ann) ** m
-        if count > _BACKWARD_CAP:
+        if len(ann) ** m > _BACKWARD_CAP:
             capped = True
             continue
-        batch = ann[id_digits(np.arange(count), m, len(ann))]
-        for mask in probed:
-            batch = batch[~mask[batch].all(axis=1)]
+        for batch in _product_blocks([ann] * m, _SAMPLE_CHUNK):
+            for mask in probed:
+                batch = batch[~mask[batch].all(axis=1)]
+            bad = batch[~np.isin(_row_ids(batch, ring.size), sol_ids)]
+            backward_bad += len(bad)
+            backward_sample += bad[:5 - len(backward_sample)].tolist()
         probed.append(member)
-        if not len(batch):
-            continue
-        ok = np.isin(batch @ weights, sol_ids)
-        bad = batch[~ok]
-        backward_bad += len(bad)
-        backward_sample += bad[:5 - len(backward_sample)].tolist()
     details["backward_informational"] = True
     details["backward_counterexample_count"] = backward_bad
     details["backward_sample"] = backward_sample
@@ -378,13 +408,28 @@ def _require_field(scalars: Ring) -> None:
             f"classification needs field scalars, got size {scalars.size}")
 
 
-def _table(ring: Ring, vals: np.ndarray) -> FnTable:
-    return FnTable(ring, ring, tuple(int(v) for v in vals))
-
-
 # the class each family witness must lie in; rebuilding the triple from
 # the family's parameters does not imply it
 _WITNESS_CLASSES = {"delta": LEIBNIZ, "m": MULTIPLICATIVE}
+
+
+@dataclass
+class _Fit:
+    """One row's family, parameters and witness value rows."""
+
+    name: str
+    params: dict[str, int]
+    witnesses: dict[str, np.ndarray]
+    rank: int
+
+
+def _classification_details(scalars: Ring) -> dict:
+    details: dict = {"characteristic": scalars.char}
+    if scalars.char == 2:
+        details["completeness_caveat"] = (
+            "characteristic 2: family fit is exact but the family list is "
+            "only known complete away from characteristic 2")
+    return details
 
 
 def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassification:
@@ -392,104 +437,154 @@ def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassificatio
 
     Dispatches on the rank of {id, h, k} over the scalar field.  Each branch
     reads the family parameters and generator witnesses off the value
-    vectors; the instance :func:`pexider_family_binding` builds from them
-    must reproduce the input triple exactly, and each witness must lie in
-    its class, so nothing is matched heuristically.  Ties between families
-    resolve to the lowest rank.
+    vectors; the instance the family builder makes from them must reproduce
+    the input triple exactly, and each witness must lie in its class, so
+    nothing is matched heuristically.  Ties between families resolve to the
+    lowest rank.  After checking that the triple solves the equation, this
+    is the row-wise classifier :func:`verify_pexider` runs on all solutions
+    at once, applied to one row.
     """
     _require_field(f.codomain)
     binding = Binding(functions={"f": f, "h": h, "k": k}, params={})
     bad = residual(pexider_equation(), binding, f.domain)
     if bad:
         raise ResidualNonzero("the triple does not solve the equation", bad)
-    return _classify_solution(f, h, k)
-
-
-def _classify_solution(f: FnTable, h: FnTable,
-                       k: FnTable) -> PexiderClassification:
-    """:func:`classify_pexider` for a triple known to solve the equation."""
     ring = f.domain
-    scalars = f.codomain
-    ident = identity_map(ring)
+    (fit,) = _classify_rows(ring, *(t.as_array()[None, :] for t in (f, h, k)))
+    if isinstance(fit, str):
+        raise Unclassifiable(fit)
+    witnesses = {n: _table(ring, v) for n, v in fit.witnesses.items()}
+    return PexiderClassification(FamilyTag(fit.name, fit.params, witnesses),
+                                 fit.rank, _classification_details(f.codomain))
+
+
+def _classify_rows(ring: Ring, f: np.ndarray, h: np.ndarray,
+                   k: np.ndarray) -> list[_Fit | str]:
+    """The family fit of each solution triple (f, h, k), given as (N, m)
+    value rows, or the reason the triple is unclassifiable.
+
+    The rank of {id, h, k} and the pairwise dependences come off each row:
+    h lies in span{id} exactly when h = h(1)*id; h = lam*k is read at k's
+    first nonzero position; k = a*id + b*h is solved at 1 and at the first
+    position where h leaves span{id}, then checked everywhere.  The branches
+    are taken in order, lowest rank first.  A row is accepted only if the
+    family builder rebuilds f, h and k from its parameters and witnesses and
+    every witness lies in its class.
+    """
+    add, mul, neg, inv = ring.add, ring.mul, ring.neg, ring.inverse
+    zero, one = ring.zero, ring.one
     elems = np.asarray(ring.domain_elements, dtype=np.int64)
-    one_pos = int(ring.position[ring.one])
-    add, mul, neg, inv = scalars.add, scalars.mul, scalars.neg, scalars.inverse
-    details: dict = {"characteristic": scalars.char}
-    if scalars.char == 2:
-        details["completeness_caveat"] = (
-            "characteristic 2: family fit is exact but the family list is "
-            "only known complete away from characteristic 2")
+    at = np.arange(len(f))
+    one_pos = int(ring.position[one])
 
-    r = lin_rank([ident, h, k], scalars)
-    hv, kv = h.as_array(), k.as_array()
-    h1, k1 = int(hv[one_pos]), int(kv[one_pos])
+    def div(a, b):
+        # a/b, reading b = 0 as 1 on the rows where no branch uses it
+        return mul[a, inv[np.where(b == zero, one, b)]]
 
-    def fit(name, params, witnesses, reason):
-        built = pexider_family_binding(name, ring, params, witnesses).functions
-        if (any(built[n].values != t.values for n, t in zip("fhk", (f, h, k)))
-                or not all(in_class(w, _WITNESS_CLASSES[n])
-                           for n, w in witnesses.items())):
-            raise Unclassifiable(reason)
-        return PexiderClassification(FamilyTag(name, params, witnesses), r,
-                                     details)
+    def col(v):
+        return v[:, None]
 
-    if r == 1:
-        return fit("AllLinear", {"lam1": h1, "lam2": k1}, {},
-                   "rank-1 triple is not a pair of scalings")
-    if r == 3:
-        # The only rank-3 family, NonDegenerate, needs a nonzero logarithmic
-        # map l.  Over GF(q) such a map is a homomorphism from the unit
-        # group, of order q-1, into (GF(q), +), where every nonzero element
-        # has order p, the characteristic; p does not divide q-1, so l = 0
-        # and no extraction can succeed.
-        raise Unclassifiable("rank-3 triple admits no consistent extraction")
+    h1, k1 = h[:, one_pos], k[:, one_pos]
+    h_off = mul[col(h1), elems] != h
+    h_lin = ~h_off.any(axis=1)
+    k_lin = (mul[col(k1), elems] == k).all(axis=1)
+    p = np.argmax(h_off, axis=1)
+    b = div(add[k[at, p], neg[mul[elems[p], k1]]],
+            add[h[at, p], neg[mul[h1, elems[p]]]])
+    a = add[k1, neg[mul[b, h1]]]
+    in_span = (add[mul[col(a), elems], mul[col(b), h]] == k).all(axis=1)
+    p = np.argmax(k != zero, axis=1)
+    lam = div(h[at, p], k[at, p])
+    proportional = (mul[col(lam), k] == h).all(axis=1)
+    rank = np.where(h_lin & k_lin, 1, np.where(h_lin | k_lin | in_span, 2, 3))
 
-    if lin_rank([ident, h], scalars) == 1:
-        delta = _table(ring, add[kv, neg[mul[k1, elems]]])
-        return fit("LinearPlusLeibniz", {"lam": h1, "k1": k1},
-                   {"delta": delta}, "dependent {id,h} but no Leibniz remainder")
-    if lin_rank([ident, k], scalars) == 1:
-        if h1 == scalars.zero:
-            raise Unclassifiable("vanishing h(1) with nonlinear h")
-        return fit("MultiplicativeSquare", {"h1": h1, "lam": k1},
-                   {"m": _table(ring, mul[int(inv[h1]), hv])},
-                   "dependent {id,k} but no multiplicative core")
-    if lin_rank([h, k], scalars) == 1:
-        # h = lam * k with both outside span{id}
-        pivot_idx = next(i for i in range(len(kv)) if kv[i] != scalars.zero)
-        lam = int(mul[int(hv[pivot_idx]), int(inv[kv[pivot_idx]])])
-        u = int(inv[mul[lam, lam]])
-        gamma = int(add[k1, u])
-        if gamma == scalars.zero:
-            raise Unclassifiable("degenerate mixed family (gamma = 0)")
-        mwit = _table(ring, mul[int(inv[gamma]), add[kv, mul[u, elems]]])
-        return fit("LambdaKFamilyB", {"lam": lam, "gamma": gamma}, {"m": mwit},
-                   "dependent {h,k} but no multiplicative core")
+    u = div(one, mul[lam, lam])
+    gamma = add[k1, u]
     # no dependent pair at rank 2: h = b1*id + b2*m and k = g1*id + g2*m with
     # g2 = -b1*b2, so k = (g1 + b1^2)*id - b1*h, and m(1) = 1 for the
     # multiplicative m != 0 gives b2 = h(1) - b1
-    reason = "rank-2 triple admits no two-generator extraction"
-    coeffs = linear_combination(k, [ident, h], scalars)
-    if coeffs is None:
-        raise Unclassifiable(reason)
-    b1 = int(neg[coeffs[1]])
-    g1 = int(add[coeffs[0], neg[mul[b1, b1]]])
-    b2 = int(add[h1, neg[b1]])
-    if b2 == scalars.zero:
-        raise Unclassifiable(reason)
-    mwit = _table(ring, mul[int(inv[b2]), add[hv, neg[mul[b1, elems]]]])
-    return fit("TwoExponential",
-               {"b1": b1, "b2": b2, "g1": g1, "g2": int(add[k1, neg[g1]])},
-               {"m": mwit}, reason)
+    b1 = neg[b]
+    g1 = add[a, neg[mul[b1, b1]]]
+    b2 = add[h1, neg[b1]]
+    no_pair = "rank-2 triple admits no two-generator extraction"
+    rank2 = rank == 2
+    mixed = rank2 & ~h_lin & ~k_lin
+    # (family, rows, guard, params, witnesses, reason), in branch order
+    branches = (
+        ("AllLinear", rank == 1, None, {"lam1": h1, "lam2": k1}, {},
+         "rank-1 triple is not a pair of scalings"),
+        ("LinearPlusLeibniz", rank2 & h_lin, None, {"lam": h1, "k1": k1},
+         {"delta": add[k, neg[mul[col(k1), elems]]]},
+         "dependent {id,h} but no Leibniz remainder"),
+        ("MultiplicativeSquare", rank2 & ~h_lin & k_lin,
+         (h1 == zero, "vanishing h(1) with nonlinear h"),
+         {"h1": h1, "lam": k1}, {"m": div(h, col(h1))},
+         "dependent {id,k} but no multiplicative core"),
+        # h = lam*k with both outside span{id}
+        ("LambdaKFamilyB", mixed & proportional,
+         (gamma == zero, "degenerate mixed family (gamma = 0)"),
+         {"lam": lam, "gamma": gamma},
+         {"m": div(add[k, mul[col(u), elems]], col(gamma))},
+         "dependent {h,k} but no multiplicative core"),
+        ("TwoExponential", mixed & ~proportional, (b2 == zero, no_pair),
+         {"b1": b1, "b2": b2, "g1": g1, "g2": add[k1, neg[g1]]},
+         {"m": div(add[h, neg[mul[col(b1), elems]]], col(b2))}, no_pair),
+    )
+    # The only rank-3 family, NonDegenerate, needs a nonzero logarithmic map
+    # l.  Over GF(q) such a map is a homomorphism from the unit group, of
+    # order q-1, into (GF(q), +), where every nonzero element has order p,
+    # the characteristic; p does not divide q-1, so l = 0 and no extraction
+    # can succeed.
+    reason = np.full(len(f), None, dtype=object)
+    reason[rank == 3] = "rank-3 triple admits no consistent extraction"
+    branch_of = np.full(len(f), -1)
+    members: dict = {}  # witness class -> [(rows, witness rows, reason)]
+    for i, (name, rows, guard, params, witnesses, why) in enumerate(branches):
+        if guard is not None:
+            reason[rows & guard[0]] = guard[1]
+            rows = rows & ~guard[0]
+        sel = np.flatnonzero(rows)
+        built = _family_rows(name, ring,
+                             {n: col(v[sel]) for n, v in params.items()},
+                             {n: w[sel] for n, w in witnesses.items()})
+        same = np.logical_and.reduce([(b == t[sel]).all(axis=1)
+                                      for b, t in zip(built, (f, h, k))])
+        reason[sel[~same]] = why
+        branch_of[sel] = i
+        for n, w in witnesses.items():
+            members.setdefault(_WITNESS_CLASSES[n], []).append(
+                (sel[same], w[sel[same]], why))
+    for cls, parts in members.items():
+        rows = np.concatenate([w for _, w, _ in parts])
+        member = class_mask(ring, ring, rows, cls)
+        start = 0
+        for sel, _, why in parts:
+            reason[sel[~member[start:start + len(sel)]]] = why
+            start += len(sel)
+
+    fits: list[_Fit | str] = []
+    for row, (why, i) in enumerate(zip(reason.tolist(), branch_of.tolist())):
+        if why is not None:
+            fits.append(why)
+            continue
+        name, _, _, params, witnesses, _ = branches[i]
+        fits.append(_Fit(name, {n: int(v[row]) for n, v in params.items()},
+                         {n: w[row] for n, w in witnesses.items()},
+                         int(rank[row])))
+    return fits
 
 
 # --------------------------------------------- pexider family instantiation
 
-def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
-                           witnesses: dict[str, FnTable] | None = None) -> Binding:
-    """Concrete (f, h, k) tables for one family instance."""
-    witnesses = witnesses or {}
-    _require_field(field_ring)
+def _family_rows(name: str, field_ring: Ring, params: dict[str, np.ndarray],
+                 witnesses: dict[str, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, h, k) value rows of family instances, one row per instance.
+
+    ``params`` are (N, 1) columns of elements and ``witnesses`` (N, m) value
+    rows; a single row broadcasts.  Each family's formulas are written here
+    and nowhere else.
+    """
     add, mul, neg, inv = (field_ring.add, field_ring.mul, field_ring.neg,
                           field_ring.inverse)
     elems = np.asarray(field_ring.domain_elements, dtype=np.int64)
@@ -501,62 +596,105 @@ def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
         lam1, lam2 = params["lam1"], params["lam2"]
         hv = scaled(lam1)
         kv = scaled(lam2)
-        fv = scaled(int(add[mul[lam1, lam1], add[lam2, lam2]]))
+        fv = scaled(add[mul[lam1, lam1], add[lam2, lam2]])
     elif name == "LinearPlusLeibniz":
         lam, k1 = params["lam"], params["k1"]
-        delta = witnesses["delta"].as_array()
+        delta = witnesses["delta"]
         hv = scaled(lam)
         kv = add[scaled(k1), delta]
-        fv = add[scaled(int(add[mul[lam, lam], add[k1, k1]])), delta]
+        fv = add[scaled(add[mul[lam, lam], add[k1, k1]]), delta]
     elif name == "MultiplicativeSquare":
         h1, lam = params["h1"], params["lam"]
-        mv = witnesses["m"].as_array()
+        mv = witnesses["m"]
         hv = mul[h1, mv]
         kv = scaled(lam)
-        fv = add[mul[int(mul[h1, h1]), mv], scaled(int(add[lam, lam]))]
+        fv = add[mul[mul[h1, h1], mv], scaled(add[lam, lam])]
     elif name == "LambdaKFamilyA":
         gamma, lam = params["gamma"], params["lam"]
         kv = scaled(gamma)
-        hv = scaled(int(mul[lam, gamma]))
-        coef = int(add[mul[int(mul[lam, lam]), int(mul[gamma, gamma])],
-                       add[gamma, gamma]])
+        hv = scaled(mul[lam, gamma])
+        coef = add[mul[mul[lam, lam], mul[gamma, gamma]], add[gamma, gamma]]
         fv = scaled(coef)
     elif name == "LambdaKFamilyB":
         gamma, lam = params["gamma"], params["lam"]
-        if lam == field_ring.zero:
+        if np.any(lam == field_ring.zero):
             raise ValueError("this family needs a nonzero ratio")
-        mv = witnesses["m"].as_array()
-        u = int(inv[mul[lam, lam]])
-        kv = add[mul[int(neg[u]), elems], mul[gamma, mv]]
+        mv = witnesses["m"]
+        u = inv[mul[lam, lam]]
+        kv = add[mul[neg[u], elems], mul[gamma, mv]]
         hv = mul[lam, kv]
-        coef = int(mul[int(mul[gamma, gamma]), int(mul[lam, lam])])
-        fv = add[mul[int(neg[u]), elems], mul[coef, mv]]
+        coef = mul[mul[gamma, gamma], mul[lam, lam]]
+        fv = add[mul[neg[u], elems], mul[coef, mv]]
     elif name == "TwoExponential":
         b1, b2, g1 = params["b1"], params["b2"], params["g1"]
-        g2 = int(neg[mul[b1, b2]])
-        mv = witnesses["m"].as_array()
+        g2 = neg[mul[b1, b2]]
+        mv = witnesses["m"]
         hv = add[scaled(b1), mul[b2, mv]]
         kv = add[scaled(g1), mul[g2, mv]]
-        fv = add[scaled(int(add[mul[b1, b1], add[g1, g1]])),
-                 mul[int(mul[b2, b2]), mv]]
+        fv = add[scaled(add[mul[b1, b1], add[g1, g1]]), mul[mul[b2, b2], mv]]
     elif name == "NonDegenerate":
         b2, b3 = params["b2"], params["b3"]
         g1, g2 = params["g1"], params["g2"]
-        g3 = int(neg[mul[b2, b3]])
-        mv = witnesses["m"].as_array()
-        lv = witnesses["l"].as_array()
+        g3 = neg[mul[b2, b3]]
+        mv = witnesses["m"]
+        lv = witnesses["l"]
         lid = mul[lv, elems]
         hv = add[scaled(b2), mul[b3, mv]]
         kv = add[add[mul[g1, lid], scaled(g2)], mul[g3, mv]]
-        fv = add[add[mul[g1, lid],
-                     scaled(int(add[mul[b2, b2], add[g2, g2]]))],
-                 mul[int(mul[b3, b3]), mv]]
+        fv = add[add[mul[g1, lid], scaled(add[mul[b2, b2], add[g2, g2]])],
+                 mul[mul[b3, b3], mv]]
     else:
         raise ValueError(f"unknown family {name!r}")
-    return Binding(functions={"f": _table(field_ring, fv),
-                              "h": _table(field_ring, hv),
-                              "k": _table(field_ring, kv)},
-                   params={})
+    shape = np.broadcast_shapes(fv.shape, hv.shape, kv.shape)
+    return tuple(np.broadcast_to(v, shape) for v in (fv, hv, kv))
+
+
+def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
+                           witnesses: dict[str, FnTable] | None = None) -> Binding:
+    """Concrete (f, h, k) tables for one family instance."""
+    _require_field(field_ring)
+    rows = _family_rows(
+        name, field_ring,
+        {n: np.array([[v]], dtype=np.int64) for n, v in params.items()},
+        {n: t.as_array()[None, :] for n, t in (witnesses or {}).items()})
+    return Binding(functions={n: _table(field_ring, r[0])
+                              for n, r in zip("fhk", rows)}, params={})
+
+
+def _closure_rows(field_ring: Ring, per_family_cap: int):
+    """(family name, (f, h, k) value rows) of each family's first
+    ``per_family_cap`` instances: the parameters vary in the order listed,
+    the witness fastest."""
+    n = field_ring.size
+    m = len(field_ring.domain_elements)
+
+    def witness_rows(cls):
+        return np.array([t.values for t in enumerate_maps(
+            field_ring, field_ring, cls, budget=n ** m)],
+            dtype=np.int64).reshape(-1, m)
+
+    leibniz = {"delta": witness_rows(LEIBNIZ)}
+    multiplicative = {"m": witness_rows(MULTIPLICATIVE)}
+    every = np.arange(n)
+    nonzero = every[every != field_ring.zero]
+    families = (
+        ("AllLinear", {"lam1": every, "lam2": every}, {}),
+        ("LinearPlusLeibniz", {"lam": every, "k1": every}, leibniz),
+        ("MultiplicativeSquare", {"h1": every, "lam": every}, multiplicative),
+        ("LambdaKFamilyA", {"gamma": every, "lam": every}, {}),
+        ("LambdaKFamilyB", {"lam": nonzero, "gamma": every}, multiplicative),
+        ("TwoExponential", {"b1": every, "b2": every, "g1": every},
+         multiplicative))
+    for name, params, witnesses in families:
+        axes = [*params.values(), *witnesses.values()]
+        sizes = [len(axis) for axis in axes]
+        index = np.unravel_index(np.arange(min(per_family_cap, prod(sizes))),
+                                 sizes)
+        picked = [axis[i] for axis, i in zip(axes, index)]
+        yield name, _family_rows(
+            name, field_ring,
+            {p: v[:, None] for p, v in zip(params, picked)},
+            dict(zip(witnesses, picked[len(params):])))
 
 
 def pexider_closure_samples(field_ring: Ring, per_family_cap: int = 200):
@@ -564,30 +702,17 @@ def pexider_closure_samples(field_ring: Ring, per_family_cap: int = 200):
 
     Yields (family name, binding) pairs covering every scalar parameter and
     every enumerated Leibniz / multiplicative witness; within a family the
-    parameters vary in the order listed, the witness fastest.
+    parameters vary in the order listed, the witness fastest.  Each family's
+    parameter-by-witness grid is built as value rows in one call of the
+    family builder; :func:`verify_pexider` checks the same rows in one grid
+    evaluation.
     """
     _require_field(field_ring)
-    n = field_ring.size
-    m = len(field_ring.domain_elements)
-    leibniz = [{"delta": t} for t in enumerate_maps(field_ring, field_ring,
-                                                    LEIBNIZ, budget=n ** m)]
-    multiplicative = [{"m": t} for t in enumerate_maps(
-        field_ring, field_ring, MULTIPLICATIVE, budget=n ** m)]
-    every = range(n)
-    nonzero = [c for c in every if c != field_ring.zero]
-    families = (
-        ("AllLinear", {"lam1": every, "lam2": every}, [{}]),
-        ("LinearPlusLeibniz", {"lam": every, "k1": every}, leibniz),
-        ("MultiplicativeSquare", {"h1": every, "lam": every}, multiplicative),
-        ("LambdaKFamilyA", {"gamma": every, "lam": every}, [{}]),
-        ("LambdaKFamilyB", {"lam": nonzero, "gamma": every}, multiplicative),
-        ("TwoExponential", {"b1": every, "b2": every, "g1": every},
-         multiplicative))
-    for name, params, witnesses in families:
-        for *values, wit in islice(iproduct(*params.values(), witnesses),
-                                   per_family_cap):
-            yield name, pexider_family_binding(
-                name, field_ring, dict(zip(params, values)), wit)
+    for name, rows in _closure_rows(field_ring, per_family_cap):
+        for triple in zip(*(r.tolist() for r in rows)):
+            yield name, Binding(functions={n: _table(field_ring, v)
+                                           for n, v in zip("fhk", triple)},
+                                params={})
 
 
 def verify_pexider(field_ring: Ring, per_family_cap: int = 200,
@@ -599,36 +724,36 @@ def verify_pexider(field_ring: Ring, per_family_cap: int = 200,
                      classes={"f": ARBITRARY, "h": ARBITRARY, "k": ARBITRARY},
                      budget=budget)
     sols = solve(task)
+    m = len(field_ring.domain_elements)
 
     histogram: dict[str, int] = {}
-    unclassifiable = 0
     counterexamples: list = []
-    for binding in sols.solutions:
-        try:
-            # solve has already checked every triple at every pair
-            cls = _classify_solution(binding.functions["f"],
-                                     binding.functions["h"],
-                                     binding.functions["k"])
-            histogram[cls.tag.name] = histogram.get(cls.tag.name, 0) + 1
-        except Unclassifiable as exc:
-            unclassifiable += 1
-            counterexamples.append({
-                "direction": "forward",
-                "reason": str(exc),
-                "f": list(binding.functions["f"].values),
-                "h": list(binding.functions["h"].values),
-                "k": list(binding.functions["k"].values)})
-    closure_failures = 0
-    samples = 0
-    for name, binding in pexider_closure_samples(field_ring, per_family_cap):
-        samples += 1
-        bad = residual(ast, binding, field_ring)
-        if bad:
-            closure_failures += 1
-            counterexamples.append({
-                "direction": "backward", "family": name,
-                "f": list(binding.functions["f"].values),
-                "violations": bad[:5]})
+    # solve has already checked every triple at every pair
+    found = [_value_rows(sols.solutions, n, m) for n in "fhk"]
+    for row, fit in enumerate(_classify_rows(field_ring, *found)):
+        if isinstance(fit, str):
+            counterexamples.append({"direction": "forward", "reason": fit,
+                                    **{n: v[row].tolist()
+                                       for n, v in zip("fhk", found)}})
+        else:
+            histogram[fit.name] = histogram.get(fit.name, 0) + 1
+    unclassifiable = len(counterexamples)
+
+    closure = list(_closure_rows(field_ring, per_family_cap))
+    families = [name for name, rows in closure for _ in range(len(rows[0]))]
+    samples = [np.concatenate([rows[i] for _, rows in closure])
+               for i in range(3)]
+    holds = grid_satisfies(PairConstraint(ast), field_ring, field_ring,
+                           dict(zip("fhk", samples)), {})
+    for row in np.flatnonzero(~holds):
+        binding = Binding(functions={n: _table(field_ring, v[row])
+                                     for n, v in zip("fhk", samples)},
+                          params={})
+        counterexamples.append({
+            "direction": "backward", "family": families[row],
+            "f": samples[0][row].tolist(),
+            "violations": residual(ast, binding, field_ring)[:5]})
+    closure_failures = int((~holds).sum())
     return TheoremReport(
         theorem="pexider", ring=_ring_doc(field_ring), params={},
         solutions_found=len(sols.solutions), predicted_count=None,
@@ -637,7 +762,7 @@ def verify_pexider(field_ring: Ring, per_family_cap: int = 200,
         counterexamples=counterexamples,
         details={"families": dict(sorted(histogram.items())),
                  "unclassifiable": unclassifiable,
-                 "closure_samples": samples,
+                 "closure_samples": len(families),
                  "closure_failures": closure_failures,
                  "enumerated_count": sols.enumerated_count,
                  "pruned_by_pivot": sols.pruned_by_pivot})

@@ -276,3 +276,82 @@ def exhaustive_axioms(size, add, mul, neg, zero, one):
     if one is not None:
         if not (np.array_equal(mul[one], rng) and np.array_equal(mul[:, one], rng)):
             raise AxiomViolation("declared unit is not a two-sided identity")
+
+
+def reference_classify_pexider(f, h, k):
+    """The scalar Pexider classifier: ranks from ``lin_rank`` and
+    ``linear_combination``, one family rebuild and one ``in_class`` call per
+    triple.  Returns the classification, or raises ``Unclassifiable``; the
+    triple is not checked against the equation."""
+    from fnq.errors import Unclassifiable
+    from fnq.maps import (LEIBNIZ, MULTIPLICATIVE, identity_map, in_class,
+                          lin_rank, linear_combination)
+    from fnq.theorems import (FamilyTag, PexiderClassification,
+                              pexider_family_binding)
+    witness_classes = {"delta": LEIBNIZ, "m": MULTIPLICATIVE}
+    ring = f.domain
+    scalars = f.codomain
+    ident = identity_map(ring)
+    elems = np.asarray(ring.domain_elements, dtype=np.int64)
+    one_pos = int(ring.position[ring.one])
+    add, mul, neg, inv = scalars.add, scalars.mul, scalars.neg, scalars.inverse
+    details = {"characteristic": scalars.char}
+    if scalars.char == 2:
+        details["completeness_caveat"] = (
+            "characteristic 2: family fit is exact but the family list is "
+            "only known complete away from characteristic 2")
+
+    def table(vals):
+        return fnq.FnTable(ring, ring, tuple(int(v) for v in vals))
+
+    r = lin_rank([ident, h, k], scalars)
+    hv, kv = h.as_array(), k.as_array()
+    h1, k1 = int(hv[one_pos]), int(kv[one_pos])
+
+    def fit(name, params, witnesses, reason):
+        built = pexider_family_binding(name, ring, params, witnesses).functions
+        if (any(built[n].values != t.values for n, t in zip("fhk", (f, h, k)))
+                or not all(in_class(w, witness_classes[n])
+                           for n, w in witnesses.items())):
+            raise Unclassifiable(reason)
+        return PexiderClassification(FamilyTag(name, params, witnesses), r,
+                                     details)
+
+    if r == 1:
+        return fit("AllLinear", {"lam1": h1, "lam2": k1}, {},
+                   "rank-1 triple is not a pair of scalings")
+    if r == 3:
+        raise Unclassifiable("rank-3 triple admits no consistent extraction")
+    if lin_rank([ident, h], scalars) == 1:
+        delta = table(add[kv, neg[mul[k1, elems]]])
+        return fit("LinearPlusLeibniz", {"lam": h1, "k1": k1},
+                   {"delta": delta}, "dependent {id,h} but no Leibniz remainder")
+    if lin_rank([ident, k], scalars) == 1:
+        if h1 == scalars.zero:
+            raise Unclassifiable("vanishing h(1) with nonlinear h")
+        return fit("MultiplicativeSquare", {"h1": h1, "lam": k1},
+                   {"m": table(mul[int(inv[h1]), hv])},
+                   "dependent {id,k} but no multiplicative core")
+    if lin_rank([h, k], scalars) == 1:
+        pivot_idx = next(i for i in range(len(kv)) if kv[i] != scalars.zero)
+        lam = int(mul[int(hv[pivot_idx]), int(inv[kv[pivot_idx]])])
+        u = int(inv[mul[lam, lam]])
+        gamma = int(add[k1, u])
+        if gamma == scalars.zero:
+            raise Unclassifiable("degenerate mixed family (gamma = 0)")
+        mwit = table(mul[int(inv[gamma]), add[kv, mul[u, elems]]])
+        return fit("LambdaKFamilyB", {"lam": lam, "gamma": gamma}, {"m": mwit},
+                   "dependent {h,k} but no multiplicative core")
+    reason = "rank-2 triple admits no two-generator extraction"
+    coeffs = linear_combination(k, [ident, h], scalars)
+    if coeffs is None:
+        raise Unclassifiable(reason)
+    b1 = int(neg[coeffs[1]])
+    g1 = int(add[coeffs[0], neg[mul[b1, b1]]])
+    b2 = int(add[h1, neg[b1]])
+    if b2 == scalars.zero:
+        raise Unclassifiable(reason)
+    mwit = table(mul[int(inv[b2]), add[hv, neg[mul[b1, elems]]]])
+    return fit("TwoExponential",
+               {"b1": b1, "b2": b2, "g1": g1, "g2": int(add[k1, neg[g1]])},
+               {"m": mwit}, reason)

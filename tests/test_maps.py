@@ -1,13 +1,14 @@
 import functools
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 import fnq
 from fnq.errors import BudgetExceeded, EvalDomainError, NotAField
 from fnq.maps import (ADDITIVE, ARBITRARY, DERIVATION, HOMOMORPHISM,
                       HOMO_DERIV_MP, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
-                      FnTable, additive_generators, classify_map,
+                      FnTable, additive_generators, class_mask, classify_map,
                       enumerate_maps, homo_deriv_sofy, identity_map,
                       inner_derivation, lin_rank, linear_combination,
                       zero_map)
@@ -157,6 +158,18 @@ def test_classification_matches_scalar_oracle(ring_name, request):
     for values in brute_tables(ring):
         assert classify_map(FnTable(ring, ring, values)) == {
             cls for cls in classes if in_class(ring, values, cls)}
+
+
+@pytest.mark.parametrize("ring_name", SMALL_RINGS)
+def test_class_mask_matches_scalar_oracle(ring_name, request):
+    # one grid evaluation over every table at once agrees row by row
+    ring = request.getfixturevalue(ring_name)
+    tables = list(brute_tables(ring))
+    rows = np.array(tables, dtype=np.int64)
+    for cls in ALL_CLASSES:
+        assert class_mask(ring, ring, rows, cls).tolist() == [
+            in_class(ring, v, cls) for v in tables], cls
+    assert class_mask(ring, ring, rows[:0], MULTIPLICATIVE).shape == (0,)
 
 
 def test_leibniz_type_classes_between_different_rings(z4):

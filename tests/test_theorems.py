@@ -1,5 +1,7 @@
+from collections import Counter
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 import fnq
@@ -15,7 +17,8 @@ from fnq.theorems import (DEFAULT_CHECK_BUDGET, annihilator_witness,
                           verify_alien, verify_mp, verify_pexider,
                           verify_sofy, verify_thm5_symbolic)
 
-from conftest import is_homo_deriv_at, thm4_backward_violations
+from conftest import (is_homo_deriv_at, is_leibniz_at, is_multiplicative_at,
+                      reference_classify_pexider, thm4_backward_violations)
 
 
 def test_thm4_z2_bijection(z2):
@@ -103,6 +106,17 @@ def test_thm4_converse_fails_on_capped_preimage_sets():
     assert report.details["backward_violation_count"] == 48_828_120
     assert report.backward_ok is False
     assert not report.holds()
+    # the sample comes from the first, capped, preimage set
+    sample = report.counterexamples
+    assert len(sample) == 20
+    assert all(ce["direction"] == "backward" for ce in sample)
+    assert [ce["h"] for ce in sample] == sorted(ce["h"] for ce in sample)
+    ast = fnq.theorems.homo_derivation_equation()
+    for ce in sample:
+        h = FnTable(ring, ring, tuple(ce["h"]))
+        assert multiplicative_shift(h, 5).values == tuple(ce["m"])
+        bind = fnq.eqdsl.Binding(functions={"h": h}, params={"e": 5})
+        assert ce["violations"] == residual(ast, bind, ring)[:5] != []
 
 
 def test_thm4_argument_guards(z6, ut2_2):
@@ -120,6 +134,45 @@ def test_multiplicative_shift_examples(z2, z4):
     h = FnTable(z2, z2, (0, 1))
     shifted = multiplicative_shift(h, 1)
     assert shifted.values == (0, 0)  # 1 + 1 = 0 in Z_2
+
+
+@pytest.mark.parametrize("ring", [fnq.zn(4), fnq.zn(6), fnq.zn(8),
+                                  fnq.poly_quot(2, 2)],
+                         ids=["Z4", "Z6", "Z8", "F2[x]/(x^2)"])
+def test_prop1_probe_matches_brute_force(ring):
+    # every annihilated value vector in order, skipping those an earlier
+    # alpha probed, checked against the system point by point
+    elems = ring.domain_elements
+    probed, bad, sample = [], 0, []
+    for alpha in range(ring.size):
+        if alpha == ring.zero:
+            continue
+        ann = {v for v in range(ring.size)
+               if ring.mul[alpha, v] == ring.zero == ring.mul[v, alpha]}
+        for vals in iproduct(sorted(ann), repeat=len(elems)):
+            if any(set(vals) <= earlier for earlier in probed):
+                continue
+            if not all(is_multiplicative_at(ring, vals, x, y)
+                       and is_leibniz_at(ring, vals, x, y)
+                       for x in elems for y in elems):
+                bad += 1
+                sample += [list(vals)][:5 - len(sample)]
+        probed.append(ann)
+    details = verify_mp(ring).details
+    assert not details["backward_enumeration_capped"]
+    assert details["backward_counterexample_count"] == bad
+    assert details["backward_sample"] == sample
+
+
+@pytest.mark.parametrize("sizes,max_rows", [
+    ((2, 3, 1, 2), 1), ((2, 3, 1, 2), 6), ((3, 3, 3), 100), ((2, 0, 3), 4),
+    ((4,), 2)])
+def test_product_blocks_walk_the_product_in_order(sizes, max_rows):
+    options = [list(range(10, 10 + n)) for n in sizes]
+    blocks = list(fnq.theorems._product_blocks(options, max_rows))
+    assert all(len(b) <= max(max_rows, sizes[-1]) for b in blocks)
+    rows = [r for b in blocks for r in b.tolist()]
+    assert rows == [list(p) for p in iproduct(*options)]
 
 
 def test_prop1_no_zero_divisors(gf3, gf5, gf4):
@@ -416,3 +469,151 @@ def test_pivot_respects_declared_class(gf3):
              for b in ss.solutions}
             == {tuple(b.functions[n].values for n in ("f", "h", "k"))
                 for b in expected})
+
+
+# ------------------------------------- batched Pexider classifier vs scalar
+
+_PEXIDER_REASONS = {
+    "rank-1 triple is not a pair of scalings",
+    "rank-3 triple admits no consistent extraction",
+    "dependent {id,h} but no Leibniz remainder",
+    "vanishing h(1) with nonlinear h",
+    "dependent {id,k} but no multiplicative core",
+    "degenerate mixed family (gamma = 0)",
+    "dependent {h,k} but no multiplicative core",
+    "rank-2 triple admits no two-generator extraction",
+}
+
+
+def _matches_reference(ring, triples):
+    """Classify all triples in one batch, compare each row with the scalar
+    oracle, and return the families and reasons reached."""
+    f, h, k = (np.array(rows, dtype=np.int64) for rows in zip(*triples))
+    fits = fnq.theorems._classify_rows(ring, f, h, k)
+    details = fnq.theorems._classification_details(ring)
+    reached = set()
+    for fit, triple in zip(fits, triples):
+        tables = [FnTable(ring, ring, tuple(int(v) for v in t)) for t in triple]
+        try:
+            ref = reference_classify_pexider(*tables)
+        except Unclassifiable as exc:
+            assert fit == str(exc), [list(t.values) for t in tables]
+            reached.add(fit)
+            continue
+        assert not isinstance(fit, str), (fit, [list(t.values) for t in tables])
+        assert (fit.name, list(fit.params.items()), fit.rank) == (
+            ref.tag.name, list(ref.tag.params.items()), ref.rank)
+        assert {n: w.tolist() for n, w in fit.witnesses.items()} == {
+            n: list(t.values) for n, t in ref.tag.witnesses.items()}
+        assert details == ref.details
+        reached.add(fit.name)
+    return reached
+
+
+@pytest.mark.parametrize("ring,budget", [
+    (fnq.gf(3), DEFAULT_CHECK_BUDGET), (fnq.gf(2, 2), DEFAULT_CHECK_BUDGET),
+    (fnq.gf(5), DEFAULT_CHECK_BUDGET), (fnq.gf(7), 7 ** 16)],
+    ids=["gf3", "gf4", "gf5", "gf7"])
+def test_batched_classifier_matches_the_scalar_one_on_solutions(ring, budget):
+    ss = fnq.solve(fnq.SolveTask(pexider_equation(), ring,
+                                 {n: fnq.ARBITRARY for n in "fhk"},
+                                 budget=budget))
+    triples = [tuple(b.functions[n].values for n in "fhk")
+               for b in ss.solutions]
+    assert _matches_reference(ring, triples) == {
+        "AllLinear", "LambdaKFamilyB", "MultiplicativeSquare",
+        "TwoExponential"}
+
+
+def _probe_triples(ring, rng):
+    """Triples, mostly non-solutions, that reach every branch and reason of
+    the classifier: f is the value f(x) = f(x*1) the equation forces, or
+    random."""
+    q = ring.size
+    add, mul, neg, inv = ring.add, ring.mul, ring.neg, ring.inverse
+    elems = np.asarray(ring.domain_elements, dtype=np.int64)
+    one = int(ring.position[ring.one])
+    nonzero = [c for c in range(q) if c != ring.zero]
+    rand = [rng.integers(0, q, q) for _ in range(4)]
+    vanishing = [np.where(elems == ring.one, ring.zero, v) for v in rand]
+    witnesses = [np.array(t.values) for cls in (LEIBNIZ, MULTIPLICATIVE)
+                 for t in enumerate_maps(ring, ring, cls)]
+    pool = [mul[c, elems] for c in range(q)] + rand + vanishing + witnesses
+    pairs = [(h, k) for h in pool for k in pool]
+    for v in rand:
+        # k in span{id, h}, which includes b2 = 0 at a = -h(1)
+        pairs += [(v, add[mul[a, elems], mul[b, v]])
+                  for a in range(q) for b in range(q)]
+        for lam in nonzero:
+            # h = lam*k, with gamma = k(1) + 1/lam^2 = 0 for the second
+            zeroed = v.copy()
+            zeroed[one] = neg[inv[mul[lam, lam]]]
+            pairs += [(mul[lam, v], v), (mul[lam, zeroed], zeroed)]
+    triples = []
+    for h, k in pairs:
+        forced = add[add[mul[h, h[one]], mul[k[one], elems]], k]
+        triples += [(forced, h, k), (rng.integers(0, q, q), h, k)]
+    return triples
+
+
+@pytest.mark.parametrize("ring", [fnq.gf(3), fnq.gf(2, 2), fnq.gf(5)],
+                         ids=lambda r: f"gf{r.size}")
+def test_batched_classifier_matches_the_scalar_one_off_solutions(ring):
+    reached = _matches_reference(ring, _probe_triples(
+        ring, np.random.default_rng(ring.size)))
+    assert _PEXIDER_REASONS <= reached
+
+
+def test_closure_failure_is_reported_with_its_violations(gf5, monkeypatch):
+    # break one LambdaKFamilyA instance, a family the classifier never
+    # returns, so only the closure check sees it
+    import fnq.theorems
+    build = fnq.theorems._family_rows
+
+    def broken(name, ring, params, witnesses):
+        f, h, k = (np.array(v) for v in build(name, ring, params, witnesses))
+        if name == "LambdaKFamilyA":
+            hit = np.broadcast_to((params["gamma"] == 1) & (params["lam"] == 2),
+                                  (len(f), 1))[:, 0]
+            f[hit, 2] = ring.add[f[hit, 2], ring.one]
+        return f, h, k
+
+    monkeypatch.setattr(fnq.theorems, "_family_rows", broken)
+    report = verify_pexider(gf5)
+    assert report.details["closure_failures"] == 1
+    assert report.details["unclassifiable"] == 0
+    assert report.forward_ok and not report.backward_ok
+    (ce,) = report.counterexamples
+    binding = pexider_family_binding("LambdaKFamilyA", gf5,
+                                     {"gamma": 1, "lam": 2})
+    assert ce["family"] == "LambdaKFamilyA"
+    assert ce["f"] == list(binding.functions["f"].values)
+    assert ce["violations"] == residual(pexider_equation(), binding,
+                                        gf5)[:5] != []
+
+
+def test_pexider_work_is_batched(gf5, gf3, monkeypatch):
+    # classification and closure make no scalar re-check and no scalar
+    # linear algebra; solve re-verifies through fnq.solver.residual
+    import fnq.maps
+    import fnq.theorems
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(fnq.theorems, "residual")
+    count(fnq.maps, "lin_rank")
+    count(fnq.maps, "linear_combination")
+    assert verify_pexider(gf5).holds()
+    assert calls == Counter()
+    # the wrappers are live
+    two_x, ident = FnTable(gf3, gf3, (0, 2, 1)), identity_map(gf3)
+    classify_pexider(two_x, ident, two_x)
+    reference_classify_pexider(two_x, ident, two_x)
+    assert calls["residual"] == 1 and calls["lin_rank"] == 1
