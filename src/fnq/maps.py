@@ -15,13 +15,16 @@ identities hold at every pair of domain elements:
 
 Each class is defined once, as the constraints of :func:`class_constraints`.
 Enumeration yields every table of a class exactly once, in lexicographic
-order of the value vector.  Every class but ``arbitrary`` and
-``logarithmic`` is a search of the level-wise kernel (:mod:`fnq.search`)
-for those constraints; logarithmic candidates are built from images of a
-unit generating set and filtered by the constraints.  Membership of
-one table (:func:`in_class`, :func:`classify_map`) is one grid evaluation of
-the same constraints (:func:`fnq.eqdsl.grid_satisfies`), which shares no
-code with the kernel.
+order of the value vector.  Every class but ``arbitrary`` is a search of
+the level-wise kernel (:mod:`fnq.search`) for those constraints, in the
+kernel's default position order except for the logarithmic class.  That
+class takes the non-units first, each fixed at zero by its own check, and
+then the units in the order a breadth-first closure over a unit
+generating set reaches them.  Each unit but a generator then comes after
+two factors whose check decides it, so only generator positions multiply
+the kernel's rows.  Membership of one table (:func:`in_class`,
+:func:`classify_map`) is one grid evaluation of the same constraints
+(:func:`fnq.eqdsl.grid_satisfies`), which shares no code with the kernel.
 """
 from __future__ import annotations
 
@@ -37,8 +40,6 @@ from .errors import BudgetExceeded, EvalDomainError, InvalidTask, NotAField
 from .search import search
 
 DEFAULT_ENUM_BUDGET = 10 ** 8
-# (candidate, pair) cells one logarithmic scan step checks
-_SCAN_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -268,21 +269,27 @@ def class_constraints(ring: Ring, name: str,
 
 
 # ------------------------------------------------------------- table scans
-# Candidate id <-> value vector is the base-q digit expansion with the first
-# domain position as the most significant digit, so ascending ids are
-# exactly lexicographic value vectors.
+
+def row_ids(rows: np.ndarray, q: int) -> np.ndarray:
+    """Base-q candidate ids of value rows, the first position most
+    significant, so ascending ids are exactly lexicographic rows; ids past
+    int64 are kept exact as Python integers."""
+    m = rows.shape[1]
+    dtype = np.int64 if q ** m <= np.iinfo(np.int64).max else object
+    weights = np.array([q ** (m - 1 - j) for j in range(m)], dtype=dtype)
+    return rows.astype(dtype) @ weights
+
 
 def filter_tables(domain: Ring, codomain: Ring,
                   equations: list[EquationAst],
                   budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-    """Ascending candidate ids of all tables satisfying every equation.
+    """Ascending candidate ids (:func:`row_ids`) of all tables satisfying
+    every equation.
 
     The equations share one unknown and are required at every pair of
     domain elements; the budget bounds the |codomain|**m candidate space.
     """
-    m = len(domain.domain_elements)
-    q = codomain.size
-    total = q ** m
+    total = codomain.size ** len(domain.domain_elements)
     if total > budget:
         raise BudgetExceeded(
             f"{total} candidate tables exceed the budget {budget}",
@@ -292,58 +299,41 @@ def filter_tables(domain: Ring, codomain: Ring,
         raise ValueError(f"equations must share exactly one unknown, got {names}")
     values = search([PairConstraint(eq) for eq in equations], names,
                     domain, codomain)[:, 0, :]
-    # ids past int64 are kept exact as Python integers
-    dtype = np.int64 if total <= np.iinfo(np.int64).max else object
-    weights = np.array([q ** (m - 1 - j) for j in range(m)], dtype=dtype)
-    return values.astype(dtype) @ weights if len(values) else np.empty(0, dtype)
-
-
-def id_digits(ids: np.ndarray, m: int, q: int) -> np.ndarray:
-    """Value vectors (one row per id) of base-q candidate ids."""
-    ids = np.asarray(ids)
-    if not ids.size or not m:
-        return np.zeros((ids.size, m), dtype=np.int64)
-    return np.stack([(ids // q ** (m - 1 - j)) % q for j in range(m)], axis=1)
-
-
-def tables_from_ids(ids: np.ndarray, domain: Ring, codomain: Ring) -> list[FnTable]:
-    digits = id_digits(ids, len(domain.domain_elements), codomain.size)
-    return [FnTable(domain, codomain, tuple(row)) for row in digits.tolist()]
+    return row_ids(values, codomain.size)
 
 
 # ------------------------------------------------- class candidate spaces
 
 def _greedy_generators(elements, start: int, op: np.ndarray
-                       ) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+                       ) -> tuple[list[int], list[int]]:
     """Generators of ``elements`` under the table ``op``, picked greedily by
-    smallest index from ``start``, with a generator word per element."""
-    words: dict[int, tuple[int, ...]] = {start: ()}
-    gens: list[int] = []
-    while len(words) < len(elements):
-        g = min(e for e in elements if e not in words)
+    smallest index from the identity ``start``, and the elements in the
+    order a breadth-first closure reaches them: each generator comes when
+    it is picked, every other element e*g after e and the generator g."""
+    order, seen, gens = [start], {start}, []
+    while len(order) < len(elements):
+        g = min(e for e in elements if e not in seen)
         gens.append(g)
-        changed = True
-        while changed:
-            changed = False
-            for e in list(words):
-                for gi, gval in enumerate(gens):
-                    s = int(op[e, gval])
-                    if s not in words:
-                        words[s] = words[e] + (gi,)
-                        changed = True
-    return gens, words
+        order.append(g)
+        seen.add(g)
+        for e in order:  # also visits the elements appended on the way
+            for gen in gens:
+                s = int(op[e, gen])
+                if s not in seen:
+                    seen.add(s)
+                    order.append(s)
+    return gens, order
 
 
-def additive_generators(ring: Ring) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    """Greedy additive generating set with a generator word per element."""
+def additive_generators(ring: Ring) -> tuple[list[int], list[int]]:
+    """Greedy additive generating set and the elements in closure order."""
     return _greedy_generators(ring.domain_elements, ring.zero, ring.add)
 
 
-def _unit_generators(ring: Ring) -> tuple[tuple[int, ...], list[int], dict[int, tuple[int, ...]]]:
+def _unit_generators(ring: Ring) -> tuple[list[int], list[int]]:
+    """Greedy unit generating set and the units in closure order."""
     units = ring.domain_units
-    if not units:
-        return (), [], {}
-    return (units, *_greedy_generators(units, ring.one, ring.mul))
+    return _greedy_generators(units, ring.one, ring.mul) if units else ([], [])
 
 
 def enumerate_maps(domain: Ring, codomain: Ring, cls: FunctionClass,
@@ -351,8 +341,8 @@ def enumerate_maps(domain: Ring, codomain: Ring, cls: FunctionClass,
     """Yield every table of the class exactly once, in lexicographic order.
 
     ``budget`` bounds the candidates the class has to examine
-    (:func:`class_space_size`).  Every class but ``arbitrary`` and
-    ``logarithmic`` is a search of the kernel for its constraints.
+    (:func:`class_space_size`).  Every class but ``arbitrary`` is a search
+    of the kernel for its constraints.
     """
     space = class_space_size(domain, codomain, cls)
     if space > budget:
@@ -364,45 +354,15 @@ def enumerate_maps(domain: Ring, codomain: Ring, cls: FunctionClass,
                              repeat=len(domain.domain_elements)):
             yield FnTable(domain, codomain, vals)
         return
+    order = None
     if cls.kind == "logarithmic":
-        found = _logarithmic_tables(domain, codomain)
-    else:
-        found = search(class_constraints(domain, "f", cls), ("f",),
-                       domain, codomain)[:, 0, :]
+        units = [int(domain.position[u]) for u in _unit_generators(domain)[1]]
+        rest = set(range(len(domain.domain_elements))) - set(units)
+        order = sorted(rest) + units
+    found = search(class_constraints(domain, "f", cls), ("f",),
+                   domain, codomain, order=order)[:, 0, :]
     for row in found.tolist():
         yield FnTable(domain, codomain, tuple(row))
-
-
-def _logarithmic_tables(domain: Ring, codomain: Ring) -> np.ndarray:
-    """Value vectors of the logarithmic class, in lexicographic order.
-
-    The search kernel assigns units in carrier order, and a unit is free
-    until its products with earlier units are assigned, so each such unit
-    multiplies the kernel's rows by |codomain|: on Z64 one level examines
-    over 10**9 rows for 32 maps.  Instead every assignment of images to a
-    unit generating set is extended along the units' generator words, zero
-    off the units, and kept where the class constraints hold.
-    """
-    units, gens, words = _unit_generators(domain)
-    q, m = codomain.size, len(domain.domain_elements)
-    constraints = class_constraints(domain, "f", LOGARITHMIC)
-    total = q ** len(gens)
-    step = max(1, _SCAN_CELLS // max(1, len(units)) ** 2)
-    found = []
-    for start in range(0, total, step):
-        images = id_digits(np.arange(start, min(start + step, total)),
-                           len(gens), q)
-        values = np.full((len(images), m), codomain.zero, dtype=np.int64)
-        for u in units:
-            col = domain.position[u]
-            for gi in words[u]:
-                values[:, col] = codomain.add[values[:, col], images[:, gi]]
-        for c in constraints:
-            values = values[grid_satisfies(c, domain, codomain,
-                                           {"f": values}, {})]
-        found.append(values)
-    values = np.concatenate(found)
-    return values[np.lexsort(values.T[::-1])]
 
 
 def class_space_size(domain: Ring, codomain: Ring, cls: FunctionClass) -> int:
@@ -411,7 +371,7 @@ def class_space_size(domain: Ring, codomain: Ring, cls: FunctionClass) -> int:
     if cls.kind in ("arbitrary", "multiplicative", "leibniz"):
         return codomain.size ** m
     if cls.kind == "logarithmic":
-        _, gens, _ = _unit_generators(domain)
+        gens, _ = _unit_generators(domain)
         return codomain.size ** len(gens)
     gens, _ = additive_generators(domain)
     return codomain.size ** len(gens)

@@ -1,9 +1,11 @@
 """Level-wise constraint search for unknown function tables.
 
 The unknowns' value vectors form one row of digits: one digit per unknown
-at each domain position.  Positions are ordered unit first, then zero, then
-the rest ascending, with the unknowns interleaved at each position, because
-the x=1 and y=0 checks constrain most.  Before searching, every
+at each domain position, with the unknowns interleaved at each position.
+Positions go unit first, then zero, then the rest ascending, because the
+x=1 and y=0 checks constrain most, unless the caller passes its own order
+(:func:`fnq.maps.enumerate_maps` does for the logarithmic class); the
+order changes the work, never the solutions.  Before searching, every
 (constraint, x, y) check gets the level at which it becomes decidable, the
 last digit it reads, worked out with numpy over the whole pair grid.  An
 unknown applied to an argument that reads an unknown, as ``g`` in
@@ -11,11 +13,10 @@ unknown applied to an argument that reads an unknown, as ``g`` in
 read inside their arguments take the first digits, and a check with such
 an application waits until all their digits are assigned, running after
 the other checks of that level.  The search then grows the surviving rows
-one digit at a time:
-every row is repeated once per codomain element, the new digit is
-appended, and that level's checks filter the rows.  This is the
-finite-model search of SEM (Zhang & Zhang, IJCAI 1995) and Mace4 (McCune,
-arXiv:cs/0310055).
+one digit at a time: every row is repeated once per codomain element, the
+new digit is appended, and that level's checks filter the rows.  This is
+the finite-model search of SEM (Zhang & Zhang, IJCAI 1995) and Mace4
+(McCune, arXiv:cs/0310055).
 
 A check takes its pairs in chunks: the first covers about 4,096 (row,
 pair) cells and each next one twice the pairs of the last, and every
@@ -97,16 +98,20 @@ class _Planner:
     """Compiles constraints and assigns every check its level."""
 
     def __init__(self, constraints, unknowns, domain: Ring, codomain: Ring,
-                 params, definitions):
+                 params, definitions, order):
         self.unknowns = {n: i for i, n in enumerate(unknowns)}
         self.domain, self.codomain = domain, codomain
         self.params = params
         self.mixable = same_carrier(domain, codomain)
         m = len(domain.domain_elements)
-        first = [int(domain.position[domain.zero])]
-        if domain.one is not None and domain.position[domain.one] >= 0:
-            first.insert(0, int(domain.position[domain.one]))
-        order = first + [p for p in range(m) if p not in first]
+        if order is None:
+            first = [int(domain.position[domain.zero])]
+            if domain.one is not None and domain.position[domain.one] >= 0:
+                first.insert(0, int(domain.position[domain.one]))
+            order = first + [p for p in range(m) if p not in first]
+        elif sorted(order) != list(range(m)):
+            raise ValueError(f"order is not a permutation of the {m} "
+                             "domain positions")
         rank = np.empty(m, dtype=np.int64)
         rank[order] = np.arange(m)
         dynamic: set[str] = set()
@@ -270,21 +275,25 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
            domain: Ring, codomain: Ring,
            params: dict[str, int] | None = None,
            definitions: dict[str, Expr] | None = None,
-           budget: int | None = None) -> np.ndarray:
+           budget: int | None = None, *,
+           order: list[int] | None = None) -> np.ndarray:
     """Every assignment of value vectors to the unknowns meeting all constraints.
 
     ``definitions`` give unknowns computed from the others instead of
     enumerated; a definition may not read a defined unknown.  ``budget``
     bounds the rows one level examines times the squared domain size, the
     pairs a candidate is checked on; a level past it raises
-    :class:`BudgetExceeded` before growing.
+    :class:`BudgetExceeded` before growing.  ``order`` lists the domain
+    positions in the order their digits are assigned, replacing the unit,
+    zero, then ascending default; anything but a permutation of the
+    positions raises :class:`ValueError`.
 
     Returns an int array of shape (solutions, unknowns, domain size) in
     lexicographic order of the concatenated value vectors, unknowns in the
     given order and positions in domain order.
     """
     planner = _Planner(constraints, unknowns, domain, codomain, params or {},
-                       definitions or {})
+                       definitions or {}, order)
     levels: dict[int, list[_Check]] = {}
     for constraint in constraints:
         for level, check in planner.compile(constraint):

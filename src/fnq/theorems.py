@@ -33,10 +33,10 @@ from .eqdsl import (Binding, EquationAst, PairConstraint, grid_satisfies,
 from .errors import (BothZero, EpsilonZero, NotAField, NotCentral,
                      ResidualNonzero, Unclassifiable)
 from .maps import (ARBITRARY, FnTable, LEIBNIZ, MULTIPLICATIVE, class_mask,
-                   enumerate_maps, filter_tables, leibniz_equation,
-                   multiplicative_equation, tables_from_ids, zero_map)
+                   enumerate_maps, leibniz_equation, row_ids, zero_map)
 from .solver import SolveTask, residual, solve
 
+# largest annihilator product prop1's converse probe walks
 _BACKWARD_CAP = 10 ** 6
 _WITNESS_LIMIT = 20
 # rows of one block of the lazy walks over preimage and annihilator sets
@@ -137,15 +137,6 @@ def _value_rows(bindings: list[Binding], name: str, m: int) -> np.ndarray:
     """The (N, m) value rows of one unknown across solution bindings."""
     return np.array([b.functions[name].values for b in bindings],
                     dtype=np.int64).reshape(len(bindings), m)
-
-
-def _row_ids(rows: np.ndarray, q: int) -> np.ndarray:
-    """Base-q candidate ids of value rows (first position most
-    significant), kept exact past int64 as Python integers."""
-    m = rows.shape[1]
-    dtype = np.int64 if q ** m <= np.iinfo(np.int64).max else object
-    weights = np.array([q ** (m - 1 - j) for j in range(m)], dtype=dtype)
-    return rows.astype(dtype) @ weights
 
 
 def _product_blocks(options: list[list[int]], max_rows: int):
@@ -265,7 +256,7 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
         # in chunks, until it is full.  Every preimage is a candidate of the
         # equation, so it is a non-solution exactly when its id is not among
         # the solutions' ids.
-        sol_ids = _row_ids(hs, ring.size)
+        sol_ids = row_ids(hs, ring.size)
         chunk = max(1, min(_SAMPLE_CHUNK, budget // (m * m)))
         for mt, options in zip(mult_maps, options_of):
             if backward_ok or len(counterexamples) >= _WITNESS_LIMIT:
@@ -274,7 +265,7 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
                 room = _WITNESS_LIMIT - len(counterexamples)
                 if not room:
                     break
-                bad = block[~np.isin(_row_ids(block, ring.size), sol_ids)]
+                bad = block[~np.isin(row_ids(block, ring.size), sol_ids)]
                 for h_vals in bad[:room].tolist():
                     bind = Binding(functions={"h": _table(ring, h_vals)},
                                    params={"e": eps})
@@ -284,8 +275,6 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
                         "h": h_vals,
                         "violations": residual(ast, bind, ring)[:5],
                     })
-        details["backward_enumeration_capped"] = any(
-            count > _BACKWARD_CAP for count in sizes)
         details["backward_violation_count"] = backward_violations
         if eps_is_unit:
             details["bijection"] = (len(set(map(tuple, shifts.tolist())))
@@ -314,15 +303,6 @@ def annihilator_witness(f: FnTable, ring: Ring | None = None) -> int | None:
     return None
 
 
-def _mp_solutions(ring: Ring, budget: int) -> np.ndarray:
-    """Ascending candidate ids of the solutions of the system
-    {multiplicative, Leibniz} over the domain."""
-    m = len(ring.domain_elements)
-    return filter_tables(ring, ring,
-                         [multiplicative_equation(), leibniz_equation()],
-                         budget=max(budget // (m * m), 1))
-
-
 def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
     """Check that every solution of the system admits an annihilator witness.
 
@@ -330,9 +310,14 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
     zero map.  The converse direction (a witness forces a solution) is not
     part of the claim being checked; candidate maps whose image is
     annihilated but which fail the system are counted informationally.
+    The system is solved as the Leibniz equation over multiplicative maps,
+    so its solutions are re-verified like every other check's.
     """
-    sol_ids = _mp_solutions(ring, budget)
-    sols = tables_from_ids(sol_ids, ring, ring)
+    m = len(ring.domain_elements)
+    found = solve(SolveTask(ast=leibniz_equation(), ring=ring,
+                            classes={"f": MULTIPLICATIVE}, budget=budget))
+    sol_ids = row_ids(_value_rows(found.solutions, "f", m), ring.size)
+    sols = [b.functions["f"] for b in found.solutions]
     witnesses = {s.values: annihilator_witness(s) for s in sols}
     counterexamples = [{"direction": "forward", "f": list(v)}
                        for v, w in witnesses.items() if w is None]
@@ -344,7 +329,7 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
                         for _, w in sorted(witnesses.items())
                         if w is not None],
         "no_zero_divisors": not ring.has_zero_divisors,
-        "enumerated_count": ring.size ** len(ring.domain_elements),
+        "enumerated_count": found.enumerated_count,
     }
     predicted_count = None
     if not ring.has_zero_divisors:
@@ -362,7 +347,6 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
     probed: list[np.ndarray] = []  # membership masks of probed annihilators
     backward_bad = 0
     backward_sample: list = []
-    m = len(ring.domain_elements)
     capped = False
     for alpha in range(ring.size):
         if alpha == ring.zero:
@@ -376,7 +360,7 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
         for batch in _product_blocks([ann] * m, _SAMPLE_CHUNK):
             for mask in probed:
                 batch = batch[~mask[batch].all(axis=1)]
-            bad = batch[~np.isin(_row_ids(batch, ring.size), sol_ids)]
+            bad = batch[~np.isin(row_ids(batch, ring.size), sol_ids)]
             backward_bad += len(bad)
             backward_sample += bad[:5 - len(backward_sample)].tolist()
         probed.append(member)

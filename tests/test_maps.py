@@ -1,5 +1,6 @@
 import functools
 from itertools import product as iproduct
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fnq.maps import (ADDITIVE, ARBITRARY, DERIVATION, HOMOMORPHISM,
                       zero_map)
 
 from conftest import (brute_filter, brute_tables, in_class, is_additive_at,
-                      is_leibniz_at, is_multiplicative_at)
+                      is_leibniz_at, is_logarithmic, is_multiplicative_at)
 
 
 def values_of(stream):
@@ -220,6 +221,35 @@ def test_zn_derivations_vanish(n):
     assert values_of(enumerate_maps(ring, ring, DERIVATION)) == [(0,) * n]
 
 
+def unit_group_factors(n):
+    """Orders of cyclic factors of U(Z_n): over the prime powers p^k of n,
+    one of order p^(k-1)(p-1), except Z2 x Z_2^(k-2) for 2^k with k >= 3."""
+    factors, rest = [], n
+    for p in range(2, n + 1):
+        k = 0
+        while rest % p == 0:
+            rest, k = rest // p, k + 1
+        if k and p == 2 and k >= 3:
+            factors += [2, 2 ** (k - 2)]
+        elif k:
+            factors.append(p ** (k - 1) * (p - 1))
+    return factors
+
+
+@pytest.mark.parametrize("n, count", [
+    (8, 4), (9, 3), (12, 4), (15, 1), (16, 8), (30, 4), (32, 16), (36, 12),
+    (64, 32), (100, 40), (128, 64), (144, 48), (210, 24)])
+def test_zn_logarithmic_maps_are_unit_group_homomorphisms(n, count):
+    # a logarithmic map is a homomorphism U(Z_n) -> (Z_n, +), zero off the
+    # units, and Hom(Z_d, Z_n) has gcd(d, n) elements
+    assert prod(gcd(d, n) for d in unit_group_factors(n)) == count
+    ring = zn(n)
+    got = values_of(enumerate_maps(ring, ring, LOGARITHMIC))
+    assert len(got) == count
+    assert got == sorted(set(got))
+    assert all(is_logarithmic(ring, v) for v in got)
+
+
 @pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                  (2, 3)])
 def test_dedekind_independence(q, k):
@@ -235,12 +265,12 @@ def test_logarithmic_on_gf5_only_zero(gf5):
 
 
 def test_additive_generators(z6, gf4):
-    gens, words = additive_generators(z6)
+    gens, order = additive_generators(z6)
     assert gens == [1]
-    assert len(words) == 6
-    gens4, words4 = additive_generators(gf4)
+    assert order == [0, 1, 2, 3, 4, 5]
+    gens4, order4 = additive_generators(gf4)
     assert len(gens4) == 2
-    assert len(words4) == 4
+    assert sorted(order4) == [0, 1, 2, 3]
 
 
 def test_additive_maps_between_different_rings(z4):
@@ -297,7 +327,8 @@ def test_classify_on_declared_subring():
 
 import numpy as np
 
-from fnq.maps import filter_tables, leibniz_equation, multiplicative_equation
+from fnq.maps import (filter_tables, leibniz_equation, multiplicative_equation,
+                      row_ids)
 
 
 def multiplicative_at(ring, col, x, y):
@@ -353,6 +384,21 @@ def test_filter_tables_ids_and_budget(z2, z6):
     with pytest.raises(BudgetExceeded) as err:
         filter_tables(z6, z6, [leibniz_equation()], budget=100)
     assert err.value.needed == 6 ** 6
+
+
+def test_filter_tables_ids_past_int64_are_exact():
+    # 16**16 = 2**64 candidates: an id space past int64 keeps its ids as
+    # exact Python integers, and a base-16 id is the value vector read as
+    # hex digits
+    ring = zn(16)
+    ids = filter_tables(ring, ring, [multiplicative_equation()], budget=10 ** 30)
+    rows = values_of(enumerate_maps(ring, ring, MULTIPLICATIVE, budget=10 ** 30))
+    assert len(rows) == 194
+    assert ids.dtype == object
+    assert all(type(i) is int for i in ids.tolist())
+    assert ids.tolist() == row_ids(np.array(rows), 16).tolist()
+    assert ids.tolist() == [int("".join(f"{v:x}" for v in row), 16)
+                            for row in rows]
 
 
 def test_class_scans_between_different_rings(z4):

@@ -163,6 +163,11 @@ def test_corrupted_kernel_is_caught_by_reverification(gf3, monkeypatch):
     with pytest.raises(FnqError, match=r"internal error: search accepted "
                                        r"a non-solution \[\[0, 1, 2\]\]"):
         solve(SolveTask(ast, gf3, {"f": ARBITRARY}))
+    # prop1 solves the same equation over multiplicative maps; the identity
+    # is multiplicative, so only the re-verification refuses it
+    with pytest.raises(FnqError, match=r"internal error: search accepted "
+                                       r"a non-solution \[\[0, 1, 2\]\]"):
+        fnq.theorems.verify_mp(gf3)
 
 
 def test_solution_order_is_canonical(gf3):
@@ -172,6 +177,21 @@ def test_solution_order_is_canonical(gf3):
     keys = [tuple(v for vec in row for v in vec)
             for row in solutions_as_tuples(ss)]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("order", [[0, 1], [0, 1, 1], [0, 1, 3], [2, 1, 0, 0]])
+def test_search_order_must_be_a_permutation(gf3, order):
+    ast = parse_equation("f(x*y)=f(x)*f(y)")
+    with pytest.raises(ValueError, match="not a permutation"):
+        search([PairConstraint(ast)], ("f",), gf3, gf3, order=order)
+
+
+def test_search_order_changes_no_solution(gf3, z6):
+    ast = parse_equation("f(x*y)=f(x)*y+x*f(y)+e*f(x)*f(y)")
+    for ring, order in ((gf3, [2, 0, 1]), (z6, [5, 3, 1, 0, 4, 2])):
+        found = search([PairConstraint(ast)], ("f",), ring, ring, {"e": 1})
+        assert np.array_equal(found, search([PairConstraint(ast)], ("f",),
+                                            ring, ring, {"e": 1}, order=order))
 
 
 def test_budget_exceeded_reports_needed(z6):

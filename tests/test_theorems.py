@@ -83,7 +83,6 @@ def test_thm4_backward_count_matches_the_enumerated_one(n, eps, count):
     ring = fnq.zn(n)
     report = verify_sofy(ring, eps, budget=10 ** 30)
     assert report.details["backward_violation_count"] == count
-    assert not report.details["backward_enumeration_capped"]
     assert not report.backward_ok and not report.holds()
     sample = [ce for ce in report.counterexamples
               if ce["direction"] == "backward"]
@@ -96,13 +95,36 @@ def test_thm4_backward_count_matches_the_enumerated_one(n, eps, count):
             fnq.theorems.homo_derivation_equation(), bind, ring)[:5] != []
 
 
+CONVERSE_RINGS = {
+    **{f"Z{n}": fnq.zn(n) for n in range(2, 11)},
+    "GF4": fnq.gf(2, 2), "GF8": fnq.gf(2, 3),
+    "F2[x]/(x^2)": fnq.poly_quot(2, 2), "F2[x]/(x^3)": fnq.poly_quot(2, 3),
+    "F3[x]/(x^2)": fnq.poly_quot(3, 2), "UT2(2)": fnq.ut2(2),
+    "Z2xZ2": fnq.product(fnq.zn(2), fnq.zn(2)),
+    "Z2xZ4": fnq.product(fnq.zn(2), fnq.zn(4)),
+}
+
+
+@pytest.mark.parametrize("ring", CONVERSE_RINGS.values(),
+                         ids=CONVERSE_RINGS.keys())
+def test_thm4_converse_holds_exactly_for_unit_shifts(ring):
+    for eps in ring.center:
+        if eps == ring.zero:
+            continue
+        report = verify_sofy(ring, eps, budget=10 ** 30)
+        is_unit = any(ring.mul[eps, w] == ring.one == ring.mul[w, eps]
+                      for w in range(ring.size))
+        assert report.details["eps_is_unit"] == is_unit
+        assert report.forward_ok
+        assert report.backward_ok == is_unit
+
+
 def test_thm4_converse_fails_on_capped_preimage_sets():
     # eps = 5 in Z10: preimage sets of up to 5**10 maps, too many to
     # enumerate, still count towards the verdict
     ring = fnq.zn(10)
     report = verify_sofy(ring, 5, budget=10 ** 30)
     assert report.forward_ok
-    assert report.details["backward_enumeration_capped"]
     assert report.details["backward_violation_count"] == 48_828_120
     assert report.backward_ok is False
     assert not report.holds()
@@ -378,7 +400,7 @@ def test_classification_rebuilds_every_closure_sample(ring):
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
-                                 (3, 2)])
+                                 (3, 2), (7, 2), (2, 6), (5, 3)])
 def test_logarithmic_maps_of_a_field_vanish(p, k):
     # the premise of the rank-3 branch of classify_pexider: a logarithmic
     # map sends a unit group of order q-1 into an additive group of
