@@ -436,8 +436,8 @@ def eval_side(side: Expr, binding: Binding, x: int, y: int, ring: Ring) -> int:
 
 
 def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
-                   tables: dict[str, np.ndarray],
-                   params: dict[str, int]) -> np.ndarray:
+                   tables: dict[str, np.ndarray], params: dict[str, int],
+                   cache: dict | None = None) -> np.ndarray:
     """Boolean mask over batched tables meeting a constraint at all its pairs.
 
     ``tables`` give each unknown's value vectors over the domain positions,
@@ -446,71 +446,112 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
     unknowns in the domain ring and everything else in the codomain ring,
     so ``x`` or ``y`` outside an argument, or an unknown inside one, needs
     both rings to share their tables.
+
+    ``cache`` keeps, across calls, the grid cells of every subexpression
+    that reads no parameter, evaluated over the full pair grid, keyed by
+    the node's ``id`` and whether it sits inside an argument, and the mask
+    of every equation that reads none, keyed by the equation's ``id``.
+    Each entry holds its node or equation, so a key can never match
+    another one while the cache lives.  Whatever reads a parameter is
+    evaluated afresh on every call.  The cache is valid only for one
+    domain, codomain and set of ``tables``; a constraint restricted to
+    pairs neither reads nor fills it.
     """
+    equation = constraint.equation
+    if constraint.pairs is None and cache is not None and id(equation) in cache:
+        return cache[id(equation)][1].copy()
     elems = np.asarray(domain.domain_elements, dtype=np.int64)
     if constraint.pairs is None:
         xs, ys = elems[None, :, None], elems[None, None, :]
     else:
         pairs = np.asarray(constraint.pairs, dtype=np.int64).reshape(1, -1, 2)
         xs, ys = pairs[..., :1], pairs[..., 1:]
-    bound = {**params, **constraint.params}
+        cache = None
     # each unknown over the whole carrier, -1 outside the declared domain
     carrier = {}
     for name, values in tables.items():
         carrier[name] = np.full((len(values), domain.size), -1,
                                 dtype=codomain.add.dtype)
         carrier[name][:, elems] = values
+    grid = _Grid(domain, codomain, xs, ys, {**params, **constraint.params},
+                 carrier, {} if cache is None else cache)
+    lhs, lhs_pure = grid.cells(equation.lhs, False)
+    rhs, rhs_pure = grid.cells(equation.rhs, False)
+    rows = max((len(t) for t in tables.values()), default=1)
+    shape = np.broadcast_shapes(xs.shape, ys.shape)[1:]
+    mask = np.broadcast_to(np.equal(lhs, rhs), (rows, *shape)).all(axis=(1, 2))
+    if cache is not None and lhs_pure and rhs_pure:
+        cache[id(equation)] = (equation, mask.copy())
+    return mask
 
-    def op(table: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        # one gather from the flat table is faster than a two-index gather
-        return table.reshape(-1)[left.astype(np.intp) * len(table) + right]
 
-    def mixing(what: str) -> None:
-        if not same_carrier(domain, codomain):
+class _Grid:
+    """The subexpressions of one :func:`grid_satisfies` call over its grid.
+
+    A class rather than nested closures, so that a call leaves no reference
+    cycle behind and its arrays are freed as soon as it returns.
+    """
+
+    def __init__(self, domain: Ring, codomain: Ring, xs: np.ndarray,
+                 ys: np.ndarray, bound: dict[str, int],
+                 carrier: dict[str, np.ndarray], cache: dict):
+        self.domain, self.codomain = domain, codomain
+        self.xs, self.ys = xs, ys
+        self.bound, self.carrier, self.cache = bound, carrier, cache
+
+    def mixing(self, what: str) -> None:
+        if not same_carrier(self.domain, self.codomain):
             raise EvalDomainError(f"{what} needs the domain inside the codomain")
 
-    def cells(expr: Expr, in_arg: bool) -> np.ndarray:
-        """Values over the grid, shaped (1 or rows, *grid)."""
-        ring = domain if in_arg else codomain
+    def cells(self, expr: Expr, in_arg: bool) -> tuple[np.ndarray, bool]:
+        """Values over the grid, shaped (1 or rows, *grid), and whether they
+        read no parameter, in which case they are cached."""
+        key = (id(expr), in_arg)
+        if key in self.cache:
+            return self.cache[key][1], True
+        values, pure = self.evaluate(expr, in_arg)
+        if pure:
+            self.cache[key] = (expr, values)
+        return values, pure
+
+    def evaluate(self, expr: Expr, in_arg: bool) -> tuple[np.ndarray, bool]:
+        ring = self.domain if in_arg else self.codomain
         if isinstance(expr, Var):
             if not in_arg:
-                mixing("a domain element outside an argument")
-            return xs if expr.name == "x" else ys
+                self.mixing("a domain element outside an argument")
+            return (self.xs if expr.name == "x" else self.ys), True
         if isinstance(expr, IntLit):
-            return np.full((1, 1, 1), ring.int_embed(expr.value))
+            return np.full((1, 1, 1), ring.int_embed(expr.value)), True
         if isinstance(expr, Param):
-            if expr.name not in bound:
+            if expr.name not in self.bound:
                 raise UnboundName(f"parameter {expr.name!r} is not bound")
-            return np.full((1, 1, 1), bound[expr.name])
+            return np.full((1, 1, 1), self.bound[expr.name]), False
         if isinstance(expr, FnApp):
-            if expr.name not in carrier:
+            if expr.name not in self.carrier:
                 raise UnboundName(f"function {expr.name!r} is not bound")
             if in_arg:
-                mixing("a value used as an argument")
-            table = carrier[expr.name]
-            arg = cells(expr.arg, True)
+                self.mixing("a value used as an argument")
+            table = self.carrier[expr.name]
+            arg, pure = self.cells(expr.arg, True)
             # an argument that reads no unknown is the same in every row
             out = (table[:, arg[0]] if len(arg) == 1 else
                    table[np.arange(len(table))[:, None, None], arg])
             if (out < 0).any():
                 raise EvalDomainError("function applied outside declared domain")
-            return out
-        if isinstance(expr, Add):
-            return op(ring.add, cells(expr.left, in_arg), cells(expr.right, in_arg))
-        if isinstance(expr, Sub):
-            return op(ring.add, cells(expr.left, in_arg),
-                      ring.neg[cells(expr.right, in_arg)])
-        if isinstance(expr, Mul):
-            return op(ring.mul, cells(expr.left, in_arg), cells(expr.right, in_arg))
+            return out, pure
         if isinstance(expr, Neg):
-            return ring.neg[cells(expr.operand, in_arg)]
+            operand, pure = self.cells(expr.operand, in_arg)
+            return ring.neg[operand], pure
+        if isinstance(expr, (Add, Sub, Mul)):
+            left, left_pure = self.cells(expr.left, in_arg)
+            right, right_pure = self.cells(expr.right, in_arg)
+            if isinstance(expr, Sub):
+                right = ring.neg[right]
+            table = ring.mul if isinstance(expr, Mul) else ring.add
+            # one gather from the flat table is faster than a two-index gather
+            return (table.reshape(-1)[left.astype(np.intp) * len(table) + right],
+                    left_pure and right_pure)
         raise TypeError(f"not an expression node: {expr!r}")
-
-    equation = constraint.equation
-    ok = np.equal(cells(equation.lhs, False), cells(equation.rhs, False))
-    rows = max((len(t) for t in tables.values()), default=1)
-    grid = np.broadcast_shapes(xs.shape, ys.shape)[1:]
-    return np.broadcast_to(ok, (rows, *grid)).all(axis=(1, 2))
 
 
 # ----------------------------------------------------------- pivot at y=1

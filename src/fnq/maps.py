@@ -23,8 +23,9 @@ then the units in the order a breadth-first closure over a unit
 generating set reaches them.  Each unit but a generator then comes after
 two factors whose check decides it, so only generator positions multiply
 the kernel's rows.  Membership of one table (:func:`in_class`,
-:func:`classify_map`) is one grid evaluation of the same constraints
-(:func:`fnq.eqdsl.grid_satisfies`), which shares no code with the kernel.
+:func:`classify_map`) is one grid check of the same constraints
+(:func:`fnq.eqdsl.grid_satisfies`) whose shared subexpressions are
+evaluated once; it shares no code with the kernel.
 """
 from __future__ import annotations
 
@@ -149,25 +150,26 @@ def in_class(f: FnTable, cls: FunctionClass) -> bool:
 def class_mask(domain: Ring, codomain: Ring, rows: np.ndarray,
                cls: FunctionClass, seen: dict | None = None) -> np.ndarray:
     """:func:`in_class` for each row of value vectors: one grid evaluation
-    per class constraint over all rows.
+    per class constraint over all rows, until no row is left.
 
-    ``seen`` caches each constraint's mask over the same rows: a constraint
-    of ``class_constraints(domain, "f", ...)`` is fixed by its equation and
-    the values of that equation's parameters.  A class identity reads no
-    unknown inside an argument, so an argument outside the declared domain
-    fails every row alike.
+    A constraint is built only while a row is left, so the unit pairs of
+    the logarithmic identity are not built once its zero check has failed
+    for every row.  ``seen``, if given, is the cache of
+    :func:`fnq.eqdsl.grid_satisfies`: the grid cells of each subexpression
+    of the class identities that reads no parameter, and the mask of each
+    identity that reads none.  It is valid only for these ``rows`` between
+    these rings; calls for other classes of the same rows may share it, as
+    :func:`classify_map` does.  Without it no cells outlive their
+    constraint's check, which bounds the memory of many rows.  A class
+    identity reads no unknown inside an argument, so an argument outside
+    the declared domain fails every row alike.
     """
-    seen = {} if seen is None else seen
     ok = np.ones(len(rows), dtype=bool)
     try:
-        for c in class_constraints(domain, "f", cls):
+        for c in _constraints(domain, "f", cls):
+            ok &= grid_satisfies(c, domain, codomain, {"f": rows}, {}, seen)
             if not ok.any():
                 break
-            key = (c.equation,
-                   tuple(c.params[p] for p in c.equation.free_params))
-            if key not in seen:
-                seen[key] = grid_satisfies(c, domain, codomain, {"f": rows}, {})
-            ok &= seen[key]
     except EvalDomainError:
         ok[:] = False
     return ok
@@ -178,7 +180,10 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
 
     The shifted homo-derivation identity is evaluated for each central
     nonzero shift constant of the codomain, and each witnessing constant
-    produces its own parameterized tag.
+    produces its own parameterized tag.  All checks share one cache of
+    subexpression cells (:func:`class_mask`), so each class identity is
+    compared once, and the shifts recompute only the term reading the
+    constant.
     """
     seen: dict = {}
     rows = f.as_array()[None, :]
@@ -195,9 +200,9 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
 
 def inner_derivation(ring: Ring, b: int) -> FnTable:
     """The commutator map x -> x*b - b*x over the declared domain."""
-    values = tuple(ring.sub(int(ring.mul[x, b]), int(ring.mul[b, x]))
-                   for x in ring.domain_elements)
-    return FnTable(ring, ring, values)
+    elems = np.asarray(ring.domain_elements)
+    values = ring.add[ring.mul[elems, b], ring.neg[ring.mul[b, elems]]]
+    return FnTable(ring, ring, tuple(values.tolist()))
 
 
 # ------------------------------------------------ identities as equations
@@ -250,22 +255,29 @@ def class_constraints(ring: Ring, name: str,
     domain units plus ``f(x)=0`` at every domain element that is not a unit,
     which comes first as the cheaper and more selective check.
     """
+    return list(_constraints(ring, name, cls))
+
+
+def _constraints(ring: Ring, name: str,
+                 cls: FunctionClass) -> Iterator[PairConstraint]:
+    """:func:`class_constraints`, each built when it is asked for."""
     if cls.eps is not None and not 0 <= cls.eps < ring.size:
         raise InvalidTask(f"shift constant {cls.eps} is not an element of "
                           f"a ring of size {ring.size}")
     if cls.kind == "logarithmic":
         units = ring.domain_units
         unit_set = set(units)
-        others = tuple((e, ring.zero) for e in ring.domain_elements
-                       if e not in unit_set)
-        return [PairConstraint(_identity("zero", name), others),
-                PairConstraint(_identity("logarithmic", name),
-                               tuple(iproduct(units, repeat=2)))]
+        yield PairConstraint(_identity("zero", name),
+                             tuple((e, ring.zero) for e in ring.domain_elements
+                                   if e not in unit_set))
+        yield PairConstraint(_identity("logarithmic", name),
+                             tuple(iproduct(units, repeat=2)))
+        return
     if cls.kind not in _CLASS_IDENTITIES:
         raise ValueError(f"unknown class {cls}")
     params = {"e": cls.eps} if cls.eps is not None else {}
-    return [PairConstraint(_identity(i, name), params=params)
-            for i in _CLASS_IDENTITIES[cls.kind]]
+    for i in _CLASS_IDENTITIES[cls.kind]:
+        yield PairConstraint(_identity(i, name), params=params)
 
 
 # ------------------------------------------------------------- table scans

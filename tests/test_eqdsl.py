@@ -1,19 +1,20 @@
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fnq
 from fnq.eqdsl import (Add, Binding, Constraint, Definition, FnApp, IntLit,
                        Mul, Neg, NotReducible, Param, Sub, Var,
-                       compile_side, equation_to_text, eval_side,
-                       expr_to_text,
+                       PairConstraint, compile_side, equation_to_text,
+                       eval_side, expr_to_text, grid_satisfies,
                        parse_equation, pivot_reduce, substitute)
 from fnq.errors import (ArityError, EquationSyntaxError,
                         LiteralInNonUnitalRing, UnboundName)
 from fnq.maps import FnTable, identity_map, zero_map
 
-from conftest import reference_eval
+from conftest import reference_eval, ut2_2_additive_tables
 
 
 def test_parse_free_names():
@@ -235,3 +236,33 @@ def test_ast_json_dump():
                                   "left": {"node": "var", "name": "x"},
                                   "right": {"node": "var", "name": "y"}}}
     assert doc["text"] == "f(x*y)=f(x)*y+x*f(y)"
+
+
+def test_grid_cache_keeps_only_parameter_free_cells():
+    # the shifts share the cells of f(x*y) and f(x)*y+x*f(y) and recompute
+    # only what reads e; the masks match uncached evaluation
+    ring = fnq.ut2(2)
+    rows = np.array(ut2_2_additive_tables(ring))
+    ast = parse_equation("f(x*y)=f(x)*y+x*f(y)+e*f(x)*f(y)")
+    cache = {}
+    for e in range(ring.size):
+        c = PairConstraint(ast, params={"e": e})
+        got = grid_satisfies(c, ring, ring, {"f": rows}, {}, cache)
+        assert got.tolist() == grid_satisfies(
+            c, ring, ring, {"f": rows}, {}).tolist()
+    kept = [node for node, _ in cache.values()]
+    assert any(n is ast.lhs for n in kept)
+    assert any(n is ast.rhs.left for n in kept)
+    assert all(not isinstance(n, type(ast)) and "e" not in expr_to_text(n)
+               for n in kept)
+    # an equation reading no parameter keeps its mask, as a copy
+    leibniz = PairConstraint(parse_equation("f(x*y)=f(x)*y+x*f(y)"))
+    first = grid_satisfies(leibniz, ring, ring, {"f": rows}, {}, cache)
+    first[:] = False
+    again = grid_satisfies(leibniz, ring, ring, {"f": rows}, {}, cache)
+    assert again.any() and again.tolist() == grid_satisfies(
+        leibniz, ring, ring, {"f": rows}, {}).tolist()
+    # a check on listed pairs neither reads nor fills the cache
+    on_pairs, cache = PairConstraint(ast, ((1, 2),), {"e": 1}), {}
+    grid_satisfies(on_pairs, ring, ring, {"f": rows}, {}, cache)
+    assert cache == {}

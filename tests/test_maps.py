@@ -1,4 +1,5 @@
 import functools
+import gc
 from itertools import product as iproduct
 from math import gcd, prod
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import fnq
+from fnq import maps
 from fnq.errors import BudgetExceeded, EvalDomainError, NotAField
 from fnq.maps import (ADDITIVE, ARBITRARY, DERIVATION, HOMOMORPHISM,
                       HOMO_DERIV_MP, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
@@ -15,7 +17,8 @@ from fnq.maps import (ADDITIVE, ARBITRARY, DERIVATION, HOMOMORPHISM,
                       zero_map)
 
 from conftest import (brute_filter, brute_tables, in_class, is_additive_at,
-                      is_leibniz_at, is_logarithmic, is_multiplicative_at)
+                      is_leibniz_at, is_logarithmic, is_multiplicative_at,
+                      ut2_2_additive_tables)
 
 
 def values_of(stream):
@@ -151,14 +154,65 @@ def test_enumeration_matches_scalar_oracle(cls, ring_name, request):
         v for v in brute_tables(ring) if in_class(ring, v, cls)]
 
 
+def oracle_tags(ring, values):
+    """Every class tag by scalar point checks, each central shift too."""
+    classes = [ARBITRARY, *ALL_CLASSES[:-1]] + [
+        homo_deriv_sofy(e) for e in ring.center if e != ring.zero]
+    return {cls for cls in classes if in_class(ring, values, cls)}
+
+
 @pytest.mark.parametrize("ring_name", SMALL_RINGS)
 def test_classification_matches_scalar_oracle(ring_name, request):
     ring = request.getfixturevalue(ring_name)
-    classes = [ARBITRARY, *ALL_CLASSES[:-1]] + [
-        homo_deriv_sofy(e) for e in ring.center if e != ring.zero]
     for values in brute_tables(ring):
-        assert classify_map(FnTable(ring, ring, values)) == {
-            cls for cls in classes if in_class(ring, values, cls)}
+        assert classify_map(FnTable(ring, ring, values)) == oracle_tags(
+            ring, values)
+
+
+def _oracle_cases(name):
+    """A carrier and value vectors: inner derivations, additive tables or
+    20 seeded random tables."""
+    ring_name, kind = name.rsplit("_", 1)
+    ring = {"ut2_2": fnq.ut2(2), "ut2_3": fnq.ut2(3), "z12": fnq.zn(12)}[ring_name]
+    if kind == "inner":
+        return ring, [inner_derivation(ring, b).values
+                      for b in ring.domain_elements]
+    if kind == "additive":
+        if ring_name == "ut2_2":
+            return ring, ut2_2_additive_tables(ring)
+        return ring, [tuple(int(ring.mul[a, e]) for e in ring.domain_elements)
+                      for a in range(ring.size)]
+    rng = np.random.default_rng(11)
+    return ring, [tuple(rng.integers(ring.size, size=ring.size).tolist())
+                  for _ in range(20)]
+
+
+@pytest.mark.parametrize("case", ["ut2_2_inner", "ut2_3_inner",
+                                  "ut2_2_additive", "ut2_3_random",
+                                  "z12_random", "z12_additive"])
+def test_classification_on_ut2_and_z12_matches_scalar_oracle(case):
+    # x*y and y*x differ on UT2, and the additive maps of Z12 are checked
+    # against all 11 shifts, which share the cells of one classification
+    ring, tables = _oracle_cases(case)
+    for values in tables:
+        assert classify_map(FnTable(ring, ring, values)) == oracle_tags(
+            ring, values), values
+
+
+def test_grid_checks_leave_no_reference_cycles():
+    # a check's arrays are freed when it returns, not by the cyclic collector
+    ring = fnq.ut2(3)
+    f = inner_derivation(ring, 5)
+    classify_map(f)  # fills the ring's cached properties first
+    gc.collect()
+    gc.disable()
+    try:
+        classify_map(f)
+        maps.in_class(f, DERIVATION)
+        maps.in_class(f, LOGARITHMIC)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("ring_name", SMALL_RINGS)
