@@ -310,15 +310,34 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _monic_array(degree: int, p: int) -> np.ndarray:
+    """Every monic polynomial of the degree over F_p, one coefficient row
+    each, constant term first."""
+    lower = np.arange(p ** degree)[:, None] // p ** np.arange(degree) % p
+    return np.hstack([lower, np.ones((len(lower), 1), dtype=lower.dtype)])
+
+
 def _default_modulus(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree k over F_p."""
+    """Lexicographically smallest monic irreducible of degree k over F_p,
+    its coefficients from the constant term on compared first.
+
+    A sieve: each product of monic factors of degrees d and k - d, for
+    every d up to k/2, marks its candidate reducible, and the first
+    candidate left unmarked is the modulus.
+    """
     if k == 1:
         return (0, 1)
-    for lower in iproduct(range(p), repeat=k):
-        candidate = tuple(lower) + (1,)
-        if _is_irreducible(candidate, p):
-            return candidate
-    raise InvalidRingSpec(f"no irreducible polynomial of degree {k} over F_{p}")
+    # candidate id of the lower coefficients, the constant term most significant
+    weights = p ** np.arange(k - 1, -1, -1)
+    reducible = np.zeros(p ** k, dtype=bool)
+    for d in range(1, k // 2 + 1):
+        g, h = _monic_array(d, p), _monic_array(k - d, p)
+        product = np.zeros((len(g), len(h), k + 1), dtype=np.int64)
+        for i in range(d + 1):
+            product[:, :, i:i + k - d + 1] += g[:, i, None, None] * h
+        reducible[product[..., :k] % p @ weights] = True
+    first = int(np.flatnonzero(~reducible)[0])
+    return tuple(int(c) for c in first // weights % p) + (1,)
 
 
 def _poly_name(vec: tuple[int, ...]) -> str:

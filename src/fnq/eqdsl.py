@@ -93,12 +93,16 @@ class EquationAst:
 class PairConstraint:
     """An equation required at the given (x, y) domain pairs, or at all.
 
-    ``params`` bind parameters for this equation only and take precedence
-    over the parameters given alongside it.
+    ``pairs`` is an int64 array of shape (P, 2), one (x, y) pair per row,
+    or any sequence of pairs that converts to one; arrays are used as they
+    are, so a constraint checked many times converts no pairs.  An array
+    does not compare with ``==``.  ``params`` bind parameters for this
+    equation only and take precedence over the parameters given alongside
+    it.
     """
 
     equation: EquationAst
-    pairs: tuple[tuple[int, int], ...] | None = None
+    pairs: np.ndarray | tuple[tuple[int, int], ...] | None = None
     params: dict[str, int] = field(default_factory=dict)
 
 
@@ -445,7 +449,11 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
     sides are evaluated over the whole (candidate, pair) grid: arguments of
     unknowns in the domain ring and everything else in the codomain ring,
     so ``x`` or ``y`` outside an argument, or an unknown inside one, needs
-    both rings to share their tables.
+    both rings to share their tables.  Over all pairs, x runs along one
+    grid axis and y along the other, and an operation whose operands are
+    one row each and vary along one axis each, such as ``f(x)*y`` or
+    ``f(x)*f(y)``, is one slice of the ring table rather than one lookup
+    per cell (:meth:`_Grid.combine`).
 
     ``cache`` keeps, across calls, the grid cells of every subexpression
     that reads no parameter, evaluated over the full pair grid, keyed by
@@ -488,6 +496,9 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
 class _Grid:
     """The subexpressions of one :func:`grid_satisfies` call over its grid.
 
+    Cells keep the axes along which they vary and broadcast along the rest:
+    ``x`` is shaped (1, m, 1) and ``y`` (1, 1, m) over all pairs, both
+    (1, P, 1) over P listed pairs, and a term reading neither is (1, 1, 1).
     A class rather than nested closures, so that a call leaves no reference
     cycle behind and its arrays are freed as soon as it returns.
     """
@@ -534,24 +545,42 @@ class _Grid:
             table = self.carrier[expr.name]
             arg, pure = self.cells(expr.arg, True)
             # an argument that reads no unknown is the same in every row
-            out = (table[:, arg[0]] if len(arg) == 1 else
+            out = (table.take(arg[0], axis=1) if len(arg) == 1 else
                    table[np.arange(len(table))[:, None, None], arg])
             if (out < 0).any():
                 raise EvalDomainError("function applied outside declared domain")
             return out, pure
         if isinstance(expr, Neg):
             operand, pure = self.cells(expr.operand, in_arg)
-            return ring.neg[operand], pure
+            return ring.neg.take(operand), pure
         if isinstance(expr, (Add, Sub, Mul)):
             left, left_pure = self.cells(expr.left, in_arg)
             right, right_pure = self.cells(expr.right, in_arg)
             if isinstance(expr, Sub):
-                right = ring.neg[right]
+                right = ring.neg.take(right)
             table = ring.mul if isinstance(expr, Mul) else ring.add
-            # one gather from the flat table is faster than a two-index gather
-            return (table.reshape(-1)[left.astype(np.intp) * len(table) + right],
-                    left_pure and right_pure)
+            return self.combine(table, left, right), left_pure and right_pure
         raise TypeError(f"not an expression node: {expr!r}")
+
+    @staticmethod
+    def combine(table: np.ndarray, left: np.ndarray,
+                right: np.ndarray) -> np.ndarray:
+        """``table[left, right]`` cell by cell, broadcast over the grid.
+
+        Operands of one row that vary along one grid axis each, such as
+        ``f(x)`` and ``y``, give a table slice: the rows of one operand,
+        then the columns of the other, transposed when the x-side is on the
+        right.  Anything else is one gather from the flat table, which is
+        faster than a two-index gather.
+        """
+        if len(left) == len(right) == 1:
+            if left.shape[2] == right.shape[1] == 1:
+                return table.take(left[0, :, 0], axis=0).take(
+                    right[0, 0], axis=1)[None]
+            if left.shape[1] == right.shape[2] == 1:
+                return table.take(left[0, 0], axis=0).take(
+                    right[0, :, 0], axis=1).T[None]
+        return table.reshape(-1).take(left.astype(np.intp) * len(table) + right)
 
 
 # ----------------------------------------------------------- pivot at y=1

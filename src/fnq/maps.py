@@ -25,7 +25,11 @@ two factors whose check decides it, so only generator positions multiply
 the kernel's rows.  Membership of one table (:func:`in_class`,
 :func:`classify_map`) is one grid check of the same constraints
 (:func:`fnq.eqdsl.grid_satisfies`) whose shared subexpressions are
-evaluated once; it shares no code with the kernel.
+evaluated once; it shares no code with the kernel.  The identities share
+their common terms as nodes.  Every operation in them but the applications
+``f(x*y)`` and ``f(x+y)`` and the sums ``f(x)*y+x*f(y)`` and
+``f(x)*y+x*f(y)+e*f(x)*f(y)`` has operands that vary along one grid axis
+each, which the grid computes as one slice of a ring table.
 """
 from __future__ import annotations
 
@@ -36,7 +40,8 @@ from typing import Iterator
 import numpy as np
 
 from .algebra import Ring, same_carrier
-from .eqdsl import EquationAst, PairConstraint, grid_satisfies, parse_equation
+from .eqdsl import (Add, EquationAst, Expr, FnApp, IntLit, Mul, PairConstraint,
+                    Param, Var, grid_satisfies)
 from .errors import BudgetExceeded, EvalDomainError, InvalidTask, NotAField
 from .search import search
 
@@ -107,7 +112,8 @@ class FnTable:
         m = len(self.domain.domain_elements)
         if len(self.values) != m:
             raise ValueError(f"expected {m} values, got {len(self.values)}")
-        if any(not (0 <= v < self.codomain.size) for v in self.values):
+        if m and not (0 <= min(self.values)
+                      and max(self.values) < self.codomain.size):
             raise ValueError("value out of codomain range")
 
     def __call__(self, element: int) -> int:
@@ -207,17 +213,33 @@ def inner_derivation(ring: Ring, b: int) -> FnTable:
 
 # ------------------------------------------------ identities as equations
 
-_IDENTITIES = {
-    "additive": "{u}(x+y)={u}(x)+{u}(y)",
-    "multiplicative": "{u}(x*y)={u}(x)*{u}(y)",
-    "leibniz": "{u}(x*y)={u}(x)*y+x*{u}(y)",
-    "sofy": "{u}(x*y)={u}(x)*y+x*{u}(y)+e*{u}(x)*{u}(y)",
-    "logarithmic": "{u}(x*y)={u}(x)+{u}(y)",
-    "zero": "{u}(x)=0",
-}
-# parsed once for the unknown f, which every membership check uses
-_F_IDENTITIES = {kind: parse_equation(text.format(u="f"))
-                 for kind, text in _IDENTITIES.items()}
+def _shared_identities(fn: str) -> dict[str, EquationAst]:
+    """The class identities for the unknown ``fn``, equal to their parsed
+    text but built so that each term common to several of them is one node:
+    a grid check with one cache then evaluates each of ``fn(x*y)``,
+    ``fn(x)``, ``fn(y)``, ``fn(x)+fn(y)`` and ``fn(x)*y+x*fn(y)`` once for
+    all of them."""
+    x, y = Var("x"), Var("y")
+    fx, fy, fxy = FnApp(fn, x), FnApp(fn, y), FnApp(fn, Mul(x, y))
+    split = Add(Mul(fx, y), Mul(x, fy))
+    fx_plus_fy = Add(fx, fy)
+
+    def equation(lhs: Expr, rhs: Expr, params: tuple[str, ...] = ()):
+        return EquationAst(lhs, rhs, (fn,), params)
+    return {
+        "additive": equation(FnApp(fn, Add(x, y)), fx_plus_fy),
+        "multiplicative": equation(fxy, Mul(fx, fy)),
+        "leibniz": equation(fxy, split),
+        # f(x*y)=f(x)*y+x*f(y)+e*f(x)*f(y)
+        "sofy": equation(fxy, Add(split, Mul(Mul(Param("e"), fx), fy)),
+                         ("e",)),
+        "logarithmic": equation(fxy, fx_plus_fy),
+        "zero": equation(fx, IntLit(0)),
+    }
+
+
+# built once for the unknown f, which every membership check uses
+_F_IDENTITIES = _shared_identities("f")
 # the identities each class requires at every domain pair
 _CLASS_IDENTITIES = {
     "arbitrary": (),
@@ -234,7 +256,7 @@ _CLASS_IDENTITIES = {
 def _identity(kind: str, fn: str) -> EquationAst:
     if fn == "f":
         return _F_IDENTITIES[kind]
-    return parse_equation(_IDENTITIES[kind].format(u=fn))
+    return _shared_identities(fn)[kind]
 
 
 def multiplicative_equation(fn: str = "f") -> EquationAst:
@@ -265,13 +287,15 @@ def _constraints(ring: Ring, name: str,
         raise InvalidTask(f"shift constant {cls.eps} is not an element of "
                           f"a ring of size {ring.size}")
     if cls.kind == "logarithmic":
-        units = ring.domain_units
-        unit_set = set(units)
-        yield PairConstraint(_identity("zero", name),
-                             tuple((e, ring.zero) for e in ring.domain_elements
-                                   if e not in unit_set))
-        yield PairConstraint(_identity("logarithmic", name),
-                             tuple(iproduct(units, repeat=2)))
+        elems = np.asarray(ring.domain_elements, dtype=np.int64)
+        units = np.asarray(ring.domain_units, dtype=np.int64)
+        is_unit = np.zeros(ring.size, dtype=bool)
+        is_unit[units] = True
+        others = elems[~is_unit[elems]]
+        yield PairConstraint(_identity("zero", name), np.stack(
+            [others, np.full_like(others, ring.zero)], axis=1))
+        yield PairConstraint(_identity("logarithmic", name), np.stack(
+            [units.repeat(len(units)), np.tile(units, len(units))], axis=1))
         return
     if cls.kind not in _CLASS_IDENTITIES:
         raise ValueError(f"unknown class {cls}")

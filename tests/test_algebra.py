@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 import tracemalloc
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -247,6 +248,17 @@ def test_default_gf_modulus_matches_explicit():
     assert np.array_equal(auto.mul, explicit.mul)
     bigger = fnq.gf(3, 2)
     assert bigger.size == 9 and bigger.is_field
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 6), (2, 8),
+                                 (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
+                                 (7, 2), (7, 3), (11, 2), (13, 2)])
+def test_default_modulus_is_first_irreducible_by_trial_division(p, k):
+    # the sieve picks the candidate that trial division, scanning in
+    # lexicographic order from the constant term, accepts first
+    first = next(lower + (1,) for lower in iproduct(range(p), repeat=k)
+                 if algebra._is_irreducible(lower + (1,), p))
+    assert algebra._default_modulus(p, k) == first
 
 
 def test_subring_declaration(z6):

@@ -13,6 +13,7 @@ from fnq.eqdsl import (Add, Binding, Constraint, Definition, FnApp, IntLit,
 from fnq.errors import (ArityError, EquationSyntaxError,
                         LiteralInNonUnitalRing, UnboundName)
 from fnq.maps import FnTable, identity_map, zero_map
+from fnq.solver import residual
 
 from conftest import reference_eval, ut2_2_additive_tables
 
@@ -236,6 +237,30 @@ def test_ast_json_dump():
                                   "left": {"node": "var", "name": "x"},
                                   "right": {"node": "var", "name": "y"}}}
     assert doc["text"] == "f(x*y)=f(x)*y+x*f(y)"
+
+
+@pytest.mark.parametrize("text", ["f(y)*x=x*f(y)", "f(x)*f(y)=f(y)*f(x)",
+                                  "y*f(x)=f(x*y)", "f(x)+y=y+f(x)"])
+@pytest.mark.parametrize("ring", [fnq.ut2(3), fnq.zn(6, subring=(0, 2, 4))],
+                         ids=["ut2_3", "z6_sub"])
+def test_grid_slices_match_scalar_residual(text, ring):
+    # one row at a time, an operand reading only x meets one reading only y
+    # on either side of an operation, which is a table slice; all rows at
+    # once take the gather.  Half the tables take central values only, so
+    # the commutation identities hold for some of them.
+    ast = parse_equation(text)
+    m = len(ring.domain_elements)
+    rng = np.random.default_rng(5)
+    rows = np.vstack([rng.integers(ring.size, size=(10, m)),
+                      rng.choice(ring.center, size=(10, m))])
+    constraint = PairConstraint(ast)
+    together = grid_satisfies(constraint, ring, ring, {"f": rows}, {})
+    one_by_one = [bool(grid_satisfies(constraint, ring, ring,
+                                      {"f": row[None]}, {})[0])
+                  for row in rows]
+    scalar = [not residual(ast, Binding({"f": FnTable(
+        ring, ring, tuple(row.tolist()))}, {}), ring) for row in rows]
+    assert together.tolist() == one_by_one == scalar
 
 
 def test_grid_cache_keeps_only_parameter_free_cells():

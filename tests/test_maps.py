@@ -1,5 +1,6 @@
 import functools
 import gc
+import types
 from itertools import product as iproduct
 from math import gcd, prod
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import fnq
-from fnq import maps
+from fnq import eqdsl, maps
+from fnq.eqdsl import equation_to_text, parse_equation
 from fnq.errors import BudgetExceeded, EvalDomainError, NotAField
 from fnq.maps import (ADDITIVE, ARBITRARY, DERIVATION, HOMOMORPHISM,
                       HOMO_DERIV_MP, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
@@ -213,6 +215,60 @@ def test_grid_checks_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+IDENTITY_TEXTS = {
+    "additive": "{u}(x+y)={u}(x)+{u}(y)",
+    "multiplicative": "{u}(x*y)={u}(x)*{u}(y)",
+    "leibniz": "{u}(x*y)={u}(x)*y+x*{u}(y)",
+    "sofy": "{u}(x*y)={u}(x)*y+x*{u}(y)+e*{u}(x)*{u}(y)",
+    "logarithmic": "{u}(x*y)={u}(x)+{u}(y)",
+    "zero": "{u}(x)=0",
+}
+
+
+@pytest.mark.parametrize("fn", ["f", "h"])
+def test_class_identities_are_their_parsed_text(fn):
+    # the shared nodes build the same trees as the text, so
+    # equation_to_text and the search kernel see what the parser makes
+    for kind, text in IDENTITY_TEXTS.items():
+        ast = parse_equation(text.format(u=fn))
+        assert maps._identity(kind, fn) == ast, kind
+        assert equation_to_text(maps._identity(kind, fn)) == text.format(u=fn)
+
+
+def test_fn_table_rejects_values_outside_the_codomain(z4):
+    with pytest.raises(ValueError, match="expected 4 values, got 3"):
+        FnTable(z4, z4, (0, 1, 2))
+    for bad in ((0, 1, 2, 4), (-1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="value out of codomain range"):
+            FnTable(z4, z4, bad)
+    assert FnTable(z4, z4, (3, 0, 0, 3)).values == (3, 0, 0, 3)
+    # a map on an empty domain has no value to range-check
+    empty = types.SimpleNamespace(domain_elements=())
+    assert FnTable(empty, z4, ()).values == ()
+
+
+def test_classify_map_evaluates_each_parameter_free_node_once(monkeypatch):
+    # counted on the full pair grid, where x and y vary along different
+    # axes; the logarithmic checks on listed pairs keep no cells
+    evaluated = []
+    evaluate = eqdsl._Grid.evaluate
+
+    def counting(grid, expr, in_arg):
+        values, pure = evaluate(grid, expr, in_arg)
+        if pure and grid.xs.shape != grid.ys.shape:
+            evaluated.append((expr, in_arg))
+        return values, pure
+
+    monkeypatch.setattr(eqdsl._Grid, "evaluate", counting)
+    ring = fnq.ut2(3)
+    for b in (0, 5, 13):
+        evaluated.clear()
+        tags = classify_map(inner_derivation(ring, b))
+        assert DERIVATION in tags
+        assert evaluated and len(set(evaluated)) == len(evaluated), b
+        assert (maps._F_IDENTITIES["leibniz"].rhs, False) in evaluated
 
 
 @pytest.mark.parametrize("ring_name", SMALL_RINGS)
