@@ -168,6 +168,13 @@ class Ring:
         return self.subring if self.subring is not None else tuple(range(self.size))
 
     @cached_property
+    def element_array(self) -> np.ndarray:
+        """``domain_elements`` as a read-only int64 array."""
+        elems = np.asarray(self.domain_elements, dtype=np.int64)
+        elems.setflags(write=False)
+        return elems
+
+    @cached_property
     def position(self) -> np.ndarray:
         """Carrier index -> position in ``domain_elements`` (-1 outside)."""
         pos = np.full(self.size, -1, dtype=np.int64)
@@ -214,7 +221,7 @@ class Ring:
         lies in it too, in domain order (none when ``one`` lies outside)."""
         if self.one is None or self.position[self.one] < 0:
             return ()
-        elems = np.asarray(self.domain_elements, dtype=np.int64)
+        elems = self.element_array
         inv = self.inverse[elems]
         inside = (inv >= 0) & (self.position[inv] >= 0)
         return tuple(int(u) for u in elems[inside])

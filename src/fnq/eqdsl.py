@@ -459,36 +459,48 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
     that reads no parameter, evaluated over the full pair grid, keyed by
     the node's ``id`` and whether it sits inside an argument, and the mask
     of every equation that reads none, keyed by the equation's ``id``.
-    Each entry holds its node or equation, so a key can never match
-    another one while the cache lives.  Whatever reads a parameter is
-    evaluated afresh on every call.  The cache is valid only for one
-    domain, codomain and set of ``tables``; a constraint restricted to
-    pairs neither reads nor fills it.
+    An equation ``L = P + T`` that reads a parameter only in ``T`` is
+    compared as ``L - P = T`` once ``P`` is cached, and ``L - P`` is kept
+    too, keyed by both nodes' ids, so that each further parameter value
+    of the shifted identity costs the cells of ``T`` and one comparison
+    (:meth:`_Grid.sides`).  Each
+    entry holds its node or equation, so a key can never match another one
+    while the cache lives.  Whatever reads a parameter is evaluated afresh
+    on every call.  The cache is valid only for one domain, codomain and
+    set of ``tables``; a constraint restricted to pairs neither reads nor
+    fills it.
+
+    Over a declared subring each unknown is spread over the carrier with
+    -1 outside the domain, and an application that reads -1 raises
+    :class:`EvalDomainError`; without one the tables are used as they
+    are, since no argument can leave the domain.
     """
     equation = constraint.equation
     if constraint.pairs is None and cache is not None and id(equation) in cache:
         return cache[id(equation)][1].copy()
-    elems = np.asarray(domain.domain_elements, dtype=np.int64)
+    elems = domain.element_array
     if constraint.pairs is None:
         xs, ys = elems[None, :, None], elems[None, None, :]
     else:
         pairs = np.asarray(constraint.pairs, dtype=np.int64).reshape(1, -1, 2)
         xs, ys = pairs[..., :1], pairs[..., 1:]
         cache = None
-    # each unknown over the whole carrier, -1 outside the declared domain
-    carrier = {}
-    for name, values in tables.items():
-        carrier[name] = np.full((len(values), domain.size), -1,
-                                dtype=codomain.add.dtype)
-        carrier[name][:, elems] = values
+    # each unknown over the whole carrier, -1 outside a declared subring;
+    # over the whole carrier no argument can leave the domain
+    carrier = tables
+    if domain.subring is not None:
+        carrier = {}
+        for name, values in tables.items():
+            carrier[name] = np.full((len(values), domain.size), -1,
+                                    dtype=codomain.add.dtype)
+            carrier[name][:, elems] = values
     grid = _Grid(domain, codomain, xs, ys, {**params, **constraint.params},
-                 carrier, {} if cache is None else cache)
-    lhs, lhs_pure = grid.cells(equation.lhs, False)
-    rhs, rhs_pure = grid.cells(equation.rhs, False)
+                 carrier, cache)
+    lhs, rhs, pure = grid.sides(equation)
     rows = max((len(t) for t in tables.values()), default=1)
     shape = np.broadcast_shapes(xs.shape, ys.shape)[1:]
     mask = np.broadcast_to(np.equal(lhs, rhs), (rows, *shape)).all(axis=(1, 2))
-    if cache is not None and lhs_pure and rhs_pure:
+    if cache is not None and pure:
         cache[id(equation)] = (equation, mask.copy())
     return mask
 
@@ -505,10 +517,35 @@ class _Grid:
 
     def __init__(self, domain: Ring, codomain: Ring, xs: np.ndarray,
                  ys: np.ndarray, bound: dict[str, int],
-                 carrier: dict[str, np.ndarray], cache: dict):
+                 carrier: dict[str, np.ndarray], cache: dict | None):
         self.domain, self.codomain = domain, codomain
         self.xs, self.ys = xs, ys
-        self.bound, self.carrier, self.cache = bound, carrier, cache
+        self.bound, self.carrier = bound, carrier
+        self.cache = {} if cache is None else cache
+        self.checked = domain.subring is not None
+
+    def sides(self, equation: EquationAst) -> tuple[np.ndarray, np.ndarray,
+                                                    bool]:
+        """Cells of both sides and whether the equation reads no parameter.
+
+        An equation ``L = P + T`` that reads a parameter, with ``L``
+        reading none and the cells of ``P`` already cached, is compared as
+        ``L - P = T``.  ``L - P`` is cached too, so a call for another
+        parameter value evaluates only ``T``.
+        """
+        lhs, lhs_pure = self.cells(equation.lhs, False)
+        rhs = equation.rhs
+        part = (id(rhs.left), False) if isinstance(rhs, Add) else None
+        if not (lhs_pure and equation.free_params and part in self.cache):
+            rhs, rhs_pure = self.cells(rhs, False)
+            return lhs, rhs, lhs_pure and rhs_pure
+        # keyed by both nodes, which the entry's own node keeps alive
+        key = (id(equation.lhs), id(rhs.left), "-")
+        if key not in self.cache:
+            self.cache[key] = (Sub(equation.lhs, rhs.left), self.combine(
+                self.codomain.add, lhs,
+                self.codomain.neg.take(self.cache[part][1])))
+        return self.cache[key][1], self.cells(rhs.right, False)[0], False
 
     def mixing(self, what: str) -> None:
         if not same_carrier(self.domain, self.codomain):
@@ -547,7 +584,7 @@ class _Grid:
             # an argument that reads no unknown is the same in every row
             out = (table.take(arg[0], axis=1) if len(arg) == 1 else
                    table[np.arange(len(table))[:, None, None], arg])
-            if (out < 0).any():
+            if self.checked and (out < 0).any():
                 raise EvalDomainError("function applied outside declared domain")
             return out, pure
         if isinstance(expr, Neg):

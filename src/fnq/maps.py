@@ -21,8 +21,9 @@ kernel's default position order except for the logarithmic class.  That
 class takes the non-units first, each fixed at zero by its own check, and
 then the units in the order a breadth-first closure over a unit
 generating set reaches them.  Each unit but a generator then comes after
-two factors whose check decides it, so only generator positions multiply
-the kernel's rows.  Membership of one table (:func:`in_class`,
+two factors whose check defines it, and the kernel computes its digit from
+that check instead of enumerating it, so only generator positions multiply
+the rows the kernel grows.  Membership of one table (:func:`in_class`,
 :func:`classify_map`) is one grid check of the same constraints
 (:func:`fnq.eqdsl.grid_satisfies`) whose shared subexpressions are
 evaluated once; it shares no code with the kernel.  The identities share
@@ -206,7 +207,7 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
 
 def inner_derivation(ring: Ring, b: int) -> FnTable:
     """The commutator map x -> x*b - b*x over the declared domain."""
-    elems = np.asarray(ring.domain_elements)
+    elems = ring.element_array
     values = ring.add[ring.mul[elems, b], ring.neg[ring.mul[b, elems]]]
     return FnTable(ring, ring, tuple(values.tolist()))
 
@@ -287,7 +288,7 @@ def _constraints(ring: Ring, name: str,
         raise InvalidTask(f"shift constant {cls.eps} is not an element of "
                           f"a ring of size {ring.size}")
     if cls.kind == "logarithmic":
-        elems = np.asarray(ring.domain_elements, dtype=np.int64)
+        elems = ring.element_array
         units = np.asarray(ring.domain_units, dtype=np.int64)
         is_unit = np.zeros(ring.size, dtype=bool)
         is_unit[units] = True

@@ -18,12 +18,24 @@ new digit is appended, and that level's checks filter the rows.  This is
 the finite-model search of SEM (Zhang & Zhang, IJCAI 1995) and Mace4
 (McCune, arXiv:cs/0310055).
 
+A digit that one check defines is computed instead, as those searches
+propagate it.  A pair of a check without nested applications defines its
+level's digit when one side is a lone application reading that digit and
+the other side reads only earlier digits, as the pair (1, 1) of
+``f(x+y) = f(x)+f(y)`` defines f(2) once f(1) is assigned.  The planner
+marks such pairs with one mask per constraint while it sorts the pairs by
+level, and at a level with one the search appends the other side's value
+to every row and runs the level's checks on the result: no rows·q
+growth.  A level with a nested check is grown as before.  For Hom(Z256)
+only the digits of f(1) and f(0) are grown; in the logarithmic order
+(:func:`fnq.maps.enumerate_maps`) only the unit generators' digits are.
+
 A check takes its pairs in chunks: the first covers about 4,096 (row,
 pair) cells and each next one twice the pairs of the last, and every
 chunk drops the rows it refutes before the next runs.  One selective pair
 thus prunes a large level before the rest is evaluated: for the additive
-identity on Z256, the pair (1, 255) alone fixes each new digit, where the
-whole level would check ~3p pairs on 65,536 rows.  A tiny search still
+identity on Z256, any one pair of the level of f(0) keeps 256 of its
+65,536 rows.  A tiny search still
 takes one numpy pass per check, since its first chunk holds every pair:
 starting at one pair instead raised the median solve of the benchmark's
 200 small seeded tasks from about 0.9 ms to 1.2-1.6 ms.
@@ -31,7 +43,8 @@ starting at one pair instead raised the median solve of the benchmark's
 An unknown given a definition, an expression in ``x`` for its value at
 ``x``, is not enumerated: each of its digits is computed from the row as
 soon as the digits its definition reads are assigned, and placed right
-after the last of them.  A budget bounds the rows a level may examine.
+after the last of them.  A budget bounds the rows a level that enumerates
+its digit may examine; a computed digit grows no rows and is not checked.
 
 Arguments of unknowns are computed in the domain ring and everything else
 in the codomain ring, so ``x`` or ``y`` outside an argument, or an unknown
@@ -43,6 +56,7 @@ reaches the check reads outside.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -69,6 +83,14 @@ class _Check:
     y: np.ndarray
     slots: list[np.ndarray]    # digit read by each plain application, (P,)
     nested: bool               # applies an unknown to an unknown's value
+    defines: tuple | None      # the side whose value at one pair is the
+    at: int                    # level's digit, and that pair
+
+    def digit(self) -> tuple:
+        """The digit its defining pair computes, as :func:`_append` takes it."""
+        j = [self.at]
+        return (self.defines, self.x[:, j], self.y[:, j],
+                [s[j] for s in self.slots])
 
 
 def _eval(node: tuple, x, y, slots, rows):
@@ -147,7 +169,7 @@ class _Planner:
             cols = new[start + k * m + np.arange(m)]
             self.digit_of[self.unknowns[name], order] = cols
             node, slots, _ = self._compile_definition(expr)
-            x = np.asarray(domain.domain_elements, dtype=np.int64)[None, :]
+            x = domain.element_array[None, :]
             for p in order:
                 self.computed[int(cols[rank[p]])] = (
                     node, x[:, [p]], x[:, [p]], [s[[p]] for s in slots])
@@ -156,7 +178,7 @@ class _Planner:
         """A definition compiled at every domain position: the node, the
         digit each plain application reads and the last digit read (-1 for
         none), both per position."""
-        elems = np.asarray(self.domain.domain_elements, dtype=np.int64)
+        elems = self.domain.element_array
         self.pairs, self.slots, self.late = (elems, elems), [], -1
         self.bound = self.params
         node = self._build(expr, False)
@@ -165,9 +187,10 @@ class _Planner:
 
     def compile(self, constraint: PairConstraint) -> list[tuple[int, _Check]]:
         """(level, check) parts of one constraint."""
-        elems = np.asarray(self.domain.domain_elements, dtype=np.int64)
+        elems = self.domain.element_array
         if constraint.pairs is None:
-            xs, ys = np.repeat(elems, len(elems)), np.tile(elems, len(elems))
+            m = len(elems)
+            xs, ys = elems.repeat(m), elems[None, :].repeat(m, axis=0).ravel()
         else:
             pairs = np.asarray(constraint.pairs, dtype=np.int64).reshape(-1, 2)
             xs, ys = pairs[:, 0], pairs[:, 1]
@@ -177,21 +200,46 @@ class _Planner:
         self.pairs, self.slots, self.late = (xs, ys), [], -1
         self.bound = {**self.params, **constraint.params}
         lhs = self._build(constraint.equation.lhs, False)
+        split = len(self.slots)
         rhs = self._build(constraint.equation.rhs, False)
-        levels = np.maximum.reduce(self.slots + [np.full(len(xs), self.late)])
+        lhs_last, rhs_last = (
+            np.maximum.reduce(side + [np.full(len(xs), self.late)])
+            for side in (self.slots[:split], self.slots[split:]))
+        levels = np.maximum(lhs_last, rhs_last)
+        sides = ((rhs, lhs, rhs_last > lhs_last),
+                 (lhs, rhs, lhs_last > rhs_last))
+        del lhs_last, rhs_last
         # sort once and give each level views: copies per level were
         # thousands of small allocations, after which the next Z256 build
         # peaked 7 MB higher in a process that had planned Hom(Z256)
         order = np.argsort(levels, kind="stable")
         levels, xs, ys = levels[order], xs[order], ys[order]
         slots = [s[order] for s in self.slots]
+        self.pairs = self.slots = None  # drop the unsorted arrays
+        # a pair defines its level's digit when one side is a lone
+        # application reading that digit and the other reads only earlier
+        # ones; the lhs slots are the ones built before the rhs.  Keep the
+        # first such pair of each level.
+        defines = {}
+        if self.late < 0:
+            for lone, other, later in sides:
+                if lone[0] == "fn":
+                    hits = np.flatnonzero(later[order])
+                    level = levels[hits]
+                    first = np.ones(len(hits), dtype=bool)
+                    first[1:] = level[1:] != level[:-1]
+                    defines.update(zip(level[first].tolist(), zip(
+                        repeat(other), hits[first].tolist())))
         cuts = [0, *(np.flatnonzero(np.diff(levels)) + 1), len(levels)]
         parts = []
         for start, stop in zip(cuts, cuts[1:]):
             part = slice(start, stop)
+            level = int(levels[start])
+            node, j = defines.get(level, (None, start))
             check = _Check(lhs, rhs, xs[None, part], ys[None, part],
-                           [s[part] for s in slots], self.late >= 0)
-            parts.append((int(levels[start]), check))
+                           [s[part] for s in slots], self.late >= 0,
+                           node, j - start)
+            parts.append((level, check))
         return parts
 
     def _mixing(self, what: str) -> None:
@@ -229,8 +277,10 @@ class _Planner:
             if np.any(pos < 0):
                 raise EvalDomainError(
                     f"function {expr.name!r} applied outside declared domain")
-            self.slots.append(
-                np.broadcast_to(digit_at[pos], self.pairs[0].shape))
+            slot = digit_at[pos]
+            if slot.shape != self.pairs[0].shape:  # a constant argument
+                slot = np.broadcast_to(slot, self.pairs[0].shape)
+            self.slots.append(slot)
             return ("fn", len(self.slots) - 1)
         if isinstance(expr, Neg):
             return ("neg", ring.neg, self._build(expr.operand, in_arg))
@@ -283,7 +333,8 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
     enumerated; a definition may not read a defined unknown.  ``budget``
     bounds the rows one level examines times the squared domain size, the
     pairs a candidate is checked on; a level past it raises
-    :class:`BudgetExceeded` before growing.  ``order`` lists the domain
+    :class:`BudgetExceeded` before growing, and a level whose digit is
+    computed grows nothing.  ``order`` lists the domain
     positions in the order their digits are assigned, replacing the unit,
     zero, then ascending default; anything but a permutation of the
     positions raises :class:`ValueError`.
@@ -298,8 +349,15 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
     for constraint in constraints:
         for level, check in planner.compile(constraint):
             levels.setdefault(level, []).append(check)
-    for checks in levels.values():
+    # a digit given a definition keeps it, and a level with a nested check
+    # is grown; any other level with a defining pair computes its digit
+    computed = dict(planner.computed)
+    for level, checks in levels.items():
         checks.sort(key=lambda check: check.nested)
+        definer = next((c for c in checks if c.defines is not None), None)
+        if (definer is not None and level not in computed
+                and not checks[-1].nested):
+            computed[level] = definer.digit()
 
     q = codomain.size
     pairs = len(domain.domain_elements) ** 2
@@ -310,8 +368,8 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
             rows = np.zeros((0, planner.digits), dtype=rows.dtype)
             break
         checks = levels.get(level, [])
-        if level in planner.computed:
-            rows = _filter(_append(rows, planner.computed[level]), checks)
+        if level in computed:
+            rows = _filter(_append(rows, computed[level]), checks)
             continue
         needed = len(rows) * q * pairs
         if budget is not None and needed > budget:
@@ -327,7 +385,8 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
 
 
 def _append(rows: np.ndarray, digit: tuple) -> np.ndarray:
-    """Append a computed digit: (node, x, y, slots) of its definition."""
+    """Append a computed digit: (node, x, y, slots) of its definition or of
+    the side of a check that defines it."""
     node, x, y, slots = digit
     value = np.broadcast_to(_eval(node, x, y, slots, rows), (len(rows), 1))
     return np.concatenate([rows, value.astype(rows.dtype)], axis=1)
@@ -359,6 +418,9 @@ def _filter(rows: np.ndarray, checks: list[_Check]) -> np.ndarray:
             x, y, slots = c.x[:, part], c.y[:, part], [s[part] for s in c.slots]
             ok = np.equal(_eval(c.lhs, x, y, slots, rows),
                           _eval(c.rhs, x, y, slots, rows))
-            rows = rows[np.broadcast_to(ok, (len(rows), x.shape[1])).all(axis=1)]
+            if np.ndim(ok) == 2 and len(ok) == len(rows):
+                rows = rows[ok.all(axis=1)]
+            elif not np.all(ok):  # reads no digit: every row or none
+                rows = rows[:0]
             start, size = start + size, 2 * size
     return rows

@@ -186,7 +186,7 @@ class FamilyTag:
 def multiplicative_shift(h: FnTable, eps: int) -> FnTable:
     """The map x -> eps*h(x) + x on h's domain."""
     ring = h.codomain
-    elems = np.asarray(h.domain.domain_elements, dtype=np.int64)
+    elems = h.domain.element_array
     vals = ring.add[ring.mul[eps, h.as_array()], elems]
     return FnTable(h.domain, ring, tuple(int(v) for v in vals))
 
@@ -211,7 +211,7 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
     task = SolveTask(ast=ast, ring=ring, classes={"h": ARBITRARY},
                      params={"e": eps}, budget=budget)
     sols = solve(task)
-    elems = np.asarray(ring.domain_elements, dtype=np.int64)
+    elems = ring.element_array
     hs = _value_rows(sols.solutions, "h", m)
     shifts = ring.add[ring.mul[eps, hs], elems]
     multiplicative = class_mask(ring, ring, shifts, MULTIPLICATIVE)
@@ -457,7 +457,7 @@ def _classify_rows(ring: Ring, f: np.ndarray, h: np.ndarray,
     """
     add, mul, neg, inv = ring.add, ring.mul, ring.neg, ring.inverse
     zero, one = ring.zero, ring.one
-    elems = np.asarray(ring.domain_elements, dtype=np.int64)
+    elems = ring.element_array
     at = np.arange(len(f))
     one_pos = int(ring.position[one])
 
@@ -571,7 +571,7 @@ def _family_rows(name: str, field_ring: Ring, params: dict[str, np.ndarray],
     """
     add, mul, neg, inv = (field_ring.add, field_ring.mul, field_ring.neg,
                           field_ring.inverse)
-    elems = np.asarray(field_ring.domain_elements, dtype=np.int64)
+    elems = field_ring.element_array
 
     def scaled(c):
         return mul[c, elems]
@@ -784,7 +784,7 @@ def verify_alien(ring: Ring, lam: int, mu: int,
         tag_of = lambda vals: FamilyTag("AlienB")
     else:
         c = int(ring.mul[ring.sub(mu, lam), int(ring.inverse[mu])])
-        elems = np.asarray(ring.domain_elements, dtype=np.int64)
+        elems = ring.element_array
         scaled = tuple(int(v) for v in ring.mul[c, elems])
         predicted = {zero_values, scaled}
         case = "scaled-identity"

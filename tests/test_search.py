@@ -1,0 +1,161 @@
+"""Digits a check defines: the kernel computes them instead of growing rows.
+
+A pair whose one side is a lone application reading the level's digit,
+and whose other side reads only earlier digits, fixes that digit; the
+kernel appends the other side's value there (:mod:`fnq.search`).  These
+tests hold the enumerations to oracles that do not compute digits: a
+filter of every table by the grid check where the tables are few, the
+kernel with computed digits switched off where they are not, and closed
+forms.
+"""
+import functools
+import json
+
+import numpy as np
+import pytest
+
+import fnq
+from fnq import maps, search as kernel
+from fnq.eqdsl import PairConstraint, grid_satisfies, parse_equation
+from fnq.errors import EvalDomainError
+from fnq.maps import (ADDITIVE, DERIVATION, HOMO_DERIV_MP, HOMOMORPHISM,
+                      LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE, class_mask,
+                      enumerate_maps, homo_deriv_sofy)
+
+LIFTED = 10 ** 30
+# tables filtered one by one when there are at most this many
+BRUTE_LIMIT = 10 ** 6
+
+RINGS = {
+    **{f"z{n}": (lambda n=n: fnq.zn(n)) for n in range(2, 13)},
+    "gf4": lambda: fnq.gf(2, 2),
+    "gf8": lambda: fnq.gf(2, 3),
+    "gf9": lambda: fnq.gf(3, 2),
+    "f2[x]/(x^2)": lambda: fnq.poly_quot(2, 2),
+    "ut2_2": lambda: fnq.ut2(2),
+    "z2xz4": lambda: fnq.product(fnq.zn(2), fnq.zn(4)),
+}
+NAMED = [ADDITIVE, MULTIPLICATIVE, HOMOMORPHISM, LEIBNIZ, DERIVATION,
+         LOGARITHMIC, HOMO_DERIV_MP]
+
+
+@functools.cache
+def ring(name):
+    return RINGS[name]()
+
+
+def classes(r):
+    """Every class but ``arbitrary``, the shifted one at each central
+    nonzero shift."""
+    return NAMED + [homo_deriv_sofy(e) for e in r.center if e != r.zero]
+
+
+def enumerated(r, cls):
+    return np.array([t.values for t in enumerate_maps(r, r, cls, LIFTED)],
+                    dtype=np.int64).reshape(-1, len(r.domain_elements))
+
+
+def all_tables(q, m, chunk=1 << 15):
+    """Every value vector in lexicographic order, in blocks of rows."""
+    weights = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    for start in range(0, q ** m, chunk):
+        ids = np.arange(start, min(start + chunk, q ** m), dtype=np.int64)
+        yield ids[:, None] // weights % q
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_class_enumeration_matches_an_oracle_without_computed_digits(
+        name, monkeypatch):
+    r = ring(name)
+    q, m = r.size, len(r.domain_elements)
+    if q ** m <= BRUTE_LIMIT:
+        want = {cls: [] for cls in classes(r)}
+        for block in all_tables(q, m):
+            additive = block[class_mask(r, r, block, ADDITIVE)]
+            for cls, found in want.items():
+                # the additive maps, for a class that requires additivity
+                rows = (additive if "additive" in
+                        maps._CLASS_IDENTITIES.get(cls.kind, ()) else block)
+                found.append(rows[class_mask(r, r, rows, cls)])
+        for cls, found in want.items():
+            assert np.array_equal(enumerated(r, cls), np.concatenate(found)), cls
+        return
+    got = {cls: enumerated(r, cls) for cls in classes(r)}
+    for cls, rows in got.items():
+        assert class_mask(r, r, rows, cls).all(), cls
+    compile_ = kernel._Planner.compile
+
+    def enumerating(planner, constraint):
+        parts = compile_(planner, constraint)
+        for _, check in parts:
+            check.defines = None
+        return parts
+    monkeypatch.setattr(kernel._Planner, "compile", enumerating)
+    for cls, rows in got.items():
+        assert np.array_equal(enumerated(r, cls), rows), cls
+
+
+def test_zn_homomorphisms_are_idempotent_scalings_up_to_256():
+    for n in range(2, 257):
+        r = fnq.zn(n)
+        got = [t.values for t in enumerate_maps(r, r, HOMOMORPHISM)]
+        assert got == sorted(tuple(e * x % n for x in range(n))
+                             for e in range(n) if e * e % n == e), n
+
+
+def test_logarithmic_maps_on_z16xz16():
+    # U(Z16) = Z2 x Z4, and Hom(Z2 x Z4, Z16) has 2 * 4 elements, so
+    # Hom(U(Z16 x Z16), Z16 x Z16) has 8**4; the kernel reaches them in
+    # well under a second once the non-generator unit digits are computed
+    r = fnq.ring_from_json(json.dumps(
+        {"kind": "Product", "left": {"kind": "Zn", "n": 16},
+         "right": {"kind": "Zn", "n": 16}}))
+    rows = enumerated(r, LOGARITHMIC)
+    assert len(rows) == 8 ** 4
+    assert all(class_mask(r, r, rows[i:i + 256], LOGARITHMIC).all()
+               for i in range(0, len(rows), 256))
+
+
+def test_hom_z256_grows_only_the_levels_no_check_defines(monkeypatch):
+    # f(1) (level 0) and f(0) (level 1) are fixed by no pair whose other
+    # side reads only earlier digits; f(k) for k >= 2 is f(1) + f(k-1)
+    grown = []
+    grow = kernel._grow
+
+    def counting(rows, q, checks):
+        grown.append(rows.shape[1])
+        return grow(rows, q, checks)
+    monkeypatch.setattr(kernel, "_grow", counting)
+    r = fnq.zn(256)
+    assert len(list(enumerate_maps(r, r, HOMOMORPHISM))) == 2
+    assert grown == [0, 1]
+
+
+def test_a_lone_application_on_either_side_defines_its_digit(monkeypatch):
+    # Z12's additive maps are x -> a*x; either way round, f(1) and f(0)
+    # are grown and every other digit is computed
+    grown = []
+    grow = kernel._grow
+
+    def counting(rows, q, checks):
+        grown.append(rows.shape[1])
+        return grow(rows, q, checks)
+    monkeypatch.setattr(kernel, "_grow", counting)
+    r = fnq.zn(12)
+    for text in ("f(x+y)=f(x)+f(y)", "f(x)+f(y)=f(x+y)"):
+        rows = kernel.search([PairConstraint(parse_equation(text))], ("f",),
+                             r, r)
+        assert rows[:, 0].tolist() == [[a * x % 12 for x in range(12)]
+                                       for a in range(12)], text
+    assert grown == [0, 1, 0, 1]
+
+
+def test_grid_check_on_a_subring_still_raises_outside_the_domain():
+    # on Z6 restricted to {0, 2, 4}, x+1 leaves the domain at every x
+    r = fnq.zn(6, subring=(0, 2, 4))
+    rows = np.zeros((2, 3), dtype=np.int64)
+    constraint = PairConstraint(parse_equation("f(x+1)=f(x)"))
+    with pytest.raises(EvalDomainError):
+        grid_satisfies(constraint, r, r, {"f": rows}, {})
+    with pytest.raises(EvalDomainError):
+        grid_satisfies(constraint, r, r, {"f": rows}, {}, {})
