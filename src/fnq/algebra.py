@@ -376,10 +376,16 @@ def _poly_ring_tables(p: int, k: int, modulus: tuple[int, ...]):
     # index <-> coefficient vector, constant term first, lexicographic order
     weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
     digits = (np.arange(size, dtype=np.int64)[:, None] // weights) % p
-    add = np.zeros((size, size), dtype=np.int64)
-    for i in range(k):
-        add += (digits[:, i, None] + digits[None, :, i]) % p * weights[i]
+    # + is the table of Z_p in every digit; one digit is appended per step
+    zp = np.arange(p, dtype=np.int64)
+    zp_add = (zp[:, None] + zp) % p
+    add = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(k):
+        n = len(add)
+        add = (add[:, None, :, None] * p + zp_add[None, :, None, :]).reshape(n * p, n * p)
     neg = (-digits) % p @ weights
+    # scaled[c, b] is the index of c * b for c in F_p
+    scaled = (zp[:, None, None] * digits) % p @ weights
     # shifted[i] holds the digits of x^i * b for every b: multiply by x, then
     # replace x^k by -(m_0 + .. + m_{k-1} x^{k-1}) of the monic modulus
     low = np.asarray(modulus[:k], dtype=np.int64)
@@ -389,11 +395,12 @@ def _poly_ring_tables(p: int, k: int, modulus: tuple[int, ...]):
         step = np.zeros_like(prev)
         step[:, 1:] = prev[:, :-1]
         shifted.append((step - prev[:, k - 1, None] * low) % p)
-    # digit j of a*b is sum_i a_i * (x^i b)_j
-    mul = np.zeros((size, size), dtype=np.int64)
-    for j in range(k):
-        column = np.stack([s[:, j] for s in shifted])
-        mul += (digits @ column) % p * weights[j]
+    # a*b is the sum of a_i * (x^i b): add the terms of a's digits one at a
+    # time, the constant term first, as it is a's most significant digit
+    mul = np.zeros((1, size), dtype=np.int64)
+    for digits_i in shifted:
+        terms = scaled[:, digits_i @ weights]
+        mul = add[mul[:, None, :], terms[None, :, :]].reshape(-1, size)
     one = int(weights[0])
     names = tuple(_poly_name(tuple(v)) for v in digits.tolist())
     return size, add, mul, neg, 0, one, names
@@ -460,8 +467,10 @@ def _spec_size(spec: RingSpec) -> int:
 # carriers up to this size test every element as a generator, which is the
 # exhaustive check and cheaper there than finding a generating set
 _EXHAUSTIVE_SIZE = 20
-# cells of one (size, chunk, size) temporary in the generator checks
-_CHUNK_CELLS = 1 << 18
+# cells of one (rows, generators, size) block in the generator checks; the
+# blocks gather the tables' own int16 values, so one is 64 KiB, which the
+# allocator serves from memory it keeps instead of fresh pages
+_CHUNK_CELLS = 1 << 15
 
 
 def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
@@ -523,32 +532,45 @@ def _verify_axioms(size, add, mul, neg, zero, one):
         raise AxiomViolation("zero is not an additive identity")
     if not (add[rng, neg] == zero).all():
         raise AxiomViolation("negation does not give additive inverses")
+    # intp copies index the tables without a conversion per block; values
+    # are gathered from the tables themselves
+    add_i, mul_i = add.astype(np.intp), mul.astype(np.intp)
     if size <= _EXHAUSTIVE_SIZE:
         gens = slice(None)
-        chunks = [gens]
+        blocks = [(slice(None), gens)]
     else:
-        # intp tables index the large temporaries without a conversion
-        add, mul = add.astype(np.intp), mul.astype(np.intp)
-        gens = _additive_generators(add, zero)
-        step = max(1, _CHUNK_CELLS // (size * size))
-        chunks = [gens[i:i + step] for i in range(0, len(gens), step)]
-    # indices [x, a, y], [x, y, a] and [y, a, x]
-    for a in chunks:
-        if not (add[add[:, a]] == add[:, add[a]]).all():
+        gens = _additive_generators(add_i, zero)
+        blocks = _blocks(size, gens)
+    # indices [x, a, y], [x, y, a] and [y, a, x], x or y in the block's rows
+    for xs, a in blocks:
+        if not (add[add_i[xs][:, a]] == add[xs][:, add_i[a]]).all():
             raise AxiomViolation("addition is not associative")
-    for a in chunks:
-        if not (mul[:, add[:, a]]
-                == add[mul[:, :, None], mul[:, a][:, None, :]]).all():
+    for xs, a in blocks:
+        if not (mul[xs][:, add_i[:, a]]
+                == add[mul_i[xs][:, :, None], mul_i[xs][:, a][:, None, :]]).all():
             raise AxiomViolation("left distributivity fails")
-    for a in chunks:
-        if not (mul[add[:, a]] == add[mul[:, None, :], mul[a][None, :, :]]).all():
+    for ys, a in blocks:
+        if not (mul[add_i[ys][:, a]]
+                == add[mul_i[ys][:, None, :], mul_i[a][None, :, :]]).all():
             raise AxiomViolation("right distributivity fails")
     if one is not None:
         if not ((mul[one] == rng).all() and (mul[:, one] == rng).all()):
             raise AxiomViolation("declared unit is not a two-sided identity")
-    pairs = mul[gens][:, gens]
+    pairs = mul_i[gens][:, gens]
     if not (mul[pairs][:, :, gens] == mul[gens][:, pairs]).all():
         raise AxiomViolation("multiplication is not associative")
+
+
+def _blocks(size: int, gens: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+    """(rows, generators) blocks covering every row with every generator,
+    each of at most ``_CHUNK_CELLS`` cells of (rows, generators, size), or
+    of one row when a row alone is larger."""
+    rows = max(1, _CHUNK_CELLS // size)
+    if rows >= size:
+        step = rows // size
+        return [(slice(None), gens[i:i + step]) for i in range(0, len(gens), step)]
+    return [(slice(r, r + rows), gens[i:i + 1])
+            for i in range(len(gens)) for r in range(0, size, rows)]
 
 
 def _structure_caches(size, add, mul, neg, zero, one):

@@ -188,6 +188,25 @@ def test_axiom_check_agrees_with_exhaustive_reference(
     assert _axiom_failure(_verify_axioms, cross) == "multiplication is not associative"
 
 
+def test_axiom_check_in_row_blocks_agrees_with_exhaustive_reference(
+        monkeypatch, z4, z6, gf4, pq22, z2xz2, ut2_2):
+    """Blocks of at most eight cells split every check into blocks of one
+    generator and one or two rows; the verdicts still match the size**3
+    reference."""
+    from conftest import exhaustive_axioms
+    monkeypatch.setattr(algebra, "_EXHAUSTIVE_SIZE", 0)
+    monkeypatch.setattr(algebra, "_CHUNK_CELLS", 8)
+    assert [len(range(*xs.indices(4))) for xs, _ in algebra._blocks(4, np.arange(2))] == [2] * 4
+    cases = list(_corrupted_tables([z4, z6, gf4, pq22, z2xz2, ut2_2], 1000, 7))
+    cases += _hand_built_tables(z6)
+    for args in cases:
+        want = _axiom_failure(exhaustive_axioms, args)
+        got = _axiom_failure(_verify_axioms, args)
+        assert (got is None) == (want is None), (want, got)
+        if want != "multiplication is not associative":
+            assert got == want
+
+
 def test_vectorized_builders_reproduce_pinned_tables():
     """Table hashes of GF(p^k) for every p^k <= 256 (three explicit moduli),
     PolyQuot, UT2 and products, as computed by the scalar builders."""
