@@ -249,9 +249,6 @@ class Ring:
             acc = int(self.add[acc, self.one])
         return acc
 
-    def element_name(self, e: int) -> str:
-        return self.names[e]
-
     @cached_property
     def table_hash(self) -> str:
         """Content hash of the operation tables, for reproducible reports."""

@@ -49,14 +49,20 @@ def _budget(args, default: int = DEFAULT_BUDGET) -> int:
     return budget
 
 
+def _read_arg(text: str, strip: bool = False) -> str:
+    """``text``, or the contents of the file it names after a leading ``@``
+    (stripped when ``strip`` is set)."""
+    if not text.startswith("@"):
+        return text
+    with open(text[1:], "r", encoding="utf-8") as fh:
+        body = fh.read()
+    return body.strip() if strip else body
+
+
 def _load_ring(args):
-    text = args.ring
-    if text is None:
+    if args.ring is None:
         raise FnqError("--ring is required for this subcommand")
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return ring_from_json(text)
+    return ring_from_json(_read_arg(args.ring))
 
 
 def _write(args, text: str) -> None:
@@ -93,15 +99,8 @@ def _parse_kv(pairs: list[str], what: str) -> dict[str, str]:
 
 # ------------------------------------------------------------- subcommands
 
-def _read_eq(text: str) -> str:
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return fh.read().strip()
-    return text
-
-
 def _cmd_solve(args) -> int:
-    ast = parse_equation(_read_eq(args.eq))
+    ast = parse_equation(_read_arg(args.eq, strip=True))
     ring = _load_ring(args)
     class_strings = _parse_kv(args.cls or [], "--class")
     classes = {name: class_from_string(text)
@@ -175,11 +174,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_classify(args) -> int:
     ring = _load_ring(args)
-    text = args.solution
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    doc = json.loads(text)
+    doc = json.loads(_read_arg(args.solution))
     tables = {name: FnTable(ring, ring, tuple(doc[name]))
               for name in ("f", "h", "k")}
     if args.dry_run:
@@ -209,7 +204,8 @@ def _cmd_symbolic(args) -> int:
         raise FnqError(f"unknown family {args.family!r}; choose from "
                        f"{sorted(symbolic.BUILTIN_FAMILIES)}")
     family = symbolic.BUILTIN_FAMILIES[args.family]()
-    eq_text = _read_eq(args.eq) if args.eq else family.equation_text
+    eq_text = (_read_arg(args.eq, strip=True) if args.eq
+               else family.equation_text)
     if eq_text is None:
         raise FnqError("this family has no default equation; pass --eq")
     ast = parse_equation(eq_text)

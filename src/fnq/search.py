@@ -1,8 +1,10 @@
 """Level-wise constraint search for unknown function tables.
 
 The unknowns' value vectors form one row of digits: one digit per unknown
-at each domain position, with the unknowns interleaved at each position.
-Positions go unit first, then zero, then the rest ascending, because the
+at each domain position, with the unknowns interleaved at each position in
+the order the caller gives them.  Positions go first to those that constant
+arguments read, like the 5 of ``g(5)``, then unit, then zero, then the rest
+ascending, because a check reading ``g(5)`` waits for that digit and the
 x=1 and y=0 checks constrain most, unless the caller passes its own order
 (:func:`fnq.maps.enumerate_maps` does for the logarithmic class); the
 order changes the work, never the solutions.  Before searching, every
@@ -19,16 +21,20 @@ the finite-model search of SEM (Zhang & Zhang, IJCAI 1995) and Mace4
 (McCune, arXiv:cs/0310055).
 
 A digit that one check defines is computed instead, as those searches
-propagate it.  A pair of a check without nested applications defines its
-level's digit when one side is a lone application reading that digit and
-the other side reads only earlier digits, as the pair (1, 1) of
-``f(x+y) = f(x)+f(y)`` defines f(2) once f(1) is assigned.  The planner
-marks such pairs with one mask per constraint while it sorts the pairs by
-level, and at a level with one the search appends the other side's value
-to every row and runs the level's checks on the result: no rows·q
-growth.  A level with a nested check is grown as before.  For Hom(Z256)
-only the digits of f(1) and f(0) are grown; in the logarithmic order
-(:func:`fnq.maps.enumerate_maps`) only the unit generators' digits are.
+propagate it.  A pair defines its level's digit when one side is a lone
+application reading that digit and the other side reads only earlier
+digits, as the pair (1, 1) of ``f(x+y) = f(x)+f(y)`` defines f(2) once
+f(1) is assigned, and the pair (x, 1) of ``f(x*y) = h(x)*h(y)`` defines
+f(x) when ``f`` comes after ``h``.  The planner marks such pairs with one
+mask per constraint while it sorts the pairs by level, and at a level with
+one the search appends the other side's value to every row and runs the
+level's checks on the result: no rows·q growth.  A pair of a nested check
+defines only on a domain that is the whole carrier, where no argument can
+leave the domain; on a proper subring a level with a nested check is
+grown, so that every row reaching that check raises if it reads outside.
+For Hom(Z256) only the digits of f(1) and f(0) are grown; in the
+logarithmic order (:func:`fnq.maps.enumerate_maps`) only the unit
+generators' digits are.
 
 A check takes its pairs in chunks: the first covers about 4,096 (row,
 pair) cells and each next one twice the pairs of the last, and every
@@ -38,13 +44,8 @@ identity on Z256, any one pair of the level of f(0) keeps 256 of its
 65,536 rows.  A tiny search still
 takes one numpy pass per check, since its first chunk holds every pair:
 starting at one pair instead raised the median solve of the benchmark's
-200 small seeded tasks from about 0.9 ms to 1.2-1.6 ms.
-
-An unknown given a definition, an expression in ``x`` for its value at
-``x``, is not enumerated: each of its digits is computed from the row as
-soon as the digits its definition reads are assigned, and placed right
-after the last of them.  A budget bounds the rows a level that enumerates
-its digit may examine; a computed digit grows no rows and is not checked.
+200 small seeded tasks from about 0.9 ms to 1.2-1.6 ms.  A budget bounds
+the rows a level that enumerates its digit may examine.
 
 Arguments of unknowns are computed in the domain ring and everything else
 in the codomain ring, so ``x`` or ``y`` outside an argument, or an unknown
@@ -63,7 +64,7 @@ import numpy as np
 from .algebra import Ring, same_carrier
 from .eqdsl import (Add, Expr, FnApp, IntLit, Mul, Neg, PairConstraint, Param,
                     Sub, Var)
-from .errors import BudgetExceeded, EvalDomainError, UnboundName
+from .errors import BudgetExceeded, EvalDomainError, FnqError, UnboundName
 
 # (row, pair) cells evaluated at once; bounds the temporaries of one block
 _CELLS = 1 << 21
@@ -120,70 +121,56 @@ class _Planner:
     """Compiles constraints and assigns every check its level."""
 
     def __init__(self, constraints, unknowns, domain: Ring, codomain: Ring,
-                 params, definitions, order):
+                 params, order):
         self.unknowns = {n: i for i, n in enumerate(unknowns)}
         self.domain, self.codomain = domain, codomain
         self.params = params
         self.mixable = same_carrier(domain, codomain)
         m = len(domain.domain_elements)
+        # no argument leaves a domain that is the whole carrier
+        self.whole = m == domain.size
+        # the unknowns of nested applications, and the positions that
+        # constant arguments read
+        dynamic: set[str] = set()
+        constant = []
+        for c in constraints:
+            args = []
+            _scan(c.equation.lhs, dynamic, args)
+            _scan(c.equation.rhs, dynamic, args)
+            if order is None and args:
+                self.bound = {**params, **c.params}
+                constant += [self._position(arg) for arg in args]
         if order is None:
-            first = [int(domain.position[domain.zero])]
-            if domain.one is not None and domain.position[domain.one] >= 0:
-                first.insert(0, int(domain.position[domain.one]))
+            first = constant + [int(domain.position[e])
+                                for e in (domain.one, domain.zero)
+                                if e is not None]
+            first = [p for p in dict.fromkeys(first) if p >= 0]
             order = first + [p for p in range(m) if p not in first]
         elif sorted(order) != list(range(m)):
             raise ValueError(f"order is not a permutation of the {m} "
                              "domain positions")
         rank = np.empty(m, dtype=np.int64)
         rank[order] = np.arange(m)
-        dynamic: set[str] = set()
-        for expr in [*(c.equation.lhs for c in constraints),
-                     *(c.equation.rhs for c in constraints),
-                     *definitions.values()]:
-            _nested(expr, dynamic)
-        for name, expr in definitions.items():
-            if _applied(expr) & set(definitions):
-                raise ValueError(f"definition of {name!r} reads a defined unknown")
-        # enumerated digit index of unknown i at domain position p: the
-        # unknowns of nested applications first, then the others
-        self.digit_of = np.full((len(unknowns), m), -1, dtype=np.int64)
+        # digit index of unknown i at domain position p: the unknowns of
+        # nested applications first, then the others
+        self.digit_of = np.empty((len(unknowns), m), dtype=np.int64)
         start = 0
         for nested in (True, False):
             block = [i for i, n in enumerate(unknowns)
-                     if (n in dynamic) == nested and n not in definitions]
+                     if (n in dynamic) == nested]
             for j, i in enumerate(block):
                 self.digit_of[i] = start + rank * len(block) + j
             start += len(block) * m
-        # a computed digit goes right after the last digit its definition
-        # reads; renumber all digits in that order
-        keys = [np.arange(start, dtype=float)]
-        for expr in definitions.values():
-            keys.append(self._compile_definition(expr)[2][order] + 0.5)
-        new = np.empty(start + m * len(definitions), dtype=np.int64)
-        new[np.argsort(np.concatenate(keys), kind="stable")] = np.arange(len(new))
-        enumerated = self.digit_of >= 0
-        self.digit_of[enumerated] = new[self.digit_of[enumerated]]
-        self.digits = len(new)
-        self.computed: dict[int, tuple] = {}
-        for k, (name, expr) in enumerate(definitions.items()):
-            cols = new[start + k * m + np.arange(m)]
-            self.digit_of[self.unknowns[name], order] = cols
-            node, slots, _ = self._compile_definition(expr)
-            x = domain.element_array[None, :]
-            for p in order:
-                self.computed[int(cols[rank[p]])] = (
-                    node, x[:, [p]], x[:, [p]], [s[[p]] for s in slots])
+        self.digits = start
 
-    def _compile_definition(self, expr: Expr):
-        """A definition compiled at every domain position: the node, the
-        digit each plain application reads and the last digit read (-1 for
-        none), both per position."""
-        elems = self.domain.element_array
-        self.pairs, self.slots, self.late = (elems, elems), [], -1
-        self.bound = self.params
-        node = self._build(expr, False)
-        last = np.maximum.reduce(self.slots + [np.full(len(elems), self.late)])
-        return node, self.slots, last
+    def _position(self, arg: Expr) -> int:
+        """Domain position of a constant argument; -1 when it lies outside
+        the domain or fails to evaluate, which :meth:`compile` reports."""
+        try:
+            value = _eval(self._build(arg, True), None, None, None, None)
+            return int(self.domain.position[value])
+        except (FnqError, IndexError):
+            return -1
 
     def compile(self, constraint: PairConstraint) -> list[tuple[int, _Check]]:
         """(level, check) parts of one constraint."""
@@ -221,7 +208,7 @@ class _Planner:
         # ones; the lhs slots are the ones built before the rhs.  Keep the
         # first such pair of each level.
         defines = {}
-        if self.late < 0:
+        if self.late < 0 or self.whole:
             for lone, other, later in sides:
                 if lone[0] == "fn":
                     hits = np.flatnonzero(later[order])
@@ -306,57 +293,65 @@ def _applied(expr: Expr) -> set[str]:
     return set()
 
 
-def _nested(expr: Expr, out: set[str]) -> None:
-    """Collect the unknowns of nested applications: the applied unknown and
-    the unknowns its argument reads."""
+def _scan(expr: Expr, nested: set[str], constant: list[Expr]
+          ) -> tuple[set[str], bool]:
+    """The unknowns applied in ``expr`` and whether it reads ``x`` or ``y``.
+    Adds the unknowns of nested applications (the applied unknown and those
+    its argument reads) to ``nested``, and every constant argument, one
+    reading no variable and no unknown, to ``constant``."""
+    if isinstance(expr, Var):
+        return set(), True
     if isinstance(expr, FnApp):
-        inner = _applied(expr.arg)
+        inner, var = _scan(expr.arg, nested, constant)
         if inner:
-            out |= inner | {expr.name}
-        _nested(expr.arg, out)
-    elif isinstance(expr, (Add, Sub, Mul)):
-        _nested(expr.left, out)
-        _nested(expr.right, out)
-    elif isinstance(expr, Neg):
-        _nested(expr.operand, out)
+            nested |= inner | {expr.name}
+        elif not var:
+            constant.append(expr.arg)
+        return inner | {expr.name}, var
+    if isinstance(expr, Neg):
+        return _scan(expr.operand, nested, constant)
+    if isinstance(expr, (Add, Sub, Mul)):
+        left, left_var = _scan(expr.left, nested, constant)
+        right, right_var = _scan(expr.right, nested, constant)
+        return left | right, left_var or right_var
+    return set(), False
 
 
 def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
            domain: Ring, codomain: Ring,
            params: dict[str, int] | None = None,
-           definitions: dict[str, Expr] | None = None,
            budget: int | None = None, *,
            order: list[int] | None = None) -> np.ndarray:
     """Every assignment of value vectors to the unknowns meeting all constraints.
 
-    ``definitions`` give unknowns computed from the others instead of
-    enumerated; a definition may not read a defined unknown.  ``budget``
-    bounds the rows one level examines times the squared domain size, the
-    pairs a candidate is checked on; a level past it raises
+    ``budget`` bounds the rows one level examines times the squared domain
+    size, the pairs a candidate is checked on; a level past it raises
     :class:`BudgetExceeded` before growing, and a level whose digit is
-    computed grows nothing.  ``order`` lists the domain
-    positions in the order their digits are assigned, replacing the unit,
-    zero, then ascending default; anything but a permutation of the
-    positions raises :class:`ValueError`.
+    computed grows nothing.  ``order`` lists the domain positions in the
+    order their digits are assigned, replacing the default of the positions
+    constant arguments read, then unit, zero and the rest ascending;
+    anything but a permutation of the positions raises :class:`ValueError`.
+    At each position the digits follow the order of ``unknowns``, so an
+    unknown that a pair defines from the others, as the pair (x, 1) of
+    ``f(x*y) = h(x)*h(y)`` defines f(x), goes last to be computed.
 
     Returns an int array of shape (solutions, unknowns, domain size) in
     lexicographic order of the concatenated value vectors, unknowns in the
     given order and positions in domain order.
     """
     planner = _Planner(constraints, unknowns, domain, codomain, params or {},
-                       definitions or {}, order)
+                       order)
     levels: dict[int, list[_Check]] = {}
     for constraint in constraints:
         for level, check in planner.compile(constraint):
             levels.setdefault(level, []).append(check)
-    # a digit given a definition keeps it, and a level with a nested check
-    # is grown; any other level with a defining pair computes its digit
-    computed = dict(planner.computed)
+    # a level with a defining pair computes its digit, unless a nested check
+    # there may read outside a proper subring; the rest are grown
+    computed = {}
     for level, checks in levels.items():
         checks.sort(key=lambda check: check.nested)
         definer = next((c for c in checks if c.defines is not None), None)
-        if (definer is not None and level not in computed
-                and not checks[-1].nested):
+        if definer is not None and (planner.whole or not checks[-1].nested):
             computed[level] = definer.digit()
 
     q = codomain.size
@@ -385,8 +380,8 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
 
 
 def _append(rows: np.ndarray, digit: tuple) -> np.ndarray:
-    """Append a computed digit: (node, x, y, slots) of its definition or of
-    the side of a check that defines it."""
+    """Append a computed digit: (node, x, y, slots) of the side of a check
+    that defines it."""
     node, x, y, slots = digit
     value = np.broadcast_to(_eval(node, x, y, slots, rows), (len(rows), 1))
     return np.concatenate([rows, value.astype(rows.dtype)], axis=1)

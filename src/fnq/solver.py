@@ -9,11 +9,13 @@ single-threaded; the ``workers`` argument is kept for compatibility and
 changes nothing.
 
 When the left side is a lone unknown applied to ``x*y`` over a unital
-domain, the y=1 pivot determines that unknown from the others: the kernel
-computes its digits from the definition instead of enumerating them.  The
-result records this (``pruned_by_pivot``) and leaves the pivoted unknown
-out of the candidate count and the budget.  The solutions are the same
-either way.
+domain, the y=1 pivot determines that unknown from the others.  The pivot
+is an order: the pivoted unknown goes last among the unknowns the kernel
+takes, so its digit at each x comes after every digit the pair (x, 1)
+reads, and that pair computes it instead of enumerating it.  The result
+records this (``pruned_by_pivot``) and leaves the pivoted unknown out of
+the candidate count and the budget.  The solutions are the same either
+way, and come back in free-function order.
 
 The budget is checked twice: up front on the candidate count times the
 squared domain size, and by the kernel on the rows each level examines.
@@ -100,9 +102,11 @@ def residual(ast: EquationAst, binding: Binding, ring: Ring) -> list[tuple[int, 
 def solve(task: SolveTask, workers: int = 1, use_pivot: bool = True) -> SolutionSet:
     """Find every satisfying binding, exactly and deterministically.
 
-    ``workers`` is accepted for compatibility and changes nothing.  With
-    ``use_pivot=False`` the pivot is not applied, so every unknown counts
-    towards the candidates and the budget; the solutions are the same.
+    ``workers`` is accepted for compatibility and changes nothing.  When
+    the y=1 pivot applies, the pivoted unknown is passed to the kernel last,
+    so the pair (x, 1) computes its digits.  With ``use_pivot=False`` the
+    unknowns keep their given order and every unknown counts towards the
+    candidates and the budget; the solutions are the same.
     """
     ast, ring = task.ast, task.ring
     names = ast.free_functions
@@ -116,13 +120,11 @@ def solve(task: SolveTask, workers: int = 1, use_pivot: bool = True) -> Solution
 
     # pivot: only when the left side is one unknown applied to x*y and the
     # unit element is part of the quantified domain
-    pivot_name, definitions = None, {}
+    pivot_name = None
     if (use_pivot and isinstance(ast.lhs, FnApp) and ast.lhs.name in names
-            and ring.one is not None and ring.one in set(ring.domain_elements)):
-        reduced = pivot_reduce(ast, ast.lhs.name)
-        if isinstance(reduced, Definition):
-            pivot_name = ast.lhs.name
-            definitions = {pivot_name: reduced.expr}
+            and ring.one is not None and ring.one in set(ring.domain_elements)
+            and isinstance(pivot_reduce(ast, ast.lhs.name), Definition)):
+        pivot_name = ast.lhs.name
 
     candidates_total = 1
     for n in names:
@@ -137,9 +139,15 @@ def solve(task: SolveTask, workers: int = 1, use_pivot: bool = True) -> Solution
     constraints = [PairConstraint(ast)]
     for n in names:
         constraints += class_constraints(ring, n, task.classes[n])
+    # the pivot goes last, so that the pair (x, 1) computes its digit at x
+    order = sorted(range(len(names)), key=lambda i: names[i] == pivot_name)
+    found = search(constraints, tuple(names[i] for i in order), ring, ring,
+                   task.params, budget=task.budget)
+    if order != sorted(order):
+        found = found[:, np.argsort(order)]
+        flat = found.reshape(len(found), -1)
+        found = found[np.lexsort(flat.T[::-1])]
     solutions = []
-    found = search(constraints, names, ring, ring, task.params,
-                   definitions=definitions, budget=task.budget)
     for row in found.tolist():
         binding = Binding(functions={n: FnTable(ring, ring, tuple(vec))
                                      for n, vec in zip(names, row)},

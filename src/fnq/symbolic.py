@@ -132,13 +132,6 @@ class SymExpr:
             out = out + term
         return out
 
-    def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and self.terms[0][0] == tuple():
-            return self.terms[0][1]
-        raise UnboundName(f"polynomial still has symbols {sorted(self.symbols())}")
-
     def monic(self) -> "SymExpr":
         """Divide by the leading (highest-monomial) coefficient."""
         if not self.terms:

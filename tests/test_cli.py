@@ -140,6 +140,26 @@ def test_classify_rejects_non_solution(capsys):
     assert json.loads(out)["error"] == "ResidualNonzero"
 
 
+def test_at_file_arguments_match_inline_ones(capsys, tmp_path):
+    ring = tmp_path / "ring.json"
+    ring.write_text('{"kind":"GF","p":3,"k":1}\n')
+    eq = tmp_path / "eq.txt"
+    eq.write_text("  f(x*y)=f(x)*y+x*f(y)\n")
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps({"f": [0, 2, 1], "h": [0, 1, 2],
+                                    "k": [0, 2, 1]}))
+    for solve_argv in (["--ring", f"@{ring}", "--eq", f"@{eq}"],
+                       ["--ring", '{"kind":"GF","p":3,"k":1}',
+                        "--eq", "f(x*y)=f(x)*y+x*f(y)"]):
+        code, out, _ = run_cli(capsys, "solve", *solve_argv, "--out", "json")
+        assert code == 0
+        assert json.loads(out)["solutions"] == [{"f": [0, 0, 0]}]
+    code, out, _ = run_cli(capsys, "classify", "--ring", f"@{ring}",
+                           "--solution", f"@{solution}", "--out", "json")
+    assert code == 0
+    assert json.loads(out)["family"] == "AllLinear"
+
+
 def test_symbolic_subcommand(capsys):
     code, out, _ = run_cli(capsys, "symbolic", "--family", "thm5",
                            "--out", "json")

@@ -9,6 +9,7 @@ kernel with computed digits switched off where they are not, and closed
 forms.
 """
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -159,3 +160,18 @@ def test_grid_check_on_a_subring_still_raises_outside_the_domain():
         grid_satisfies(constraint, r, r, {"f": rows}, {})
     with pytest.raises(EvalDomainError):
         grid_satisfies(constraint, r, r, {"f": rows}, {}, {})
+
+
+def test_nested_pair_defines_no_digit_on_a_subring():
+    # on Z6 restricted to {0, 2, 4}, g(g(x)) reads outside the domain
+    # wherever g(x) is odd; the plain check at f(x)'s level drops those rows
+    # first, so computing f(x) from the nested pair would raise where the
+    # grown level keeps the 27 tables with even values
+    r = fnq.zn(6, subring=(0, 2, 4))
+    constraints = [PairConstraint(parse_equation("f(x)=g(g(x))")),
+                   PairConstraint(parse_equation("f(x)+g(x)*3=f(x)"))]
+    rows = kernel.search(constraints, ("g", "f"), r, r)
+    expected = sorted(
+        (g, tuple(g[g[x // 2] // 2] for x in (0, 2, 4)))
+        for g in itertools.product((0, 2, 4), repeat=3))
+    assert [(tuple(g), tuple(f)) for g, f in rows.tolist()] == expected

@@ -5,7 +5,8 @@ import pytest
 
 import fnq
 import fnq.solver
-from fnq.eqdsl import Binding, Definition, parse_equation, pivot_reduce
+from fnq import search as kernel
+from fnq.eqdsl import Binding, parse_equation
 from fnq.errors import (BudgetExceeded, EvalDomainError, FnqError,
                         InvalidTask, UnboundName)
 from fnq.maps import (ADDITIVE, ARBITRARY, FnTable, class_from_string,
@@ -103,24 +104,108 @@ def test_pivot_vs_full_on_z4():
     assert solutions_as_tuples(pruned) == solutions_as_tuples(full)
 
 
-def test_pivot_digits_are_computed_not_enumerated():
-    """Every check of f(x*y)=g(5)*x*y on Z6 reads g(5), the last digit, so
-    enumerating f as well would grow 6**11 unfiltered rows.  Its digits
-    are computed from the pivot definition instead, and without the
-    definition the search stops at the budget rather than growing."""
+def _grown_widths(monkeypatch):
+    """The digit index of every level the kernel grows, as they happen."""
+    grown = []
+    grow = kernel._grow
+
+    def counting(rows, q, checks):
+        grown.append((rows.shape[1], len(rows)))
+        return grow(rows, q, checks)
+    monkeypatch.setattr(kernel, "_grow", counting)
+    return grown
+
+
+def test_pivot_digits_are_computed_not_enumerated(monkeypatch):
+    """Every check of f(x*y)=g(5)*x*y on Z6 reads g(5), so enumerating f
+    as well would grow 6**11 unfiltered rows.  The pivot puts f last and
+    g(5)'s position comes first, so the pair (x, 1) computes each f(x):
+    only g's six digits are grown, on at most 6**5 rows.  The search with f
+    first finishes too, with the same rows, since every check may run once
+    g(5) is assigned."""
+    grown = _grown_widths(monkeypatch)
     ring = fnq.zn(6)
     ast = parse_equation("f(x*y)=g(5)*x*y")
-    reduced = pivot_reduce(ast, "f")
-    assert isinstance(reduced, Definition)
-    found = search([PairConstraint(ast)], ("f", "g"), ring, ring,
-                   definitions={"f": reduced.expr}, budget=10 ** 8)
-    expected = sorted(tuple(g[5] * x % 6 for x in range(6)) + g
+    ss = solve(SolveTask(ast, ring, {"f": ARBITRARY, "g": ARBITRARY}))
+    expected = sorted((tuple(g[5] * x % 6 for x in range(6)), g)
                       for g in iproduct(range(6), repeat=6))
-    assert [tuple(row) for row in found.reshape(len(found), -1).tolist()] \
-        == expected
-    with pytest.raises(BudgetExceeded) as err:
-        search([PairConstraint(ast)], ("f", "g"), ring, ring, budget=10 ** 8)
-    assert err.value.needed > 10 ** 8
+    assert ss.pruned_by_pivot
+    assert solutions_as_tuples(ss) == expected
+    assert len(grown) == 6 and max(rows for _, rows in grown) <= 6 ** 5
+    found = search([PairConstraint(ast)], ("f", "g"), ring, ring,
+                   budget=10 ** 8)
+    assert [(tuple(f), tuple(g)) for f, g in found.tolist()] == expected
+
+
+@pytest.mark.parametrize("ring, count", [(fnq.zn(6), 316), (fnq.gf(7), 1297)],
+                         ids=["Z6", "GF7"])
+def test_nested_pivot_definition_is_computed(monkeypatch, ring, count):
+    """f(x*y)=g(g(x))*y: g is nested, so all its digits come first, and on
+    a domain that is the whole carrier the nested pair (x, 1) computes
+    f(x).  The solutions are the g with g(g(x)) = g(g(1))*x, counted here
+    over every table."""
+    grown = _grown_widths(monkeypatch)
+    ss = solve(SolveTask(parse_equation("f(x*y)=g(g(x))*y"), ring,
+                         {"f": ARBITRARY, "g": ARBITRARY}))
+    n = ring.size
+    tables = np.array(list(iproduct(range(n), repeat=n)), dtype=np.int64)
+    twice = np.take_along_axis(tables, tables, axis=1)
+    linear = twice == ring.mul[twice[:, [ring.one]], np.arange(n)]
+    assert ss.pruned_by_pivot and len(ss.solutions) == count
+    assert int(linear.all(axis=1).sum()) == count
+    # digits 0..n-1 are g's; f's never grow
+    assert grown and all(width < n for width, _ in grown)
+
+
+# pivot equations of the tests and of the benchmark's solve templates
+PIVOT_EQUATIONS = (
+    "f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y",
+    "f(x*y)=g(x)*y+x*g(y)",
+    "f(x*y)=g(x)*g(y)",
+    "f(x*y)=h(x)*y+x*h(y)",
+    "f(x*y)=h(x)*y+y",
+    "g(x*y)=f(x)*y",
+    "g(x*y)=y*f(x)",
+    "f(x*y)=g(x+h(y))",
+    "f(x*y)=g(g(x))*y",
+    "f(x*y)=g(3)*x*y",
+    "f(x*y)=g(5)*x*y",
+    "f(x*y)=g(x+1)*y",
+    "f(x*y)=x*y",
+    "f(x*y)=2*x+1",
+)
+PIVOT_RINGS = {
+    **{f"Z{n}": (lambda n=n: fnq.zn(n)) for n in range(2, 7)},
+    "GF4": lambda: fnq.gf(2, 2),
+    "F2[x]/(x^2)": lambda: fnq.ring_from_json(
+        '{"kind": "PolyQuot", "p": 2, "k": 2}'),
+    "Z2xZ2": lambda: fnq.ring_from_json(
+        '{"kind": "Product", "left": {"kind": "Zn", "n": 2},'
+        ' "right": {"kind": "Zn", "n": 2}}'),
+    "UT2(2)": lambda: fnq.ring_from_json('{"kind": "UT2", "p": 2}'),
+}
+
+
+@pytest.mark.parametrize("ring_name", PIVOT_RINGS)
+def test_pivot_order_matches_unpivoted_solve(ring_name):
+    """Differential: the pivot changes the kernel's order of the unknowns,
+    never the solutions, wherever the unpivoted task fits the budget (10**10
+    pairs, so that Z5 two-unknown and Z4 three-unknown tasks do)."""
+    ring = PIVOT_RINGS[ring_name]()
+    compared = 0
+    for text in PIVOT_EQUATIONS:
+        ast = parse_equation(text)
+        task = SolveTask(ast, ring, {n: ARBITRARY for n in ast.free_functions},
+                         budget=10 ** 10)
+        try:
+            full = solve(task, use_pivot=False)
+        except BudgetExceeded:
+            continue
+        pruned = solve(task)
+        assert pruned.pruned_by_pivot, text
+        assert solutions_as_tuples(pruned) == solutions_as_tuples(full), text
+        compared += 1
+    assert compared >= 2
 
 
 def test_pivot_with_late_checks_solves(z4):
