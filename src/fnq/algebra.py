@@ -183,6 +183,51 @@ class Ring:
         return pos
 
     @cached_property
+    def generator_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (x, g) for x in the domain and the pairs (g, h), as
+        read-only int64 arrays of shape (P, 2) in row-major order, where g
+        and h run over G: 0 and the additive generators of the domain
+        picked greedily, ascending.  The unit, if the domain holds it, comes
+        first, as in the kernel's default position order (:mod:`fnq.search`),
+        then each the smallest element outside the subgroup the ones before
+        generate.  With the smallest element first instead, the pairs
+        (x, g) define fewer digits of that order than all pairs do: UT2(3)'s
+        additive search grew the digit of (1,0,0), which the unit defines.
+
+        Every domain element is a sum of elements of G, so a map f with
+        f(x+g) = f(x)+f(g) at every (x, g) is additive, f(0) = 0 coming
+        from g = 0 even on the trivial domain.  An identity whose sides are
+        both additive in x and in y, as f(xy) = f(x)f(y) is for an additive
+        f, then holds at every pair once it holds at every (g, h).
+        """
+        elems = self.element_array
+        # the subgroup generated so far, and every element outside the domain
+        inside = self.position < 0
+        inside[self.zero] = True
+        subgroup, g = np.array([self.zero]), [self.zero]
+        while len(subgroup) < len(elems):
+            e = (self.one if self.one is not None and not inside[self.one]
+                 else int(np.argmin(inside)))
+            g.append(e)
+            # the subgroup with e is its cosets by 0, e, 2e, ... up to the
+            # first multiple of e inside it
+            multiples, c = [self.zero], e
+            while not inside[c]:
+                multiples.append(c)
+                c = self.add[c, e]
+            subgroup = self.add[subgroup[:, None], multiples].ravel()
+            inside[subgroup] = True
+        g = np.array(sorted(g), dtype=np.int64)
+        across = np.empty((len(elems), len(g), 2), dtype=np.int64)
+        across[..., 0] = elems[:, None]
+        across[..., 1] = g
+        within = across[self.position[g]].reshape(-1, 2)
+        across = across.reshape(-1, 2)
+        across.setflags(write=False)
+        within.setflags(write=False)
+        return across, within
+
+    @cached_property
     def char(self) -> int | None:
         """Additive order of the unit element, or None without a unit."""
         if self.one is None:

@@ -455,20 +455,21 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
     ``f(x)*f(y)``, is one slice of the ring table rather than one lookup
     per cell (:meth:`_Grid.combine`).
 
-    ``cache`` keeps, across calls, the grid cells of every subexpression
-    that reads no parameter, evaluated over the full pair grid, keyed by
-    the node's ``id`` and whether it sits inside an argument, and the mask
-    of every equation that reads none, keyed by the equation's ``id``.
-    An equation ``L = P + T`` that reads a parameter only in ``T`` is
-    compared as ``L - P = T`` once ``P`` is cached, and ``L - P`` is kept
-    too, keyed by both nodes' ids, so that each further parameter value
-    of the shifted identity costs the cells of ``T`` and one comparison
-    (:meth:`_Grid.sides`).  Each
-    entry holds its node or equation, so a key can never match another one
-    while the cache lives.  Whatever reads a parameter is evaluated afresh
-    on every call.  The cache is valid only for one domain, codomain and
-    set of ``tables``; a constraint restricted to pairs neither reads nor
-    fills it.
+    ``cache`` keeps, across calls, one entry per pair set, keyed by the
+    ``id`` of the constraint's ``pairs`` (``None`` for all pairs), so that
+    constraints sharing one pair array share its cells; the array must not
+    change while the cache lives.  Each entry holds the grid cells of every
+    subexpression that reads no parameter, keyed by the node's ``id`` and
+    whether it sits inside an argument, and the mask of every equation that
+    reads none, keyed by the equation's ``id``.  An equation ``L = P + T``
+    that reads a parameter only in ``T`` is compared as ``L - P = T`` once
+    ``P`` is cached, and ``L - P`` is kept too, keyed by both nodes' ids,
+    so that each further parameter value of the shifted identity costs the
+    cells of ``T`` and one comparison (:meth:`_Grid.sides`).  Every entry
+    holds its pair array, node or equation, so a key can never match
+    another one while the cache lives.  Whatever reads a parameter is
+    evaluated afresh on every call.  The cache is valid only for one
+    domain, codomain and set of ``tables``.
 
     Over a declared subring each unknown is spread over the carrier with
     -1 outside the domain, and an application that reads -1 raises
@@ -476,15 +477,18 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
     are, since no argument can leave the domain.
     """
     equation = constraint.equation
-    if constraint.pairs is None and cache is not None and id(equation) in cache:
-        return cache[id(equation)][1].copy()
+    if cache is not None:
+        # one cache per pair set; the entry keeps its key's object alive
+        cache = cache.setdefault(id(constraint.pairs),
+                                 (constraint.pairs, {}))[1]
+        if id(equation) in cache:
+            return cache[id(equation)][1].copy()
     elems = domain.element_array
     if constraint.pairs is None:
         xs, ys = elems[None, :, None], elems[None, None, :]
     else:
         pairs = np.asarray(constraint.pairs, dtype=np.int64).reshape(1, -1, 2)
         xs, ys = pairs[..., :1], pairs[..., 1:]
-        cache = None
     # each unknown over the whole carrier, -1 outside a declared subring;
     # over the whole carrier no argument can leave the domain
     carrier = tables

@@ -65,7 +65,8 @@ class EvalDomainError(FnqError):
 
 class InvalidTask(FnqError):
     """A task is malformed: a free name of its equation is not covered, a
-    class string names no class, or a shift constant is no element."""
+    class string names no class, or a shift constant or parameter value is
+    no element."""
 
 
 class InvalidBudget(FnqError):

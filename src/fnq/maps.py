@@ -23,14 +23,20 @@ then the units in the order a breadth-first closure over a unit
 generating set reaches them.  Each unit but a generator then comes after
 two factors whose check defines it, and the kernel computes its digit from
 that check instead of enumerating it, so only generator positions multiply
-the rows the kernel grows.  Membership of one table (:func:`in_class`,
-:func:`classify_map`) is one grid check of the same constraints
-(:func:`fnq.eqdsl.grid_satisfies`) whose shared subexpressions are
-evaluated once; it shares no code with the kernel.  The identities share
-their common terms as nodes.  Every operation in them but the applications
-``f(x*y)`` and ``f(x+y)`` and the sums ``f(x)*y+x*f(y)`` and
-``f(x)*y+x*f(y)+e*f(x)*f(y)`` has operands that vary along one grid axis
-each, which the grid computes as one slice of a ring table.
+the rows the kernel grows.  The additive identity is stated at the pairs
+(x, g) only, x in the domain and g in 0 and an additive generating set
+(:attr:`fnq.algebra.Ring.generator_pairs`), which decide it, and the
+kernel computes the digits they define.  Membership of one table
+(:func:`in_class`, :func:`classify_map`) is a grid check of the same
+constraints (:func:`fnq.eqdsl.grid_satisfies`), except that a class that
+requires additivity checks its other identities at the pairs (g, h) only,
+since for an additive map they are additive in x and in y.  It shares no
+code with the kernel.  The identities share their common terms as nodes,
+which one grid cache evaluates once per pair set.  Over all pairs every
+operation in them but the applications ``f(x*y)`` and ``f(x+y)`` and the
+sums ``f(x)*y+x*f(y)`` and ``f(x)*y+x*f(y)+e*f(x)*f(y)`` has operands
+that vary along one grid axis each, which the grid computes as one slice
+of a ring table.
 """
 from __future__ import annotations
 
@@ -146,7 +152,7 @@ def zero_map(domain: Ring, codomain: Ring | None = None) -> FnTable:
 
 
 def in_class(f: FnTable, cls: FunctionClass) -> bool:
-    """Whether the class's constraints hold for ``f`` at all their pairs.
+    """Whether the class's identities hold for ``f`` at every domain pair.
 
     An identity reading a domain element outside an argument holds for no
     map between rings that do not share their tables.
@@ -159,21 +165,26 @@ def class_mask(domain: Ring, codomain: Ring, rows: np.ndarray,
     """:func:`in_class` for each row of value vectors: one grid evaluation
     per class constraint over all rows, until no row is left.
 
+    A class that requires additivity checks the additive identity at the
+    pairs (x, g) and its other identities at the pairs (g, h) of
+    :attr:`fnq.algebra.Ring.generator_pairs`, which decide them; every
+    other identity is checked at all its pairs.
+
     A constraint is built only while a row is left, so the unit pairs of
     the logarithmic identity are not built once its zero check has failed
     for every row.  ``seen``, if given, is the cache of
-    :func:`fnq.eqdsl.grid_satisfies`: the grid cells of each subexpression
-    of the class identities that reads no parameter, and the mask of each
-    identity that reads none.  It is valid only for these ``rows`` between
-    these rings; calls for other classes of the same rows may share it, as
-    :func:`classify_map` does.  Without it no cells outlive their
-    constraint's check, which bounds the memory of many rows.  A class
-    identity reads no unknown inside an argument, so an argument outside
-    the declared domain fails every row alike.
+    :func:`fnq.eqdsl.grid_satisfies`: per pair set, the cells of each
+    subexpression of the class identities that reads no parameter, and the
+    mask of each identity that reads none.  It is valid only for these
+    ``rows`` between these rings; calls for other classes of the same rows
+    may share it, as :func:`classify_map` does.  Without it no cells
+    outlive their constraint's check, which bounds the memory of many rows.
+    A class identity reads no unknown inside an argument, so an argument
+    outside the declared domain fails every row alike.
     """
     ok = np.ones(len(rows), dtype=bool)
     try:
-        for c in _constraints(domain, "f", cls):
+        for c in _constraints(domain, "f", cls, generated=True):
             ok &= grid_satisfies(c, domain, codomain, {"f": rows}, {}, seen)
             if not ok.any():
                 break
@@ -185,12 +196,15 @@ def class_mask(domain: Ring, codomain: Ring, rows: np.ndarray,
 def classify_map(f: FnTable) -> set[FunctionClass]:
     """Every class tag whose defining identities hold at all domain pairs.
 
-    The shifted homo-derivation identity is evaluated for each central
-    nonzero shift constant of the codomain, and each witnessing constant
-    produces its own parameterized tag.  All checks share one cache of
-    subexpression cells (:func:`class_mask`), so each class identity is
-    compared once, and the shifts recompute only the term reading the
-    constant.
+    An additive map is multiplicative exactly when it is a homomorphism
+    and Leibniz exactly when it is a derivation, so for one those tags are
+    read off the classes that require additivity, and no product identity
+    is evaluated beyond the generator pairs (:func:`class_mask`).  The
+    shifted homo-derivation identity is evaluated for each central nonzero
+    shift constant of the codomain, and each witnessing constant produces
+    its own parameterized tag.  All checks share one cache of
+    subexpression cells per pair set, so each class identity is compared
+    once, and the shifts recompute only the term reading the constant.
     """
     seen: dict = {}
     rows = f.as_array()[None, :]
@@ -198,7 +212,9 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
     def holds(cls: FunctionClass) -> bool:
         return bool(class_mask(f.domain, f.codomain, rows, cls, seen)[0])
 
-    tags = {cls for cls in _NAMED.values() if holds(cls)}
+    same = ({MULTIPLICATIVE: HOMOMORPHISM, LEIBNIZ: DERIVATION}
+            if holds(ADDITIVE) else {})
+    tags = {cls for cls in _NAMED.values() if holds(same.get(cls, cls))}
     if ADDITIVE in tags and same_carrier(f.domain, f.codomain):
         tags |= {homo_deriv_sofy(eps) for eps in f.codomain.center
                  if eps != f.codomain.zero and holds(homo_deriv_sofy(eps))}
@@ -272,18 +288,26 @@ def class_constraints(ring: Ring, name: str,
                       cls: FunctionClass) -> list[PairConstraint]:
     """Membership of unknown ``name`` in a class, as search constraints.
 
-    The shifted identity binds its constant as the parameter ``e`` of its
-    own equation; a constant that is not an element of ``ring`` raises
-    :class:`InvalidTask`.  The logarithmic class is its identity on pairs of
+    The additive identity is stated at the pairs (x, g) of
+    :attr:`fnq.algebra.Ring.generator_pairs`, x in the domain and g in 0
+    and an additive generating set, which decide it; the kernel computes
+    the digits those pairs define.  The product identities hold at every
+    domain pair: with their many pairs the kernel prunes rows before the
+    generator digits are all assigned.  The shifted identity binds its
+    constant as the parameter ``e`` of its own equation; a constant that
+    is not an element of ``ring`` raises :class:`InvalidTask`.  The logarithmic class is its identity on pairs of
     domain units plus ``f(x)=0`` at every domain element that is not a unit,
     which comes first as the cheaper and more selective check.
     """
     return list(_constraints(ring, name, cls))
 
 
-def _constraints(ring: Ring, name: str,
-                 cls: FunctionClass) -> Iterator[PairConstraint]:
-    """:func:`class_constraints`, each built when it is asked for."""
+def _constraints(ring: Ring, name: str, cls: FunctionClass,
+                 generated: bool = False) -> Iterator[PairConstraint]:
+    """:func:`class_constraints`, each built when it is asked for.  With
+    ``generated``, a class that requires additivity states its other
+    identities at the generator pairs (g, h) only, which decide them once
+    the additive identity holds."""
     if cls.eps is not None and not 0 <= cls.eps < ring.size:
         raise InvalidTask(f"shift constant {cls.eps} is not an element of "
                           f"a ring of size {ring.size}")
@@ -301,8 +325,12 @@ def _constraints(ring: Ring, name: str,
     if cls.kind not in _CLASS_IDENTITIES:
         raise ValueError(f"unknown class {cls}")
     params = {"e": cls.eps} if cls.eps is not None else {}
-    for i in _CLASS_IDENTITIES[cls.kind]:
-        yield PairConstraint(_identity(i, name), params=params)
+    identities = _CLASS_IDENTITIES[cls.kind]
+    across, within = (ring.generator_pairs if "additive" in identities
+                      else (None, None))
+    for i in identities:
+        pairs = across if i == "additive" else within if generated else None
+        yield PairConstraint(_identity(i, name), pairs, params)
 
 
 # ------------------------------------------------------------- table scans

@@ -49,6 +49,9 @@ DEFAULT_BUDGET = 10 ** 8  # evaluated (x, y) pairs
 class SolveTask:
     """A fully specified search: equation, ring, classes, parameters, budget.
 
+    Each parameter is bound to an element of ``ring`` by its index;
+    :func:`solve` raises :class:`InvalidTask` for a value outside it.
+
     ``budget`` bounds the number of evaluated pairs, i.e. candidate count
     times the squared domain size; the search also stops with
     :class:`BudgetExceeded` when one of its levels would examine more rows.
@@ -116,6 +119,10 @@ def solve(task: SolveTask, workers: int = 1, use_pivot: bool = True) -> Solution
     missing_p = [p for p in ast.free_params if p not in task.params]
     if missing_p:
         raise InvalidTask(f"no value bound for parameters {missing_p}")
+    for p, v in task.params.items():
+        if not 0 <= v < ring.size:
+            raise InvalidTask(f"parameter {p!r} = {v} is not an element of "
+                              f"a ring of size {ring.size}")
     m = len(ring.domain_elements)
 
     # pivot: only when the left side is one unknown applied to x*y and the

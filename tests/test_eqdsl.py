@@ -275,7 +275,9 @@ def test_grid_cache_keeps_only_parameter_free_cells():
         got = grid_satisfies(c, ring, ring, {"f": rows}, {}, cache)
         assert got.tolist() == grid_satisfies(
             c, ring, ring, {"f": rows}, {}).tolist()
-    kept = [node for node, _ in cache.values()]
+    # one cache per pair set, keyed by the pairs object it holds
+    assert [key for key in cache] == [id(None)]
+    kept = [node for node, _ in cache[id(None)][1].values()]
     assert any(n is ast.lhs for n in kept)
     assert any(n is ast.rhs.left for n in kept)
     assert all(not isinstance(n, type(ast)) and "e" not in expr_to_text(n)
@@ -287,7 +289,15 @@ def test_grid_cache_keeps_only_parameter_free_cells():
     again = grid_satisfies(leibniz, ring, ring, {"f": rows}, {}, cache)
     assert again.any() and again.tolist() == grid_satisfies(
         leibniz, ring, ring, {"f": rows}, {}).tolist()
-    # a check on listed pairs neither reads nor fills the cache
-    on_pairs, cache = PairConstraint(ast, ((1, 2),), {"e": 1}), {}
-    grid_satisfies(on_pairs, ring, ring, {"f": rows}, {}, cache)
-    assert cache == {}
+    # listed pairs keep cells of their own, apart from the full grid's and
+    # from another array of the same pairs
+    pairs = np.array([(1, 2), (3, 3), (2, 5)])
+    for listed in (pairs, pairs.copy()):
+        for c in (PairConstraint(ast, listed, {"e": 1}),
+                  PairConstraint(leibniz.equation, listed)):
+            assert grid_satisfies(c, ring, ring, {"f": rows}, {},
+                                  cache).tolist() == grid_satisfies(
+                c, ring, ring, {"f": rows}, {}).tolist()
+        assert cache[id(listed)][0] is listed
+        assert any(n is ast.rhs.left for n, _ in cache[id(listed)][1].values())
+    assert len(cache) == 3

@@ -1,0 +1,207 @@
+"""Class identities of additive maps checked on additive generator pairs.
+
+A class that requires additivity states the additive identity at the
+pairs (x, g) and its other identities at the pairs (g, h) of
+``Ring.generator_pairs``, g and h in 0 and an additive generating set of
+the domain (:func:`fnq.maps.class_mask`).  These tests hold that to
+scalar oracles at every pair: on declared subrings, the trivial one
+included, between different rings, and, as a slow sweep, against the
+identities evaluated on the full pair grid over 28 carriers.
+"""
+import json
+from itertools import product as iproduct
+
+import numpy as np
+import pytest
+
+import fnq
+from fnq import maps, search as kernel
+from fnq.eqdsl import PairConstraint, grid_satisfies
+from fnq.maps import (ADDITIVE, HOMOMORPHISM, LEIBNIZ, DERIVATION,
+                      HOMO_DERIV_MP, LOGARITHMIC, MULTIPLICATIVE, FnTable,
+                      class_mask, classify_map, enumerate_maps, homo_deriv_sofy,
+                      in_class as map_in_class)
+
+from conftest import brute_tables, in_class
+
+NAMED = [ADDITIVE, MULTIPLICATIVE, HOMOMORPHISM, LEIBNIZ, DERIVATION,
+         LOGARITHMIC, HOMO_DERIV_MP]
+
+
+def classes(ring):
+    """Every class but ``arbitrary``, the shifted one at each central
+    nonzero shift."""
+    return NAMED + [homo_deriv_sofy(e) for e in ring.center if e != ring.zero]
+
+
+@pytest.mark.parametrize("subring", [(0,), (0, 2, 4)], ids=["z6{0}", "z6{0,2,4}"])
+def test_classes_on_z6_subrings_match_scalar_oracle(subring):
+    check_subring(fnq.zn(6, subring=subring))
+
+
+def test_classes_on_z12_subring_match_scalar_oracle():
+    check_subring(fnq.zn(12, subring=(0, 3, 6, 9)))
+
+
+def check_subring(ring):
+    tables = list(brute_tables(ring))
+    rows = np.array(tables, dtype=np.int64)
+    for cls in classes(ring):
+        want = [v for v in tables if in_class(ring, v, cls)]
+        assert [tuple(r) for r in rows[class_mask(ring, ring, rows, cls)]
+                .tolist()] == want, cls
+        assert [t.values for t in enumerate_maps(ring, ring, cls)] == want, cls
+
+
+def test_trivial_domain_checks_the_zero():
+    # Z6{0} has no additive generator: only the pair (0, 0) makes f(0) = 0
+    ring = fnq.zn(6, subring=(0,))
+    across, within = ring.generator_pairs
+    assert across.tolist() == within.tolist() == [[0, 0]]
+    for cls in (ADDITIVE, HOMOMORPHISM, DERIVATION, homo_deriv_sofy(3)):
+        assert [t.values for t in enumerate_maps(ring, ring, cls)] == [(0,)]
+        assert not map_in_class(FnTable(ring, ring, (3,)), cls)
+
+
+def additive_at(dom, cod, values, x, y):
+    return values[int(dom.add[x, y])] == int(cod.add[values[x], values[y]])
+
+
+def multiplicative_at(dom, cod, values, x, y):
+    return values[int(dom.mul[x, y])] == int(cod.mul[values[x], values[y]])
+
+
+@pytest.mark.parametrize("n, k", [(2, 4), (4, 2)], ids=["z2-z4", "z4-z2"])
+def test_classes_between_different_rings(n, k):
+    # the domain's generators decide additivity and the homomorphism
+    # identity; x*f(y) reads a domain element in the codomain, so the
+    # Leibniz-type classes hold for no map
+    dom, cod = fnq.zn(n), fnq.zn(k)
+    tables = list(iproduct(range(k), repeat=n))
+    oracle = {ADDITIVE: (additive_at,),
+              HOMOMORPHISM: (additive_at, multiplicative_at),
+              MULTIPLICATIVE: (multiplicative_at,)}
+    rows = np.array(tables, dtype=np.int64)
+    for cls, checks in oracle.items():
+        want = [v for v in tables
+                if all(c(dom, cod, v, x, y) for c in checks
+                       for x in range(n) for y in range(n))]
+        assert [t.values for t in enumerate_maps(dom, cod, cls)] == want, cls
+        assert [tuple(r) for r in rows[class_mask(dom, cod, rows, cls)]
+                .tolist()] == want, cls
+        assert [v for v in tables
+                if map_in_class(FnTable(dom, cod, v), cls)] == want, cls
+    leibniz_type = ("leibniz", "derivation", "homo-deriv-mp", "homo-deriv-sofy")
+    for cls in (LEIBNIZ, DERIVATION, HOMO_DERIV_MP, homo_deriv_sofy(1)):
+        assert not class_mask(dom, cod, rows, cls).any(), cls
+    for v in tables:
+        assert not any(t.kind in leibniz_type
+                       for t in classify_map(FnTable(dom, cod, v)))
+
+
+# ----------------------------------------------- the slow differential sweep
+
+def _ring(doc):
+    return fnq.ring_from_json(json.dumps(doc))
+
+
+def _zn(n, subring=None):
+    return {"kind": "Zn", "n": n,
+            **({"subring": list(subring)} if subring else {})}
+
+
+CARRIERS = {
+    **{f"z{n}": _zn(n) for n in [*range(2, 13), 16, 18, 30]},
+    **{f"gf{p ** k}": {"kind": "GF", "p": p, "k": k}
+       for p, k in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]},
+    "f2[x]/(x^2)": {"kind": "PolyQuot", "p": 2, "k": 2},
+    "f3[x]/(x^2)": {"kind": "PolyQuot", "p": 3, "k": 2},
+    "ut2_2": {"kind": "UT2", "p": 2},
+    "ut2_3": {"kind": "UT2", "p": 3},
+    "z2xz4": {"kind": "Product", "left": _zn(2), "right": _zn(4)},
+    "z2xz2": {"kind": "Product", "left": _zn(2), "right": _zn(2)},
+    "z6{0,2,4}": _zn(6, (0, 2, 4)),
+    "z12{0,3,6,9}": _zn(12, (0, 3, 6, 9)),
+    "z6{0}": _zn(6, (0,)),
+}
+# rows per grid call of the full-grid reference, which bounds its cells
+_ROWS = 1024
+
+
+def full_grid_mask(ring, rows, cls):
+    """Membership with every class identity evaluated at every pair."""
+    ok = np.ones(len(rows), dtype=bool)
+    params = {"e": cls.eps} if cls.eps is not None else {}
+    for kind in maps._CLASS_IDENTITIES[cls.kind]:
+        constraint = PairConstraint(maps._F_IDENTITIES[kind], params=params)
+        ok &= np.concatenate([
+            grid_satisfies(constraint, ring, ring, {"f": rows[i:i + _ROWS]}, {})
+            for i in range(0, len(rows), _ROWS)] or [ok[:0]])
+    return ok
+
+
+def non_additive_rows(ring, additive, count=200, seed=0):
+    """Seeded rows that are not additive: half uniform, half an additive
+    map with one value changed, which breaks the identity at few pairs."""
+    rng = np.random.default_rng(seed)
+    m, q = len(ring.domain_elements), ring.size
+    found = np.zeros((0, m), dtype=np.int64)
+    while len(found) < count:
+        rows = rng.integers(q, size=(count, m))
+        near = additive[rng.integers(len(additive), size=count // 2)].copy()
+        near[np.arange(len(near)), rng.integers(m, size=len(near))] = \
+            rng.integers(q, size=len(near))
+        rows[:len(near)] = near
+        rows = rows[~full_grid_mask(ring, rows, ADDITIVE)]
+        found = np.concatenate([found, rows])[:count]
+    return found
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(CARRIERS))
+def test_generator_pairs_match_the_full_grid(name):
+    ring = _ring(CARRIERS[name])
+    additive = np.array([t.values for t in enumerate_maps(
+        ring, ring, ADDITIVE, 10 ** 30)], dtype=np.int64)
+    rows = np.concatenate([additive, non_additive_rows(ring, additive)])
+    # the logarithmic class reads no generator pairs
+    swept = [cls for cls in classes(ring) if cls != LOGARITHMIC]
+    want = {}
+    for cls in swept:
+        want[cls] = full_grid_mask(ring, rows, cls)
+        got = np.concatenate([class_mask(ring, ring, rows[i:i + _ROWS], cls)
+                              for i in range(0, len(rows), _ROWS)])
+        assert np.array_equal(got, want[cls]), cls
+    assert want[ADDITIVE].sum() == len(additive)
+    # classify_map on the non-additive rows and on up to 200 additive maps
+    rng = np.random.default_rng(1)
+    sample = rng.permutation(len(additive))[:200]
+    for i in [*sample, *range(len(additive), len(rows))]:
+        tags = classify_map(FnTable(ring, ring, tuple(rows[i].tolist())))
+        assert {c for c in swept if want[c][i]} == tags - {
+            maps.ARBITRARY, LOGARITHMIC}, i
+
+
+@pytest.mark.parametrize("name", ["z2xz2", "z2xz4", "ut2_2", "ut2_3", "gf8",
+                                  "z12{0,3,6,9}"])
+def test_generator_pairs_grow_no_more_levels_than_all_pairs(name, monkeypatch):
+    # the unit is a generator, as it is the first position of the kernel's
+    # default order, so the pairs (x, g) define every digit that all pairs
+    # define, and the kernel grows the same rows
+    ring = _ring(CARRIERS[name])
+    grown = []
+    grow = kernel._grow
+
+    def counting(rows, q, checks):
+        grown.append(len(rows))
+        return grow(rows, q, checks)
+    monkeypatch.setattr(kernel, "_grow", counting)
+    for cls in (ADDITIVE, HOMOMORPHISM):
+        everywhere = [PairConstraint(maps._F_IDENTITIES[kind])
+                      for kind in maps._CLASS_IDENTITIES[cls.kind]]
+        grown.clear()
+        want = kernel.search(everywhere, ("f",), ring, ring)
+        wanted, grown[:] = list(grown), []
+        got = kernel.search(maps.class_constraints(ring, "f", cls), ("f",),
+                            ring, ring)
+        assert np.array_equal(got, want) and grown == wanted, cls

@@ -250,25 +250,36 @@ def test_fn_table_rejects_values_outside_the_codomain(z4):
 
 
 def test_classify_map_evaluates_each_parameter_free_node_once(monkeypatch):
-    # counted on the full pair grid, where x and y vary along different
-    # axes; the logarithmic checks on listed pairs keep no cells
+    # each parameter-free node at most once per pair set within one call;
+    # an additive map evaluates nothing on the full grid, where x and y
+    # vary along different axes, so no product identity cell there
     evaluated = []
     evaluate = eqdsl._Grid.evaluate
 
     def counting(grid, expr, in_arg):
         values, pure = evaluate(grid, expr, in_arg)
-        if pure and grid.xs.shape != grid.ys.shape:
-            evaluated.append((expr, in_arg))
+        if pure:
+            pair_set = tuple((a.shape, a.tobytes()) for a in (grid.xs, grid.ys))
+            evaluated.append((pair_set, expr, in_arg))
         return values, pure
 
     monkeypatch.setattr(eqdsl._Grid, "evaluate", counting)
     ring = fnq.ut2(3)
-    for b in (0, 5, 13):
+    within = ring.generator_pairs[1]
+    generated = tuple(((1, len(within), 1), within[:, j].tobytes())
+                      for j in (0, 1))
+    leibniz_rhs = (maps._F_IDENTITIES["leibniz"].rhs, False)
+    squares = FnTable(ring, ring, tuple(int(ring.mul[x, x]) for x in range(27)))
+    for table in [inner_derivation(ring, b) for b in (0, 5, 13)] + [squares]:
         evaluated.clear()
-        tags = classify_map(inner_derivation(ring, b))
-        assert DERIVATION in tags
-        assert evaluated and len(set(evaluated)) == len(evaluated), b
-        assert (maps._F_IDENTITIES["leibniz"].rhs, False) in evaluated
+        tags = classify_map(table)
+        assert evaluated and len(set(evaluated)) == len(evaluated), table
+        full = [(e, i) for s, e, i in evaluated if s[0][0] != s[1][0]]
+        if table is squares:
+            assert ADDITIVE not in tags and leibniz_rhs in full
+        else:
+            assert DERIVATION in tags and not full, table
+            assert (generated, *leibniz_rhs) in evaluated
 
 
 @pytest.mark.parametrize("ring_name", SMALL_RINGS)

@@ -295,6 +295,17 @@ def test_invalid_task(gf3):
         solve(SolveTask(hd, gf3, {"h": ARBITRARY}))
 
 
+@pytest.mark.parametrize("value", [10, -1])
+def test_parameter_outside_the_ring_is_an_invalid_task(z6, value):
+    # a constant argument reads the parameter's position; an index past
+    # the carrier and a negative one are no elements of Z6
+    ast = parse_equation("f(x*y)=g(a)*x*y")
+    task = SolveTask(ast, z6, {"f": ARBITRARY, "g": ARBITRARY},
+                     params={"a": value})
+    with pytest.raises(InvalidTask, match=f"parameter 'a' = {value} "):
+        solve(task)
+
+
 def test_workers_do_not_change_bytes(gf3):
     ast = parse_equation("f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
     task = SolveTask(ast, gf3, {"f": ARBITRARY, "h": ARBITRARY,
