@@ -531,8 +531,9 @@ def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
         gens.append(int(frontier[0]))
         while frontier.size:
             reached[frontier] = True
-            sums = add[np.ix_(frontier, np.flatnonzero(reached))].ravel()
-            frontier = np.unique(sums[~reached[sums]])
+            sums = np.zeros(len(add), dtype=bool)
+            sums[add[np.ix_(frontier, np.flatnonzero(reached))]] = True
+            frontier = np.flatnonzero(sums & ~reached)
     return np.array(gens, dtype=np.intp)
 
 

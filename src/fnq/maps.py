@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -182,9 +182,18 @@ def class_mask(domain: Ring, codomain: Ring, rows: np.ndarray,
     A class identity reads no unknown inside an argument, so an argument
     outside the declared domain fails every row alike.
     """
+    return _mask(domain, codomain, rows,
+                 _constraints(domain, "f", cls, generated=True), seen)
+
+
+def _mask(domain: Ring, codomain: Ring, rows: np.ndarray,
+          constraints: Iterable[PairConstraint], seen: dict | None
+          ) -> np.ndarray:
+    """:func:`class_mask` for any constraints on ``f``, taken one at a time
+    until no row is left."""
     ok = np.ones(len(rows), dtype=bool)
     try:
-        for c in _constraints(domain, "f", cls, generated=True):
+        for c in constraints:
             ok &= grid_satisfies(c, domain, codomain, {"f": rows}, {}, seen)
             if not ok.any():
                 break
@@ -196,28 +205,36 @@ def class_mask(domain: Ring, codomain: Ring, rows: np.ndarray,
 def classify_map(f: FnTable) -> set[FunctionClass]:
     """Every class tag whose defining identities hold at all domain pairs.
 
-    An additive map is multiplicative exactly when it is a homomorphism
-    and Leibniz exactly when it is a derivation, so for one those tags are
-    read off the classes that require additivity, and no product identity
-    is evaluated beyond the generator pairs (:func:`class_mask`).  The
-    shifted homo-derivation identity is evaluated for each central nonzero
-    shift constant of the codomain, and each witnessing constant produces
-    its own parameterized tag.  All checks share one cache of
-    subexpression cells per pair set, so each class identity is compared
-    once, and the shifts recompute only the term reading the constant.
+    Each identity is checked once.  An additive map is multiplicative or
+    Leibniz exactly when the identity holds at the generator pairs (g, h)
+    (:func:`class_mask`), so for one no product identity is evaluated
+    beyond them; any other map is checked at every pair.  A named class
+    but logarithmic is tagged when each identity it lists in
+    ``_CLASS_IDENTITIES`` holds.  The shifted homo-derivation identity is evaluated for each central
+    nonzero shift constant of the codomain, and each witnessing constant
+    produces its own parameterized tag.  All checks share one cache of
+    subexpression cells per pair set, and the shifts recompute only the
+    term reading the constant.
     """
     seen: dict = {}
     rows = f.as_array()[None, :]
 
-    def holds(cls: FunctionClass) -> bool:
-        return bool(class_mask(f.domain, f.codomain, rows, cls, seen)[0])
+    def holds(constraints: Iterable[PairConstraint]) -> bool:
+        return bool(_mask(f.domain, f.codomain, rows, constraints, seen)[0])
 
-    same = ({MULTIPLICATIVE: HOMOMORPHISM, LEIBNIZ: DERIVATION}
-            if holds(ADDITIVE) else {})
-    tags = {cls for cls in _NAMED.values() if holds(same.get(cls, cls))}
-    if ADDITIVE in tags and same_carrier(f.domain, f.codomain):
+    additive = holds(_constraints(f.domain, "f", ADDITIVE))
+    pairs = f.domain.generator_pairs[1] if additive else None
+    found = {"additive": additive, **{
+        kind: holds([PairConstraint(_F_IDENTITIES[kind], pairs)])
+        for kind in ("multiplicative", "leibniz")}}
+    tags = {cls for cls in _NAMED.values() if cls.kind in _CLASS_IDENTITIES
+            and all(found[i] for i in _CLASS_IDENTITIES[cls.kind])}
+    if holds(_constraints(f.domain, "f", LOGARITHMIC)):
+        tags.add(LOGARITHMIC)
+    if additive and same_carrier(f.domain, f.codomain):
         tags |= {homo_deriv_sofy(eps) for eps in f.codomain.center
-                 if eps != f.codomain.zero and holds(homo_deriv_sofy(eps))}
+                 if eps != f.codomain.zero and holds(_constraints(
+                     f.domain, "f", homo_deriv_sofy(eps), generated=True))}
     return tags
 
 

@@ -25,16 +25,23 @@ propagate it.  A pair defines its level's digit when one side is a lone
 application reading that digit and the other side reads only earlier
 digits, as the pair (1, 1) of ``f(x+y) = f(x)+f(y)`` defines f(2) once
 f(1) is assigned, and the pair (x, 1) of ``f(x*y) = h(x)*h(y)`` defines
-f(x) when ``f`` comes after ``h``.  The planner marks such pairs with one
-mask per constraint while it sorts the pairs by level, and at a level with
-one the search appends the other side's value to every row and runs the
-level's checks on the result: no rows·q growth.  A pair of a nested check
-defines only on a domain that is the whole carrier, where no argument can
-leave the domain; on a proper subring a level with a nested check is
-grown, so that every row reaching that check raises if it reads outside.
-For Hom(Z256) only the digits of f(1) and f(0) are grown; in the
-logarithmic order (:func:`fnq.maps.enumerate_maps`) only the unit
-generators' digits are.
+f(x) when ``f`` comes after ``h``.  The planner sorts each constraint's
+pairs by level once, notes where every level's pairs start, and marks the
+defining pairs; at a level with one the search writes the other side's
+value into every row: no rows·q growth.  A run of computed levels widens
+the rows once, and its checks wait: they run as one slice of pairs per
+constraint before the next grown level, at the end, or once the waiting
+(row, pair) cells reach ``_CELLS``.  A computed digit depends only on the
+digits before it, so a row that a waiting check would drop yields the
+same digits whenever it is dropped, and every grown level, with its
+budget check, sees exactly the rows it would see if each level were
+checked at once.  A pair of a nested check defines only on a domain that
+is the whole carrier, where no argument can leave the domain; on a proper
+subring a level with a nested check is grown, so that every row reaching
+that check raises if it reads outside.  For Hom(Z256) only the digits of
+f(1) and f(0) are grown, and the checks of the other 254 levels run in
+one pass; in the logarithmic order (:func:`fnq.maps.enumerate_maps`) only
+the unit generators' digits are grown.
 
 A check takes its pairs in chunks: the first covers about 4,096 (row,
 pair) cells and each next one twice the pairs of the last, and every
@@ -75,8 +82,8 @@ _FIRST_CHUNK = 1 << 12
 
 
 @dataclass
-class _Check:
-    """The pairs of one constraint that one level decides."""
+class _Plan:
+    """The pairs of one constraint, sorted by the level that decides them."""
 
     lhs: tuple
     rhs: tuple
@@ -84,14 +91,9 @@ class _Check:
     y: np.ndarray
     slots: list[np.ndarray]    # digit read by each plain application, (P,)
     nested: bool               # applies an unknown to an unknown's value
-    defines: tuple | None      # the side whose value at one pair is the
-    at: int                    # level's digit, and that pair
-
-    def digit(self) -> tuple:
-        """The digit its defining pair computes, as :func:`_append` takes it."""
-        j = [self.at]
-        return (self.defines, self.x[:, j], self.y[:, j],
-                [s[j] for s in self.slots])
+    cuts: list[int]            # level L's pairs are cuts[L+1]:cuts[L+2]
+    defines: dict[int, tuple]  # level: the side whose value at one pair is
+    #                            the level's digit, and that pair
 
 
 def _eval(node: tuple, x, y, slots, rows):
@@ -172,8 +174,8 @@ class _Planner:
         except (FnqError, IndexError):
             return -1
 
-    def compile(self, constraint: PairConstraint) -> list[tuple[int, _Check]]:
-        """(level, check) parts of one constraint."""
+    def compile(self, constraint: PairConstraint) -> _Plan | None:
+        """The plan of one constraint; None when it has no pairs."""
         elems = self.domain.element_array
         if constraint.pairs is None:
             m = len(elems)
@@ -182,7 +184,7 @@ class _Planner:
             pairs = np.asarray(constraint.pairs, dtype=np.int64).reshape(-1, 2)
             xs, ys = pairs[:, 0], pairs[:, 1]
         if not len(xs):
-            return []
+            return None
         # last digit of the unknowns of the nested applications
         self.pairs, self.slots, self.late = (xs, ys), [], -1
         self.bound = {**self.params, **constraint.params}
@@ -192,13 +194,13 @@ class _Planner:
         lhs_last, rhs_last = (
             np.maximum.reduce(side + [np.full(len(xs), self.late)])
             for side in (self.slots[:split], self.slots[split:]))
-        levels = np.maximum(lhs_last, rhs_last)
+        # levels shifted by one, -1 (reads no digit) to 0, in the smallest
+        # unsigned dtype, which numpy sorts stably by radix
+        levels = (np.maximum(lhs_last, rhs_last) + 1).astype(
+            np.min_scalar_type(self.digits))
         sides = ((rhs, lhs, rhs_last > lhs_last),
                  (lhs, rhs, lhs_last > rhs_last))
         del lhs_last, rhs_last
-        # sort once and give each level views: copies per level were
-        # thousands of small allocations, after which the next Z256 build
-        # peaked 7 MB higher in a process that had planned Hom(Z256)
         order = np.argsort(levels, kind="stable")
         levels, xs, ys = levels[order], xs[order], ys[order]
         slots = [s[order] for s in self.slots]
@@ -215,19 +217,12 @@ class _Planner:
                     level = levels[hits]
                     first = np.ones(len(hits), dtype=bool)
                     first[1:] = level[1:] != level[:-1]
-                    defines.update(zip(level[first].tolist(), zip(
+                    defines.update(zip((level[first] - 1).tolist(), zip(
                         repeat(other), hits[first].tolist())))
-        cuts = [0, *(np.flatnonzero(np.diff(levels)) + 1), len(levels)]
-        parts = []
-        for start, stop in zip(cuts, cuts[1:]):
-            part = slice(start, stop)
-            level = int(levels[start])
-            node, j = defines.get(level, (None, start))
-            check = _Check(lhs, rhs, xs[None, part], ys[None, part],
-                           [s[part] for s in slots], self.late >= 0,
-                           node, j - start)
-            parts.append((level, check))
-        return parts
+        cuts = np.searchsorted(
+            levels, np.arange(self.digits + 1, dtype=levels.dtype))
+        return _Plan(lhs, rhs, xs[None, :], ys[None, :], slots,
+                     self.late >= 0, [*cuts.tolist(), len(levels)], defines)
 
     def _mixing(self, what: str) -> None:
         if not self.mixable:
@@ -327,7 +322,11 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
     ``budget`` bounds the rows one level examines times the squared domain
     size, the pairs a candidate is checked on; a level past it raises
     :class:`BudgetExceeded` before growing, and a level whose digit is
-    computed grows nothing.  ``order`` lists the domain positions in the
+    computed grows nothing.  A grown level's checks run as soon as it is
+    grown.  Those of a run of computed levels wait until the next grown
+    level, whose budget check comes after them, the end, or ``_CELLS``
+    waiting (row, pair) cells, and then run as one slice of pairs per
+    constraint.  ``order`` lists the domain positions in the
     order their digits are assigned, replacing the default of the positions
     constant arguments read, then unit, zero and the rest ascending;
     anything but a permutation of the positions raises :class:`ValueError`.
@@ -341,37 +340,62 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
     """
     planner = _Planner(constraints, unknowns, domain, codomain, params or {},
                        order)
-    levels: dict[int, list[_Check]] = {}
-    for constraint in constraints:
-        for level, check in planner.compile(constraint):
-            levels.setdefault(level, []).append(check)
+    # plain checks first, so that at a grown level only the rows they keep
+    # reach a nested check
+    plans = sorted(filter(None, map(planner.compile, constraints)),
+                   key=lambda plan: plan.nested)
+    digits = planner.digits
     # a level with a defining pair computes its digit, unless a nested check
     # there may read outside a proper subring; the rest are grown
     computed = {}
-    for level, checks in levels.items():
-        checks.sort(key=lambda check: check.nested)
-        definer = next((c for c in checks if c.defines is not None), None)
-        if definer is not None and (planner.whole or not checks[-1].nested):
-            computed[level] = definer.digit()
+    for plan in plans:
+        for level, (node, j) in plan.defines.items():
+            if level not in computed:
+                at = slice(j, j + 1)
+                computed[level] = (node, plan.x[:, at], plan.y[:, at],
+                                   [s[at] for s in plan.slots])
+        if plan.nested and not planner.whole:
+            for level in range(digits):
+                if plan.cuts[level + 1] < plan.cuts[level + 2]:
+                    computed.pop(level, None)
+    # done[k]: the pairs, over all plans, at the levels before level k-1
+    done = [sum(cuts) for cuts in zip(*(plan.cuts for plan in plans))]
 
     q = codomain.size
     pairs = len(domain.domain_elements) ** 2
     rows = _filter(np.zeros((1, 0), dtype=np.min_scalar_type(q - 1)),
-                   levels.get(-1, []))
-    for level in range(planner.digits):
+                   _checks(plans, -1, -1))
+    waiting = 0  # the first level whose checks have not run
+    for level in range(digits):
         if not len(rows):
-            rows = np.zeros((0, planner.digits), dtype=rows.dtype)
             break
-        checks = levels.get(level, [])
-        if level in computed:
-            rows = _filter(_append(rows, computed[level]), checks)
+        digit = computed.get(level)
+        if digit is not None:
+            if rows.shape[1] == level:  # the first of a run: widen once
+                stop = next((k for k in range(level, digits)
+                             if k not in computed), digits)
+                wide = np.empty((len(rows), stop), dtype=rows.dtype)
+                wide[:, :level] = rows
+                rows = wide
+            node, x, y, slots = digit
+            rows[:, level:level + 1] = _eval(node, x, y, slots, rows)
+            if len(rows) * (done[level + 2] - done[waiting + 1]) >= _CELLS:
+                rows = _filter(rows, _checks(plans, waiting, level))
+                waiting = level + 1
             continue
+        rows = _filter(rows, _checks(plans, waiting, level - 1))
+        if not len(rows):
+            break
         needed = len(rows) * q * pairs
         if budget is not None and needed > budget:
             raise BudgetExceeded(
                 f"search level {level} needs {needed} evaluated pairs, "
                 f"budget is {budget}", needed=needed)
-        rows = _grow(rows, q, checks)
+        rows = _grow(rows, q, _checks(plans, level, level))
+        waiting = level + 1
+    rows = _filter(rows, _checks(plans, waiting, digits - 1))
+    if not len(rows):
+        rows = np.zeros((0, digits), dtype=rows.dtype)
 
     values = rows[:, planner.digit_of.reshape(-1)].astype(np.int64)
     if values.shape[1]:
@@ -379,18 +403,20 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
     return values.reshape((len(values),) + planner.digit_of.shape)
 
 
-def _append(rows: np.ndarray, digit: tuple) -> np.ndarray:
-    """Append a computed digit: (node, x, y, slots) of the side of a check
-    that defines it."""
-    node, x, y, slots = digit
-    value = np.broadcast_to(_eval(node, x, y, slots, rows), (len(rows), 1))
-    return np.concatenate([rows, value.astype(rows.dtype)], axis=1)
+def _checks(plans: list[_Plan], first: int, last: int
+            ) -> list[tuple[_Plan, int, int]]:
+    """(plan, start, stop) of every plan with pairs at levels ``first`` to
+    ``last``: the bounds of those pairs."""
+    return [(plan, start, stop) for plan in plans
+            if (start := plan.cuts[first + 1]) < (stop := plan.cuts[last + 2])]
 
 
-def _grow(rows: np.ndarray, q: int, checks: list[_Check]) -> np.ndarray:
+def _grow(rows: np.ndarray, q: int, checks: list[tuple[_Plan, int, int]]
+          ) -> np.ndarray:
     """Append every codomain element as the next digit and filter."""
     count, width = rows.shape
-    step = max(1, _CELLS // (q * max((c.x.shape[1] for c in checks), default=1)))
+    step = max(1, _CELLS // (q * max((stop - start for _, start, stop in checks),
+                                     default=1)))
     parts = []
     for start in range(0, count, step):
         block = rows[start:start + step]
@@ -401,15 +427,18 @@ def _grow(rows: np.ndarray, q: int, checks: list[_Check]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _filter(rows: np.ndarray, checks: list[_Check]) -> np.ndarray:
-    """Rows passing every check.  A plain check takes its pairs in growing
+def _filter(rows: np.ndarray, checks: list[tuple[_Plan, int, int]]
+            ) -> np.ndarray:
+    """Rows passing every check of :func:`_checks`: one level's pairs at a
+    grown level, and those of every waiting level after a run of computed
+    ones.  A plain check takes its pairs in growing
     chunks; a nested check takes all at once, so every row reaching it
     raises if it reads outside the domain at any pair."""
-    for c in checks:
-        size = c.x.shape[1] if c.nested else _FIRST_CHUNK // max(len(rows), 1)
-        start, size = 0, max(1, size)
-        while start < c.x.shape[1] and len(rows):
-            part = slice(start, start + size)
+    for c, start, stop in checks:
+        size = max(1, stop - start if c.nested
+                   else _FIRST_CHUNK // max(len(rows), 1))
+        while start < stop and len(rows):
+            part = slice(start, min(start + size, stop))
             x, y, slots = c.x[:, part], c.y[:, part], [s[part] for s in c.slots]
             ok = np.equal(_eval(c.lhs, x, y, slots, rows),
                           _eval(c.rhs, x, y, slots, rows))

@@ -2,11 +2,12 @@
 
 A pair whose one side is a lone application reading the level's digit,
 and whose other side reads only earlier digits, fixes that digit; the
-kernel appends the other side's value there (:mod:`fnq.search`).  These
-tests hold the enumerations to oracles that do not compute digits: a
-filter of every table by the grid check where the tables are few, the
-kernel with computed digits switched off where they are not, and closed
-forms.
+kernel writes the other side's value there, and the checks of a run of
+computed levels wait and run together (:mod:`fnq.search`).  These tests
+hold the enumerations to oracles that do not compute digits: a filter of
+every table by the grid check where the tables are few, the kernel with
+computed digits switched off where they are not, and closed forms; and
+the waiting checks to the same rows when they run level by level.
 """
 import functools
 import itertools
@@ -18,7 +19,7 @@ import pytest
 import fnq
 from fnq import maps, search as kernel
 from fnq.eqdsl import PairConstraint, grid_satisfies, parse_equation
-from fnq.errors import EvalDomainError
+from fnq.errors import BudgetExceeded, EvalDomainError
 from fnq.maps import (ADDITIVE, DERIVATION, HOMO_DERIV_MP, HOMOMORPHISM,
                       LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE, class_mask,
                       enumerate_maps, homo_deriv_sofy)
@@ -85,15 +86,18 @@ def test_class_enumeration_matches_an_oracle_without_computed_digits(
     for cls, rows in got.items():
         assert class_mask(r, r, rows, cls).all(), cls
     compile_ = kernel._Planner.compile
+    cleared = []
 
     def enumerating(planner, constraint):
-        parts = compile_(planner, constraint)
-        for _, check in parts:
-            check.defines = None
-        return parts
+        plan = compile_(planner, constraint)
+        if plan is not None:
+            cleared.append(len(plan.defines))
+            plan.defines.clear()
+        return plan
     monkeypatch.setattr(kernel._Planner, "compile", enumerating)
     for cls, rows in got.items():
         assert np.array_equal(enumerated(r, cls), rows), cls
+    assert any(cleared)
 
 
 def test_zn_homomorphisms_are_idempotent_scalings_up_to_256():
@@ -117,31 +121,97 @@ def test_logarithmic_maps_on_z16xz16():
                for i in range(0, len(rows), 256))
 
 
+def recording(monkeypatch):
+    """Record the width of the rows entering each grown level, and the
+    pairs of each check run outside a grown level."""
+    grown, flushed = [], []
+    grow, filter_ = kernel._grow, kernel._filter
+
+    def growing(rows, q, checks):
+        grown.append(rows.shape[1])
+        monkeypatch.setattr(kernel, "_filter", filter_)
+        try:
+            return grow(rows, q, checks)
+        finally:
+            monkeypatch.setattr(kernel, "_filter", filtering)
+
+    def filtering(rows, checks):
+        if checks:
+            flushed.append(sum(stop - start for _, start, stop in checks))
+        return filter_(rows, checks)
+    monkeypatch.setattr(kernel, "_grow", growing)
+    monkeypatch.setattr(kernel, "_filter", filtering)
+    return grown, flushed
+
+
 def test_hom_z256_grows_only_the_levels_no_check_defines(monkeypatch):
     # f(1) (level 0) and f(0) (level 1) are fixed by no pair whose other
-    # side reads only earlier digits; f(k) for k >= 2 is f(1) + f(k-1)
-    grown = []
-    grow = kernel._grow
-
-    def counting(rows, q, checks):
-        grown.append(rows.shape[1])
-        return grow(rows, q, checks)
-    monkeypatch.setattr(kernel, "_grow", counting)
+    # side reads only earlier digits; f(k) for k >= 2 is f(1) + f(k-1).
+    # The checks of those 254 computed levels wait and run in one pass:
+    # the additive identity at the 512 pairs (x, 0) and (x, 1) and the
+    # multiplicative one at all 256**2, but the 3 and 4 pairs that read
+    # only f(1) and f(0)
+    grown, flushed = recording(monkeypatch)
     r = fnq.zn(256)
     assert len(list(enumerate_maps(r, r, HOMOMORPHISM))) == 2
     assert grown == [0, 1]
+    assert flushed == [512 + 256 ** 2 - 3 - 4]
+
+
+def test_waiting_checks_run_in_many_passes_give_the_same_rows(
+        monkeypatch):
+    # with at most 64 waiting (row, pair) cells the checks of a run of
+    # computed levels run after every level or every few levels
+    rings = {"ut2_2": [ADDITIVE, DERIVATION],
+             "z2xz4": [ADDITIVE, DERIVATION, LOGARITHMIC]}
+    want = {(n, c): enumerated(ring(n), c) for n, cs in rings.items() for c in cs}
+    homs = {n: enumerated(fnq.zn(n), HOMOMORPHISM) for n in range(2, 65)}
+    monkeypatch.setattr(kernel, "_CELLS", 64)
+    _, flushed = recording(monkeypatch)
+    for (name, cls), rows in want.items():
+        assert np.array_equal(enumerated(ring(name), cls), rows), (name, cls)
+    for n, rows in homs.items():
+        flushed.clear()
+        assert np.array_equal(enumerated(fnq.zn(n), HOMOMORPHISM), rows), n
+    assert len(flushed) > 32  # Z64's 62 computed levels, not in one pass
+
+
+def test_waiting_checks_run_before_the_budget_of_the_next_grown_level():
+    # in the order f(1), f(2), f(0), ... f(2) = f(1)+f(1) is computed and
+    # f(0) is grown; the check f(1+1) = 0 keeps the 2 of the 12 rows with
+    # 2*f(1) = 0 before f(0)'s level examines 2 * 12 rows at 144 pairs
+    r = fnq.zn(12)
+    constraints = [PairConstraint(parse_equation("f(x+y)=f(x)+f(y)")),
+                   PairConstraint(parse_equation("f(x+x)=0"), ((1, 1),))]
+    order = [1, 2, 0] + list(range(3, 12))
+    with pytest.raises(BudgetExceeded) as refused:
+        kernel.search(constraints, ("f",), r, r, budget=2 * 12 * 144 - 1,
+                      order=order)
+    assert refused.value.needed == 2 * 12 * 144
+    rows = kernel.search(constraints, ("f",), r, r, budget=2 * 12 * 144,
+                         order=order)
+    assert rows[:, 0].tolist() == [[a * x % 12 for x in range(12)]
+                                   for a in (0, 6)]
+
+
+def test_waiting_checks_that_leave_no_row_end_the_search(monkeypatch):
+    # in the same order, f(1+1) = 1 asks 2*f(1) = 1, which no element of
+    # Z12 solves: the waiting checks of the computed level f(2) drop every
+    # row, and f(0)'s level is not grown
+    grown, _ = recording(monkeypatch)
+    r = fnq.zn(12)
+    constraints = [PairConstraint(parse_equation("f(x+y)=f(x)+f(y)")),
+                   PairConstraint(parse_equation("f(x+x)=1"), ((1, 1),))]
+    rows = kernel.search(constraints, ("f",), r, r,
+                         order=[1, 2, 0] + list(range(3, 12)))
+    assert rows.shape == (0, 1, 12) and rows.dtype == np.int64
+    assert grown == [0]
 
 
 def test_a_lone_application_on_either_side_defines_its_digit(monkeypatch):
     # Z12's additive maps are x -> a*x; either way round, f(1) and f(0)
     # are grown and every other digit is computed
-    grown = []
-    grow = kernel._grow
-
-    def counting(rows, q, checks):
-        grown.append(rows.shape[1])
-        return grow(rows, q, checks)
-    monkeypatch.setattr(kernel, "_grow", counting)
+    grown, _ = recording(monkeypatch)
     r = fnq.zn(12)
     for text in ("f(x+y)=f(x)+f(y)", "f(x)+f(y)=f(x+y)"):
         rows = kernel.search([PairConstraint(parse_equation(text))], ("f",),

@@ -218,6 +218,17 @@ def test_pivot_with_late_checks_solves(z4):
         for g in iproduct(range(4), repeat=4))
 
 
+def test_contradiction_at_a_computed_level_leaves_no_solution():
+    # on Z2xZ4 an additive f has f(0) = 0, but f(x+x) = x+x+x at x = (1, 0)
+    # asks f(0) = (1, 0): the rows die at computed levels, and a grown
+    # level (a second additive generator) still follows them
+    ring = fnq.product(fnq.zn(2), fnq.zn(4))
+    ast = parse_equation("f(x+x)=x+x+x")
+    for use_pivot in (True, False):
+        ss = solve(SolveTask(ast, ring, {"f": ADDITIVE}), use_pivot=use_pivot)
+        assert ss.solutions == []
+
+
 def test_residual_examples(gf3, z6):
     ast = parse_equation("f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
     two_x = FnTable(gf3, gf3, (0, 2, 1))
