@@ -29,7 +29,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .algebra import Ring, same_carrier
-from .errors import ArityError, EquationSyntaxError, EvalDomainError, UnboundName
+from .errors import (ArityError, EquationSyntaxError, EvalDomainError,
+                     InvalidTask, UnboundName)
 
 # --------------------------------------------------------------------- AST
 
@@ -378,9 +379,10 @@ def compile_side(side: Expr, binding: Binding, ring: Ring) -> Scalar:
     here, so a call only indexes the plain lists of ``ring.lists``; any
     other callable bound as a function is called.  All arithmetic happens
     through the ring tables in textual operand order.  A name that cannot
-    be resolved compiles into a step that raises when evaluation reaches
-    it, so errors come in the order of evaluating the tree inside out, left
-    operand first.  Shares no code with the search kernel or
+    be resolved, and a parameter bound to no element of ``ring``
+    (:class:`InvalidTask`), compile into a step that raises when evaluation
+    reaches it, so errors come in the order of evaluating the tree inside
+    out, left operand first.  Shares no code with the search kernel or
     :func:`grid_satisfies`.
     """
     t = ring.lists
@@ -422,7 +424,11 @@ def compile_side(side: Expr, binding: Binding, ring: Ring) -> Scalar:
         if isinstance(e, Param):
             if e.name not in binding.params:
                 return _fails(UnboundName, f"parameter {e.name!r} is not bound")
-            return binding.params[e.name]
+            value = binding.params[e.name]
+            if not 0 <= value < ring.size:
+                return _fails(InvalidTask, f"parameter {e.name!r} = {value} is "
+                              f"not an element of a ring of size {ring.size}")
+            return value
         if isinstance(e, IntLit):
             if e.value != 0 and ring.one is None:
                 # raises LiteralInNonUnitalRing when evaluation reaches it
@@ -445,15 +451,19 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
     """Boolean mask over batched tables meeting a constraint at all its pairs.
 
     ``tables`` give each unknown's value vectors over the domain positions,
-    one row per candidate; a single row counts for every candidate.  Both
-    sides are evaluated over the whole (candidate, pair) grid: arguments of
-    unknowns in the domain ring and everything else in the codomain ring,
-    so ``x`` or ``y`` outside an argument, or an unknown inside one, needs
-    both rings to share their tables.  Over all pairs, x runs along one
-    grid axis and y along the other, and an operation whose operands are
-    one row each and vary along one axis each, such as ``f(x)*y`` or
-    ``f(x)*f(y)``, is one slice of the ring table rather than one lookup
-    per cell (:meth:`_Grid.combine`).
+    one row per candidate; a single row counts for every candidate.  A
+    parameter is one codomain element, or a 1-D integer array of them that
+    gives one per row and counts for the rows as a table does.  A value
+    outside the codomain raises :class:`InvalidTask`, and a row count other
+    than 1 or the largest one raises :class:`ValueError`.
+    Both sides are evaluated over the whole (candidate, pair) grid:
+    arguments of unknowns in the domain ring and everything else in the
+    codomain ring, so ``x`` or ``y`` outside an argument, or an unknown
+    inside one, needs both rings to share their tables.  Over all pairs, x
+    runs along one grid axis and y along the other, and an operation whose
+    operands are one row each and vary along one axis each, such as
+    ``f(x)*y`` or ``f(x)*f(y)``, is one slice of the ring table rather than
+    one lookup per cell (:meth:`_Grid.combine`).
 
     ``cache`` keeps, across calls, one entry per pair set, keyed by the
     ``id`` of the constraint's ``pairs`` (``None`` for all pairs), so that
@@ -461,28 +471,35 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
     change while the cache lives.  Each entry holds the grid cells of every
     subexpression that reads no parameter, keyed by the node's ``id`` and
     whether it sits inside an argument, and the mask of every equation that
-    reads none, keyed by the equation's ``id``.  An equation ``L = P + T``
-    that reads a parameter only in ``T`` is compared as ``L - P = T`` once
-    ``P`` is cached, and ``L - P`` is kept too, keyed by both nodes' ids,
-    so that each further parameter value of the shifted identity costs the
-    cells of ``T`` and one comparison (:meth:`_Grid.sides`).  Every entry
-    holds its pair array, node or equation, so a key can never match
-    another one while the cache lives.  Whatever reads a parameter is
-    evaluated afresh on every call.  The cache is valid only for one
-    domain, codomain and set of ``tables``.
+    reads none, per table row, keyed by the equation's ``id``.  Every entry holds its pair
+    array, node or equation, so a key can never match another one while the
+    cache lives.  Whatever reads a parameter is evaluated afresh on every
+    call.  The cache is valid only for one domain, codomain and set of
+    ``tables``.
 
     Over a declared subring each unknown is spread over the carrier with
     -1 outside the domain, and an application that reads -1 raises
     :class:`EvalDomainError`; without one the tables are used as they
     are, since no argument can leave the domain.
     """
+    bound = {name: np.asarray(value)
+             for name, value in {**params, **constraint.params}.items()}
+    for name, value in bound.items():
+        if value.ndim > 1 or value.dtype.kind not in "iu" or (
+                (value < 0) | (value >= codomain.size)).any():
+            raise InvalidTask(f"parameter {name!r} = {value.tolist()} is not "
+                              f"an element of a ring of size {codomain.size}")
+    sizes = [len(v) for v in (*tables.values(), *bound.values()) if np.ndim(v)]
+    rows = max(sizes, default=1)
+    if any(n not in (1, rows) for n in sizes):
+        raise ValueError(f"tables and parameters give {sizes} rows")
     equation = constraint.equation
     if cache is not None:
         # one cache per pair set; the entry keeps its key's object alive
         cache = cache.setdefault(id(constraint.pairs),
                                  (constraint.pairs, {}))[1]
         if id(equation) in cache:
-            return cache[id(equation)][1].copy()
+            return np.broadcast_to(cache[id(equation)][1], rows).copy()
     elems = domain.element_array
     if constraint.pairs is None:
         xs, ys = elems[None, :, None], elems[None, None, :]
@@ -498,15 +515,16 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
             carrier[name] = np.full((len(values), domain.size), -1,
                                     dtype=codomain.add.dtype)
             carrier[name][:, elems] = values
-    grid = _Grid(domain, codomain, xs, ys, {**params, **constraint.params},
-                 carrier, cache)
-    lhs, rhs, pure = grid.sides(equation)
-    rows = max((len(t) for t in tables.values()), default=1)
+    grid = _Grid(domain, codomain, xs, ys, bound, carrier, cache)
+    lhs, lhs_pure = grid.cells(equation.lhs, False)
+    rhs, rhs_pure = grid.cells(equation.rhs, False)
     shape = np.broadcast_shapes(xs.shape, ys.shape)[1:]
-    mask = np.broadcast_to(np.equal(lhs, rhs), (rows, *shape)).all(axis=(1, 2))
-    if cache is not None and pure:
-        cache[id(equation)] = (equation, mask.copy())
-    return mask
+    equal = np.equal(lhs, rhs)
+    # one entry per row that the tables or parameters read, or one for all
+    mask = np.broadcast_to(equal, (len(equal), *shape)).all(axis=(1, 2))
+    if cache is not None and lhs_pure and rhs_pure:
+        cache[id(equation)] = (equation, mask)
+    return mask.repeat(rows if len(mask) == 1 else 1)  # never the cached one
 
 
 class _Grid:
@@ -520,36 +538,13 @@ class _Grid:
     """
 
     def __init__(self, domain: Ring, codomain: Ring, xs: np.ndarray,
-                 ys: np.ndarray, bound: dict[str, int],
+                 ys: np.ndarray, bound: dict[str, np.ndarray],
                  carrier: dict[str, np.ndarray], cache: dict | None):
         self.domain, self.codomain = domain, codomain
         self.xs, self.ys = xs, ys
         self.bound, self.carrier = bound, carrier
         self.cache = {} if cache is None else cache
         self.checked = domain.subring is not None
-
-    def sides(self, equation: EquationAst) -> tuple[np.ndarray, np.ndarray,
-                                                    bool]:
-        """Cells of both sides and whether the equation reads no parameter.
-
-        An equation ``L = P + T`` that reads a parameter, with ``L``
-        reading none and the cells of ``P`` already cached, is compared as
-        ``L - P = T``.  ``L - P`` is cached too, so a call for another
-        parameter value evaluates only ``T``.
-        """
-        lhs, lhs_pure = self.cells(equation.lhs, False)
-        rhs = equation.rhs
-        part = (id(rhs.left), False) if isinstance(rhs, Add) else None
-        if not (lhs_pure and equation.free_params and part in self.cache):
-            rhs, rhs_pure = self.cells(rhs, False)
-            return lhs, rhs, lhs_pure and rhs_pure
-        # keyed by both nodes, which the entry's own node keeps alive
-        key = (id(equation.lhs), id(rhs.left), "-")
-        if key not in self.cache:
-            self.cache[key] = (Sub(equation.lhs, rhs.left), self.combine(
-                self.codomain.add, lhs,
-                self.codomain.neg.take(self.cache[part][1])))
-        return self.cache[key][1], self.cells(rhs.right, False)[0], False
 
     def mixing(self, what: str) -> None:
         if not same_carrier(self.domain, self.codomain):
@@ -577,7 +572,7 @@ class _Grid:
         if isinstance(expr, Param):
             if expr.name not in self.bound:
                 raise UnboundName(f"parameter {expr.name!r} is not bound")
-            return np.full((1, 1, 1), self.bound[expr.name]), False
+            return self.bound[expr.name].reshape(-1, 1, 1), False
         if isinstance(expr, FnApp):
             if expr.name not in self.carrier:
                 raise UnboundName(f"function {expr.name!r} is not bound")

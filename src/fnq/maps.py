@@ -210,11 +210,11 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
     (:func:`class_mask`), so for one no product identity is evaluated
     beyond them; any other map is checked at every pair.  A named class
     but logarithmic is tagged when each identity it lists in
-    ``_CLASS_IDENTITIES`` holds.  The shifted homo-derivation identity is evaluated for each central
-    nonzero shift constant of the codomain, and each witnessing constant
-    produces its own parameterized tag.  All checks share one cache of
-    subexpression cells per pair set, and the shifts recompute only the
-    term reading the constant.
+    ``_CLASS_IDENTITIES`` holds.  The shifted homo-derivation identity of an
+    additive map is checked in one call for the array of all nonzero central
+    shift constants, and each witnessing constant produces its own
+    parameterized tag.  All checks share one cache of subexpression cells per
+    pair set, so the shifts compute only the term reading the constant.
     """
     seen: dict = {}
     rows = f.as_array()[None, :]
@@ -231,10 +231,13 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
             and all(found[i] for i in _CLASS_IDENTITIES[cls.kind])}
     if holds(_constraints(f.domain, "f", LOGARITHMIC)):
         tags.add(LOGARITHMIC)
-    if additive and same_carrier(f.domain, f.codomain):
-        tags |= {homo_deriv_sofy(eps) for eps in f.codomain.center
-                 if eps != f.codomain.zero and holds(_constraints(
-                     f.domain, "f", homo_deriv_sofy(eps), generated=True))}
+    shifts = np.array([e for e in f.codomain.center if e != f.codomain.zero])
+    if additive and len(shifts) and same_carrier(f.domain, f.codomain):
+        # f reads only x, y and x*y, which a declared subring keeps inside
+        sofy = PairConstraint(_F_IDENTITIES["sofy"], pairs)
+        ok = grid_satisfies(sofy, f.domain, f.codomain, {"f": rows},
+                            {"e": shifts}, seen)
+        tags |= {homo_deriv_sofy(int(e)) for e in shifts[ok]}
     return tags
 
 

@@ -89,7 +89,7 @@ class _Plan:
     rhs: tuple
     x: np.ndarray              # (1, P) domain elements
     y: np.ndarray
-    slots: list[np.ndarray]    # digit read by each plain application, (P,)
+    slots: np.ndarray          # digit read by each plain application, (S, P)
     nested: bool               # applies an unknown to an unknown's value
     cuts: list[int]            # level L's pairs are cuts[L+1]:cuts[L+2]
     defines: dict[int, tuple]  # level: the side whose value at one pair is
@@ -191,19 +191,20 @@ class _Planner:
         lhs = self._build(constraint.equation.lhs, False)
         split = len(self.slots)
         rhs = self._build(constraint.equation.rhs, False)
-        lhs_last, rhs_last = (
-            np.maximum.reduce(side + [np.full(len(xs), self.late)])
-            for side in (self.slots[:split], self.slots[split:]))
+        lhs_last, rhs_last = np.full((2, len(xs)), self.late)
+        for i, slot in enumerate(self.slots):
+            last = lhs_last if i < split else rhs_last
+            np.maximum(last, slot, out=last)
         # levels shifted by one, -1 (reads no digit) to 0, in the smallest
         # unsigned dtype, which numpy sorts stably by radix
-        levels = (np.maximum(lhs_last, rhs_last) + 1).astype(
-            np.min_scalar_type(self.digits))
+        dtype = np.min_scalar_type(self.digits)
+        levels = (np.maximum(lhs_last, rhs_last) + 1).astype(dtype)
         sides = ((rhs, lhs, rhs_last > lhs_last),
                  (lhs, rhs, lhs_last > rhs_last))
         del lhs_last, rhs_last
         order = np.argsort(levels, kind="stable")
         levels, xs, ys = levels[order], xs[order], ys[order]
-        slots = [s[order] for s in self.slots]
+        slots = np.array(self.slots, dtype=dtype).reshape(-1, len(xs))[:, order]
         self.pairs = self.slots = None  # drop the unsorted arrays
         # a pair defines its level's digit when one side is a lone
         # application reading that digit and the other reads only earlier
@@ -353,7 +354,7 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
             if level not in computed:
                 at = slice(j, j + 1)
                 computed[level] = (node, plan.x[:, at], plan.y[:, at],
-                                   [s[at] for s in plan.slots])
+                                   plan.slots[:, at])
         if plan.nested and not planner.whole:
             for level in range(digits):
                 if plan.cuts[level + 1] < plan.cuts[level + 2]:
@@ -439,7 +440,7 @@ def _filter(rows: np.ndarray, checks: list[tuple[_Plan, int, int]]
                    else _FIRST_CHUNK // max(len(rows), 1))
         while start < stop and len(rows):
             part = slice(start, min(start + size, stop))
-            x, y, slots = c.x[:, part], c.y[:, part], [s[part] for s in c.slots]
+            x, y, slots = c.x[:, part], c.y[:, part], c.slots[:, part]
             ok = np.equal(_eval(c.lhs, x, y, slots, rows),
                           _eval(c.rhs, x, y, slots, rows))
             if np.ndim(ok) == 2 and len(ok) == len(rows):

@@ -10,7 +10,7 @@ from fnq.eqdsl import (Add, Binding, Constraint, Definition, FnApp, IntLit,
                        PairConstraint, compile_side, equation_to_text,
                        eval_side, expr_to_text, grid_satisfies,
                        parse_equation, pivot_reduce, substitute)
-from fnq.errors import (ArityError, EquationSyntaxError,
+from fnq.errors import (ArityError, EquationSyntaxError, InvalidTask,
                         LiteralInNonUnitalRing, UnboundName)
 from fnq.maps import FnTable, identity_map, zero_map
 from fnq.solver import residual
@@ -126,6 +126,34 @@ def test_eval_unbound(gf3):
         eval_side(ast.rhs, binding, 1, 1, gf3)
     with pytest.raises(UnboundName):
         eval_side(ast.lhs, binding, 1, 1, gf3)
+
+
+def test_parameter_values_outside_the_ring_raise():
+    # a negative value is not wrapped and one past the carrier is not left
+    # to an IndexError: both evaluators reject any value that is no element
+    ring = fnq.zn(5)
+    ast = parse_equation("f(x*y)=f(x)*y+x*f(y)+e*f(x)*f(y)")
+    f = identity_map(ring)
+    rows = f.as_array()[None]
+    for bad in (-1, 5, 7):
+        binding = Binding({"f": f}, {"e": bad})
+        with pytest.raises(InvalidTask):
+            eval_side(ast.rhs, binding, 1, 1, ring)
+        with pytest.raises(InvalidTask):
+            residual(ast, binding, ring)
+        for value in (bad, np.array([0, bad, 1])):
+            with pytest.raises(InvalidTask):
+                grid_satisfies(PairConstraint(ast), ring, ring, {"f": rows},
+                               {"e": value})
+            with pytest.raises(InvalidTask):
+                grid_satisfies(PairConstraint(ast, params={"e": value}),
+                               ring, ring, {"f": rows}, {})
+    # the scalar errors come in evaluation order, left operand first
+    binding = Binding({}, {"e": 7})
+    with pytest.raises(UnboundName):
+        eval_side(parse_equation("g(x)+e=0").lhs, binding, 1, 1, ring)
+    with pytest.raises(InvalidTask):
+        eval_side(parse_equation("e+g(x)=0").lhs, binding, 1, 1, ring)
 
 
 def test_pivot_definition_golden():
@@ -261,6 +289,55 @@ def test_grid_slices_match_scalar_residual(text, ring):
     scalar = [not residual(ast, Binding({"f": FnTable(
         ring, ring, tuple(row.tolist()))}, {}), ring) for row in rows]
     assert together.tolist() == one_by_one == scalar
+
+
+def _additive_rows(name):
+    """A carrier and additive value rows: every one of UT2(2), and the
+    scalings x -> a*x of Z12."""
+    if name == "ut2_2":
+        ring = fnq.ut2(2)
+        return ring, np.array(ut2_2_additive_tables(ring))
+    ring = fnq.zn(12)
+    return ring, ring.mul[:, ring.element_array].astype(np.int64)
+
+
+@pytest.mark.parametrize("name", ["ut2_2", "z12"])
+def test_grid_parameter_arrays_match_scalar_residual(name):
+    # a parameter array gives one value per row: one table against every
+    # ring element, or the i-th table against the i-th value
+    ring, rows = _additive_rows(name)
+    ast = parse_equation("f(x*y)=f(x)*y+x*f(y)+e*f(x)*f(y)")
+    c = PairConstraint(ast)
+    every = np.arange(ring.size)
+    scalar = [[not residual(ast, Binding({"f": FnTable(ring, ring, tuple(row))},
+                                         {"e": e}), ring) for e in every]
+              for row in rows.tolist()]
+    assert any(map(any, scalar)) and not all(map(all, scalar))
+    per_value = [grid_satisfies(c, ring, ring, {"f": rows}, {"e": e})
+                 for e in every]
+    assert np.array(per_value).T.tolist() == scalar
+    one_row = [grid_satisfies(c, ring, ring, {"f": row[None]}, {"e": every})
+               for row in rows]
+    assert [mask.tolist() for mask in one_row] == scalar
+    listed = PairConstraint(ast, params={"e": every})
+    assert grid_satisfies(listed, ring, ring, {"f": rows[:1]},
+                          {}).tolist() == scalar[0]
+    picked = np.arange(len(rows)) % ring.size
+    assert grid_satisfies(c, ring, ring, {"f": rows}, {"e": picked}).tolist(
+        ) == [values[e] for values, e in zip(scalar, picked)]
+    # a cached mask of an equation reading no parameter counts the
+    # parameter's rows as an uncached one does
+    leibniz = PairConstraint(parse_equation("f(x*y)=f(x)*y+x*f(y)"))
+    cache = {}
+    alone = grid_satisfies(leibniz, ring, ring, {"f": rows[:1]}, {}, cache)
+    assert grid_satisfies(leibniz, ring, ring, {"f": rows[:1]}, {"e": every},
+                          cache).tolist() == alone.tolist() * ring.size
+    # a row count that is neither 1 nor the tables'
+    with pytest.raises(ValueError):
+        grid_satisfies(c, ring, ring, {"f": rows}, {"e": every[:-1]})
+    with pytest.raises(ValueError):
+        grid_satisfies(c, ring, ring, {"f": rows[:1]},
+                       {"e": every, "k": every[:-1]})
 
 
 def test_grid_cache_keeps_only_parameter_free_cells():

@@ -201,6 +201,39 @@ def test_classification_on_ut2_and_z12_matches_scalar_oracle(case):
             ring, values), values
 
 
+def test_classify_map_checks_all_shifts_in_one_grid_call(monkeypatch):
+    # additive, multiplicative, Leibniz, the logarithmic zero check and
+    # every shift at once; the zero map, at the 5 central b, passes the
+    # zero check and also checks the logarithmic identity
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return eqdsl.grid_satisfies(*args, **kwargs)
+
+    monkeypatch.setattr(maps, "grid_satisfies", counting)
+    ring = fnq.ut2(5)
+    classify_map(inner_derivation(ring, 1))
+    assert len(calls) == 5
+    calls.clear()
+    for b in ring.domain_elements:
+        classify_map(inner_derivation(ring, b))
+    assert len(calls) == 630 == 120 * 5 + 5 * 6
+
+
+@pytest.mark.slow
+def test_classification_on_ut2_5_matches_scalar_oracle():
+    # the 5 central b give the zero map and 5 others nonzero derivations;
+    # their values are strictly upper triangular, so products of two
+    # vanish and every shift fits both
+    ring = fnq.ut2(5)
+    others = [b for b in ring.domain_elements if b not in ring.center]
+    for b in list(ring.center) + others[::24]:
+        values = inner_derivation(ring, b).values
+        assert classify_map(FnTable(ring, ring, values)) == oracle_tags(
+            ring, values), b
+
+
 def test_grid_checks_leave_no_reference_cycles():
     # a check's arrays are freed when it returns, not by the cyclic collector
     ring = fnq.ut2(3)
