@@ -228,6 +228,24 @@ class Ring:
         return across, within
 
     @cached_property
+    def unit_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (x, 0) for x a domain element that is not a domain unit
+        and the pairs (u, v) for u and v domain units, as read-only int64
+        arrays of shape (P, 2) in row-major domain order: where a
+        logarithmic map is zero, and where it turns products into sums."""
+        elems = self.element_array
+        units = np.asarray(self.domain_units, dtype=np.int64)
+        is_unit = np.zeros(self.size, dtype=bool)
+        is_unit[units] = True
+        others = elems[~is_unit[elems]]
+        off = np.stack([others, np.full_like(others, self.zero)], axis=1)
+        on = np.stack([units.repeat(len(units)), np.tile(units, len(units))],
+                      axis=1)
+        off.setflags(write=False)
+        on.setflags(write=False)
+        return off, on
+
+    @cached_property
     def char(self) -> int | None:
         """Additive order of the unit element, or None without a unit."""
         if self.one is None:

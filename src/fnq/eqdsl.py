@@ -17,14 +17,17 @@ Two evaluators share nothing but the AST.  The scalar one
 (:func:`compile_side`, and :func:`eval_side` on top of it) compiles a side
 once per call into a function of (x, y) over list views of the ring
 tables, then evaluates it per pair; it is the independent re-verifier of
-every reported solution.  The grid one (:func:`grid_satisfies`) evaluates
-batched tables over all pairs at once with numpy.  Neither shares code with
-the search kernel.
+every reported solution.  The grid one evaluates batched tables over all
+pairs of one pair set at once with numpy: :func:`grid_masks` gives several
+equations' per-pair masks from one grid, computing each subexpression once
+per call, and :func:`grid_satisfies` reduces one equation to a mask per
+row.  Nothing outlives a call.  Neither evaluator shares code with the
+search kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -445,17 +448,49 @@ def eval_side(side: Expr, binding: Binding, x: int, y: int, ring: Ring) -> int:
     return compile_side(side, binding, ring)(x, y)
 
 
+def grid_masks(equations: Sequence[EquationAst], pairs, domain: Ring,
+               codomain: Ring, tables: dict[str, np.ndarray],
+               params: dict[str, int]) -> list[np.ndarray]:
+    """Each equation's per-pair mask over batched tables, from one grid.
+
+    ``pairs`` is one pair set for all the equations, as in
+    :class:`PairConstraint`: an array of shape (P, 2), or ``None`` for all
+    m*m domain pairs.  Each mask has shape (rows, P), the pairs in
+    row-major order, and is True where the equation holds; it may be a
+    read-only view.  ``tables`` and ``params`` are read as by
+    :func:`grid_satisfies`, and every subexpression, however many of the
+    equations share it as a node, is computed once per call.  An equation
+    whose evaluation raises :class:`EvalDomainError` fails alone, at every
+    pair of every row; any other error propagates.
+    """
+    grid = _Grid(domain, codomain, pairs, tables, params)
+    masks = []
+    for equation in equations:
+        try:
+            equal = grid.equal(equation)
+        except EvalDomainError:
+            equal = np.zeros((1, 1, 1), dtype=bool)
+        masks.append(np.broadcast_to(equal, (grid.rows, *grid.shape))
+                     .reshape(grid.rows, -1))
+    return masks
+
+
 def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
-                   tables: dict[str, np.ndarray], params: dict[str, int],
-                   cache: dict | None = None) -> np.ndarray:
+                   tables: dict[str, np.ndarray],
+                   params: dict[str, int]) -> np.ndarray:
     """Boolean mask over batched tables meeting a constraint at all its pairs.
 
-    ``tables`` give each unknown's value vectors over the domain positions,
-    one row per candidate; a single row counts for every candidate.  A
-    parameter is one codomain element, or a 1-D integer array of them that
-    gives one per row and counts for the rows as a table does.  A value
-    outside the codomain raises :class:`InvalidTask`, and a row count other
-    than 1 or the largest one raises :class:`ValueError`.
+    The one-equation reduction of :func:`grid_masks`, except that
+    :class:`EvalDomainError` propagates, and that it reduces each row's
+    equality cells as they are instead of spreading them into a per-pair
+    mask.  ``tables`` give each unknown's value vectors over the domain
+    positions, one row per candidate; a single row counts for every
+    candidate.  A parameter is one codomain element, or a 1-D integer
+    array of them that gives one per row and counts for the rows as a
+    table does.  A value outside the codomain raises
+    :class:`InvalidTask`, and a row count other than 1 or the largest one
+    raises :class:`ValueError`.  Parameters bound by the constraint take
+    precedence over ``params``.
     Both sides are evaluated over the whole (candidate, pair) grid:
     arguments of unknowns in the domain ring and everything else in the
     codomain ring, so ``x`` or ``y`` outside an argument, or an unknown
@@ -465,137 +500,118 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
     ``f(x)*y`` or ``f(x)*f(y)``, is one slice of the ring table rather than
     one lookup per cell (:meth:`_Grid.combine`).
 
-    ``cache`` keeps, across calls, one entry per pair set, keyed by the
-    ``id`` of the constraint's ``pairs`` (``None`` for all pairs), so that
-    constraints sharing one pair array share its cells; the array must not
-    change while the cache lives.  Each entry holds the grid cells of every
-    subexpression that reads no parameter, keyed by the node's ``id`` and
-    whether it sits inside an argument, and the mask of every equation that
-    reads none, per table row, keyed by the equation's ``id``.  Every entry holds its pair
-    array, node or equation, so a key can never match another one while the
-    cache lives.  Whatever reads a parameter is evaluated afresh on every
-    call.  The cache is valid only for one domain, codomain and set of
-    ``tables``.
-
     Over a declared subring each unknown is spread over the carrier with
     -1 outside the domain, and an application that reads -1 raises
     :class:`EvalDomainError`; without one the tables are used as they
     are, since no argument can leave the domain.
     """
-    bound = {name: np.asarray(value)
-             for name, value in {**params, **constraint.params}.items()}
-    for name, value in bound.items():
-        if value.ndim > 1 or value.dtype.kind not in "iu" or (
-                (value < 0) | (value >= codomain.size)).any():
-            raise InvalidTask(f"parameter {name!r} = {value.tolist()} is not "
-                              f"an element of a ring of size {codomain.size}")
-    sizes = [len(v) for v in (*tables.values(), *bound.values()) if np.ndim(v)]
-    rows = max(sizes, default=1)
-    if any(n not in (1, rows) for n in sizes):
-        raise ValueError(f"tables and parameters give {sizes} rows")
-    equation = constraint.equation
-    if cache is not None:
-        # one cache per pair set; the entry keeps its key's object alive
-        cache = cache.setdefault(id(constraint.pairs),
-                                 (constraint.pairs, {}))[1]
-        if id(equation) in cache:
-            return np.broadcast_to(cache[id(equation)][1], rows).copy()
-    elems = domain.element_array
-    if constraint.pairs is None:
-        xs, ys = elems[None, :, None], elems[None, None, :]
-    else:
-        pairs = np.asarray(constraint.pairs, dtype=np.int64).reshape(1, -1, 2)
-        xs, ys = pairs[..., :1], pairs[..., 1:]
-    # each unknown over the whole carrier, -1 outside a declared subring;
-    # over the whole carrier no argument can leave the domain
-    carrier = tables
-    if domain.subring is not None:
-        carrier = {}
-        for name, values in tables.items():
-            carrier[name] = np.full((len(values), domain.size), -1,
-                                    dtype=codomain.add.dtype)
-            carrier[name][:, elems] = values
-    grid = _Grid(domain, codomain, xs, ys, bound, carrier, cache)
-    lhs, lhs_pure = grid.cells(equation.lhs, False)
-    rhs, rhs_pure = grid.cells(equation.rhs, False)
-    shape = np.broadcast_shapes(xs.shape, ys.shape)[1:]
-    equal = np.equal(lhs, rhs)
+    grid = _Grid(domain, codomain, constraint.pairs, tables,
+                 {**params, **constraint.params})
+    equal = grid.equal(constraint.equation)
     # one entry per row that the tables or parameters read, or one for all
-    mask = np.broadcast_to(equal, (len(equal), *shape)).all(axis=(1, 2))
-    if cache is not None and lhs_pure and rhs_pure:
-        cache[id(equation)] = (equation, mask)
-    return mask.repeat(rows if len(mask) == 1 else 1)  # never the cached one
+    mask = np.broadcast_to(equal, (len(equal), *grid.shape)).all(axis=(1, 2))
+    return mask.repeat(grid.rows if len(mask) == 1 else 1)
 
 
 class _Grid:
-    """The subexpressions of one :func:`grid_satisfies` call over its grid.
+    """The subexpressions of one grid evaluation over its pair set.
 
     Cells keep the axes along which they vary and broadcast along the rest:
     ``x`` is shaped (1, m, 1) and ``y`` (1, 1, m) over all pairs, both
     (1, P, 1) over P listed pairs, and a term reading neither is (1, 1, 1).
-    A class rather than nested closures, so that a call leaves no reference
-    cycle behind and its arrays are freed as soon as it returns.
+    Each node's cells are kept for the evaluation, keyed by the node's
+    ``id`` and whether it sits inside an argument, so a node shared by
+    several equations is computed once; the equations keep their nodes
+    alive, so no key can match another node.  A class rather than nested
+    closures, so that an evaluation leaves no reference cycle behind and
+    its arrays are freed as soon as it returns.
     """
 
-    def __init__(self, domain: Ring, codomain: Ring, xs: np.ndarray,
-                 ys: np.ndarray, bound: dict[str, np.ndarray],
-                 carrier: dict[str, np.ndarray], cache: dict | None):
-        self.domain, self.codomain = domain, codomain
-        self.xs, self.ys = xs, ys
-        self.bound, self.carrier = bound, carrier
-        self.cache = {} if cache is None else cache
+    def __init__(self, domain: Ring, codomain: Ring, pairs,
+                 tables: dict[str, np.ndarray], params: dict[str, int]):
+        bound = {name: np.asarray(value) for name, value in params.items()}
+        for name, value in bound.items():
+            if value.ndim > 1 or value.dtype.kind not in "iu" or (
+                    (value < 0) | (value >= codomain.size)).any():
+                raise InvalidTask(
+                    f"parameter {name!r} = {value.tolist()} is not an "
+                    f"element of a ring of size {codomain.size}")
+        sizes = [len(v) for v in (*tables.values(), *bound.values())
+                 if np.ndim(v)]
+        self.rows = max(sizes, default=1)
+        if any(n not in (1, self.rows) for n in sizes):
+            raise ValueError(f"tables and parameters give {sizes} rows")
+        elems = domain.element_array
+        if pairs is None:
+            self.xs, self.ys = elems[None, :, None], elems[None, None, :]
+        else:
+            pairs = np.asarray(pairs, dtype=np.int64).reshape(1, -1, 2)
+            self.xs, self.ys = pairs[..., :1], pairs[..., 1:]
+        self.shape = np.broadcast_shapes(self.xs.shape, self.ys.shape)[1:]
+        # each unknown over the whole carrier, -1 outside a declared subring;
+        # over the whole carrier no argument can leave the domain
+        self.carrier = tables
+        if domain.subring is not None:
+            self.carrier = {}
+            for name, values in tables.items():
+                self.carrier[name] = np.full((len(values), domain.size), -1,
+                                             dtype=codomain.add.dtype)
+                self.carrier[name][:, elems] = values
+        self.domain, self.codomain, self.bound = domain, codomain, bound
         self.checked = domain.subring is not None
+        self.memo: dict[tuple[int, bool], np.ndarray] = {}
 
     def mixing(self, what: str) -> None:
         if not same_carrier(self.domain, self.codomain):
             raise EvalDomainError(f"{what} needs the domain inside the codomain")
 
-    def cells(self, expr: Expr, in_arg: bool) -> tuple[np.ndarray, bool]:
-        """Values over the grid, shaped (1 or rows, *grid), and whether they
-        read no parameter, in which case they are cached."""
-        key = (id(expr), in_arg)
-        if key in self.cache:
-            return self.cache[key][1], True
-        values, pure = self.evaluate(expr, in_arg)
-        if pure:
-            self.cache[key] = (expr, values)
-        return values, pure
+    def equal(self, equation: EquationAst) -> np.ndarray:
+        """Where both sides agree, shaped (1 or rows, *grid) up to the axes
+        along which neither side varies."""
+        return np.equal(self.cells(equation.lhs, False),
+                        self.cells(equation.rhs, False))
 
-    def evaluate(self, expr: Expr, in_arg: bool) -> tuple[np.ndarray, bool]:
+    def cells(self, expr: Expr, in_arg: bool) -> np.ndarray:
+        """Values over the grid, shaped (1 or rows, *grid), computed once."""
+        key = (id(expr), in_arg)
+        if key not in self.memo:
+            self.memo[key] = self.evaluate(expr, in_arg)
+        return self.memo[key]
+
+    def evaluate(self, expr: Expr, in_arg: bool) -> np.ndarray:
         ring = self.domain if in_arg else self.codomain
         if isinstance(expr, Var):
             if not in_arg:
                 self.mixing("a domain element outside an argument")
-            return (self.xs if expr.name == "x" else self.ys), True
+            return self.xs if expr.name == "x" else self.ys
         if isinstance(expr, IntLit):
-            return np.full((1, 1, 1), ring.int_embed(expr.value)), True
+            return np.full((1, 1, 1), ring.int_embed(expr.value))
         if isinstance(expr, Param):
             if expr.name not in self.bound:
                 raise UnboundName(f"parameter {expr.name!r} is not bound")
-            return self.bound[expr.name].reshape(-1, 1, 1), False
+            return self.bound[expr.name].reshape(-1, 1, 1)
         if isinstance(expr, FnApp):
             if expr.name not in self.carrier:
                 raise UnboundName(f"function {expr.name!r} is not bound")
             if in_arg:
                 self.mixing("a value used as an argument")
             table = self.carrier[expr.name]
-            arg, pure = self.cells(expr.arg, True)
+            arg = self.cells(expr.arg, True)
             # an argument that reads no unknown is the same in every row
             out = (table.take(arg[0], axis=1) if len(arg) == 1 else
                    table[np.arange(len(table))[:, None, None], arg])
             if self.checked and (out < 0).any():
                 raise EvalDomainError("function applied outside declared domain")
-            return out, pure
+            return out
         if isinstance(expr, Neg):
-            operand, pure = self.cells(expr.operand, in_arg)
-            return ring.neg.take(operand), pure
+            return ring.neg.take(self.cells(expr.operand, in_arg))
         if isinstance(expr, (Add, Sub, Mul)):
-            left, left_pure = self.cells(expr.left, in_arg)
-            right, right_pure = self.cells(expr.right, in_arg)
+            left = self.cells(expr.left, in_arg)
+            right = self.cells(expr.right, in_arg)
             if isinstance(expr, Sub):
                 right = ring.neg.take(right)
             table = ring.mul if isinstance(expr, Mul) else ring.add
-            return self.combine(table, left, right), left_pure and right_pure
+            return self.combine(table, left, right)
         raise TypeError(f"not an expression node: {expr!r}")
 
     @staticmethod

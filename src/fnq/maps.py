@@ -26,29 +26,32 @@ that check instead of enumerating it, so only generator positions multiply
 the rows the kernel grows.  The additive identity is stated at the pairs
 (x, g) only, x in the domain and g in 0 and an additive generating set
 (:attr:`fnq.algebra.Ring.generator_pairs`), which decide it, and the
-kernel computes the digits they define.  Membership of one table
-(:func:`in_class`, :func:`classify_map`) is a grid check of the same
+kernel computes the digits they define.  Membership of tables
+(:func:`in_class`, :func:`class_mask`) is a grid check of the same
 constraints (:func:`fnq.eqdsl.grid_satisfies`), except that a class that
 requires additivity checks its other identities at the pairs (g, h) only,
 since for an additive map they are additive in x and in y.  It shares no
-code with the kernel.  The identities share their common terms as nodes,
-which one grid cache evaluates once per pair set.  Over all pairs every
-operation in them but the applications ``f(x*y)`` and ``f(x+y)`` and the
-sums ``f(x)*y+x*f(y)`` and ``f(x)*y+x*f(y)+e*f(x)*f(y)`` has operands
-that vary along one grid axis each, which the grid computes as one slice
-of a ring table.
+code with the kernel.  :func:`classify_map` checks every identity in one
+grid evaluation at the pairs (x, g) (:func:`fnq.eqdsl.grid_masks`), which
+hold the pairs (g, h) and the logarithmic zero check's pairs (x, 0); only
+a map that is not additive, or that is zero off the units, needs one more.
+The identities share their common terms as nodes, which one evaluation
+computes once.  Over all pairs every operation in them but the
+applications ``f(x*y)`` and ``f(x+y)`` and the sums ``f(x)*y+x*f(y)`` and
+``f(x)*y+x*f(y)+e*f(x)*f(y)`` has operands that vary along one grid axis
+each, which the grid computes as one slice of a ring table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .algebra import Ring, same_carrier
 from .eqdsl import (Add, EquationAst, Expr, FnApp, IntLit, Mul, PairConstraint,
-                    Param, Var, grid_satisfies)
+                    Param, Var, grid_masks, grid_satisfies)
 from .errors import BudgetExceeded, EvalDomainError, InvalidTask, NotAField
 from .search import search
 
@@ -161,40 +164,23 @@ def in_class(f: FnTable, cls: FunctionClass) -> bool:
 
 
 def class_mask(domain: Ring, codomain: Ring, rows: np.ndarray,
-               cls: FunctionClass, seen: dict | None = None) -> np.ndarray:
+               cls: FunctionClass) -> np.ndarray:
     """:func:`in_class` for each row of value vectors: one grid evaluation
     per class constraint over all rows, until no row is left.
 
     A class that requires additivity checks the additive identity at the
     pairs (x, g) and its other identities at the pairs (g, h) of
     :attr:`fnq.algebra.Ring.generator_pairs`, which decide them; every
-    other identity is checked at all its pairs.
-
-    A constraint is built only while a row is left, so the unit pairs of
-    the logarithmic identity are not built once its zero check has failed
-    for every row.  ``seen``, if given, is the cache of
-    :func:`fnq.eqdsl.grid_satisfies`: per pair set, the cells of each
-    subexpression of the class identities that reads no parameter, and the
-    mask of each identity that reads none.  It is valid only for these
-    ``rows`` between these rings; calls for other classes of the same rows
-    may share it, as :func:`classify_map` does.  Without it no cells
-    outlive their constraint's check, which bounds the memory of many rows.
-    A class identity reads no unknown inside an argument, so an argument
-    outside the declared domain fails every row alike.
+    other identity is checked at all its pairs.  A constraint is checked
+    only while a row is left, and no cells outlive its check, which bounds
+    the memory of many rows.  A class identity reads no unknown inside an
+    argument, so an argument outside the declared domain fails every row
+    alike.
     """
-    return _mask(domain, codomain, rows,
-                 _constraints(domain, "f", cls, generated=True), seen)
-
-
-def _mask(domain: Ring, codomain: Ring, rows: np.ndarray,
-          constraints: Iterable[PairConstraint], seen: dict | None
-          ) -> np.ndarray:
-    """:func:`class_mask` for any constraints on ``f``, taken one at a time
-    until no row is left."""
     ok = np.ones(len(rows), dtype=bool)
     try:
-        for c in constraints:
-            ok &= grid_satisfies(c, domain, codomain, {"f": rows}, {}, seen)
+        for c in _constraints(domain, "f", cls, generated=True):
+            ok &= grid_satisfies(c, domain, codomain, {"f": rows}, {})
             if not ok.any():
                 break
     except EvalDomainError:
@@ -205,39 +191,54 @@ def _mask(domain: Ring, codomain: Ring, rows: np.ndarray,
 def classify_map(f: FnTable) -> set[FunctionClass]:
     """Every class tag whose defining identities hold at all domain pairs.
 
-    Each identity is checked once.  An additive map is multiplicative or
-    Leibniz exactly when the identity holds at the generator pairs (g, h)
-    (:func:`class_mask`), so for one no product identity is evaluated
-    beyond them; any other map is checked at every pair.  A named class
-    but logarithmic is tagged when each identity it lists in
-    ``_CLASS_IDENTITIES`` holds.  The shifted homo-derivation identity of an
-    additive map is checked in one call for the array of all nonzero central
-    shift constants, and each witnessing constant produces its own
-    parameterized tag.  All checks share one cache of subexpression cells per
-    pair set, so the shifts compute only the term reading the constant.
+    One grid evaluation (:func:`fnq.eqdsl.grid_masks`) at the pairs
+    (x, g) of :attr:`fnq.algebra.Ring.generator_pairs` checks the additive,
+    multiplicative and Leibniz identities, ``f(x)=0``, and, when the
+    carriers agree, the shifted homo-derivation identity for the array of
+    all nonzero central shift constants.  The pairs (x, g) hold the pairs
+    (g, h), so an additive map's product identities hold everywhere
+    exactly when they hold there; any other map checks them again at every
+    pair, in one more evaluation.  A named class but logarithmic is tagged
+    when each identity it lists in ``_CLASS_IDENTITIES`` holds, and each
+    shift constant whose row passes for an additive map produces its own
+    parameterized tag.  The logarithmic zero check reads the pairs (x, 0)
+    with x a non-unit, which lie in (x, g); a map that passes it checks the
+    logarithmic identity at the unit pairs in one more evaluation.
+    An identity whose evaluation raises fails alone.
     """
-    seen: dict = {}
-    rows = f.as_array()[None, :]
-
-    def holds(constraints: Iterable[PairConstraint]) -> bool:
-        return bool(_mask(f.domain, f.codomain, rows, constraints, seen)[0])
-
-    additive = holds(_constraints(f.domain, "f", ADDITIVE))
-    pairs = f.domain.generator_pairs[1] if additive else None
-    found = {"additive": additive, **{
-        kind: holds([PairConstraint(_F_IDENTITIES[kind], pairs)])
-        for kind in ("multiplicative", "leibniz")}}
+    domain, codomain = f.domain, f.codomain
+    tables = {"f": f.as_array()[None, :]}
+    across = domain.generator_pairs[0]
+    kinds = ["additive", "multiplicative", "leibniz", "zero"]
+    shifts = np.array([e for e in codomain.center if e != codomain.zero],
+                      dtype=np.int64)
+    params = {}
+    if len(shifts) and same_carrier(domain, codomain):
+        # f reads only x, y and x*y, which a declared subring keeps inside
+        kinds.append("sofy")
+        params = {"e": shifts}
+    masks = dict(zip(kinds, grid_masks([_F_IDENTITIES[k] for k in kinds],
+                                       across, domain, codomain, tables,
+                                       params)))
+    found = {k: bool(masks[k].all())
+             for k in ("additive", "multiplicative", "leibniz")}
+    if not found["additive"]:
+        found["multiplicative"], found["leibniz"] = (
+            bool(mask.all()) for mask in grid_masks(
+                [_F_IDENTITIES["multiplicative"], _F_IDENTITIES["leibniz"]],
+                None, domain, codomain, tables, {}))
     tags = {cls for cls in _NAMED.values() if cls.kind in _CLASS_IDENTITIES
             and all(found[i] for i in _CLASS_IDENTITIES[cls.kind])}
-    if holds(_constraints(f.domain, "f", LOGARITHMIC)):
+    off_units, on_units = domain.unit_pairs
+    # f(x)=0 per domain x at its pair (x, 0), then at the non-units only
+    zero = masks["zero"][0, across[:, 1] == domain.zero]
+    if zero[domain.position[off_units[:, 0]]].all() and grid_masks(
+            [_F_IDENTITIES["logarithmic"]], on_units, domain, codomain,
+            tables, {})[0].all():
         tags.add(LOGARITHMIC)
-    shifts = np.array([e for e in f.codomain.center if e != f.codomain.zero])
-    if additive and len(shifts) and same_carrier(f.domain, f.codomain):
-        # f reads only x, y and x*y, which a declared subring keeps inside
-        sofy = PairConstraint(_F_IDENTITIES["sofy"], pairs)
-        ok = grid_satisfies(sofy, f.domain, f.codomain, {"f": rows},
-                            {"e": shifts}, seen)
-        tags |= {homo_deriv_sofy(int(e)) for e in shifts[ok]}
+    if found["additive"] and "sofy" in masks:
+        tags |= {homo_deriv_sofy(int(e))
+                 for e in shifts[masks["sofy"].all(axis=1)]}
     return tags
 
 
@@ -253,9 +254,9 @@ def inner_derivation(ring: Ring, b: int) -> FnTable:
 def _shared_identities(fn: str) -> dict[str, EquationAst]:
     """The class identities for the unknown ``fn``, equal to their parsed
     text but built so that each term common to several of them is one node:
-    a grid check with one cache then evaluates each of ``fn(x*y)``,
-    ``fn(x)``, ``fn(y)``, ``fn(x)+fn(y)`` and ``fn(x)*y+x*fn(y)`` once for
-    all of them."""
+    one grid evaluation of several of them then computes each of
+    ``fn(x*y)``, ``fn(x)``, ``fn(y)``, ``fn(x)+fn(y)`` and
+    ``fn(x)*y+x*fn(y)`` once."""
     x, y = Var("x"), Var("y")
     fx, fy, fxy = FnApp(fn, x), FnApp(fn, y), FnApp(fn, Mul(x, y))
     split = Add(Mul(fx, y), Mul(x, fy))
@@ -315,9 +316,11 @@ def class_constraints(ring: Ring, name: str,
     domain pair: with their many pairs the kernel prunes rows before the
     generator digits are all assigned.  The shifted identity binds its
     constant as the parameter ``e`` of its own equation; a constant that
-    is not an element of ``ring`` raises :class:`InvalidTask`.  The logarithmic class is its identity on pairs of
-    domain units plus ``f(x)=0`` at every domain element that is not a unit,
-    which comes first as the cheaper and more selective check.
+    is not an element of ``ring`` raises :class:`InvalidTask`.  The
+    logarithmic class is its identity on pairs of domain units plus
+    ``f(x)=0`` at every domain element that is not a unit
+    (:attr:`fnq.algebra.Ring.unit_pairs`), which comes first as the cheaper
+    and more selective check.
     """
     return list(_constraints(ring, name, cls))
 
@@ -332,15 +335,9 @@ def _constraints(ring: Ring, name: str, cls: FunctionClass,
         raise InvalidTask(f"shift constant {cls.eps} is not an element of "
                           f"a ring of size {ring.size}")
     if cls.kind == "logarithmic":
-        elems = ring.element_array
-        units = np.asarray(ring.domain_units, dtype=np.int64)
-        is_unit = np.zeros(ring.size, dtype=bool)
-        is_unit[units] = True
-        others = elems[~is_unit[elems]]
-        yield PairConstraint(_identity("zero", name), np.stack(
-            [others, np.full_like(others, ring.zero)], axis=1))
-        yield PairConstraint(_identity("logarithmic", name), np.stack(
-            [units.repeat(len(units)), np.tile(units, len(units))], axis=1))
+        off_units, on_units = ring.unit_pairs
+        yield PairConstraint(_identity("zero", name), off_units)
+        yield PairConstraint(_identity("logarithmic", name), on_units)
         return
     if cls.kind not in _CLASS_IDENTITIES:
         raise ValueError(f"unknown class {cls}")

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fnq
+from fnq import eqdsl, maps
 from fnq.eqdsl import (Add, Binding, Constraint, Definition, FnApp, IntLit,
                        Mul, Neg, NotReducible, Param, Sub, Var,
                        PairConstraint, compile_side, equation_to_text,
-                       eval_side, expr_to_text, grid_satisfies,
+                       eval_side, expr_to_text, grid_masks, grid_satisfies,
                        parse_equation, pivot_reduce, substitute)
-from fnq.errors import (ArityError, EquationSyntaxError, InvalidTask,
-                        LiteralInNonUnitalRing, UnboundName)
+from fnq.errors import (ArityError, EquationSyntaxError, EvalDomainError,
+                        InvalidTask, LiteralInNonUnitalRing, UnboundName)
 from fnq.maps import FnTable, identity_map, zero_map
 from fnq.solver import residual
 
@@ -325,56 +326,110 @@ def test_grid_parameter_arrays_match_scalar_residual(name):
     picked = np.arange(len(rows)) % ring.size
     assert grid_satisfies(c, ring, ring, {"f": rows}, {"e": picked}).tolist(
         ) == [values[e] for values, e in zip(scalar, picked)]
-    # a cached mask of an equation reading no parameter counts the
-    # parameter's rows as an uncached one does
-    leibniz = PairConstraint(parse_equation("f(x*y)=f(x)*y+x*f(y)"))
-    cache = {}
-    alone = grid_satisfies(leibniz, ring, ring, {"f": rows[:1]}, {}, cache)
-    assert grid_satisfies(leibniz, ring, ring, {"f": rows[:1]}, {"e": every},
-                          cache).tolist() == alone.tolist() * ring.size
+    # in one call with the shifted identity, an equation reading no
+    # parameter counts the parameter's rows as a call of its own does
+    leibniz = parse_equation("f(x*y)=f(x)*y+x*f(y)")
+    alone = grid_satisfies(PairConstraint(leibniz), ring, ring,
+                           {"f": rows[:1]}, {"e": every})
+    both = grid_masks([leibniz, ast], None, ring, ring, {"f": rows[:1]},
+                      {"e": every})
+    assert alone.tolist() == both[0].all(axis=1).tolist()
+    assert alone.tolist() == [alone[0]] * ring.size
+    assert both[1].all(axis=1).tolist() == scalar[0]
     # a row count that is neither 1 nor the tables'
     with pytest.raises(ValueError):
         grid_satisfies(c, ring, ring, {"f": rows}, {"e": every[:-1]})
     with pytest.raises(ValueError):
         grid_satisfies(c, ring, ring, {"f": rows[:1]},
                        {"e": every, "k": every[:-1]})
+    with pytest.raises(ValueError):
+        grid_masks([ast], None, ring, ring, {"f": rows}, {"e": every[:-1]})
 
 
-def test_grid_cache_keeps_only_parameter_free_cells():
-    # the shifts share the cells of f(x*y) and f(x)*y+x*f(y) and recompute
-    # only what reads e; the masks match uncached evaluation
-    ring = fnq.ut2(2)
-    rows = np.array(ut2_2_additive_tables(ring))
-    ast = parse_equation("f(x*y)=f(x)*y+x*f(y)+e*f(x)*f(y)")
-    cache = {}
-    for e in range(ring.size):
-        c = PairConstraint(ast, params={"e": e})
-        got = grid_satisfies(c, ring, ring, {"f": rows}, {}, cache)
-        assert got.tolist() == grid_satisfies(
-            c, ring, ring, {"f": rows}, {}).tolist()
-    # one cache per pair set, keyed by the pairs object it holds
-    assert [key for key in cache] == [id(None)]
-    kept = [node for node, _ in cache[id(None)][1].values()]
-    assert any(n is ast.lhs for n in kept)
-    assert any(n is ast.rhs.left for n in kept)
-    assert all(not isinstance(n, type(ast)) and "e" not in expr_to_text(n)
-               for n in kept)
-    # an equation reading no parameter keeps its mask, as a copy
-    leibniz = PairConstraint(parse_equation("f(x*y)=f(x)*y+x*f(y)"))
-    first = grid_satisfies(leibniz, ring, ring, {"f": rows}, {}, cache)
-    first[:] = False
-    again = grid_satisfies(leibniz, ring, ring, {"f": rows}, {}, cache)
-    assert again.any() and again.tolist() == grid_satisfies(
-        leibniz, ring, ring, {"f": rows}, {}).tolist()
-    # listed pairs keep cells of their own, apart from the full grid's and
-    # from another array of the same pairs
-    pairs = np.array([(1, 2), (3, 3), (2, 5)])
-    for listed in (pairs, pairs.copy()):
-        for c in (PairConstraint(ast, listed, {"e": 1}),
-                  PairConstraint(leibniz.equation, listed)):
-            assert grid_satisfies(c, ring, ring, {"f": rows}, {},
-                                  cache).tolist() == grid_satisfies(
-                c, ring, ring, {"f": rows}, {}).tolist()
-        assert cache[id(listed)][0] is listed
-        assert any(n is ast.rhs.left for n, _ in cache[id(listed)][1].values())
-    assert len(cache) == 3
+MASK_TEXTS = ["f(x*y)=f(x)*y+x*f(y)+e*f(x)*f(y)", "f(x*y)=f(x)*y+x*f(y)",
+              "f(x*y)=f(x)*f(y)", "f(x+y)=f(x)+f(y)", "f(x)=0",
+              "e*f(x)=f(x)*e"]
+
+
+@pytest.mark.parametrize("name", ["ut2_2", "z12"])
+def test_grid_masks_match_scalar_residual_per_pair(name):
+    # several equations in one call: each per-pair mask is False exactly at
+    # the scalar residual's violations, in row-major pair order, over all
+    # pairs and over listed ones, with e one element or one per row
+    ring, rows = _additive_rows(name)
+    equations = [parse_equation(text) for text in MASK_TEXTS]
+    elems = ring.domain_elements
+    every = [(x, y) for x in elems for y in elems]
+    rng = np.random.default_rng(3)
+    listed = np.array(every)[rng.choice(len(every), size=17)]
+    per_row = np.arange(len(rows)) * 5 % ring.size
+    for pairs in (None, listed):
+        at = every if pairs is None else [tuple(p) for p in listed.tolist()]
+        for e in (ring.size - 1, per_row):
+            masks = grid_masks(equations, pairs, ring, ring, {"f": rows},
+                               {"e": e})
+            assert any(mask.any() and not mask.all() for mask in masks)
+            for ast, mask in zip(equations, masks):
+                assert mask.shape == (len(rows), len(at))
+                for i, row in enumerate(rows.tolist()):
+                    value = int(np.broadcast_to(e, len(rows))[i])
+                    bad = set(residual(ast, Binding(
+                        {"f": FnTable(ring, ring, tuple(row))},
+                        {"e": value}), ring))
+                    assert mask[i].tolist() == [p not in bad for p in at], (
+                        equation_to_text(ast), i)
+
+
+def test_grid_masks_fail_a_cross_carrier_equation_alone():
+    # x*f(y) reads a domain element in the codomain, which Z2 -> Z4 lacks:
+    # the Leibniz mask is all False and the other equations still count
+    z2, z4 = fnq.zn(2), fnq.zn(4)
+    rows = np.array(list(iproduct(range(4), repeat=2)), dtype=np.int64)
+    additive, leibniz, multiplicative = (parse_equation(t) for t in (
+        "f(x+y)=f(x)+f(y)", "f(x*y)=f(x)*y+x*f(y)", "f(x*y)=f(x)*f(y)"))
+    masks = grid_masks([additive, leibniz, multiplicative], None, z2, z4,
+                       {"f": rows}, {})
+    assert masks[1].shape == (16, 4) and not masks[1].any()
+    for ast, mask in zip((additive, multiplicative), masks[::2]):
+        alone = grid_satisfies(PairConstraint(ast), z2, z4, {"f": rows}, {})
+        assert mask.all(axis=1).tolist() == alone.tolist()
+        assert alone.any() and not alone.all()
+    with pytest.raises(EvalDomainError):
+        grid_satisfies(PairConstraint(leibniz), z2, z4, {"f": rows}, {})
+
+
+@pytest.mark.parametrize("name", ["ut2_2", "z12"])
+def test_one_grid_call_shares_cells_across_equations(name, monkeypatch):
+    # one call computes each node once, so the shifted identity computes
+    # only what reads e beyond Leibniz; separate calls recompute f(x*y)
+    # and f(x)*y+x*f(y) each time, and the masks are equal
+    ring, rows = _additive_rows(name)
+    texts = ["f(x*y)=f(x)*y+x*f(y)", "f(x*y)=f(x)*f(y)"]
+    shared = maps._shared_identities("f")
+    equations = [shared[k] for k in ("leibniz", "sofy", "multiplicative")]
+    evaluated = []
+    evaluate = eqdsl._Grid.evaluate
+
+    def counting(grid, expr, in_arg):
+        evaluated.append((id(grid), id(expr), in_arg))
+        return evaluate(grid, expr, in_arg)
+
+    monkeypatch.setattr(eqdsl._Grid, "evaluate", counting)
+    listed = np.array([(1, 2), (3, 3), (2, 5)])
+    for pairs in (None, listed):
+        evaluated.clear()
+        masks = grid_masks(equations, pairs, ring, ring, {"f": rows},
+                           {"e": 1})
+        together = len(evaluated)
+        assert together == len(set(evaluated))
+        evaluated.clear()
+        separate = [grid_satisfies(PairConstraint(ast, pairs), ring, ring,
+                                   {"f": rows}, {"e": 1})
+                    for ast in equations]
+        # the shifted identity computes Leibniz's 11 nodes again, and the
+        # product identity f(x*y), x*y, x and y inside arguments, f(x) and
+        # f(y)
+        assert len(evaluated) == together + 11 + 6
+        assert [m.all(axis=1).tolist() for m in masks] == [
+            s.tolist() for s in separate]
+    assert [equation_to_text(ast) for ast in equations[::2]] == texts

@@ -182,6 +182,30 @@ def test_generator_pairs_match_the_full_grid(name):
             maps.ARBITRARY, LOGARITHMIC}, i
 
 
+@pytest.mark.parametrize("ring", [fnq.zn(12), fnq.ut2(3), fnq.gf(3, 2),
+                                  fnq.zn(6, subring=(0, 2, 4))],
+                         ids=["z12", "ut2_3", "gf9", "z6{0,2,4}"])
+def test_unit_pairs_are_built_once_per_ring(ring):
+    # the pairs (x, 0) for the non-units and (u, v) for the units, built
+    # once per ring; Z6{0,2,4} holds no unit of its own
+    elems = ring.domain_elements
+    units = [u for u in elems if ring.inverse[u] >= 0
+             and ring.position[ring.inverse[u]] >= 0
+             and ring.position[ring.one] >= 0]
+    off, on = ring.unit_pairs
+    assert off.tolist() == [[x, ring.zero] for x in elems if x not in units]
+    assert on.tolist() == [[u, v] for u in units for v in units]
+    assert off.dtype == on.dtype == np.int64
+    assert off.shape[1:] == on.shape[1:] == (2,)
+    assert ring.unit_pairs is ring.unit_pairs
+    for pairs in (off, on):
+        with pytest.raises(ValueError):
+            pairs[:1] = 0
+    assert (len(on) == 0) == (ring.spec.subring is not None)
+    off_units, on_units = maps.class_constraints(ring, "f", LOGARITHMIC)
+    assert off_units.pairs is off and on_units.pairs is on
+
+
 @pytest.mark.parametrize("name", ["z2xz2", "z2xz4", "ut2_2", "ut2_3", "gf8",
                                   "z12{0,3,6,9}"])
 def test_generator_pairs_grow_no_more_levels_than_all_pairs(name, monkeypatch):

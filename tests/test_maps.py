@@ -203,22 +203,29 @@ def test_classification_on_ut2_and_z12_matches_scalar_oracle(case):
 
 def test_classify_map_checks_all_shifts_in_one_grid_call(monkeypatch):
     # additive, multiplicative, Leibniz, the logarithmic zero check and
-    # every shift at once; the zero map, at the 5 central b, passes the
-    # zero check and also checks the logarithmic identity
-    calls = []
+    # every shift in one grid evaluation at the pairs (x, g); the zero map,
+    # at the 5 central b, passes the zero check and evaluates the
+    # logarithmic identity at the unit pairs too.  Every inner derivation
+    # is additive, so none checks its product identities at every pair
+    grids = []
+    init = eqdsl._Grid.__init__
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return eqdsl.grid_satisfies(*args, **kwargs)
+    def counting(grid, domain, codomain, pairs, *args):
+        grids.append(pairs)
+        init(grid, domain, codomain, pairs, *args)
 
-    monkeypatch.setattr(maps, "grid_satisfies", counting)
+    monkeypatch.setattr(eqdsl._Grid, "__init__", counting)
     ring = fnq.ut2(5)
+    across = ring.generator_pairs[0]
     classify_map(inner_derivation(ring, 1))
-    assert len(calls) == 5
-    calls.clear()
+    assert len(grids) == 1 and grids[0] is across
+    grids.clear()
+    classify_map(inner_derivation(ring, ring.zero))
+    assert grids == [across, ring.unit_pairs[1]]
+    grids.clear()
     for b in ring.domain_elements:
         classify_map(inner_derivation(ring, b))
-    assert len(calls) == 630 == 120 * 5 + 5 * 6
+    assert len(grids) == 130 == 120 * 1 + 5 * 2
 
 
 @pytest.mark.slow
@@ -283,23 +290,22 @@ def test_fn_table_rejects_values_outside_the_codomain(z4):
 
 
 def test_classify_map_evaluates_each_parameter_free_node_once(monkeypatch):
-    # each parameter-free node at most once per pair set within one call;
-    # an additive map evaluates nothing on the full grid, where x and y
-    # vary along different axes, so no product identity cell there
+    # each node at most once per grid evaluation, and so per pair set
+    # within one call; an additive map's product identities read the cells
+    # at the pairs (x, g), and it evaluates nothing on the full grid, where
+    # x and y vary along different axes
     evaluated = []
     evaluate = eqdsl._Grid.evaluate
 
     def counting(grid, expr, in_arg):
-        values, pure = evaluate(grid, expr, in_arg)
-        if pure:
-            pair_set = tuple((a.shape, a.tobytes()) for a in (grid.xs, grid.ys))
-            evaluated.append((pair_set, expr, in_arg))
-        return values, pure
+        pair_set = tuple((a.shape, a.tobytes()) for a in (grid.xs, grid.ys))
+        evaluated.append((pair_set, expr, in_arg))
+        return evaluate(grid, expr, in_arg)
 
     monkeypatch.setattr(eqdsl._Grid, "evaluate", counting)
     ring = fnq.ut2(3)
-    within = ring.generator_pairs[1]
-    generated = tuple(((1, len(within), 1), within[:, j].tobytes())
+    across = ring.generator_pairs[0]
+    generated = tuple(((1, len(across), 1), across[:, j].tobytes())
                       for j in (0, 1))
     leibniz_rhs = (maps._F_IDENTITIES["leibniz"].rhs, False)
     squares = FnTable(ring, ring, tuple(int(ring.mul[x, x]) for x in range(27)))
@@ -307,12 +313,12 @@ def test_classify_map_evaluates_each_parameter_free_node_once(monkeypatch):
         evaluated.clear()
         tags = classify_map(table)
         assert evaluated and len(set(evaluated)) == len(evaluated), table
+        assert (generated, *leibniz_rhs) in evaluated
         full = [(e, i) for s, e, i in evaluated if s[0][0] != s[1][0]]
         if table is squares:
             assert ADDITIVE not in tags and leibniz_rhs in full
         else:
             assert DERIVATION in tags and not full, table
-            assert (generated, *leibniz_rhs) in evaluated
 
 
 @pytest.mark.parametrize("ring_name", SMALL_RINGS)
@@ -327,17 +333,83 @@ def test_class_mask_matches_scalar_oracle(ring_name, request):
     assert class_mask(ring, ring, rows[:0], MULTIPLICATIVE).shape == (0,)
 
 
+def _two_ring_value(expr, dom, cod, values, x, y, e, in_arg=False):
+    """One side of a parsed identity at (x, y), arguments in the domain's
+    tables and values in the codomain's, the parameter bound to ``e``; a
+    domain element read outside an argument raises, since the two rings
+    share no tables."""
+    ring = dom if in_arg else cod
+    if isinstance(expr, eqdsl.Param):
+        return e
+    if isinstance(expr, eqdsl.Var):
+        if not in_arg:
+            raise EvalDomainError("a domain element outside an argument")
+        return x if expr.name == "x" else y
+    if isinstance(expr, eqdsl.IntLit):
+        return ring.int_embed(expr.value)
+    if isinstance(expr, eqdsl.FnApp):
+        arg = _two_ring_value(expr.arg, dom, cod, values, x, y, e, True)
+        return values[dom.domain_elements.index(arg)]
+    left, right = (_two_ring_value(side, dom, cod, values, x, y, e, in_arg)
+                   for side in (expr.left, expr.right))
+    table = ring.mul if isinstance(expr, eqdsl.Mul) else ring.add
+    return int(table[left, right])
+
+
+def two_ring_tags(dom, cod, values):
+    """Every class tag of a map between different rings by point checks:
+    each identity at every pair it quantifies over, failing where it reads
+    a domain element outside an argument."""
+    def holds(kind, pairs, e=None):
+        ast = parse_equation(IDENTITY_TEXTS[kind].format(u="f"))
+        try:
+            return all(_two_ring_value(ast.lhs, dom, cod, values, x, y, e)
+                       == _two_ring_value(ast.rhs, dom, cod, values, x, y, e)
+                       for x, y in pairs)
+        except EvalDomainError:
+            return False
+    elems = dom.domain_elements
+    units = [u for u in elems if (dom.mul[u] == dom.one).any()]
+    every = [(x, y) for x in elems for y in elems]
+    found = {k: holds(k, every)
+             for k in ("additive", "multiplicative", "leibniz")}
+    requires = {ARBITRARY: (), ADDITIVE: ("additive",),
+                MULTIPLICATIVE: ("multiplicative",),
+                HOMOMORPHISM: ("additive", "multiplicative"),
+                LEIBNIZ: ("leibniz",), DERIVATION: ("additive", "leibniz"),
+                HOMO_DERIV_MP: ("additive", "multiplicative", "leibniz")}
+    tags = {cls for cls, kinds in requires.items()
+            if all(found[k] for k in kinds)}
+    if holds("zero", [(x, 0) for x in elems if x not in units]) and holds(
+            "logarithmic", [(u, v) for u in units for v in units]):
+        tags.add(LOGARITHMIC)
+    tags |= {homo_deriv_sofy(e) for e in cod.center if e != cod.zero
+             and found["additive"] and holds("sofy", every, e)}
+    return tags
+
+
 def test_leibniz_type_classes_between_different_rings(z4):
-    # x*f(y) reads a domain element in the codomain, which Z2 -> Z4 lacks
+    # x*f(y) reads a domain element in the codomain, which Z2 -> Z4 and
+    # Z4 -> Z2 lack: the Leibniz-type classes fail, and alone, so every
+    # other tag of every map is the scalar oracle's exactly
     z2 = fnq.zn(2)
     leibniz_type = ("leibniz", "derivation", "homo-deriv-mp", "homo-deriv-sofy")
-    for cls in (LEIBNIZ, DERIVATION, HOMO_DERIV_MP, homo_deriv_sofy(1)):
-        with pytest.raises(EvalDomainError):
-            list(enumerate_maps(z2, z4, cls))
-    for values in iproduct(range(4), repeat=2):
-        tags = classify_map(FnTable(z2, z4, values))
-        assert ARBITRARY in tags
-        assert not any(t.kind in leibniz_type for t in tags)
+    for dom, cod in ((z2, z4), (z4, z2)):
+        for cls in (LEIBNIZ, DERIVATION, HOMO_DERIV_MP, homo_deriv_sofy(1)):
+            with pytest.raises(EvalDomainError):
+                list(enumerate_maps(dom, cod, cls))
+        seen = set()
+        for values in iproduct(range(cod.size), repeat=dom.size):
+            tags = classify_map(FnTable(dom, cod, values))
+            assert tags == two_ring_tags(dom, cod, values), values
+            assert ARBITRARY in tags
+            assert not any(t.kind in leibniz_type for t in tags)
+            seen |= tags
+        assert {ADDITIVE, MULTIPLICATIVE, HOMOMORPHISM, LOGARITHMIC} <= seen
+    # a classifier that let Leibniz's error fail the other identities would
+    # tag both {arbitrary}
+    assert classify_map(FnTable(z2, z4, (0, 2))) == {ADDITIVE, ARBITRARY}
+    assert classify_map(FnTable(z2, z4, (0, 1))) == {MULTIPLICATIVE, ARBITRARY}
 
 
 # ------------------------------------------- closed forms over Z_n

@@ -18,7 +18,8 @@ import pytest
 
 import fnq
 from fnq import maps, search as kernel
-from fnq.eqdsl import PairConstraint, grid_satisfies, parse_equation
+from fnq.eqdsl import (PairConstraint, grid_masks, grid_satisfies,
+                       parse_equation)
 from fnq.errors import BudgetExceeded, EvalDomainError
 from fnq.maps import (ADDITIVE, DERIVATION, HOMO_DERIV_MP, HOMOMORPHISM,
                       LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE, class_mask,
@@ -228,8 +229,11 @@ def test_grid_check_on_a_subring_still_raises_outside_the_domain():
     constraint = PairConstraint(parse_equation("f(x+1)=f(x)"))
     with pytest.raises(EvalDomainError):
         grid_satisfies(constraint, r, r, {"f": rows}, {})
-    with pytest.raises(EvalDomainError):
-        grid_satisfies(constraint, r, r, {"f": rows}, {}, {})
+    # among several equations it fails alone, and a listed pair fails too
+    for pairs in (None, np.array([(2, 4)])):
+        masks = grid_masks([constraint.equation, parse_equation("f(x)=f(x)")],
+                           pairs, r, r, {"f": rows}, {})
+        assert not masks[0].any() and masks[1].all()
 
 
 def test_nested_pair_defines_no_digit_on_a_subring():
