@@ -382,11 +382,12 @@ def compile_side(side: Expr, binding: Binding, ring: Ring) -> Scalar:
     here, so a call only indexes the plain lists of ``ring.lists``; any
     other callable bound as a function is called.  All arithmetic happens
     through the ring tables in textual operand order.  A name that cannot
-    be resolved, and a parameter bound to no element of ``ring``
-    (:class:`InvalidTask`), compile into a step that raises when evaluation
-    reaches it, so errors come in the order of evaluating the tree inside
-    out, left operand first.  Shares no code with the search kernel or
-    :func:`grid_satisfies`.
+    be resolved, a parameter bound to no element of ``ring``
+    (:class:`InvalidTask`), and a table whose domain or codomain does not
+    share its tables with ``ring`` (:class:`EvalDomainError`), compile
+    into a step that raises when evaluation reaches it, so errors come in
+    the order of evaluating the tree inside out, left operand first.
+    Shares no code with the search kernel or :func:`grid_satisfies`.
     """
     t = ring.lists
 
@@ -398,6 +399,17 @@ def compile_side(side: Expr, binding: Binding, ring: Ring) -> Scalar:
             table = binding.functions[e.name]
             arg = build(e.arg)
             domain = getattr(table, "domain", None)
+            if isinstance(domain, Ring) and not (
+                    same_carrier(domain, ring)
+                    and same_carrier(table.codomain, ring)):
+                inner = arg if callable(arg) else _constant(arg)
+
+                def between(x, y):
+                    inner(x, y)  # its own errors come first
+                    raise EvalDomainError(
+                        f"function {e.name!r} maps between rings other than "
+                        "the one the equation is evaluated in")
+                return between
             if isinstance(domain, Ring) and domain.subring is None:
                 # a value table whose positions are carrier indices
                 return _index(table.values, arg)

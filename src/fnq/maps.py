@@ -26,12 +26,14 @@ that check instead of enumerating it, so only generator positions multiply
 the rows the kernel grows.  The additive identity is stated at the pairs
 (x, g) only, x in the domain and g in 0 and an additive generating set
 (:attr:`fnq.algebra.Ring.generator_pairs`), which decide it, and the
-kernel computes the digits they define.  Membership of tables
-(:func:`in_class`, :func:`class_mask`) is a grid check of the same
-constraints (:func:`fnq.eqdsl.grid_satisfies`), except that a class that
-requires additivity checks its other identities at the pairs (g, h) only,
-since for an additive map they are additive in x and in y.  It shares no
-code with the kernel.  :func:`classify_map` checks every identity in one
+kernel computes the digits they define.  The other identities of such a
+class are stated at :attr:`fnq.algebra.Ring.product_pairs`, which hold
+the pairs (g, h) and every pair that can prune a grown level.
+Membership of tables (:func:`in_class`, :func:`class_mask`) is a grid
+check of the same constraints (:func:`fnq.eqdsl.grid_satisfies`), except
+that a class that requires additivity checks its other identities at the
+pairs (g, h) only, since for an additive map they are additive in x and
+in y.  It shares no code with the kernel.  :func:`classify_map` checks every identity in one
 grid evaluation at the pairs (x, g) (:func:`fnq.eqdsl.grid_masks`), which
 hold the pairs (g, h) and the logarithmic zero check's pairs (x, 0); only
 a map that is not additive, or that is zero off the units, needs one more.
@@ -312,9 +314,16 @@ def class_constraints(ring: Ring, name: str,
     The additive identity is stated at the pairs (x, g) of
     :attr:`fnq.algebra.Ring.generator_pairs`, x in the domain and g in 0
     and an additive generating set, which decide it; the kernel computes
-    the digits those pairs define.  The product identities hold at every
-    domain pair: with their many pairs the kernel prunes rows before the
-    generator digits are all assigned.  The shifted identity binds its
+    the digits those pairs define.  The product identities of a class
+    that requires additivity are stated at
+    :attr:`fnq.algebra.Ring.product_pairs`: the pairs (x, g) and those
+    between the elements before the last generator in the kernel's
+    default order.  They hold the pairs (g, h), which decide the identities
+    of an additive map, and in a one-unknown search every pair they leave
+    out is decided after the last grown digit, so the kernel prunes every
+    grown level as with all pairs: Hom(Z256) states 1,024 pairs instead of
+    66,048.  The product identities of the other classes hold at every
+    domain pair.  The shifted identity binds its
     constant as the parameter ``e`` of its own equation; a constant that
     is not an element of ``ring`` raises :class:`InvalidTask`.  The
     logarithmic class is its identity on pairs of domain units plus
@@ -327,10 +336,11 @@ def class_constraints(ring: Ring, name: str,
 
 def _constraints(ring: Ring, name: str, cls: FunctionClass,
                  generated: bool = False) -> Iterator[PairConstraint]:
-    """:func:`class_constraints`, each built when it is asked for.  With
-    ``generated``, a class that requires additivity states its other
-    identities at the generator pairs (g, h) only, which decide them once
-    the additive identity holds."""
+    """:func:`class_constraints`, each built when it is asked for.  A
+    class that requires additivity states its other identities at
+    :attr:`fnq.algebra.Ring.product_pairs`, or with ``generated`` at the
+    generator pairs (g, h) only; both decide them once the additive
+    identity holds."""
     if cls.eps is not None and not 0 <= cls.eps < ring.size:
         raise InvalidTask(f"shift constant {cls.eps} is not an element of "
                           f"a ring of size {ring.size}")
@@ -343,10 +353,12 @@ def _constraints(ring: Ring, name: str, cls: FunctionClass,
         raise ValueError(f"unknown class {cls}")
     params = {"e": cls.eps} if cls.eps is not None else {}
     identities = _CLASS_IDENTITIES[cls.kind]
-    across, within = (ring.generator_pairs if "additive" in identities
-                      else (None, None))
+    across = other = None
+    if "additive" in identities:
+        across, within = ring.generator_pairs
+        other = within if generated else ring.product_pairs
     for i in identities:
-        pairs = across if i == "additive" else within if generated else None
+        pairs = across if i == "additive" else other
         yield PairConstraint(_identity(i, name), pairs, params)
 
 

@@ -40,8 +40,10 @@ is the whole carrier, where no argument can leave the domain; on a proper
 subring a level with a nested check is grown, so that every row reaching
 that check raises if it reads outside.  For Hom(Z256) only the digits of
 f(1) and f(0) are grown, and the checks of the other 254 levels run in
-one pass; in the logarithmic order (:func:`fnq.maps.enumerate_maps`) only
-the unit generators' digits are grown.
+one pass over 1,017 of the 1,024 pairs that
+:func:`fnq.maps.class_constraints` states; in the logarithmic order
+(:func:`fnq.maps.enumerate_maps`) only the unit generators' digits are
+grown.
 
 A check takes its pairs in chunks: the first covers about 4,096 (row,
 pair) cells and each next one twice the pairs of the last, and every
@@ -143,11 +145,7 @@ class _Planner:
                 self.bound = {**params, **c.params}
                 constant += [self._position(arg) for arg in args]
         if order is None:
-            first = constant + [int(domain.position[e])
-                                for e in (domain.one, domain.zero)
-                                if e is not None]
-            first = [p for p in dict.fromkeys(first) if p >= 0]
-            order = first + [p for p in range(m) if p not in first]
+            order = domain.position_order(constant)
         elif sorted(order) != list(range(m)):
             raise ValueError(f"order is not a permutation of the {m} "
                              "domain positions")

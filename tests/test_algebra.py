@@ -94,6 +94,24 @@ def test_axiom_checker_rejects_corruption(z6):
         _verify_axioms(6, np.array(z6.add), bad_mul, np.array(z6.neg), 0, 1)
 
 
+
+def test_left_distributivity_failing_off_the_generators_is_reported_first():
+    # Z32, above the exhaustive size, whose additive generating set is {1},
+    # with 5*1 = 2 and every other product 0: associative, left
+    # distributive at 1 but not at 5 (5*(1+1) = 0, not 2+2), and not right
+    # distributive ((4+1)*1 = 2, not 4*1+1*1).  The reference checks the
+    # left law first
+    from conftest import exhaustive_axioms
+    size = 32
+    add = np.add.outer(np.arange(size), np.arange(size)) % size
+    mul = np.zeros_like(add)
+    mul[5, 1] = 2
+    args = (size, add, mul, -np.arange(size) % size, 0, None)
+    assert size > algebra._EXHAUSTIVE_SIZE
+    assert algebra._additive_generators(add, 0).tolist() == [1]
+    for check in (exhaustive_axioms, _verify_axioms):
+        assert _axiom_failure(check, args) == "left distributivity fails"
+
 _AXIOM_MESSAGES = {
     "add table is not total on the carrier",
     "mul table is not total on the carrier",

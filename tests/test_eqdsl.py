@@ -157,6 +157,27 @@ def test_parameter_values_outside_the_ring_raise():
         eval_side(parse_equation("e+g(x)=0").lhs, binding, 1, 1, ring)
 
 
+@pytest.mark.parametrize("ring", [fnq.zn(4), fnq.zn(2)], ids=["z4", "z2"])
+def test_a_table_between_two_rings_raises_where_evaluation_reaches_it(ring):
+    # the scalar evaluator runs everything in one ring, so a table from Z2
+    # to Z4 fits neither: over Z4 it would read f(3), over Z2 add f's 2
+    ast = parse_equation("f(x+y)=f(x)+f(y)")
+    binding = Binding({"f": FnTable(fnq.zn(2), fnq.zn(4), (0, 2))}, {})
+    side = compile_side(ast.rhs, binding, ring)
+    with pytest.raises(EvalDomainError, match="maps between rings"):
+        side(1, 1)
+    with pytest.raises(EvalDomainError):
+        eval_side(ast.lhs, binding, 0, 0, ring)
+    with pytest.raises(EvalDomainError):
+        residual(ast, binding, ring)
+    # the argument is evaluated first, and a side that does not apply the
+    # table evaluates as before
+    with pytest.raises(UnboundName):
+        eval_side(parse_equation("f(g(x))=0").lhs, binding, 0, 0, ring)
+    assert eval_side(parse_equation("x+y=f(x)").lhs, binding, 1, 1, ring) \
+        == int(ring.add[1, 1])
+
+
 def test_pivot_definition_golden():
     ast = parse_equation("f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
     result = pivot_reduce(ast, "f")

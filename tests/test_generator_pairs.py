@@ -206,13 +206,15 @@ def test_unit_pairs_are_built_once_per_ring(ring):
     assert off_units.pairs is off and on_units.pairs is on
 
 
-@pytest.mark.parametrize("name", ["z2xz2", "z2xz4", "ut2_2", "ut2_3", "gf8",
-                                  "z12{0,3,6,9}"])
-def test_generator_pairs_grow_no_more_levels_than_all_pairs(name, monkeypatch):
-    # the unit is a generator, as it is the first position of the kernel's
-    # default order, so the pairs (x, g) define every digit that all pairs
-    # define, and the kernel grows the same rows
-    ring = _ring(CARRIERS[name])
+def everywhere(cls, pairs=None):
+    """The class identities at every pair, or all at ``pairs``."""
+    params = {"e": cls.eps} if cls.eps is not None else {}
+    return [PairConstraint(maps._F_IDENTITIES[kind], pairs, params)
+            for kind in maps._CLASS_IDENTITIES[cls.kind]]
+
+
+def grown_rows(monkeypatch):
+    """The number of rows entering each grown level, as it is recorded."""
     grown = []
     grow = kernel._grow
 
@@ -220,12 +222,109 @@ def test_generator_pairs_grow_no_more_levels_than_all_pairs(name, monkeypatch):
         grown.append(len(rows))
         return grow(rows, q, checks)
     monkeypatch.setattr(kernel, "_grow", counting)
-    for cls in (ADDITIVE, HOMOMORPHISM):
-        everywhere = [PairConstraint(maps._F_IDENTITIES[kind])
-                      for kind in maps._CLASS_IDENTITIES[cls.kind]]
+    return grown
+
+
+# the product classes that require additivity, at the shift constant 1
+PRODUCT = [HOMOMORPHISM, DERIVATION, HOMO_DERIV_MP, homo_deriv_sofy(1)]
+
+
+@pytest.mark.parametrize("name", ["z2xz2", "z2xz4", "ut2_2", "ut2_3", "gf8",
+                                  "z12{0,3,6,9}", "gf32"])
+def test_generator_pairs_grow_no_more_levels_than_all_pairs(name, monkeypatch):
+    # the unit is a generator, as it is the first position of the kernel's
+    # default order, so the pairs (x, g) define every digit that all pairs
+    # define; the product identities at Ring.product_pairs prune every
+    # grown level as all pairs do, and the kernel grows the same rows.
+    # GF(32) is where the product identities at (x, g) alone do not: its
+    # homomorphism search grows 1,061 rows instead of 69.  Its 32**5
+    # additive maps are too many to enumerate here
+    ring = _ring({**CARRIERS, "gf32": {"kind": "GF", "p": 2, "k": 5}}[name])
+    grown = grown_rows(monkeypatch)
+    for cls in ([] if name == "gf32" else [ADDITIVE]) + PRODUCT:
         grown.clear()
-        want = kernel.search(everywhere, ("f",), ring, ring)
+        want = kernel.search(everywhere(cls), ("f",), ring, ring)
         wanted, grown[:] = list(grown), []
         got = kernel.search(maps.class_constraints(ring, "f", cls), ("f",),
                             ring, ring)
         assert np.array_equal(got, want) and grown == wanted, cls
+    if name == "gf32":
+        grown.clear()
+        kernel.search(maps.class_constraints(ring, "f", HOMOMORPHISM),
+                      ("f",), ring, ring)
+        product, grown[:] = sum(grown), []
+        kernel.search(everywhere(HOMOMORPHISM, ring.generator_pairs[0]),
+                      ("f",), ring, ring)
+        assert (product, sum(grown)) == (69, 1061)
+
+
+def product_pairs_oracle(ring):
+    """The pairs (x, g) and E×E of the domain positions, E the positions
+    before the last additive generator in the kernel's default order."""
+    across, within = ring.generator_pairs
+    gens = {int(g) for g, _ in within} - {ring.zero}
+    order = [ring.domain_elements[p] for p in ring.position_order()]
+    early = order[:max((order.index(g) for g in gens), default=0)]
+    pairs = {tuple(p) for p in across.tolist()}
+    pairs |= {(x, y) for x in early for y in early}
+    key = ring.position.tolist()
+    return sorted(pairs, key=lambda p: (key[p[0]], key[p[1]]))
+
+
+@pytest.mark.parametrize("name", ["z2", "z16", "gf9", "gf16", "ut2_3",
+                                  "z2xz4", "z12{0,3,6,9}", "z6{0}"])
+def test_product_pairs_are_generator_pairs_and_the_early_square(name):
+    ring = _ring(CARRIERS[name])
+    pairs = ring.product_pairs
+    assert pairs.tolist() == [list(p) for p in product_pairs_oracle(ring)]
+    assert pairs.dtype == np.int64 and ring.product_pairs is pairs
+    with pytest.raises(ValueError):
+        pairs[:1] = 0
+    _, within = ring.generator_pairs
+    assert {tuple(p) for p in within.tolist()} <= {
+        tuple(p) for p in pairs.tolist()}
+
+
+def test_product_pairs_of_a_cyclic_group_are_its_generator_pairs():
+    # Z256's only additive generator is the unit, the first position of the
+    # kernel's default order, so E is empty
+    ring = fnq.zn(256)
+    across, _ = ring.generator_pairs
+    assert len(across) == 512
+    assert np.array_equal(ring.product_pairs, across)
+    additive, multiplicative = maps.class_constraints(ring, "f", HOMOMORPHISM)
+    assert additive.pairs is across and multiplicative.pairs is across
+
+
+def test_product_pairs_of_gf32_add_the_square_before_its_last_generator():
+    # GF(32)'s unit is index 16, and its generators are 16, 1, 2, 4 and 8.
+    # In the default order 16, 0, 1, 2, ... the last of them, 8, comes
+    # tenth, so E = {16, 0, 1, ..., 7}: the 32 * 6 pairs (x, g) and the 81
+    # of E×E share the 9 * 5 pairs of E with a generator in E
+    ring = fnq.gf(2, 5)
+    _, within = ring.generator_pairs
+    assert sorted({g for g, _ in within.tolist()}) == [0, 1, 2, 4, 8, 16]
+    assert ring.position_order()[:3] == [16, 0, 1]
+    pairs = {tuple(p) for p in ring.product_pairs.tolist()}
+    early = [16, *range(8)]
+    assert {(x, y) for x in early for y in early} <= pairs
+    assert len(pairs) == len(ring.product_pairs) == 32 * 6 + 81 - 9 * 5
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(CARRIERS))
+def test_product_pairs_give_the_rows_of_every_pair(name, monkeypatch):
+    # every class that requires additivity and a product identity, stated
+    # at Ring.product_pairs and at every pair: the same maps, and the same
+    # rows entering every grown level
+    ring = _ring(CARRIERS[name])
+    grown = grown_rows(monkeypatch)
+    for cls in [c for c in classes(ring) if c.kind in (
+            "homomorphism", "derivation", "homo-deriv-mp", "homo-deriv-sofy")]:
+        grown.clear()
+        want = kernel.search(everywhere(cls), ("f",), ring, ring)
+        wanted, grown[:] = list(grown), []
+        got = kernel.search(maps.class_constraints(ring, "f", cls), ("f",),
+                            ring, ring)
+        assert np.array_equal(got, want), cls
+        assert grown == wanted, cls

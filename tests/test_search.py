@@ -148,26 +148,30 @@ def recording(monkeypatch):
 def test_hom_z256_grows_only_the_levels_no_check_defines(monkeypatch):
     # f(1) (level 0) and f(0) (level 1) are fixed by no pair whose other
     # side reads only earlier digits; f(k) for k >= 2 is f(1) + f(k-1).
-    # The checks of those 254 computed levels wait and run in one pass:
-    # the additive identity at the 512 pairs (x, 0) and (x, 1) and the
-    # multiplicative one at all 256**2, but the 3 and 4 pairs that read
-    # only f(1) and f(0)
+    # The checks of those 254 computed levels wait and run in one pass.
+    # Z256 is cyclic, so both identities are stated at the same 512 pairs
+    # (x, 0) and (x, 1) (Ring.product_pairs); the pass takes them all but
+    # the ones that read only f(1) and f(0): the additive identity's 3,
+    # (0, 0), (0, 1) and (1, 0), and the multiplicative one's 4, which
+    # add (1, 1).
     grown, flushed = recording(monkeypatch)
     r = fnq.zn(256)
+    assert len(r.product_pairs) == 512
     assert len(list(enumerate_maps(r, r, HOMOMORPHISM))) == 2
     assert grown == [0, 1]
-    assert flushed == [512 + 256 ** 2 - 3 - 4]
+    assert flushed == [512 + 512 - 3 - 4]
 
 
 def test_waiting_checks_run_in_many_passes_give_the_same_rows(
         monkeypatch):
-    # with at most 64 waiting (row, pair) cells the checks of a run of
-    # computed levels run after every level or every few levels
+    # with at most 8 waiting (row, pair) cells the checks of a run of
+    # computed levels run after every level or every few levels: Z64's
+    # homomorphisms state about 4 pairs per level, for 2 rows
     rings = {"ut2_2": [ADDITIVE, DERIVATION],
              "z2xz4": [ADDITIVE, DERIVATION, LOGARITHMIC]}
     want = {(n, c): enumerated(ring(n), c) for n, cs in rings.items() for c in cs}
     homs = {n: enumerated(fnq.zn(n), HOMOMORPHISM) for n in range(2, 65)}
-    monkeypatch.setattr(kernel, "_CELLS", 64)
+    monkeypatch.setattr(kernel, "_CELLS", 8)
     _, flushed = recording(monkeypatch)
     for (name, cls), rows in want.items():
         assert np.array_equal(enumerated(ring(name), cls), rows), (name, cls)
