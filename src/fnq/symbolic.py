@@ -12,6 +12,10 @@ and expands both sides into canonical polynomials over commuting
 indeterminates with exact rational coefficients.  Comparing coefficients of
 the indeterminate monomials yields the parameter constraints the family
 must satisfy; this models the commutative field case only.
+
+:data:`PEXIDER_FAMILIES` is the one place the Pexider equation's solution
+families are written: ``derive_constraints`` proves them, and ``theorems``
+evaluates them over finite fields to classify and sample solutions.
 """
 from __future__ import annotations
 
@@ -168,9 +172,6 @@ def symbol(name: str) -> SymExpr:
     return SymExpr(((mono, Fraction(1)),))
 
 
-ZERO = SymExpr.constant(0)
-ONE = SymExpr.constant(1)
-
 # template atoms for building families
 T = symbol("t")
 M = symbol("m_t")
@@ -200,33 +201,19 @@ class SolutionFamily:
 
 
 def _substitution_for(arg: Expr) -> dict[str, SymExpr]:
-    if isinstance(arg, Var) and arg.name == "x":
-        suffix = "x"
-    elif isinstance(arg, Var) and arg.name == "y":
-        suffix = "y"
-    elif (isinstance(arg, Mul) and isinstance(arg.left, Var)
-          and isinstance(arg.right, Var)
-          and arg.left.name == "x" and arg.right.name == "y"):
-        x, y = symbol("x"), symbol("y")
-        return {
-            "t": x * y,
-            "m_t": symbol("m_x") * symbol("m_y"),
-            "l_t": symbol("l_x") + symbol("l_y"),
-            "d_t": symbol("d_x") * y + x * symbol("d_y"),
-            "l1_t": symbol("l1_x") + symbol("l1_y"),
-            "l2_t": symbol("l2_x") + symbol("l2_y"),
-        }
-    else:
+    """Each template symbol at ``x`` or ``y`` (``m_t`` -> ``m_x``), or
+    rewritten at ``x*y`` by the generator rules."""
+    if isinstance(arg, Var) and arg.name in ("x", "y"):
+        return {s: symbol(s[:-1] + arg.name) for s in _TEMPLATE}
+    if not (isinstance(arg, Mul) and isinstance(arg.left, Var)
+            and isinstance(arg.right, Var)
+            and (arg.left.name, arg.right.name) == ("x", "y")):
         raise UnsupportedArgument(
             "formal substitution supports only the arguments x, y and x*y")
-    return {
-        "t": symbol(suffix),
-        "m_t": symbol(f"m_{suffix}"),
-        "l_t": symbol(f"l_{suffix}"),
-        "d_t": symbol(f"d_{suffix}"),
-        "l1_t": symbol(f"l1_{suffix}"),
-        "l2_t": symbol(f"l2_{suffix}"),
-    }
+    x, y = _substitution_for(arg.left), _substitution_for(arg.right)
+    return {"t": x["t"] * y["t"], "m_t": x["m_t"] * y["m_t"],
+            "d_t": x["d_t"] * y["t"] + x["t"] * y["d_t"],
+            **{s: x[s] + y[s] for s in ("l_t", "l1_t", "l2_t")}}
 
 
 def _expand(expr: Expr, family: SolutionFamily) -> SymExpr:
@@ -302,6 +289,9 @@ def check_identity(family: SolutionFamily, ast: EquationAst,
 
 # ----------------------------------------------------------- built-in families
 
+_PEXIDER_TEXT = "f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y"
+
+
 def thm5_family() -> SolutionFamily:
     """Rank-3 family: one multiplicative and one logarithmic generator."""
     b2, b3 = symbol("b2"), symbol("b3")
@@ -313,55 +303,71 @@ def thm5_family() -> SolutionFamily:
             "k": (g1 * L + g2) * T + g3 * M,
         },
         side_conditions=("b3 != 0", "g1 != 0"),
-        equation_text="f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
+        equation_text=_PEXIDER_TEXT)
+
+
+def _pexider_families() -> dict[str, SolutionFamily]:
+    lam, lam1, lam2, k1, h1, gamma, u, b1, b2, b3, g1 = map(
+        symbol, "lam lam1 lam2 k1 h1 gamma u b1 b2 b3 g1".split())
+
+    def family(f, h, k, *side_conditions):
+        return SolutionFamily({"f": f, "h": h, "k": k}, side_conditions,
+                              _PEXIDER_TEXT)
+
+    rank3 = thm5_family()
+    return {
+        "AllLinear": family((lam1 ** 2 + 2 * lam2) * T, lam1 * T, lam2 * T),
+        "LinearPlusLeibniz": family((lam ** 2 + 2 * k1) * T + D, lam * T,
+                                    k1 * T + D),
+        "MultiplicativeSquare": family(h1 ** 2 * M + 2 * lam * T, h1 * M,
+                                       lam * T),
+        "LambdaKFamilyA": family((lam ** 2 * gamma ** 2 + 2 * gamma) * T,
+                                 lam * gamma * T, gamma * T),
+        "LambdaKFamilyB": family(-u * T + gamma ** 2 * lam ** 2 * M,
+                                 lam * (-u * T + gamma * M), -u * T + gamma * M,
+                                 "lam != 0", "u = 1/lam^2"),
+        "TwoExponential": family((b1 ** 2 + 2 * g1) * T + b2 ** 2 * M,
+                                 b1 * T + b2 * M, g1 * T - b1 * b2 * M),
+        # thm5 at its one constraint g3 = -b2*b3
+        "NonDegenerate": family(*(rank3.functions[n].subs({"g3": -b2 * b3})
+                                  for n in "fhk"), *rank3.side_conditions),
+    }
+
+
+# The solution families of the Pexider equation, by their
+# ``theorems.FamilyTag`` names, with parameters named as in the tags.
+PEXIDER_FAMILIES: Mapping[str, SolutionFamily] = _pexider_families()
+# a parameter that stands for the field inverse of a polynomial in the
+# others, not for a value of its own
+DERIVED_INVERSES: Mapping[str, SymExpr] = {"u": symbol("lam") ** 2}
 
 
 def prop4_family() -> SolutionFamily:
-    """Linear part plus a Leibniz remainder, for a scaled-product equation."""
-    k1, lam = symbol("k1"), symbol("lam")
-    return SolutionFamily(
-        functions={
-            "f": (lam ** 2 + 2 * k1) * T + D,
-            "k": k1 * T + D,
-        },
-        equation_text="f(x*y)=lam*lam*x*y+x*k(y)+k(x)*y")
+    """LinearPlusLeibniz without h, for a scaled-product equation."""
+    fns = PEXIDER_FAMILIES["LinearPlusLeibniz"].functions
+    return SolutionFamily({n: fns[n] for n in "fk"},
+                          equation_text="f(x*y)=lam*lam*x*y+x*k(y)+k(x)*y")
 
 
 def prop3_family() -> SolutionFamily:
-    """Multiplicative square family for f(xy) = h(x)h(y) + 2*lam*xy."""
-    h1, lam = symbol("h1"), symbol("lam")
-    return SolutionFamily(
-        functions={
-            "f": h1 ** 2 * M + 2 * lam * T,
-            "h": h1 * M,
-        },
-        equation_text="f(x*y)=h(x)*h(y)+2*lam*x*y")
+    """MultiplicativeSquare without k, for f(xy) = h(x)h(y) + 2*lam*xy."""
+    fns = PEXIDER_FAMILIES["MultiplicativeSquare"].functions
+    return SolutionFamily({n: fns[n] for n in "fh"},
+                          equation_text="f(x*y)=h(x)*h(y)+2*lam*x*y")
 
 
 def all_linear_family() -> SolutionFamily:
-    lam1, lam2 = symbol("lam1"), symbol("lam2")
-    return SolutionFamily(
-        functions={
-            "f": (lam1 ** 2 + 2 * lam2) * T,
-            "h": lam1 * T,
-            "k": lam2 * T,
-        },
-        equation_text="f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
+    family = PEXIDER_FAMILIES["AllLinear"]
+    return SolutionFamily(dict(family.functions), equation_text=_PEXIDER_TEXT)
 
 
 def mixed_family() -> SolutionFamily:
     """The dependent-pair family, with ``u`` standing for the inverse square
-    of the ratio; its constraints express exactly ``u * lam^2 = 1``."""
-    gam, lam, u = symbol("gam"), symbol("lam"), symbol("u")
-    k = -u * T + gam * M
-    return SolutionFamily(
-        functions={
-            "f": -u * T + gam ** 2 * lam ** 2 * M,
-            "h": lam * k,
-            "k": k,
-        },
-        side_conditions=("lam != 0", "u = 1/lam^2"),
-        equation_text="f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
+    of the ratio; its constraints express exactly ``u * lam^2 = 1``.  This is
+    LambdaKFamilyB with ``gamma`` written ``gam``."""
+    family, gam = PEXIDER_FAMILIES["LambdaKFamilyB"], {"gamma": symbol("gam")}
+    return SolutionFamily({n: e.subs(gam) for n, e in family.functions.items()},
+                          family.side_conditions, _PEXIDER_TEXT)
 
 
 def sofy_shift_family() -> SolutionFamily:
@@ -382,7 +388,7 @@ def degree2_ansatz_family() -> SolutionFamily:
             "h": (b1 * L1 + b2 * L2) * T + b * T,
             "k": (g1 * L1 + g2 * L2) * T + g * T,
         },
-        equation_text="f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
+        equation_text=_PEXIDER_TEXT)
 
 
 BUILTIN_FAMILIES = {

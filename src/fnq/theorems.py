@@ -21,20 +21,22 @@ Check identifiers used across reports and the CLI:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product as iproduct
 from math import prod
 
 import numpy as np
 
-from .algebra import Ring
+from .algebra import Ring, same_carrier
 from .eqdsl import (Binding, EquationAst, PairConstraint, grid_satisfies,
                     parse_equation)
-from .errors import (BothZero, EpsilonZero, NotAField, NotCentral,
-                     ResidualNonzero, Unclassifiable)
+from .errors import (BothZero, EpsilonZero, InvalidTask, NotAField,
+                     NotCentral, ResidualNonzero, Unclassifiable)
 from .maps import (ARBITRARY, FnTable, LEIBNIZ, MULTIPLICATIVE, class_mask,
                    enumerate_maps, leibniz_equation, row_ids, zero_map)
 from .solver import SolveTask, residual, solve
+from .symbolic import (DERIVED_INVERSES, PEXIDER_FAMILIES, check_identity,
+                       derive_constraints, thm5_family)
 
 # largest annihilator product prop1's converse probe walks
 _BACKWARD_CAP = 10 ** 6
@@ -90,17 +92,7 @@ class TheoremReport:
         return bool(self.forward_ok and self.backward_ok is not False)
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "ring": self.ring,
-            "params": self.params,
-            "solutions_found": self.solutions_found,
-            "predicted_count": self.predicted_count,
-            "forward_ok": self.forward_ok,
-            "backward_ok": self.backward_ok,
-            "counterexamples": self.counterexamples,
-            "details": self.details,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def render_text(self) -> str:
         lines = [f"check {self.theorem}",
@@ -162,6 +154,10 @@ class FamilyTag:
     Tag names: SofyShift, MPAnnihilated, AllLinear, LinearPlusLeibniz,
     MultiplicativeSquare, LambdaKFamilyA, LambdaKFamilyB, TwoExponential,
     NonDegenerate, AlienA, AlienB, AlienZero, AlienScaled.
+
+    LambdaKFamilyA is AllLinear with lam1 = lam*gamma and lam2 = gamma, so
+    the classifier, which tries AllLinear first, never returns it; it is kept
+    because its instances count among the closure samples.
 
     NonDegenerate can be built by :func:`pexider_family_binding` but is
     never returned by :func:`classify_pexider` over a finite field: its
@@ -395,6 +391,8 @@ def _require_field(scalars: Ring) -> None:
 # the class each family witness must lie in; rebuilding the triple from
 # the family's parameters does not imply it
 _WITNESS_CLASSES = {"delta": LEIBNIZ, "m": MULTIPLICATIVE}
+# the witness that binds each generator of a family template
+_WITNESS_SYMBOLS = {"m_t": "m", "d_t": "delta", "l_t": "l"}
 
 
 @dataclass
@@ -421,7 +419,7 @@ def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassificatio
 
     Dispatches on the rank of {id, h, k} over the scalar field.  Each branch
     reads the family parameters and generator witnesses off the value
-    vectors; the instance the family builder makes from them must reproduce
+    vectors; the family's template instantiated with them must reproduce
     the input triple exactly, and each witness must lie in its class, so
     nothing is matched heuristically.  Ties between families resolve to the
     lowest rank.  After checking that the triple solves the equation, this
@@ -452,7 +450,7 @@ def _classify_rows(ring: Ring, f: np.ndarray, h: np.ndarray,
     first nonzero position; k = a*id + b*h is solved at 1 and at the first
     position where h leaves span{id}, then checked everywhere.  The branches
     are taken in order, lowest rank first.  A row is accepted only if the
-    family builder rebuilds f, h and k from its parameters and witnesses and
+    family's template rebuilds f, h and k from its parameters and witnesses and
     every witness lies in its class.
     """
     add, mul, neg, inv = ring.add, ring.mul, ring.neg, ring.inverse
@@ -514,11 +512,8 @@ def _classify_rows(ring: Ring, f: np.ndarray, h: np.ndarray,
          {"b1": b1, "b2": b2, "g1": g1, "g2": add[k1, neg[g1]]},
          {"m": div(add[h, neg[mul[col(b1), elems]]], col(b2))}, no_pair),
     )
-    # The only rank-3 family, NonDegenerate, needs a nonzero logarithmic map
-    # l.  Over GF(q) such a map is a homomorphism from the unit group, of
-    # order q-1, into (GF(q), +), where every nonzero element has order p,
-    # the characteristic; p does not divide q-1, so l = 0 and no extraction
-    # can succeed.
+    # no rank-3 row fits: the only rank-3 family, NonDegenerate, needs a
+    # nonzero logarithmic witness, which no finite field has (see FamilyTag)
     reason = np.full(len(f), None, dtype=object)
     reason[rank == 3] = "rank-3 triple admits no consistent extraction"
     branch_of = np.full(len(f), -1)
@@ -566,81 +561,79 @@ def _family_rows(name: str, field_ring: Ring, params: dict[str, np.ndarray],
     """(f, h, k) value rows of family instances, one row per instance.
 
     ``params`` are (N, 1) columns of elements and ``witnesses`` (N, m) value
-    rows; a single row broadcasts.  Each family's formulas are written here
-    and nowhere else.
+    rows; a single row broadcasts.  This evaluates the family's template in
+    :data:`fnq.symbolic.PEXIDER_FAMILIES` with the field tables: ``t`` is
+    each element, the generators are the witness rows, a rational
+    coefficient p/q is ``int_embed(p)`` over ``int_embed(q)``, and a
+    parameter of :data:`fnq.symbolic.DERIVED_INVERSES` is the inverse of its
+    polynomial.  A zero that would be inverted raises :class:`InvalidTask`.
     """
-    add, mul, neg, inv = (field_ring.add, field_ring.mul, field_ring.neg,
-                          field_ring.inverse)
-    elems = field_ring.element_array
+    family = PEXIDER_FAMILIES[name]
+    add, mul, zero = field_ring.add, field_ring.mul, field_ring.zero
+    values = {"t": field_ring.element_array, **params,
+              **{s: witnesses[w] for s, w in _WITNESS_SYMBOLS.items()
+                 if w in witnesses}}
 
-    def scaled(c):
-        return mul[c, elems]
+    def inverse(v, what):
+        if np.any(v == zero):
+            raise InvalidTask(f"{name} needs a nonzero {what}")
+        return field_ring.inverse[v]
 
-    if name == "AllLinear":
-        lam1, lam2 = params["lam1"], params["lam2"]
-        hv = scaled(lam1)
-        kv = scaled(lam2)
-        fv = scaled(add[mul[lam1, lam1], add[lam2, lam2]])
-    elif name == "LinearPlusLeibniz":
-        lam, k1 = params["lam"], params["k1"]
-        delta = witnesses["delta"]
-        hv = scaled(lam)
-        kv = add[scaled(k1), delta]
-        fv = add[scaled(add[mul[lam, lam], add[k1, k1]]), delta]
-    elif name == "MultiplicativeSquare":
-        h1, lam = params["h1"], params["lam"]
-        mv = witnesses["m"]
-        hv = mul[h1, mv]
-        kv = scaled(lam)
-        fv = add[mul[mul[h1, h1], mv], scaled(add[lam, lam])]
-    elif name == "LambdaKFamilyA":
-        gamma, lam = params["gamma"], params["lam"]
-        kv = scaled(gamma)
-        hv = scaled(mul[lam, gamma])
-        coef = add[mul[mul[lam, lam], mul[gamma, gamma]], add[gamma, gamma]]
-        fv = scaled(coef)
-    elif name == "LambdaKFamilyB":
-        gamma, lam = params["gamma"], params["lam"]
-        if np.any(lam == field_ring.zero):
-            raise ValueError("this family needs a nonzero ratio")
-        mv = witnesses["m"]
-        u = inv[mul[lam, lam]]
-        kv = add[mul[neg[u], elems], mul[gamma, mv]]
-        hv = mul[lam, kv]
-        coef = mul[mul[gamma, gamma], mul[lam, lam]]
-        fv = add[mul[neg[u], elems], mul[coef, mv]]
-    elif name == "TwoExponential":
-        b1, b2, g1 = params["b1"], params["b2"], params["g1"]
-        g2 = neg[mul[b1, b2]]
-        mv = witnesses["m"]
-        hv = add[scaled(b1), mul[b2, mv]]
-        kv = add[scaled(g1), mul[g2, mv]]
-        fv = add[scaled(add[mul[b1, b1], add[g1, g1]]), mul[mul[b2, b2], mv]]
-    elif name == "NonDegenerate":
-        b2, b3 = params["b2"], params["b3"]
-        g1, g2 = params["g1"], params["g2"]
-        g3 = neg[mul[b2, b3]]
-        mv = witnesses["m"]
-        lv = witnesses["l"]
-        lid = mul[lv, elems]
-        hv = add[scaled(b2), mul[b3, mv]]
-        kv = add[add[mul[g1, lid], scaled(g2)], mul[g3, mv]]
-        fv = add[add[mul[g1, lid], scaled(add[mul[b2, b2], add[g2, g2]])],
-                 mul[mul[b3, b3], mv]]
-    else:
-        raise ValueError(f"unknown family {name!r}")
-    shape = np.broadcast_shapes(fv.shape, hv.shape, kv.shape)
-    return tuple(np.broadcast_to(v, shape) for v in (fv, hv, kv))
+    def evaluate(poly):
+        total = zero
+        for mono, c in poly.terms:
+            term = field_ring.int_embed(c.numerator)
+            if c.denominator != 1:
+                den = field_ring.int_embed(c.denominator)
+                term = mul[term, inverse(den, f"denominator {c.denominator}")]
+            for s, exp in mono:
+                for _ in range(exp):
+                    term = mul[term, values[s]]
+            total = add[total, term]
+        return total
+
+    for s, poly in DERIVED_INVERSES.items():
+        if s in family.params():
+            values[s] = inverse(evaluate(poly), poly.render())
+    rows = [evaluate(family.functions[n]) for n in "fhk"]
+    shape = np.broadcast_shapes(*(np.shape(v) for v in rows))
+    return tuple(np.broadcast_to(v, shape) for v in rows)
 
 
 def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
                            witnesses: dict[str, FnTable] | None = None) -> Binding:
-    """Concrete (f, h, k) tables for one family instance."""
+    """Concrete (f, h, k) tables for one family instance: its template in
+    :data:`fnq.symbolic.PEXIDER_FAMILIES` evaluated by :func:`_family_rows`.
+
+    Raises :class:`InvalidTask` for an unknown family, a value the template
+    reads but is not given, a parameter that is no element of the field, a
+    witness between other rings, and a zero the template inverts
+    (LambdaKFamilyB's ``lam``).  A parameter the template does not read,
+    such as TwoExponential's derived ``g2``, is accepted.
+    """
     _require_field(field_ring)
+    if name not in PEXIDER_FAMILIES:
+        raise InvalidTask(f"unknown family {name!r}; choose from "
+                          f"{sorted(PEXIDER_FAMILIES)}")
+    witnesses = witnesses or {}
+    needs = {_WITNESS_SYMBOLS.get(s, s) for e in
+             PEXIDER_FAMILIES[name].functions.values() for s in e.symbols()}
+    missing = sorted(needs - {"t", *DERIVED_INVERSES, *params, *witnesses})
+    if missing:
+        raise InvalidTask(f"{name} needs values for {missing}")
+    for p, v in params.items():
+        if not 0 <= v < field_ring.size:
+            raise InvalidTask(f"parameter {p!r} = {v} is not an element of "
+                              f"a field of size {field_ring.size}")
+    for w, t in witnesses.items():
+        if not (same_carrier(t.domain, field_ring)
+                and same_carrier(t.codomain, field_ring)):
+            raise InvalidTask(f"witness {w!r} maps between rings other than "
+                              "the field")
     rows = _family_rows(
         name, field_ring,
         {n: np.array([[v]], dtype=np.int64) for n, v in params.items()},
-        {n: t.as_array()[None, :] for n, t in (witnesses or {}).items()})
+        {n: t.as_array()[None, :] for n, t in witnesses.items()})
     return Binding(functions={n: _table(field_ring, r[0])
                               for n, r in zip("fhk", rows)}, params={})
 
@@ -688,7 +681,7 @@ def pexider_closure_samples(field_ring: Ring, per_family_cap: int = 200):
     every enumerated Leibniz / multiplicative witness; within a family the
     parameters vary in the order listed, the witness fastest.  Each family's
     parameter-by-witness grid is built as value rows in one call of the
-    family builder; :func:`verify_pexider` checks the same rows in one grid
+    template evaluator; :func:`verify_pexider` checks the same rows in one grid
     evaluation.
     """
     _require_field(field_ring)
@@ -819,19 +812,17 @@ def verify_alien(ring: Ring, lam: int, mu: int,
 
 def verify_thm5_symbolic() -> TheoremReport:
     """Coefficient comparison for the rank-3 family of the Pexider equation."""
-    from . import symbolic
-
-    family = symbolic.thm5_family()
+    family = thm5_family()
     ast = pexider_equation()
-    constraints = symbolic.derive_constraints(family, ast)
+    constraints = derive_constraints(family, ast)
     rendered = sorted(c.render() for c in constraints)
     expected = ["g3 + b2*b3"]
     ok_constraints = rendered == expected
 
     good = {"b2": 1, "b3": 1, "g1": 1, "g2": 0, "g3": -1}
     bad = {"b2": 1, "b3": 1, "g1": 1, "g2": 0, "g3": 0}
-    flips = (symbolic.check_identity(family, ast, good)
-             and not symbolic.check_identity(family, ast, bad))
+    flips = (check_identity(family, ast, good)
+             and not check_identity(family, ast, bad))
 
     return TheoremReport(
         theorem="thm5-symbolic", ring={"spec": None, "size": None,

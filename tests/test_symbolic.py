@@ -10,8 +10,8 @@ from fnq.eqdsl import parse_equation
 from fnq.errors import UnboundName, UnsupportedArgument
 from fnq.maps import MULTIPLICATIVE, FnTable, enumerate_maps
 from fnq.solver import residual
-from fnq.symbolic import (BUILTIN_FAMILIES, SolutionFamily, SymExpr,
-                          all_linear_family, check_identity,
+from fnq.symbolic import (BUILTIN_FAMILIES, PEXIDER_FAMILIES, SolutionFamily,
+                          SymExpr, all_linear_family, check_identity,
                           degree2_ansatz_family, derive_constraints,
                           family_substitute, mixed_family, prop3_family,
                           prop4_family, sofy_shift_family, symbol,
@@ -307,3 +307,73 @@ def test_zero_family_substitutes_to_zero():
     family = SolutionFamily(functions={"f": zero, "h": zero, "k": zero})
     lhs, rhs = family_substitute(family, pexider_equation())
     assert lhs.is_zero and rhs.is_zero
+
+
+# ------------------------------------------------ Pexider family templates
+
+def test_pexider_templates_solve_the_equation():
+    rendered = {name: sorted(c.render() for c in
+                             derive_constraints(family, pexider_equation()))
+                for name, family in PEXIDER_FAMILIES.items()}
+    assert set(rendered) == {"AllLinear", "LinearPlusLeibniz",
+                             "MultiplicativeSquare", "LambdaKFamilyA",
+                             "LambdaKFamilyB", "TwoExponential",
+                             "NonDegenerate"}
+    # LambdaKFamilyB's u is 1/lam^2: both constraints vanish when u*lam^2 = 1
+    assert rendered.pop("LambdaKFamilyB") == ["-gamma + gamma*lam^2*u",
+                                              "-u + lam^2*u^2"]
+    assert all(c == [] for c in rendered.values())
+
+
+@pytest.mark.parametrize("name", sorted(PEXIDER_FAMILIES))
+def test_pexider_template_against_sympy(name):
+    def sympify(expr):
+        names = {n: sympy.Symbol(n) for n in expr.symbols()}
+        return sympy.sympify(expr.render(), locals=names)
+
+    f_t, h_t, k_t = (sympify(PEXIDER_FAMILIES[name].functions[n])
+                     for n in "fhk")
+
+    def lhs(fn_at):
+        return fn_at(f_t, "xy")
+
+    def rhs(fn_at):
+        x, y = sympy.symbols("x y")
+        return (fn_at(h_t, "x") * fn_at(h_t, "y")
+                + x * fn_at(k_t, "y") + fn_at(k_t, "x") * y)
+
+    nonzero = [c for c in sympy_expand(None, (lhs, rhs)).values() if c != 0]
+    if name == "LambdaKFamilyB":
+        lam, u = sympy.symbols("lam u")
+        assert nonzero
+        assert all(sympy.simplify(c.subs(u, 1 / lam ** 2)) == 0
+                   for c in nonzero)
+    else:
+        assert nonzero == []
+
+
+def test_lambda_k_family_a_is_all_linear():
+    lam, gamma = symbol("lam"), symbol("gamma")
+    inside = {n: e.subs({"lam1": lam * gamma, "lam2": gamma}) for n, e in
+              PEXIDER_FAMILIES["AllLinear"].functions.items()}
+    assert inside == dict(PEXIDER_FAMILIES["LambdaKFamilyA"].functions)
+
+
+def test_factories_built_from_the_templates_keep_their_polynomials():
+    rendered = {name: {n: e.render() for n, e in factory().functions.items()}
+                for name, factory in BUILTIN_FAMILIES.items()}
+    assert rendered["thm5"] == {
+        "f": "2*g2*t + b2^2*t + b3^2*m_t + g1*l_t*t",
+        "h": "b2*t + b3*m_t", "k": "g2*t + g3*m_t + g1*l_t*t"}
+    assert rendered["prop4"] == {"f": "d_t + 2*k1*t + lam^2*t",
+                                 "k": "d_t + k1*t"}
+    assert rendered["prop3"] == {"f": "2*lam*t + h1^2*m_t", "h": "h1*m_t"}
+    assert rendered["all-linear"] == {"f": "2*lam2*t + lam1^2*t",
+                                      "h": "lam1*t", "k": "lam2*t"}
+    assert rendered["mixed"] == {"f": "-t*u + gam^2*lam^2*m_t",
+                                 "h": "gam*lam*m_t - lam*t*u",
+                                 "k": "gam*m_t - t*u"}
+    # NonDegenerate is thm5 at its one constraint g3 = -b2*b3
+    g3 = -symbol("b2") * symbol("b3")
+    assert {n: e.subs({"g3": g3}) for n, e in thm5_family().functions.items()
+            } == dict(PEXIDER_FAMILIES["NonDegenerate"].functions)

@@ -1,3 +1,4 @@
+import fractions
 from collections import Counter
 from itertools import product as iproduct
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 import fnq
-from fnq.errors import (BothZero, EpsilonZero, NotAField, NotCentral,
-                        ResidualNonzero, Unclassifiable)
+from fnq.eqdsl import PairConstraint, grid_satisfies
+from fnq.errors import (BothZero, EpsilonZero, InvalidTask, NotAField,
+                        NotCentral, ResidualNonzero, Unclassifiable)
 from fnq.maps import (LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE, FnTable,
                       enumerate_maps, identity_map, zero_map)
 from fnq.solver import residual
@@ -397,6 +399,71 @@ def test_classification_rebuilds_every_closure_sample(ring):
                                          tag.witnesses).functions
         assert tuple(rebuilt[n].values for n in "fhk") == tuple(
             t.values for t in triple), (name, tag.to_json())
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
+def test_every_family_instance_solves_the_equation(p, k):
+    # every family at every parameter and witness, NonDegenerate included,
+    # checked by the grid evaluator, which shares no code with the templates
+    from fnq.theorems import _closure_rows, _family_rows
+    ring = fnq.gf(p, k)
+    q, m = ring.size, len(ring.domain_elements)
+
+    def witness_rows(cls):
+        return np.array([t.values for t in enumerate_maps(
+            ring, ring, cls, budget=q ** m)], dtype=np.int64).reshape(-1, m)
+
+    rows = [r for _, r in _closure_rows(ring, per_family_cap=q ** 6)]
+    mult, log = witness_rows(MULTIPLICATIVE), witness_rows(LOGARITHMIC)
+    grid = np.array(list(iproduct(range(q), range(q), range(q), range(q),
+                                  range(len(mult)), range(len(log)))))
+    rows.append(_family_rows(
+        "NonDegenerate", ring,
+        {n: grid[:, i, None] for i, n in enumerate(("b2", "b3", "g1", "g2"))},
+        {"m": mult[grid[:, 4]], "l": log[grid[:, 5]]}))
+    n_leibniz = len(witness_rows(LEIBNIZ))
+    assert sum(len(r[0]) for r in rows) == (
+        2 * q * q + q * q * n_leibniz + q * q * len(mult)
+        + (q - 1) * q * len(mult) + q ** 3 * len(mult)
+        + q ** 4 * len(mult) * len(log))
+    tables = {n: np.concatenate([r[i] for r in rows])
+              for i, n in enumerate("fhk")}
+    assert grid_satisfies(PairConstraint(pexider_equation()), ring, ring,
+                          tables, {}).all()
+
+
+@pytest.mark.parametrize("name,params,witness_field", [
+    ("NoSuchFamily", {}, None),
+    ("LambdaKFamilyB", {"lam": 0, "gamma": 1}, 5),
+    ("AllLinear", {"lam1": 1}, None),
+    ("MultiplicativeSquare", {"h1": 1, "lam": 1}, None),
+    ("AllLinear", {"lam1": 7, "lam2": 0}, None),
+    ("AllLinear", {"lam1": -1, "lam2": 0}, None),
+    ("MultiplicativeSquare", {"h1": 1, "lam": 1}, 3),
+], ids=["unknown-family", "zero-ratio", "missing-parameter",
+        "missing-witness", "parameter-too-large", "negative-parameter",
+        "witness-over-another-field"])
+def test_family_binding_rejects_what_is_no_instance(gf5, name, params,
+                                                    witness_field):
+    witnesses = (None if witness_field is None
+                 else {"m": identity_map(fnq.gf(witness_field))})
+    with pytest.raises(InvalidTask):
+        pexider_family_binding(name, gf5, params, witnesses)
+
+
+def test_family_binding_reads_rational_coefficients(gf5, monkeypatch):
+    # a coefficient p/q is int_embed(p) over int_embed(q); no Pexider
+    # template has one, so a template is added for the test
+    import fnq.symbolic
+    half = (fnq.symbolic.SymExpr.constant(fractions.Fraction(1, 2))
+            * fnq.symbolic.symbol("c") * fnq.symbolic.T)
+    monkeypatch.setitem(fnq.symbolic.PEXIDER_FAMILIES, "Half",
+                        fnq.symbolic.SolutionFamily(dict.fromkeys("fhk", half)))
+    binding = pexider_family_binding("Half", gf5, {"c": 1})
+    assert binding.functions["f"].values == (0, 3, 1, 4, 2)
+    with pytest.raises(InvalidTask):
+        pexider_family_binding("Half", fnq.gf(2), {"c": 1})
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
