@@ -17,7 +17,8 @@ from .maps import (ADDITIVE, ARBITRARY, DERIVATION, FnTable, FunctionClass,
                    MULTIPLICATIVE, classify_map, class_from_string,
                    enumerate_maps, homo_deriv_sofy, identity_map,
                    inner_derivation, lin_rank, zero_map)
-from .solver import (DEFAULT_BUDGET, SolutionSet, SolveTask, residual, solve,
+from .search import DEFAULT_BUDGET
+from .solver import (SolutionSet, SolveTask, residual, solve,
                      solution_set_to_csv, solution_set_to_json)
 from .symbolic import (SolutionFamily, SymExpr, check_identity,
                        derive_constraints, family_substitute, symbol)

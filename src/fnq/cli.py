@@ -3,10 +3,10 @@
 Exit codes: 0 on success (verifications that hold), 1 when a verification
 produced counterexamples (the report is still written), 2 on usage or
 parse errors.  Reports are byte-deterministic for a fixed configuration;
-the worker count never changes the output.  The environment variable
-``FNQ_BUDGET`` overrides the default pair budget when ``--budget`` is not
-given; either must be a positive integer.  Without either, ``solve`` and
-``enumerate`` use the solver's default and ``verify`` the checks' own.
+``--workers`` is accepted and ignored.  The environment variable
+``FNQ_BUDGET`` overrides :data:`fnq.search.DEFAULT_BUDGET`, every
+subcommand's default, when ``--budget`` is not given; either must be a
+positive integer.
 
 The argument parser is built once per process, on the first call of
 :func:`main`, and reused by every later call: ``parse_args`` returns a fresh
@@ -29,17 +29,17 @@ from .eqdsl import ast_to_json, equation_to_text, parse_equation
 from .errors import (EquationSyntaxError, FnqError, InvalidBudget,
                      ResidualNonzero, Unclassifiable)
 from .maps import FnTable, class_from_string, enumerate_maps, class_space_size
-from .solver import (DEFAULT_BUDGET, SolveTask, solve, solution_set_to_csv,
+from .search import DEFAULT_BUDGET
+from .solver import (SolveTask, solve, solution_set_to_csv,
                      solution_set_to_json, solution_set_to_json_bytes)
-from .theorems import (DEFAULT_CHECK_BUDGET, classify_pexider, verify_alien,
-                       verify_mp, verify_pexider, verify_sofy,
-                       verify_thm5_symbolic)
+from .theorems import (classify_pexider, verify_alien, verify_mp,
+                       verify_pexider, verify_sofy, verify_thm5_symbolic)
 
 
-def _budget(args, default: int = DEFAULT_BUDGET) -> int:
+def _budget(args) -> int:
     raw = os.environ.get("FNQ_BUDGET") if args.budget is None else args.budget
     if raw is None or raw == "":
-        return default
+        return DEFAULT_BUDGET
     try:
         budget = int(raw)
     except ValueError:
@@ -126,7 +126,7 @@ def _cmd_solve(args) -> int:
             "evaluated_pairs_upper_bound": total * m * m,
             "budget": task.budget}))
         return 0
-    result = solve(task, workers=args.workers)
+    result = solve(task)
     if args.out == "json":
         _write(args, solution_set_to_json_bytes(result).decode())
     elif args.out == "csv":
@@ -245,8 +245,7 @@ def _cmd_verify(args) -> int:
         report = verify_thm5_symbolic()
     else:
         ring = _load_ring(args)
-        # the checks' own default: Pexider GF(5) needs 5**10 * 25 pairs
-        budget = _budget(args, DEFAULT_CHECK_BUDGET)
+        budget = _budget(args)
         if args.dry_run:
             m = len(ring.domain_elements)
             _write(args, _json_dump({
@@ -289,9 +288,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", choices=("json", "csv", "text"), default="text")
         p.add_argument("--output", help="write the report to this path")
         p.add_argument("--workers", type=int, default=1,
-                       help="kept for compatibility; search is single-threaded")
+                       help="accepted and ignored; search is single-threaded")
         p.add_argument("--budget", type=int, default=None,
-                       help="pair budget (default from FNQ_BUDGET or builtin)")
+                       help="evaluated pairs one search level or the "
+                            "re-verification may take (default from "
+                            f"FNQ_BUDGET, else {DEFAULT_BUDGET:,})")
         p.add_argument("--dry-run", action="store_true",
                        help="print the resolved task without executing")
         p.add_argument("--json-errors", action="store_true",

@@ -15,15 +15,15 @@ identities hold at every pair of domain elements:
 
 Each class is defined once, as the constraints of :func:`class_constraints`.
 Enumeration yields every table of a class exactly once, in lexicographic
-order of the value vector.  Every class but ``arbitrary`` is a search of
-the level-wise kernel (:mod:`fnq.search`) for those constraints, in the
-kernel's default position order except for the logarithmic class.  That
-class takes the non-units first, each fixed at zero by its own check, and
-then the units in the order a breadth-first closure over a unit
-generating set reaches them.  Each unit but a generator then comes after
-two factors whose check defines it, and the kernel computes its digit from
-that check instead of enumerating it, so only generator positions multiply
-the rows the kernel grows.  The additive identity is stated at the pairs
+order of the value vector.  Every class is a search of the level-wise
+kernel (:mod:`fnq.search`) for those constraints, in the kernel's default
+position order except for the logarithmic class.  That class takes the
+non-units first, each fixed at zero by its own check, and then the units
+in the order a breadth-first closure over a unit generating set reaches
+them.  Each unit but a generator then comes after two factors whose check
+defines it, and the kernel computes its digit from that check instead of
+enumerating it, so only generator positions multiply the rows the kernel
+grows.  The additive identity is stated at the pairs
 (x, g) only, x in the domain and g in 0 and an additive generating set
 (:attr:`fnq.algebra.Ring.generator_pairs`), which decide it, and the
 kernel computes the digits they define.  The other identities of such a
@@ -46,7 +46,6 @@ each, which the grid computes as one slice of a ring table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Iterator
 
 import numpy as np
@@ -55,9 +54,7 @@ from .algebra import Ring, same_carrier
 from .eqdsl import (Add, EquationAst, Expr, FnApp, IntLit, Mul, PairConstraint,
                     Param, Var, grid_masks, grid_satisfies)
 from .errors import BudgetExceeded, EvalDomainError, InvalidTask, NotAField
-from .search import search
-
-DEFAULT_ENUM_BUDGET = 10 ** 8
+from .search import DEFAULT_BUDGET, search
 
 
 @dataclass(frozen=True)
@@ -376,7 +373,7 @@ def row_ids(rows: np.ndarray, q: int) -> np.ndarray:
 
 def filter_tables(domain: Ring, codomain: Ring,
                   equations: list[EquationAst],
-                  budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
+                  budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Ascending candidate ids (:func:`row_ids`) of all tables satisfying
     every equation.
 
@@ -431,36 +428,27 @@ def _unit_generators(ring: Ring) -> tuple[list[int], list[int]]:
 
 
 def enumerate_maps(domain: Ring, codomain: Ring, cls: FunctionClass,
-                   budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[FnTable]:
+                   budget: int = DEFAULT_BUDGET) -> Iterator[FnTable]:
     """Yield every table of the class exactly once, in lexicographic order.
 
-    ``budget`` bounds the candidates the class has to examine
-    (:func:`class_space_size`).  Every class but ``arbitrary`` is a search
-    of the kernel for its constraints.
+    Every class is a search of the kernel for its constraints, ``arbitrary``
+    one with none.  ``budget`` is the kernel's: a level whose charge would
+    pass it raises :class:`BudgetExceeded` (:func:`fnq.search.search`).
     """
-    space = class_space_size(domain, codomain, cls)
-    if space > budget:
-        raise BudgetExceeded(
-            f"class {cls} needs {space} candidates, budget is {budget}",
-            needed=space)
-    if cls.kind == "arbitrary":
-        for vals in iproduct(range(codomain.size),
-                             repeat=len(domain.domain_elements)):
-            yield FnTable(domain, codomain, vals)
-        return
     order = None
     if cls.kind == "logarithmic":
         units = [int(domain.position[u]) for u in _unit_generators(domain)[1]]
         rest = set(range(len(domain.domain_elements))) - set(units)
         order = sorted(rest) + units
     found = search(class_constraints(domain, "f", cls), ("f",),
-                   domain, codomain, order=order)[:, 0, :]
+                   domain, codomain, budget=budget, order=order)[:, 0, :]
     for row in found.tolist():
         yield FnTable(domain, codomain, tuple(row))
 
 
 def class_space_size(domain: Ring, codomain: Ring, cls: FunctionClass) -> int:
-    """Number of candidates an enumeration of the class has to examine."""
+    """The candidate count reported for the class (``enumerated_count``,
+    ``--dry-run``); the budget charges the kernel's work instead."""
     m = len(domain.domain_elements)
     if cls.kind in ("arbitrary", "multiplicative", "leibniz"):
         return codomain.size ** m

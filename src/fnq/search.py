@@ -54,7 +54,8 @@ identity on Z256, any one pair of the level of f(0) keeps 256 of its
 takes one numpy pass per check, since its first chunk holds every pair:
 starting at one pair instead raised the median solve of the benchmark's
 200 small seeded tasks from about 0.9 ms to 1.2-1.6 ms.  A budget bounds
-the rows a level that enumerates its digit may examine.
+each level that grows its digit: its rows times q times its pairs, which
+bound its time, plus the digits of a grown row, which bound its memory.
 
 Arguments of unknowns are computed in the domain ring and everything else
 in the codomain ring, so ``x`` or ``y`` outside an argument, or an unknown
@@ -75,6 +76,8 @@ from .eqdsl import (Add, Expr, FnApp, IntLit, Mul, Neg, PairConstraint, Param,
                     Sub, Var)
 from .errors import BudgetExceeded, EvalDomainError, FnqError, UnboundName
 
+# the default budget of every search, solve, enumeration and check
+DEFAULT_BUDGET = 10 ** 8
 # (row, pair) cells evaluated at once; bounds the temporaries of one block
 _CELLS = 1 << 21
 # (row, pair) cells of a check's first chunk of pairs; each next chunk has
@@ -318,12 +321,14 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
            order: list[int] | None = None) -> np.ndarray:
     """Every assignment of value vectors to the unknowns meeting all constraints.
 
-    ``budget`` bounds the rows one level examines times the squared domain
-    size, the pairs a candidate is checked on; a level past it raises
-    :class:`BudgetExceeded` before growing, and a level whose digit is
-    computed grows nothing.  A grown level's checks run as soon as it is
-    grown.  Those of a run of computed levels wait until the next grown
-    level, whose budget check comes after them, the end, or ``_CELLS``
+    ``budget`` bounds the charge of each level that grows its digit: the
+    rows entering it times the codomain size times the pairs its checks
+    read at that level plus the digits of a grown row.  A level past it
+    raises :class:`BudgetExceeded`, naming the level, before growing; a
+    computed level grows nothing and is not charged.  A grown level's
+    checks run as soon as it is grown.  Those of a run of computed levels
+    wait until the next grown level, whose charge comes after them, the
+    end, or ``_CELLS``
     waiting (row, pair) cells, and then run as one slice of pairs per
     constraint.  ``order`` lists the domain positions in the
     order their digits are assigned, replacing the default of the positions
@@ -358,10 +363,10 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
                 if plan.cuts[level + 1] < plan.cuts[level + 2]:
                     computed.pop(level, None)
     # done[k]: the pairs, over all plans, at the levels before level k-1
-    done = [sum(cuts) for cuts in zip(*(plan.cuts for plan in plans))]
+    done = [sum(cuts) for cuts in zip(*(plan.cuts for plan in plans))
+            ] or [0] * (digits + 2)
 
     q = codomain.size
-    pairs = len(domain.domain_elements) ** 2
     rows = _filter(np.zeros((1, 0), dtype=np.min_scalar_type(q - 1)),
                    _checks(plans, -1, -1))
     waiting = 0  # the first level whose checks have not run
@@ -385,7 +390,8 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
         rows = _filter(rows, _checks(plans, waiting, level - 1))
         if not len(rows):
             break
-        needed = len(rows) * q * pairs
+        pairs = done[level + 2] - done[level + 1]
+        needed = len(rows) * q * (pairs + level + 1)
         if budget is not None and needed > budget:
             raise BudgetExceeded(
                 f"search level {level} needs {needed} evaluated pairs, "

@@ -4,9 +4,7 @@ Given a parsed equation, a ring and a structure class per unknown, the
 solver finds every binding of function tables satisfying the equation at
 all domain pairs.  The equation and each unknown's class identities go to
 the level-wise search kernel (:mod:`fnq.search`) as one system, which grows
-all unknowns' value vectors together, one digit at a time.  The search is
-single-threaded; the ``workers`` argument is kept for compatibility and
-changes nothing.
+all unknowns' value vectors together, one digit at a time.
 
 When the left side is a lone unknown applied to ``x*y`` over a unital
 domain, the y=1 pivot determines that unknown from the others.  The pivot
@@ -14,23 +12,25 @@ is an order: the pivoted unknown goes last among the unknowns the kernel
 takes, so its digit at each x comes after every digit the pair (x, 1)
 reads, and that pair computes it instead of enumerating it.  The result
 records this (``pruned_by_pivot``) and leaves the pivoted unknown out of
-the candidate count and the budget.  The solutions are the same either
-way, and come back in free-function order.
+the candidate count it reports.  The solutions are the same either way,
+and come back in free-function order.
 
-The budget is checked twice: up front on the candidate count times the
-squared domain size, and by the kernel on the rows each level examines.
+The budget, in evaluated pairs, is charged by the kernel before each
+level it grows (:func:`fnq.search.search`) and by the re-verification,
+solutions times the squared domain size, before any binding is built.
 
 Results are exact, exhaustive and deterministic: solutions come out in
 lexicographic order of the concatenated value vectors (free-function
-order), regardless of pivoting or worker count.  Every reported solution
-is re-verified point by point through the scalar evaluator
-(:func:`fnq.eqdsl.compile_side`: compiled once per call, evaluated per
-pair, sharing no code with the search or the grid) before it is returned.
+order), regardless of pivoting.  Every reported solution is re-verified
+point by point through the scalar evaluator (:func:`fnq.eqdsl.compile_side`:
+compiled once per call, evaluated per pair, sharing no code with the search
+or the grid) before it is returned.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -40,9 +40,7 @@ from .eqdsl import (Binding, Definition, EquationAst, FnApp, PairConstraint,
                     compile_side, equation_to_text, grid_satisfies,
                     pivot_reduce)
 from .maps import FnTable, FunctionClass, class_constraints, class_space_size
-from .search import search
-
-DEFAULT_BUDGET = 10 ** 8  # evaluated (x, y) pairs
+from .search import DEFAULT_BUDGET, search
 
 
 @dataclass
@@ -52,9 +50,9 @@ class SolveTask:
     Each parameter is bound to an element of ``ring`` by its index;
     :func:`solve` raises :class:`InvalidTask` for a value outside it.
 
-    ``budget`` bounds the number of evaluated pairs, i.e. candidate count
-    times the squared domain size; the search also stops with
-    :class:`BudgetExceeded` when one of its levels would examine more rows.
+    ``budget`` bounds the evaluated pairs charged at each level the kernel
+    grows (:func:`fnq.search.search`) and those of the re-verification;
+    past it, :func:`solve` raises :class:`BudgetExceeded`.
     """
 
     ast: EquationAst
@@ -102,14 +100,13 @@ def residual(ast: EquationAst, binding: Binding, ring: Ring) -> list[tuple[int, 
 
 # ------------------------------------------------------------------ solving
 
-def solve(task: SolveTask, workers: int = 1, use_pivot: bool = True) -> SolutionSet:
+def solve(task: SolveTask, use_pivot: bool = True) -> SolutionSet:
     """Find every satisfying binding, exactly and deterministically.
 
-    ``workers`` is accepted for compatibility and changes nothing.  When
-    the y=1 pivot applies, the pivoted unknown is passed to the kernel last,
-    so the pair (x, 1) computes its digits.  With ``use_pivot=False`` the
-    unknowns keep their given order and every unknown counts towards the
-    candidates and the budget; the solutions are the same.
+    When the y=1 pivot applies, the pivoted unknown is passed to the kernel
+    last, so the pair (x, 1) computes its digits.  With ``use_pivot=False``
+    the unknowns keep their given order and every unknown counts towards
+    the candidates; the solutions are the same.
     """
     ast, ring = task.ast, task.ring
     names = ast.free_functions
@@ -133,16 +130,6 @@ def solve(task: SolveTask, workers: int = 1, use_pivot: bool = True) -> Solution
             and isinstance(pivot_reduce(ast, ast.lhs.name), Definition)):
         pivot_name = ast.lhs.name
 
-    candidates_total = 1
-    for n in names:
-        if n != pivot_name:
-            candidates_total *= class_space_size(ring, ring, task.classes[n])
-    total_pairs = candidates_total * m * m
-    if total_pairs > task.budget:
-        raise BudgetExceeded(
-            f"task needs {total_pairs} evaluated pairs, budget is {task.budget}",
-            needed=total_pairs)
-
     constraints = [PairConstraint(ast)]
     for n in names:
         constraints += class_constraints(ring, n, task.classes[n])
@@ -154,6 +141,11 @@ def solve(task: SolveTask, workers: int = 1, use_pivot: bool = True) -> Solution
         found = found[:, np.argsort(order)]
         flat = found.reshape(len(found), -1)
         found = found[np.lexsort(flat.T[::-1])]
+    needed = len(found) * m * m
+    if needed > task.budget:
+        raise BudgetExceeded(
+            f"re-verifying {len(found)} solutions needs {needed} evaluated "
+            f"pairs, budget is {task.budget}", needed=needed)
     solutions = []
     for row in found.tolist():
         binding = Binding(functions={n: FnTable(ring, ring, tuple(vec))
@@ -164,7 +156,9 @@ def solve(task: SolveTask, workers: int = 1, use_pivot: bool = True) -> Solution
                 f"internal error: search accepted a non-solution {row}")
         solutions.append(binding)
     return SolutionSet(task=task, solutions=solutions,
-                       enumerated_count=candidates_total,
+                       enumerated_count=prod(
+                           class_space_size(ring, ring, task.classes[n])
+                           for n in names if n != pivot_name),
                        pruned_by_pivot=pivot_name is not None)
 
 

@@ -32,8 +32,10 @@ from .eqdsl import (Binding, EquationAst, PairConstraint, grid_satisfies,
                     parse_equation)
 from .errors import (BothZero, EpsilonZero, InvalidTask, NotAField,
                      NotCentral, ResidualNonzero, Unclassifiable)
-from .maps import (ARBITRARY, FnTable, LEIBNIZ, MULTIPLICATIVE, class_mask,
-                   enumerate_maps, leibniz_equation, row_ids, zero_map)
+from .maps import (ARBITRARY, FnTable, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
+                   class_mask, enumerate_maps, leibniz_equation, row_ids,
+                   zero_map)
+from .search import DEFAULT_BUDGET
 from .solver import SolveTask, residual, solve
 from .symbolic import (DERIVED_INVERSES, PEXIDER_FAMILIES, check_identity,
                        derive_constraints, thm5_family)
@@ -43,9 +45,6 @@ _BACKWARD_CAP = 10 ** 6
 _WITNESS_LIMIT = 20
 # rows of one block of the lazy walks over preimage and annihilator sets
 _SAMPLE_CHUNK = 1 << 12
-# scans a check may run without an explicit override; large carriers fail
-# loudly instead of starting day-long enumerations
-DEFAULT_CHECK_BUDGET = 2 * 10 ** 9
 
 
 # ------------------------------------------------------ equations, reports
@@ -188,7 +187,7 @@ def multiplicative_shift(h: FnTable, eps: int) -> FnTable:
 
 
 def verify_sofy(ring: Ring, eps: int, directions: str = "both",
-                budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
+                budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Check the shift characterization of the homo-derivation equation.
 
     Forward: every brute-force solution h maps to a multiplicative function
@@ -235,8 +234,7 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
     predicted_count = None
     backward_ok: bool | None = None
     if directions == "both":
-        mult_maps = list(enumerate_maps(ring, ring, MULTIPLICATIVE,
-                                        budget=max(budget // (m * m), 1)))
+        mult_maps = list(enumerate_maps(ring, ring, MULTIPLICATIVE, budget))
         predicted_count = len(mult_maps)
         preimage = [[w for w in range(ring.size) if int(ring.mul[eps, w]) == t]
                     for t in range(ring.size)]
@@ -253,11 +251,10 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
         # equation, so it is a non-solution exactly when its id is not among
         # the solutions' ids.
         sol_ids = row_ids(hs, ring.size)
-        chunk = max(1, min(_SAMPLE_CHUNK, budget // (m * m)))
         for mt, options in zip(mult_maps, options_of):
             if backward_ok or len(counterexamples) >= _WITNESS_LIMIT:
                 break
-            for block in _product_blocks(options, chunk):
+            for block in _product_blocks(options, _SAMPLE_CHUNK):
                 room = _WITNESS_LIMIT - len(counterexamples)
                 if not room:
                     break
@@ -299,7 +296,7 @@ def annihilator_witness(f: FnTable, ring: Ring | None = None) -> int | None:
     return None
 
 
-def verify_mp(ring: Ring, budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
+def verify_mp(ring: Ring, budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Check that every solution of the system admits an annihilator witness.
 
     On carriers without zero divisors the solution set must be exactly the
@@ -390,7 +387,7 @@ def _require_field(scalars: Ring) -> None:
 
 # the class each family witness must lie in; rebuilding the triple from
 # the family's parameters does not imply it
-_WITNESS_CLASSES = {"delta": LEIBNIZ, "m": MULTIPLICATIVE}
+_WITNESS_CLASSES = {"delta": LEIBNIZ, "m": MULTIPLICATIVE, "l": LOGARITHMIC}
 # the witness that binds each generator of a family template
 _WITNESS_SYMBOLS = {"m_t": "m", "d_t": "delta", "l_t": "l"}
 
@@ -607,9 +604,10 @@ def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
 
     Raises :class:`InvalidTask` for an unknown family, a value the template
     reads but is not given, a parameter that is no element of the field, a
-    witness between other rings, and a zero the template inverts
-    (LambdaKFamilyB's ``lam``).  A parameter the template does not read,
-    such as TwoExponential's derived ``g2``, is accepted.
+    witness between other rings or outside its class (``_WITNESS_CLASSES``,
+    one :func:`fnq.maps.class_mask` call per witness), and a zero the
+    template inverts (LambdaKFamilyB's ``lam``).  A parameter the template
+    does not read, such as TwoExponential's derived ``g2``, is accepted.
     """
     _require_field(field_ring)
     if name not in PEXIDER_FAMILIES:
@@ -630,6 +628,10 @@ def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
                 and same_carrier(t.codomain, field_ring)):
             raise InvalidTask(f"witness {w!r} maps between rings other than "
                               "the field")
+        cls = _WITNESS_CLASSES.get(w)
+        if cls is not None and not class_mask(field_ring, field_ring,
+                                              t.as_array()[None, :], cls)[0]:
+            raise InvalidTask(f"witness {w!r} is not {cls}")
     rows = _family_rows(
         name, field_ring,
         {n: np.array([[v]], dtype=np.int64) for n, v in params.items()},
@@ -647,8 +649,7 @@ def _closure_rows(field_ring: Ring, per_family_cap: int):
 
     def witness_rows(cls):
         return np.array([t.values for t in enumerate_maps(
-            field_ring, field_ring, cls, budget=n ** m)],
-            dtype=np.int64).reshape(-1, m)
+            field_ring, field_ring, cls)], dtype=np.int64).reshape(-1, m)
 
     leibniz = {"delta": witness_rows(LEIBNIZ)}
     multiplicative = {"m": witness_rows(MULTIPLICATIVE)}
@@ -693,7 +694,7 @@ def pexider_closure_samples(field_ring: Ring, per_family_cap: int = 200):
 
 
 def verify_pexider(field_ring: Ring, per_family_cap: int = 200,
-                   budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
+                   budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Solve the Pexider equation, classify every solution, check closure."""
     _require_field(field_ring)
     ast = pexider_equation()
@@ -748,7 +749,7 @@ def verify_pexider(field_ring: Ring, per_family_cap: int = 200,
 # ----------------------------------------------------------- alien (Eq. 8)
 
 def verify_alien(ring: Ring, lam: int, mu: int,
-                 budget: int = DEFAULT_CHECK_BUDGET) -> TheoremReport:
+                 budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Compare the weighted-combination solution set with its prediction.
 
     Predicted: all multiplicative maps when lam = 0, all Leibniz maps when
@@ -758,7 +759,6 @@ def verify_alien(ring: Ring, lam: int, mu: int,
         raise BothZero("lam and mu must not vanish simultaneously")
     _require_field(ring)
     ast = alien_combination_equation()
-    m = len(ring.domain_elements)
     task = SolveTask(ast=ast, ring=ring, classes={"f": ARBITRARY},
                      params={"lam": lam, "mu": mu}, budget=budget)
     sols = solve(task)
@@ -767,12 +767,12 @@ def verify_alien(ring: Ring, lam: int, mu: int,
     zero_values = zero_map(ring).values
     if lam == ring.zero:
         predicted = {t.values for t in enumerate_maps(
-            ring, ring, MULTIPLICATIVE, budget=max(budget // (m * m), 1))}
+            ring, ring, MULTIPLICATIVE, budget)}
         case = "multiplicative"
         tag_of = lambda vals: FamilyTag("AlienA")
     elif mu == ring.zero:
-        predicted = {t.values for t in enumerate_maps(
-            ring, ring, LEIBNIZ, budget=max(budget // (m * m), 1))}
+        predicted = {t.values for t in enumerate_maps(ring, ring, LEIBNIZ,
+                                                      budget)}
         case = "leibniz"
         tag_of = lambda vals: FamilyTag("AlienB")
     else:

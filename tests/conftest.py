@@ -309,10 +309,12 @@ def reference_classify_pexider(f, h, k):
     h1, k1 = int(hv[one_pos]), int(kv[one_pos])
 
     def fit(name, params, witnesses, reason):
+        # the binding refuses a witness outside its class
+        if not all(in_class(w, witness_classes[n])
+                   for n, w in witnesses.items()):
+            raise Unclassifiable(reason)
         built = pexider_family_binding(name, ring, params, witnesses).functions
-        if (any(built[n].values != t.values for n, t in zip("fhk", (f, h, k)))
-                or not all(in_class(w, witness_classes[n])
-                           for n, w in witnesses.items())):
+        if any(built[n].values != t.values for n, t in zip("fhk", (f, h, k))):
             raise Unclassifiable(reason)
         return PexiderClassification(FamilyTag(name, params, witnesses), r,
                                      details)

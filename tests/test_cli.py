@@ -78,8 +78,10 @@ def test_verify_passes_the_budget_through(capsys, monkeypatch):
     assert out == ""
     doc = json.loads(err)
     assert doc["error"] == "BudgetExceeded"
-    # h and k range over 3**3 tables each once f is pivoted: 729 * 9 pairs
-    assert "needs 6561 evaluated pairs" in doc["message"]
+    # the kernel grows h(1) and then k(1), and no pair is decided before
+    # f(1): k(1)'s level is charged 3 rows times 3 values times 2 digits
+    assert doc["message"] == ("search level 1 needs 18 evaluated pairs, "
+                              "budget is 10")
     monkeypatch.setenv("FNQ_BUDGET", "10")
     code, _, err = run_cli(capsys, "verify", "thm4", "--ring",
                            '{"kind":"Zn","n":4}', "--eps", "1",
@@ -93,9 +95,8 @@ def test_verify_dry_run_prints_the_budget_it_uses(capsys, monkeypatch):
             "--dry-run")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    # the checks' default, not the solver's 10**8, which Pexider GF(5)
-    # (5**10 * 25 pairs) would exceed
-    assert json.loads(out)["budget"] == 2 * 10 ** 9
+    # one default for every subcommand, the kernel's
+    assert json.loads(out)["budget"] == fnq.DEFAULT_BUDGET == 10 ** 8
     code, out, _ = run_cli(capsys, *argv, "--budget", "12345")
     assert json.loads(out)["budget"] == 12345
 

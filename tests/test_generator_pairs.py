@@ -328,3 +328,15 @@ def test_product_pairs_give_the_rows_of_every_pair(name, monkeypatch):
                             ring, ring)
         assert np.array_equal(got, want), cls
         assert grown == wanted, cls
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(CARRIERS))
+def test_every_class_enumerates_at_the_default_budget(name):
+    # the kernel's charge refuses none of them, GF(25)'s and Z30's
+    # multiplicative maps included, which a count of q**m candidates
+    # refused; the zero map lies in every class
+    ring = _ring(CARRIERS[name])
+    zero = (ring.zero,) * len(ring.domain_elements)
+    for cls in classes(ring):
+        assert zero in {t.values for t in enumerate_maps(ring, ring, cls)}, cls

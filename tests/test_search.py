@@ -184,16 +184,20 @@ def test_waiting_checks_run_in_many_passes_give_the_same_rows(
 def test_waiting_checks_run_before_the_budget_of_the_next_grown_level():
     # in the order f(1), f(2), f(0), ... f(2) = f(1)+f(1) is computed and
     # f(0) is grown; the check f(1+1) = 0 keeps the 2 of the 12 rows with
-    # 2*f(1) = 0 before f(0)'s level examines 2 * 12 rows at 144 pairs
+    # 2*f(1) = 0 before f(0)'s level is charged.  That level grows 2 * 12
+    # rows, each checked at the 5 pairs (0, 0), (0, 1), (1, 0), (0, 2),
+    # (2, 0) of the additive identity whose last digit is f(0), and each
+    # holding 3 digits; 12 rows would be charged 12 * 12 * (5 + 3)
     r = fnq.zn(12)
     constraints = [PairConstraint(parse_equation("f(x+y)=f(x)+f(y)")),
                    PairConstraint(parse_equation("f(x+x)=0"), ((1, 1),))]
     order = [1, 2, 0] + list(range(3, 12))
-    with pytest.raises(BudgetExceeded) as refused:
-        kernel.search(constraints, ("f",), r, r, budget=2 * 12 * 144 - 1,
+    needed = 2 * 12 * (5 + 3)
+    with pytest.raises(BudgetExceeded, match="search level 2 ") as refused:
+        kernel.search(constraints, ("f",), r, r, budget=needed - 1,
                       order=order)
-    assert refused.value.needed == 2 * 12 * 144
-    rows = kernel.search(constraints, ("f",), r, r, budget=2 * 12 * 144,
+    assert refused.value.needed == needed
+    rows = kernel.search(constraints, ("f",), r, r, budget=needed,
                          order=order)
     assert rows[:, 0].tolist() == [[a * x % 12 for x in range(12)]
                                    for a in (0, 6)]

@@ -12,8 +12,7 @@ from fnq.errors import (BudgetExceeded, EvalDomainError, FnqError,
 from fnq.maps import (ADDITIVE, ARBITRARY, FnTable, class_from_string,
                       enumerate_maps, homo_deriv_sofy)
 from fnq.solver import (SolveTask, residual, solution_set_to_csv,
-                        solution_set_to_json, solution_set_to_json_bytes,
-                        solve)
+                        solution_set_to_json, solve)
 from fnq.eqdsl import grid_satisfies
 from fnq.search import PairConstraint, search
 
@@ -189,17 +188,23 @@ PIVOT_RINGS = {
 @pytest.mark.parametrize("ring_name", PIVOT_RINGS)
 def test_pivot_order_matches_unpivoted_solve(ring_name):
     """Differential: the pivot changes the kernel's order of the unknowns,
-    never the solutions, wherever the unpivoted task fits the budget (10**10
-    pairs, so that Z5 two-unknown and Z4 three-unknown tasks do)."""
+    never the solutions, wherever the unpivoted task fits the budget.  At
+    2**19 pairs, the largest charge among them, every task whose whole
+    candidate space is at most 10**10 pairs runs (Z5 two-unknown and Z4
+    three-unknown tasks among them); of the larger ones only those the
+    kernel prunes early run, and the rest are refused within milliseconds."""
     ring = PIVOT_RINGS[ring_name]()
+    m = len(ring.domain_elements)
     compared = 0
     for text in PIVOT_EQUATIONS:
         ast = parse_equation(text)
         task = SolveTask(ast, ring, {n: ARBITRARY for n in ast.free_functions},
-                         budget=10 ** 10)
+                         budget=2 ** 19)
         try:
             full = solve(task, use_pivot=False)
         except BudgetExceeded:
+            space = ring.size ** (m * len(ast.free_functions)) * m * m
+            assert space > 10 ** 10, text
             continue
         pruned = solve(task)
         assert pruned.pruned_by_pivot, text
@@ -291,10 +296,30 @@ def test_search_order_changes_no_solution(gf3, z6):
 
 
 def test_budget_exceeded_reports_needed(z6):
+    # the first grown level, f(1), is charged its one row times 6 values
+    # times the pair (1, 1) its check reads plus the one digit of a grown
+    # row; the kernel keeps f(1) = 0, and f(0)'s level is charged 6 values
+    # times its 3 pairs (0, 0), (0, 1), (1, 0) plus 2 digits
     ast = parse_equation("f(x*y)=f(x)*y+x*f(y)")
-    with pytest.raises(BudgetExceeded) as err:
-        solve(SolveTask(ast, z6, {"f": ARBITRARY}, budget=100))
-    assert err.value.needed == 6 ** 6 * 36
+    with pytest.raises(BudgetExceeded, match="search level 0 ") as err:
+        solve(SolveTask(ast, z6, {"f": ARBITRARY}, budget=11))
+    assert err.value.needed == 6 * (1 + 1)
+    with pytest.raises(BudgetExceeded, match="search level 1 ") as err:
+        solve(SolveTask(ast, z6, {"f": ARBITRARY}, budget=12))
+    assert err.value.needed == 6 * (3 + 2)
+
+
+def test_reverification_is_charged_before_any_binding_is_built(gf3):
+    # every table solves f(x+y)=f(x+y); the kernel's largest level charge
+    # is 9 rows times 3 values times (3 pairs + 3 digits) = 162, and the
+    # 27 solutions are re-verified at 9 pairs each
+    ast = parse_equation("f(x+y)=f(x+y)")
+    with pytest.raises(BudgetExceeded, match="re-verifying 27 solutions "
+                       "needs 243 evaluated pairs") as err:
+        solve(SolveTask(ast, gf3, {"f": ARBITRARY}, budget=242))
+    assert err.value.needed == 243
+    assert len(solve(SolveTask(ast, gf3, {"f": ARBITRARY},
+                               budget=243)).solutions) == 27
 
 
 def test_invalid_task(gf3):
@@ -315,15 +340,6 @@ def test_parameter_outside_the_ring_is_an_invalid_task(z6, value):
                      params={"a": value})
     with pytest.raises(InvalidTask, match=f"parameter 'a' = {value} "):
         solve(task)
-
-
-def test_workers_do_not_change_bytes(gf3):
-    ast = parse_equation("f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
-    task = SolveTask(ast, gf3, {"f": ARBITRARY, "h": ARBITRARY,
-                                "k": ARBITRARY})
-    blobs = {w: solution_set_to_json_bytes(solve(task, workers=w))
-             for w in (1, 2, 8)}
-    assert blobs[1] == blobs[2] == blobs[8]
 
 
 def test_class_restricted_solve_matches_enumeration(z4):

@@ -1,6 +1,11 @@
 import fractions
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +17,8 @@ from fnq.errors import (BothZero, EpsilonZero, InvalidTask, NotAField,
 from fnq.maps import (LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE, FnTable,
                       enumerate_maps, identity_map, zero_map)
 from fnq.solver import residual
-from fnq.theorems import (DEFAULT_CHECK_BUDGET, annihilator_witness,
-                          classify_pexider, multiplicative_shift,
-                          pexider_closure_samples,
+from fnq.theorems import (annihilator_witness, classify_pexider,
+                          multiplicative_shift, pexider_closure_samples,
                           pexider_equation, pexider_family_binding,
                           verify_alien, verify_mp, verify_pexider,
                           verify_sofy, verify_thm5_symbolic)
@@ -411,8 +415,8 @@ def test_every_family_instance_solves_the_equation(p, k):
     q, m = ring.size, len(ring.domain_elements)
 
     def witness_rows(cls):
-        return np.array([t.values for t in enumerate_maps(
-            ring, ring, cls, budget=q ** m)], dtype=np.int64).reshape(-1, m)
+        return np.array([t.values for t in enumerate_maps(ring, ring, cls)],
+                        dtype=np.int64).reshape(-1, m)
 
     rows = [r for _, r in _closure_rows(ring, per_family_cap=q ** 6)]
     mult, log = witness_rows(MULTIPLICATIVE), witness_rows(LOGARITHMIC)
@@ -452,6 +456,30 @@ def test_family_binding_rejects_what_is_no_instance(gf5, name, params,
         pexider_family_binding(name, gf5, params, witnesses)
 
 
+@pytest.mark.parametrize("name,params,witnesses,bad,violations", [
+    ("MultiplicativeSquare", {"h1": 1, "lam": 0}, {"m": (0, 1, 1, 1, 2)},
+     "m", 7),
+    ("LinearPlusLeibniz", {"lam": 1, "k1": 0}, {"delta": (0, 1, 0, 0, 0)},
+     "delta", 10),
+    ("NonDegenerate", {"b2": 1, "b3": 1, "g1": 1, "g2": 0},
+     {"m": (0, 1, 2, 3, 4), "l": (0, 1, 0, 0, 0)}, "l", 10),
+], ids=["non-multiplicative-m", "non-leibniz-delta", "non-logarithmic-l"])
+def test_family_binding_rejects_a_witness_outside_its_class(
+        gf5, name, params, witnesses, bad, violations):
+    # the template alone builds a triple that breaks the equation at this
+    # many pairs; the binding refuses the witness instead
+    from fnq.theorems import _family_rows
+    rows = _family_rows(name, gf5, {n: np.array([[v]]) for n, v in
+                                    params.items()},
+                        {n: np.array([v]) for n, v in witnesses.items()})
+    built = fnq.eqdsl.Binding({n: FnTable(gf5, gf5, tuple(r[0].tolist()))
+                               for n, r in zip("fhk", rows)}, {})
+    assert len(residual(pexider_equation(), built, gf5)) == violations
+    with pytest.raises(InvalidTask, match=f"witness '{bad}' is not"):
+        pexider_family_binding(name, gf5, params, {
+            n: FnTable(gf5, gf5, v) for n, v in witnesses.items()})
+
+
 def test_family_binding_reads_rational_coefficients(gf5, monkeypatch):
     # a coefficient p/q is int_embed(p) over int_embed(q); no Pexider
     # template has one, so a template is added for the test
@@ -477,29 +505,102 @@ def test_logarithmic_maps_of_a_field_vanish(p, k):
     assert [t.values for t in maps] == [zero_map(ring).values]
 
 
-@pytest.mark.parametrize("ring,budget", [
-    (fnq.gf(3), DEFAULT_CHECK_BUDGET), (fnq.gf(2, 2), DEFAULT_CHECK_BUDGET),
-    (fnq.gf(5), DEFAULT_CHECK_BUDGET), (fnq.gf(7), 7 ** 16)],
-    ids=["gf3", "gf4", "gf5", "gf7"])
-def test_pexider_family_counts_match_closed_forms(ring, budget):
-    report = verify_pexider(ring, budget=budget)
+@pytest.mark.parametrize("ring", [fnq.gf(3), fnq.gf(2, 2), fnq.gf(5),
+                                  fnq.gf(7), fnq.gf(2, 3)],
+                         ids=["gf3", "gf4", "gf5", "gf7", "gf8"])
+def test_pexider_family_counts_match_closed_forms(ring):
+    # at the default budget: N(q) = q^2 + q(q-1)^2 + (q-1)^3 + (q-1)^4,
+    # so N(7) = 1,813 and N(8) = 3,200
+    report = verify_pexider(ring)
     q = ring.size
     assert report.details["families"] == {
         "AllLinear": q ** 2, "LambdaKFamilyB": (q - 1) ** 3,
         "MultiplicativeSquare": q * (q - 1) ** 2,
         "TwoExponential": (q - 1) ** 4}
+    assert report.solutions_found == sum(report.details["families"].values())
     assert report.holds()
 
 
 def test_checks_fail_loudly_on_oversized_carriers():
+    # the kernel refuses a level before growing it, names it and reports
+    # its charge
     from fnq.errors import BudgetExceeded
-    big = fnq.gf(2, 4)  # 16 elements: a 16^16 scan must be refused, not run
-    with pytest.raises(BudgetExceeded):
-        verify_sofy(big, big.one, directions="forward")
-    with pytest.raises(BudgetExceeded):
-        verify_mp(big)
-    with pytest.raises(BudgetExceeded):
-        verify_alien(big, big.one, big.one)
+    with pytest.raises(BudgetExceeded, match=r"^search level \d+ needs") as e:
+        verify_pexider(fnq.gf(13))
+    assert e.value.needed > fnq.DEFAULT_BUDGET
+
+
+_REFUSED_IN_A_SUBPROCESS = """
+import json, resource, sys
+import fnq
+from fnq.errors import BudgetExceeded
+from fnq.theorems import pexider_equation
+ring = fnq.ring_from_json(sys.argv[1])
+try:
+    if ring.is_field:
+        fnq.verify_pexider(ring)
+    else:
+        fnq.solve(fnq.SolveTask(pexider_equation(), ring,
+                                {n: fnq.ARBITRARY for n in "fhk"}))
+    message = None
+except BudgetExceeded as exc:
+    message = str(exc)
+print(json.dumps({"message": message, "peak_kb":
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind": "GF", "p": 3, "k": 2}', '{"kind": "GF", "p": 13, "k": 1}',
+    '{"kind": "Zn", "n": 9}'], ids=["GF9", "GF13", "Z9"])
+def test_the_default_budget_refuses_pexider_before_memory_runs_out(spec):
+    # each case in its own process, so that the peak RSS is its own: the
+    # digits of a grown row in the charge bound the rows a level allocates
+    src = str(Path(fnq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _REFUSED_IN_A_SUBPROCESS,
+                           spec], capture_output=True, env=env, timeout=120,
+                          check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["message"] is not None
+    assert doc["message"].startswith("search level ")
+    assert doc["peak_kb"] < 400 * 1024
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (7, 1), (2, 3), (3, 2), (2, 4),
+                                 (5, 2)])
+def test_a_field_has_q_plus_one_multiplicative_maps(p, k):
+    # zero, the constant 1, and x -> x^e for e = 1..q-1 with 0^e = 0; the
+    # budget no longer counts q^q candidates, so GF(16) and GF(25) run by
+    # default
+    ring = fnq.gf(p, k)
+    elems = np.arange(ring.size)
+    power = np.full(ring.size, ring.one)
+    powers = {zero_map(ring).values, tuple(power.tolist())}
+    for _ in range(ring.size - 1):
+        power = ring.mul[power, elems]
+        powers.add(tuple(power.tolist()))
+    maps = [t.values for t in enumerate_maps(ring, ring, MULTIPLICATIVE)]
+    assert len(maps) == ring.size + 1 == len(powers)
+    assert set(maps) == powers
+
+
+def test_sofy_and_prop1_on_carriers_the_candidate_count_refused():
+    # GF(16): eps = 1 is a unit, so the q+1 = 17 solutions shift
+    # bijectively onto the 17 multiplicative maps; no zero divisor, so
+    # prop1's system has only the zero map
+    big = fnq.gf(2, 4)
+    report = verify_sofy(big, big.one)
+    assert report.solutions_found == report.predicted_count == 17
+    assert report.details["bijection"] is True and report.holds()
+    report = verify_mp(big)
+    assert report.details["solutions"] == [list(zero_map(big).values)]
+    assert report.details["solution_set_is_zero"] and report.holds()
+    # Z12: h -> h + id is a bijection onto its 160 multiplicative maps
+    report = verify_sofy(fnq.zn(12), 1)
+    assert report.solutions_found == report.predicted_count == 160
+    assert report.details["bijection"] is True
 
 
 def test_additive_solutions_shift_to_homomorphisms(z4, gf4):
@@ -599,14 +700,12 @@ def _matches_reference(ring, triples):
     return reached
 
 
-@pytest.mark.parametrize("ring,budget", [
-    (fnq.gf(3), DEFAULT_CHECK_BUDGET), (fnq.gf(2, 2), DEFAULT_CHECK_BUDGET),
-    (fnq.gf(5), DEFAULT_CHECK_BUDGET), (fnq.gf(7), 7 ** 16)],
-    ids=["gf3", "gf4", "gf5", "gf7"])
-def test_batched_classifier_matches_the_scalar_one_on_solutions(ring, budget):
+@pytest.mark.parametrize("ring", [fnq.gf(3), fnq.gf(2, 2), fnq.gf(5),
+                                  fnq.gf(7)],
+                         ids=["gf3", "gf4", "gf5", "gf7"])
+def test_batched_classifier_matches_the_scalar_one_on_solutions(ring):
     ss = fnq.solve(fnq.SolveTask(pexider_equation(), ring,
-                                 {n: fnq.ARBITRARY for n in "fhk"},
-                                 budget=budget))
+                                 {n: fnq.ARBITRARY for n in "fhk"}))
     triples = [tuple(b.functions[n].values for n in "fhk")
                for b in ss.solutions]
     assert _matches_reference(ring, triples) == {
