@@ -22,7 +22,8 @@ print("\nthe noncommutative carrier UT2(2), eps = identity matrix:")
 ut2 = fnq.ut2(2)
 eps = [e for e in ut2.center if e != ut2.zero][0]
 report = fnq.verify_sofy(ut2, eps, directions="forward")
-print(f"  8^8 = 16.7M tables scanned, solutions={report.solutions_found}, "
+print(f"  candidate space 8^8 = 16.7M tables, "
+      f"solutions={report.solutions_found}, "
       f"forward_ok={report.forward_ok}")
 
 print("\nzero-divisor probe on Z_6 with eps = 3:")

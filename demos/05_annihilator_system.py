@@ -14,7 +14,7 @@ for ring in (fnq.gf(3), fnq.gf(5), fnq.zn(4), fnq.zn(6), fnq.poly_quot(2, 2)):
     zd = "no zero divisors" if report.details["no_zero_divisors"] \
         else "has zero divisors"
     print(f"{ring.spec.kind}(size {ring.size}), {zd}:")
-    print(f"  scanned {report.details['enumerated_count']} tables, "
+    print(f"  candidate space {report.details['enumerated_count']} tables, "
           f"solutions: {report.details['solutions']}")
     print(f"  witnesses: {report.details['witnesses']}")
     print(f"  converse probe (witnessed image but fails the system): "

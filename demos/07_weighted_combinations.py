@@ -34,7 +34,7 @@ from fnq.theorems import alien_pair_equation
 gf3 = fnq.gf(3)
 ss = solve(SolveTask(alien_pair_equation(), gf3,
                      {"h": ARBITRARY, "k": ARBITRARY}))
-print(f"  GF(3): scanned {ss.enumerated_count} (h, k) pairs, "
+print(f"  GF(3): candidate space {ss.enumerated_count} (h, k) pairs, "
       f"{len(ss.solutions)} solutions")
 from fnq.maps import lin_rank, identity_map
 ranks = {}

@@ -18,7 +18,7 @@ for ring in (fnq.gf(3), fnq.zn(4), fnq.poly_quot(2, 2)):
     mult = len(list(enumerate_maps(ring, ring, MULTIPLICATIVE)))
     kind = "field" if ring.is_field else "zero divisors"
     print(f"{ring.spec.kind}(size {ring.size}, {kind}): "
-          f"{result.enumerated_count} (h, k) candidates, "
+          f"candidate space {result.enumerated_count} (h, k) pairs, "
           f"{len(result.solutions)} solutions, "
           f"{mult} multiplicative maps on the carrier")
 

@@ -183,29 +183,21 @@ class Ring:
         return pos
 
     @cached_property
-    def generator_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs (x, g) for x in the domain and the pairs (g, h), as
-        read-only int64 arrays of shape (P, 2) in row-major order, where g
-        and h run over G: 0 and the additive generators of the domain
-        picked greedily, ascending.  The unit, if the domain holds it, comes
-        first, as in the kernel's default position order (:mod:`fnq.search`),
-        then each the smallest element outside the subgroup the ones before
-        generate.  With the smallest element first instead, the pairs
-        (x, g) define fewer digits of that order than all pairs do: UT2(3)'s
-        additive search grew the digit of (1,0,0), which the unit defines.
-
-        Every domain element is a sum of elements of G, so a map f with
-        f(x+g) = f(x)+f(g) at every (x, g) is additive, f(0) = 0 coming
-        from g = 0 even on the trivial domain.  An identity whose sides are
-        both additive in x and in y, as f(xy) = f(x)f(y) is for an additive
-        f, then holds at every pair once it holds at every (g, h).
-        """
-        elems = self.element_array
+    def generators(self) -> np.ndarray:
+        """G: 0 and the additive generators of the domain picked greedily,
+        as a read-only ascending int64 array.  The unit, if the domain
+        holds it, comes first, as in the kernel's default position order
+        (:mod:`fnq.search`), then each the smallest element outside the
+        subgroup the ones before generate.  With the smallest element first
+        instead, the pairs (x, g) define fewer digits of that order than all
+        pairs do: UT2(3)'s additive search grew the digit of (1,0,0), which
+        the unit defines.  An additive class has q**(|G|-1) candidates
+        (:func:`fnq.maps.class_space_size`)."""
         # the subgroup generated so far, and every element outside the domain
         inside = self.position < 0
         inside[self.zero] = True
         subgroup, g = np.array([self.zero]), [self.zero]
-        while len(subgroup) < len(elems):
+        while len(subgroup) < len(self.domain_elements):
             e = (self.one if self.one is not None and not inside[self.one]
                  else int(np.argmin(inside)))
             g.append(e)
@@ -218,14 +210,28 @@ class Ring:
             subgroup = self.add[subgroup[:, None], multiples].ravel()
             inside[subgroup] = True
         g = np.array(sorted(g), dtype=np.int64)
-        across = np.empty((len(elems), len(g), 2), dtype=np.int64)
-        across[..., 0] = elems[:, None]
-        across[..., 1] = g
-        within = across[self.position[g]].reshape(-1, 2)
-        across = across.reshape(-1, 2)
-        across.setflags(write=False)
-        within.setflags(write=False)
-        return across, within
+        g.setflags(write=False)
+        return g
+
+    @cached_property
+    def generator_pairs(self) -> np.ndarray:
+        """The pairs (x, g) for x in the domain and g in :attr:`generators`,
+        as a read-only int64 array of shape (P, 2) in row-major order.
+
+        Every domain element is a sum of elements of G, so a map f with
+        f(x+g) = f(x)+f(g) at every (x, g) is additive, f(0) = 0 coming
+        from g = 0 even on the trivial domain.  An identity whose sides are
+        both additive in x and in y, as f(xy) = f(x)f(y) is for an additive
+        f, then holds at every pair once it holds at every (g, h), which
+        these pairs hold.
+        """
+        elems, g = self.element_array, self.generators
+        pairs = np.empty((len(elems), len(g), 2), dtype=np.int64)
+        pairs[..., 0] = elems[:, None]
+        pairs[..., 1] = g
+        pairs = pairs.reshape(-1, 2)
+        pairs.setflags(write=False)
+        return pairs
 
     def position_order(self, first=()) -> list[int]:
         """Domain positions in the kernel's default order (:mod:`fnq.search`):
@@ -254,15 +260,13 @@ class Ring:
         (x, g) they are returned themselves: for a cyclic additive group E
         is empty, and Z256 keeps its 512 pairs (x, g) of 65,536.
         """
-        across, _ = self.generator_pairs
         m = len(self.domain_elements)
-        # the positions of G, read off the pairs of the first x
-        gens = self.position[across[:len(across) // m, 1]].tolist()
+        gens = self.position[self.generators].tolist()
         zero, order = self.position[self.zero], self.position_order()
         early = order[:max((order.index(g) for g in gens if g != zero),
                            default=0)]
         if set(early) <= set(gens):  # E×E lies in (x, g)
-            return across
+            return self.generator_pairs
         keep = np.zeros((m, m), dtype=bool)
         keep[:, gens] = True
         keep[np.ix_(early, early)] = True
@@ -576,13 +580,15 @@ _EXHAUSTIVE_SIZE = 20
 _CHUNK_CELLS = 1 << 15
 
 
-def _additive_generators(add: np.ndarray, zero: int) -> np.ndarray:
+def _magma_generators(add: np.ndarray, zero: int) -> np.ndarray:
     """A generating set of the magma (R, +): the smallest unreached element,
     then every sum of reached elements, until the carrier is reached.
 
     Only sums of reached elements are formed, so every reached element is a
     sum of generators whatever the table holds.  In a group each generator
     at least doubles the reached subgroup, so there are at most log2(size).
+    The axiom check reads it before the group law is proven, which
+    :attr:`Ring.generators` relies on.
     """
     reached = np.zeros(len(add), dtype=bool)
     reached[zero] = True
@@ -650,7 +656,7 @@ def _verify_axioms(size, add, mul, neg, zero, one):
         gens = slice(None)
         blocks = [(slice(None), gens)]
     else:
-        gens = _additive_generators(add_i, zero)
+        gens = _magma_generators(add_i, zero)
         blocks = _blocks(size, gens)
     # indices [x, a, y], [y, a, x] and [x, y, a], x or y in the block's rows
     for xs, a in blocks:
@@ -727,17 +733,17 @@ def _validate_subring(sub: tuple[int, ...], size, add, mul, neg, zero):
                 raise InvalidRingSpec("declared subring not closed under multiplication")
 
 
-def build_ring(spec: RingSpec, size_budget: int = DEFAULT_SIZE_BUDGET) -> Ring:
+def build_ring(spec: RingSpec) -> Ring:
     """Build the ring described by ``spec`` and prove its axioms.
 
     Raises :class:`BudgetExceeded` before any table is materialized when the
-    resulting carrier would be larger than ``size_budget``.
+    resulting carrier would be larger than :data:`DEFAULT_SIZE_BUDGET`.
     """
     size = _spec_size(spec)
-    if size > size_budget:
+    if size > DEFAULT_SIZE_BUDGET:
         raise BudgetExceeded(
-            f"ring of size {size} exceeds the size budget {size_budget}",
-            needed=size)
+            f"ring of size {size} exceeds the size budget "
+            f"{DEFAULT_SIZE_BUDGET}", needed=size)
 
     if spec.kind == "Zn":
         size, add, mul, neg, zero, one, names = _zn_tables(spec.n)
@@ -765,8 +771,8 @@ def build_ring(spec: RingSpec, size_budget: int = DEFAULT_SIZE_BUDGET) -> Ring:
         size, add, mul, neg, zero, one, names = _poly_ring_tables(
             spec.p, spec.k, modulus)
     elif spec.kind == "Product":
-        left = build_ring(dataclasses.replace(spec.left, subring=None), size_budget)
-        right = build_ring(dataclasses.replace(spec.right, subring=None), size_budget)
+        left = build_ring(dataclasses.replace(spec.left, subring=None))
+        right = build_ring(dataclasses.replace(spec.right, subring=None))
         size, add, mul, neg, zero, one, names = _product_tables(left, right)
     elif spec.kind == "UT2":
         if not _is_prime(spec.p):
@@ -792,8 +798,8 @@ def build_ring(spec: RingSpec, size_budget: int = DEFAULT_SIZE_BUDGET) -> Ring:
                 names=names, subring=spec.subring)
 
 
-def ring_from_json(doc: dict | str, size_budget: int = DEFAULT_SIZE_BUDGET) -> Ring:
-    return build_ring(RingSpec.from_json(doc), size_budget)
+def ring_from_json(doc: dict | str) -> Ring:
+    return build_ring(RingSpec.from_json(doc))
 
 
 def same_carrier(a: Ring, b: Ring) -> bool:

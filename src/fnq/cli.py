@@ -112,18 +112,12 @@ def _cmd_solve(args) -> int:
     task = SolveTask(ast=ast, ring=ring, classes=classes, params=params,
                      budget=_budget(args))
     if args.dry_run:
-        spaces = {n: class_space_size(ring, ring, classes[n])
-                  for n in ast.free_functions}
-        m = len(ring.domain_elements)
-        total = 1
-        for v in spaces.values():
-            total *= v
         _write(args, _json_dump({
             "action": "solve", "equation": equation_to_text(ast),
             "ast": ast_to_json(ast),
-            "ring_size": ring.size, "domain_size": m,
-            "candidate_spaces": spaces,
-            "evaluated_pairs_upper_bound": total * m * m,
+            "ring_size": ring.size, "domain_size": len(ring.domain_elements),
+            "candidate_spaces": {n: class_space_size(ring, ring, classes[n])
+                                 for n in ast.free_functions},
             "budget": task.budget}))
         return 0
     result = solve(task)
@@ -135,7 +129,7 @@ def _cmd_solve(args) -> int:
         doc = solution_set_to_json(result)
         lines = [f"equation: {doc['task']['equation']}",
                  f"ring: {json.dumps(doc['task']['ring'])}",
-                 f"candidates examined: {result.enumerated_count}",
+                 f"candidate space: {result.enumerated_count}",
                  f"pivot pruning: {'yes' if result.pruned_by_pivot else 'no'}",
                  f"solutions: {len(result.solutions)}"]
         for sol in doc["solutions"]:
@@ -247,10 +241,8 @@ def _cmd_verify(args) -> int:
         ring = _load_ring(args)
         budget = _budget(args)
         if args.dry_run:
-            m = len(ring.domain_elements)
             _write(args, _json_dump({
                 "action": "verify", "check": check, "ring_size": ring.size,
-                "scan_space": ring.size ** m,
                 "budget": budget}))
             return 0
         if check == "thm4":
@@ -290,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="accepted and ignored; search is single-threaded")
         p.add_argument("--budget", type=int, default=None,
-                       help="evaluated pairs one search level or the "
+                       help="the charge one search level or the "
                             "re-verification may take (default from "
                             f"FNQ_BUDGET, else {DEFAULT_BUDGET:,})")
         p.add_argument("--dry-run", action="store_true",

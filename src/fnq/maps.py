@@ -30,10 +30,9 @@ kernel computes the digits they define.  The other identities of such a
 class are stated at :attr:`fnq.algebra.Ring.product_pairs`, which hold
 the pairs (g, h) and every pair that can prune a grown level.
 Membership of tables (:func:`in_class`, :func:`class_mask`) is a grid
-check of the same constraints (:func:`fnq.eqdsl.grid_satisfies`), except
-that a class that requires additivity checks its other identities at the
-pairs (g, h) only, since for an additive map they are additive in x and
-in y.  It shares no code with the kernel.  :func:`classify_map` checks every identity in one
+check of the same constraints at the same pairs
+(:func:`fnq.eqdsl.grid_satisfies`), which shares no code with the
+kernel.  :func:`classify_map` checks every identity in one
 grid evaluation at the pairs (x, g) (:func:`fnq.eqdsl.grid_masks`), which
 hold the pairs (g, h) and the logarithmic zero check's pairs (x, 0); only
 a map that is not additive, or that is zero off the units, needs one more.
@@ -53,7 +52,7 @@ import numpy as np
 from .algebra import Ring, same_carrier
 from .eqdsl import (Add, EquationAst, Expr, FnApp, IntLit, Mul, PairConstraint,
                     Param, Var, grid_masks, grid_satisfies)
-from .errors import BudgetExceeded, EvalDomainError, InvalidTask, NotAField
+from .errors import EvalDomainError, InvalidTask, NotAField
 from .search import DEFAULT_BUDGET, search
 
 
@@ -165,20 +164,21 @@ def in_class(f: FnTable, cls: FunctionClass) -> bool:
 def class_mask(domain: Ring, codomain: Ring, rows: np.ndarray,
                cls: FunctionClass) -> np.ndarray:
     """:func:`in_class` for each row of value vectors: one grid evaluation
-    per class constraint over all rows, until no row is left.
+    per constraint of :func:`class_constraints` over all rows, at the pairs
+    the kernel searches it on, until no row is left.  They decide
+    membership: a row failing the additive identity at the pairs (x, g)
+    fails everywhere, and an additive row's product identities hold at
+    every pair once they hold at the pairs (g, h), which
+    :attr:`fnq.algebra.Ring.product_pairs` holds.
 
-    A class that requires additivity checks the additive identity at the
-    pairs (x, g) and its other identities at the pairs (g, h) of
-    :attr:`fnq.algebra.Ring.generator_pairs`, which decide them; every
-    other identity is checked at all its pairs.  A constraint is checked
-    only while a row is left, and no cells outlive its check, which bounds
-    the memory of many rows.  A class identity reads no unknown inside an
-    argument, so an argument outside the declared domain fails every row
-    alike.
+    A constraint is checked only while a row is left, and no cells outlive
+    its check, which bounds the memory of many rows.  A class identity
+    reads no unknown inside an argument, so an argument outside the
+    declared domain fails every row alike.
     """
     ok = np.ones(len(rows), dtype=bool)
     try:
-        for c in _constraints(domain, "f", cls, generated=True):
+        for c in class_constraints(domain, "f", cls):
             ok &= grid_satisfies(c, domain, codomain, {"f": rows}, {})
             if not ok.any():
                 break
@@ -207,7 +207,7 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
     """
     domain, codomain = f.domain, f.codomain
     tables = {"f": f.as_array()[None, :]}
-    across = domain.generator_pairs[0]
+    across = domain.generator_pairs
     kinds = ["additive", "multiplicative", "leibniz", "zero"]
     shifts = np.array([e for e in codomain.center if e != codomain.zero],
                       dtype=np.int64)
@@ -326,37 +326,26 @@ def class_constraints(ring: Ring, name: str,
     logarithmic class is its identity on pairs of domain units plus
     ``f(x)=0`` at every domain element that is not a unit
     (:attr:`fnq.algebra.Ring.unit_pairs`), which comes first as the cheaper
-    and more selective check.
+    and more selective check.  The search kernel and :func:`class_mask`
+    both read these constraints.
     """
-    return list(_constraints(ring, name, cls))
-
-
-def _constraints(ring: Ring, name: str, cls: FunctionClass,
-                 generated: bool = False) -> Iterator[PairConstraint]:
-    """:func:`class_constraints`, each built when it is asked for.  A
-    class that requires additivity states its other identities at
-    :attr:`fnq.algebra.Ring.product_pairs`, or with ``generated`` at the
-    generator pairs (g, h) only; both decide them once the additive
-    identity holds."""
     if cls.eps is not None and not 0 <= cls.eps < ring.size:
         raise InvalidTask(f"shift constant {cls.eps} is not an element of "
                           f"a ring of size {ring.size}")
     if cls.kind == "logarithmic":
         off_units, on_units = ring.unit_pairs
-        yield PairConstraint(_identity("zero", name), off_units)
-        yield PairConstraint(_identity("logarithmic", name), on_units)
-        return
+        return [PairConstraint(_identity("zero", name), off_units),
+                PairConstraint(_identity("logarithmic", name), on_units)]
     if cls.kind not in _CLASS_IDENTITIES:
         raise ValueError(f"unknown class {cls}")
     params = {"e": cls.eps} if cls.eps is not None else {}
     identities = _CLASS_IDENTITIES[cls.kind]
     across = other = None
     if "additive" in identities:
-        across, within = ring.generator_pairs
-        other = within if generated else ring.product_pairs
-    for i in identities:
-        pairs = across if i == "additive" else other
-        yield PairConstraint(_identity(i, name), pairs, params)
+        across, other = ring.generator_pairs, ring.product_pairs
+    return [PairConstraint(_identity(i, name),
+                           across if i == "additive" else other, params)
+            for i in identities]
 
 
 # ------------------------------------------------------------- table scans
@@ -378,53 +367,40 @@ def filter_tables(domain: Ring, codomain: Ring,
     every equation.
 
     The equations share one unknown and are required at every pair of
-    domain elements; the budget bounds the |codomain|**m candidate space.
+    domain elements; ``budget`` is the kernel's
+    (:func:`fnq.search.search`).
     """
-    total = codomain.size ** len(domain.domain_elements)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} candidate tables exceed the budget {budget}",
-            needed=total)
     names = tuple(sorted({n for eq in equations for n in eq.free_functions}))
     if len(names) != 1:
         raise ValueError(f"equations must share exactly one unknown, got {names}")
     values = search([PairConstraint(eq) for eq in equations], names,
-                    domain, codomain)[:, 0, :]
+                    domain, codomain, budget=budget)[:, 0, :]
     return row_ids(values, codomain.size)
 
 
 # ------------------------------------------------- class candidate spaces
 
-def _greedy_generators(elements, start: int, op: np.ndarray
-                       ) -> tuple[list[int], list[int]]:
-    """Generators of ``elements`` under the table ``op``, picked greedily by
-    smallest index from the identity ``start``, and the elements in the
-    order a breadth-first closure reaches them: each generator comes when
-    it is picked, every other element e*g after e and the generator g."""
-    order, seen, gens = [start], {start}, []
-    while len(order) < len(elements):
-        g = min(e for e in elements if e not in seen)
+def _unit_generators(ring: Ring) -> tuple[list[int], list[int]]:
+    """Generators of the domain units, picked greedily by smallest index
+    from the unit, and the units in the order a breadth-first closure
+    reaches them: each generator comes when it is picked, every other unit
+    e*g after e and the generator g."""
+    units = ring.domain_units
+    if not units:
+        return [], []
+    order, seen, gens = [ring.one], {ring.one}, []
+    while len(order) < len(units):
+        g = min(u for u in units if u not in seen)
         gens.append(g)
         order.append(g)
         seen.add(g)
-        for e in order:  # also visits the elements appended on the way
+        for e in order:  # also visits the units appended on the way
             for gen in gens:
-                s = int(op[e, gen])
+                s = int(ring.mul[e, gen])
                 if s not in seen:
                     seen.add(s)
                     order.append(s)
     return gens, order
-
-
-def additive_generators(ring: Ring) -> tuple[list[int], list[int]]:
-    """Greedy additive generating set and the elements in closure order."""
-    return _greedy_generators(ring.domain_elements, ring.zero, ring.add)
-
-
-def _unit_generators(ring: Ring) -> tuple[list[int], list[int]]:
-    """Greedy unit generating set and the units in closure order."""
-    units = ring.domain_units
-    return _greedy_generators(units, ring.one, ring.mul) if units else ([], [])
 
 
 def enumerate_maps(domain: Ring, codomain: Ring, cls: FunctionClass,
@@ -448,15 +424,15 @@ def enumerate_maps(domain: Ring, codomain: Ring, cls: FunctionClass,
 
 def class_space_size(domain: Ring, codomain: Ring, cls: FunctionClass) -> int:
     """The candidate count reported for the class (``enumerated_count``,
-    ``--dry-run``); the budget charges the kernel's work instead."""
-    m = len(domain.domain_elements)
+    ``--dry-run``): q to the number of positions the kernel may grow, the
+    additive generators of :attr:`fnq.algebra.Ring.generators` for an
+    additive class and the unit generators for the logarithmic one.  The
+    budget charges the kernel's work instead."""
     if cls.kind in ("arbitrary", "multiplicative", "leibniz"):
-        return codomain.size ** m
+        return codomain.size ** len(domain.domain_elements)
     if cls.kind == "logarithmic":
-        gens, _ = _unit_generators(domain)
-        return codomain.size ** len(gens)
-    gens, _ = additive_generators(domain)
-    return codomain.size ** len(gens)
+        return codomain.size ** len(_unit_generators(domain)[0])
+    return codomain.size ** (len(domain.generators) - 1)
 
 
 # ------------------------------------------------------------- linear rank

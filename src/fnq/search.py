@@ -56,6 +56,9 @@ starting at one pair instead raised the median solve of the benchmark's
 200 small seeded tasks from about 0.9 ms to 1.2-1.6 ms.  A budget bounds
 each level that grows its digit: its rows times q times its pairs, which
 bound its time, plus the digits of a grown row, which bound its memory.
+It also bounds the widening of a run of computed levels, its rows times
+the digits of a widened row: additive UT2(5) grows only three digits,
+then would widen 1,953,125 rows to all 125.
 
 Arguments of unknowns are computed in the domain ring and everything else
 in the codomain ring, so ``x`` or ``y`` outside an argument, or an unknown
@@ -251,7 +254,7 @@ class _Planner:
                 self._mixing("a value used as an argument")
             digit_at = self.digit_of[self.unknowns[expr.name]]
             arg = self._build(expr.arg, True)
-            inner = _applied(expr.arg)
+            inner = _scan(expr.arg, set(), [])[0]
             if inner:
                 self.late = max([self.late] + [
                     int(self.digit_of[self.unknowns[n]].max())
@@ -277,17 +280,6 @@ class _Planner:
         if isinstance(expr, Mul):
             return ("mul", ring.mul, left, right)
         raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _applied(expr: Expr) -> set[str]:
-    """The unknowns applied anywhere in ``expr``."""
-    if isinstance(expr, FnApp):
-        return {expr.name} | _applied(expr.arg)
-    if isinstance(expr, (Add, Sub, Mul)):
-        return _applied(expr.left) | _applied(expr.right)
-    if isinstance(expr, Neg):
-        return _applied(expr.operand)
-    return set()
 
 
 def _scan(expr: Expr, nested: set[str], constant: list[Expr]
@@ -323,9 +315,11 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
 
     ``budget`` bounds the charge of each level that grows its digit: the
     rows entering it times the codomain size times the pairs its checks
-    read at that level plus the digits of a grown row.  A level past it
-    raises :class:`BudgetExceeded`, naming the level, before growing; a
-    computed level grows nothing and is not charged.  A grown level's
+    read at that level plus the digits of a grown row.  The first level of
+    a run of computed levels grows no rows but widens them to the next
+    grown level, and is charged the rows times the digits of a widened
+    row.  A level past the budget raises :class:`BudgetExceeded`, naming
+    the level, before it grows or widens anything.  A grown level's
     checks run as soon as it is grown.  Those of a run of computed levels
     wait until the next grown level, whose charge comes after them, the
     end, or ``_CELLS``
@@ -378,6 +372,7 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
             if rows.shape[1] == level:  # the first of a run: widen once
                 stop = next((k for k in range(level, digits)
                              if k not in computed), digits)
+                _charge(budget, level, len(rows) * stop, "widened digits")
                 wide = np.empty((len(rows), stop), dtype=rows.dtype)
                 wide[:, :level] = rows
                 rows = wide
@@ -391,11 +386,8 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
         if not len(rows):
             break
         pairs = done[level + 2] - done[level + 1]
-        needed = len(rows) * q * (pairs + level + 1)
-        if budget is not None and needed > budget:
-            raise BudgetExceeded(
-                f"search level {level} needs {needed} evaluated pairs, "
-                f"budget is {budget}", needed=needed)
+        _charge(budget, level, len(rows) * q * (pairs + level + 1),
+                "evaluated pairs")
         rows = _grow(rows, q, _checks(plans, level, level))
         waiting = level + 1
     rows = _filter(rows, _checks(plans, waiting, digits - 1))
@@ -406,6 +398,13 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
     if values.shape[1]:
         values = values[np.lexsort(values.T[::-1])]
     return values.reshape((len(values),) + planner.digit_of.shape)
+
+
+def _charge(budget: int | None, level: int, needed: int, what: str) -> None:
+    """Raise :class:`BudgetExceeded` when ``needed`` passes ``budget``."""
+    if budget is not None and needed > budget:
+        raise BudgetExceeded(f"search level {level} needs {needed} {what}, "
+                             f"budget is {budget}", needed=needed)
 
 
 def _checks(plans: list[_Plan], first: int, last: int

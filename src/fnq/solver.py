@@ -15,9 +15,9 @@ records this (``pruned_by_pivot``) and leaves the pivoted unknown out of
 the candidate count it reports.  The solutions are the same either way,
 and come back in free-function order.
 
-The budget, in evaluated pairs, is charged by the kernel before each
-level it grows (:func:`fnq.search.search`) and by the re-verification,
-solutions times the squared domain size, before any binding is built.
+The budget is charged by the kernel before each level it grows or
+widens (:func:`fnq.search.search`) and by the re-verification, solutions
+times the squared domain size, before any binding is built.
 
 Results are exact, exhaustive and deterministic: solutions come out in
 lexicographic order of the concatenated value vectors (free-function
@@ -50,9 +50,9 @@ class SolveTask:
     Each parameter is bound to an element of ``ring`` by its index;
     :func:`solve` raises :class:`InvalidTask` for a value outside it.
 
-    ``budget`` bounds the evaluated pairs charged at each level the kernel
-    grows (:func:`fnq.search.search`) and those of the re-verification;
-    past it, :func:`solve` raises :class:`BudgetExceeded`.
+    ``budget`` bounds the charge of each level the kernel grows or widens
+    (:func:`fnq.search.search`) and the pairs of the re-verification; past
+    it, :func:`solve` raises :class:`BudgetExceeded`.
     """
 
     ast: EquationAst
@@ -100,13 +100,12 @@ def residual(ast: EquationAst, binding: Binding, ring: Ring) -> list[tuple[int, 
 
 # ------------------------------------------------------------------ solving
 
-def solve(task: SolveTask, use_pivot: bool = True) -> SolutionSet:
+def solve(task: SolveTask) -> SolutionSet:
     """Find every satisfying binding, exactly and deterministically.
 
     When the y=1 pivot applies, the pivoted unknown is passed to the kernel
-    last, so the pair (x, 1) computes its digits.  With ``use_pivot=False``
-    the unknowns keep their given order and every unknown counts towards
-    the candidates; the solutions are the same.
+    last, so the pair (x, 1) computes its digits; the kernel finds the same
+    solutions in any order of the unknowns.
     """
     ast, ring = task.ast, task.ring
     names = ast.free_functions
@@ -125,7 +124,7 @@ def solve(task: SolveTask, use_pivot: bool = True) -> SolutionSet:
     # pivot: only when the left side is one unknown applied to x*y and the
     # unit element is part of the quantified domain
     pivot_name = None
-    if (use_pivot and isinstance(ast.lhs, FnApp) and ast.lhs.name in names
+    if (isinstance(ast.lhs, FnApp) and ast.lhs.name in names
             and ring.one is not None and ring.one in set(ring.domain_elements)
             and isinstance(pivot_reduce(ast, ast.lhs.name), Definition)):
         pivot_name = ast.lhs.name

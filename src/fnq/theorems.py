@@ -45,6 +45,8 @@ _BACKWARD_CAP = 10 ** 6
 _WITNESS_LIMIT = 20
 # rows of one block of the lazy walks over preimage and annihilator sets
 _SAMPLE_CHUNK = 1 << 12
+# instances of each Pexider family the closure check takes
+_CLOSURE_CAP = 200
 
 
 # ------------------------------------------------------ equations, reports
@@ -675,7 +677,8 @@ def _closure_rows(field_ring: Ring, per_family_cap: int):
             dict(zip(witnesses, picked[len(params):])))
 
 
-def pexider_closure_samples(field_ring: Ring, per_family_cap: int = 200):
+def pexider_closure_samples(field_ring: Ring,
+                            per_family_cap: int = _CLOSURE_CAP):
     """Deterministic family instantiations, capped per family.
 
     Yields (family name, binding) pairs covering every scalar parameter and
@@ -693,9 +696,10 @@ def pexider_closure_samples(field_ring: Ring, per_family_cap: int = 200):
                                 params={})
 
 
-def verify_pexider(field_ring: Ring, per_family_cap: int = 200,
+def verify_pexider(field_ring: Ring,
                    budget: int = DEFAULT_BUDGET) -> TheoremReport:
-    """Solve the Pexider equation, classify every solution, check closure."""
+    """Solve the Pexider equation, classify every solution, and check the
+    first 200 instances of each family (:func:`pexider_closure_samples`)."""
     _require_field(field_ring)
     ast = pexider_equation()
     task = SolveTask(ast=ast, ring=field_ring,
@@ -717,7 +721,7 @@ def verify_pexider(field_ring: Ring, per_family_cap: int = 200,
             histogram[fit.name] = histogram.get(fit.name, 0) + 1
     unclassifiable = len(counterexamples)
 
-    closure = list(_closure_rows(field_ring, per_family_cap))
+    closure = list(_closure_rows(field_ring, _CLOSURE_CAP))
     families = [name for name, rows in closure for _ in range(len(rows[0]))]
     samples = [np.concatenate([rows[i] for _, rows in closure])
                for i in range(3)]

@@ -17,6 +17,7 @@ from fnq.theorems import (pexider_closure_samples, pexider_equation,
                           verify_sofy, verify_thm5_symbolic)
 
 from conftest import is_homo_deriv_at
+from test_solver import free_order_rows
 
 
 @contextmanager
@@ -178,9 +179,8 @@ def test_c9_solver_self_consistency():
         for text, ring in instances:
             ast = parse_equation(text)
             classes = {n: ARBITRARY for n in ast.free_functions}
-            pruned = solve(SolveTask(ast, ring, classes))
-            full = solve(SolveTask(ast, ring, classes), use_pivot=False)
+            task = SolveTask(ast, ring, classes)
+            pruned = solve(task)
             names = ast.free_functions
-            as_rows = lambda ss: [tuple(b.functions[n].values for n in names)
-                                  for b in ss.solutions]
-            assert as_rows(pruned) == as_rows(full), text
+            assert [tuple(b.functions[n].values for n in names)
+                    for b in pruned.solutions] == free_order_rows(task), text

@@ -108,7 +108,7 @@ def test_left_distributivity_failing_off_the_generators_is_reported_first():
     mul[5, 1] = 2
     args = (size, add, mul, -np.arange(size) % size, 0, None)
     assert size > algebra._EXHAUSTIVE_SIZE
-    assert algebra._additive_generators(add, 0).tolist() == [1]
+    assert algebra._magma_generators(add, 0).tolist() == [1]
     for check in (exhaustive_axioms, _verify_axioms):
         assert _axiom_failure(check, args) == "left distributivity fails"
 

@@ -57,7 +57,17 @@ def test_dry_run_prints_task_without_solving(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["candidate_spaces"] == {"f": 6 ** 6}
-    assert doc["evaluated_pairs_upper_bound"] == 6 ** 6 * 36
+    # the budget charges the kernel's levels, so no up-front bound is printed
+    assert list(doc) == ["action", "equation", "ast", "ring_size",
+                         "domain_size", "candidate_spaces", "budget"]
+
+
+def test_text_solve_reports_the_candidate_space(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--ring", '{"kind":"Zn","n":3}',
+                           "--eq", "f(x*y)=f(x)*f(y)", "--out", "text")
+    assert code == 0
+    assert out.splitlines()[2:5] == ["candidate space: 27",
+                                     "pivot pruning: no", "solutions: 4"]
 
 
 def test_budget_env_respected(capsys, monkeypatch):
@@ -95,6 +105,7 @@ def test_verify_dry_run_prints_the_budget_it_uses(capsys, monkeypatch):
             "--dry-run")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
+    assert list(json.loads(out)) == ["action", "check", "ring_size", "budget"]
     # one default for every subcommand, the kernel's
     assert json.loads(out)["budget"] == fnq.DEFAULT_BUDGET == 10 ** 8
     code, out, _ = run_cli(capsys, *argv, "--budget", "12345")

@@ -1,12 +1,14 @@
 """Class identities of additive maps checked on additive generator pairs.
 
 A class that requires additivity states the additive identity at the
-pairs (x, g) and its other identities at the pairs (g, h) of
-``Ring.generator_pairs``, g and h in 0 and an additive generating set of
-the domain (:func:`fnq.maps.class_mask`).  These tests hold that to
-scalar oracles at every pair: on declared subrings, the trivial one
-included, between different rings, and, as a slow sweep, against the
-identities evaluated on the full pair grid over 28 carriers.
+pairs (x, g) of ``Ring.generator_pairs``, g in G (``Ring.generators``): 0
+and an additive generating set of the domain, and its other identities at
+``Ring.product_pairs``, which hold the pairs (g, h).  Membership
+(:func:`fnq.maps.class_mask`) checks the constraints the kernel searches.
+These tests hold that to scalar oracles at every pair: on declared
+subrings, the trivial one included, between different rings, on every
+table of the small rings, and, as a slow sweep, against the identities
+evaluated on the full pair grid over 28 carriers.
 """
 import json
 from itertools import product as iproduct
@@ -56,8 +58,8 @@ def check_subring(ring):
 def test_trivial_domain_checks_the_zero():
     # Z6{0} has no additive generator: only the pair (0, 0) makes f(0) = 0
     ring = fnq.zn(6, subring=(0,))
-    across, within = ring.generator_pairs
-    assert across.tolist() == within.tolist() == [[0, 0]]
+    assert ring.generators.tolist() == [0]
+    assert ring.generator_pairs.tolist() == [[0, 0]]
     for cls in (ADDITIVE, HOMOMORPHISM, DERIVATION, homo_deriv_sofy(3)):
         assert [t.values for t in enumerate_maps(ring, ring, cls)] == [(0,)]
         assert not map_in_class(FnTable(ring, ring, (3,)), cls)
@@ -157,6 +159,50 @@ def non_additive_rows(ring, additive, count=200, seed=0):
     return found
 
 
+@pytest.mark.parametrize("name", ["z2", "z3", "z4", "z5", "gf4",
+                                  "f2[x]/(x^2)", "z2xz2", "z6{0,2,4}",
+                                  "z6{0}"])
+def test_class_mask_is_the_grid_check_of_class_constraints(name):
+    # every table of a small ring: membership is the grid check of the
+    # kernel's own constraints, and that decides the class as the
+    # identities at every pair do
+    ring = _ring(CARRIERS[name])
+    rows = np.array(list(brute_tables(ring)), dtype=np.int64)
+    for cls in classes(ring):
+        want = np.logical_and.reduce([
+            grid_satisfies(c, ring, ring, {"f": rows}, {})
+            for c in maps.class_constraints(ring, "f", cls)])
+        got = class_mask(ring, ring, rows, cls)
+        assert np.array_equal(got, want), cls
+        if cls != LOGARITHMIC:
+            assert np.array_equal(got, full_grid_mask(ring, rows, cls)), cls
+
+
+@pytest.mark.parametrize("name", ["z6", "gf9", "ut2_3", "z2xz4",
+                                  "z12{0,3,6,9}", "z6{0}"])
+def test_generator_pairs_are_the_domain_times_the_generators(name):
+    ring = _ring(CARRIERS[name])
+    g, pairs = ring.generators, ring.generator_pairs
+    assert g.dtype == pairs.dtype == np.int64
+    assert g.tolist() == sorted(g.tolist()) and ring.zero in g
+    assert pairs.tolist() == [[x, h] for x in ring.domain_elements
+                              for h in g.tolist()]
+    assert ring.generators is g and ring.generator_pairs is pairs
+    for array in (g, pairs):
+        with pytest.raises(ValueError):
+            array[:1] = 0
+    # sums of generators reach the whole domain, the unit among them
+    reached = {ring.zero}
+    while True:
+        more = reached | {int(ring.add[e, h]) for e in reached for h in g}
+        if more == reached:
+            break
+        reached = more
+    assert reached == set(ring.domain_elements)
+    if ring.one in ring.domain_elements:
+        assert ring.one in g
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(CARRIERS))
 def test_generator_pairs_match_the_full_grid(name):
@@ -253,7 +299,7 @@ def test_generator_pairs_grow_no_more_levels_than_all_pairs(name, monkeypatch):
         kernel.search(maps.class_constraints(ring, "f", HOMOMORPHISM),
                       ("f",), ring, ring)
         product, grown[:] = sum(grown), []
-        kernel.search(everywhere(HOMOMORPHISM, ring.generator_pairs[0]),
+        kernel.search(everywhere(HOMOMORPHISM, ring.generator_pairs),
                       ("f",), ring, ring)
         assert (product, sum(grown)) == (69, 1061)
 
@@ -261,11 +307,10 @@ def test_generator_pairs_grow_no_more_levels_than_all_pairs(name, monkeypatch):
 def product_pairs_oracle(ring):
     """The pairs (x, g) and E×E of the domain positions, E the positions
     before the last additive generator in the kernel's default order."""
-    across, within = ring.generator_pairs
-    gens = {int(g) for g, _ in within} - {ring.zero}
+    gens = set(ring.generators.tolist()) - {ring.zero}
     order = [ring.domain_elements[p] for p in ring.position_order()]
     early = order[:max((order.index(g) for g in gens), default=0)]
-    pairs = {tuple(p) for p in across.tolist()}
+    pairs = {tuple(p) for p in ring.generator_pairs.tolist()}
     pairs |= {(x, y) for x in early for y in early}
     key = ring.position.tolist()
     return sorted(pairs, key=lambda p: (key[p[0]], key[p[1]]))
@@ -280,16 +325,15 @@ def test_product_pairs_are_generator_pairs_and_the_early_square(name):
     assert pairs.dtype == np.int64 and ring.product_pairs is pairs
     with pytest.raises(ValueError):
         pairs[:1] = 0
-    _, within = ring.generator_pairs
-    assert {tuple(p) for p in within.tolist()} <= {
-        tuple(p) for p in pairs.tolist()}
+    g = ring.generators.tolist()
+    assert set(iproduct(g, g)) <= {tuple(p) for p in pairs.tolist()}
 
 
 def test_product_pairs_of_a_cyclic_group_are_its_generator_pairs():
     # Z256's only additive generator is the unit, the first position of the
     # kernel's default order, so E is empty
     ring = fnq.zn(256)
-    across, _ = ring.generator_pairs
+    across = ring.generator_pairs
     assert len(across) == 512
     assert np.array_equal(ring.product_pairs, across)
     additive, multiplicative = maps.class_constraints(ring, "f", HOMOMORPHISM)
@@ -302,8 +346,7 @@ def test_product_pairs_of_gf32_add_the_square_before_its_last_generator():
     # tenth, so E = {16, 0, 1, ..., 7}: the 32 * 6 pairs (x, g) and the 81
     # of E×E share the 9 * 5 pairs of E with a generator in E
     ring = fnq.gf(2, 5)
-    _, within = ring.generator_pairs
-    assert sorted({g for g, _ in within.tolist()}) == [0, 1, 2, 4, 8, 16]
+    assert ring.generators.tolist() == [0, 1, 2, 4, 8, 16]
     assert ring.position_order()[:3] == [16, 0, 1]
     pairs = {tuple(p) for p in ring.product_pairs.tolist()}
     early = [16, *range(8)]

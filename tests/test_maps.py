@@ -13,7 +13,7 @@ from fnq.eqdsl import equation_to_text, parse_equation
 from fnq.errors import BudgetExceeded, EvalDomainError, NotAField
 from fnq.maps import (ADDITIVE, ARBITRARY, DERIVATION, HOMOMORPHISM,
                       HOMO_DERIV_MP, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
-                      FnTable, additive_generators, class_mask, classify_map,
+                      FnTable, class_mask, class_space_size, classify_map,
                       enumerate_maps, homo_deriv_sofy, identity_map,
                       inner_derivation, lin_rank, linear_combination,
                       zero_map)
@@ -216,7 +216,7 @@ def test_classify_map_checks_all_shifts_in_one_grid_call(monkeypatch):
 
     monkeypatch.setattr(eqdsl._Grid, "__init__", counting)
     ring = fnq.ut2(5)
-    across = ring.generator_pairs[0]
+    across = ring.generator_pairs
     classify_map(inner_derivation(ring, 1))
     assert len(grids) == 1 and grids[0] is across
     grids.clear()
@@ -304,7 +304,7 @@ def test_classify_map_evaluates_each_parameter_free_node_once(monkeypatch):
 
     monkeypatch.setattr(eqdsl._Grid, "evaluate", counting)
     ring = fnq.ut2(3)
-    across = ring.generator_pairs[0]
+    across = ring.generator_pairs
     generated = tuple(((1, len(across), 1), across[:, j].tobytes())
                       for j in (0, 1))
     leibniz_rhs = (maps._F_IDENTITIES["leibniz"].rhs, False)
@@ -490,13 +490,17 @@ def test_logarithmic_on_gf5_only_zero(gf5):
     assert got == [(0, 0, 0, 0, 0)]
 
 
-def test_additive_generators(z6, gf4):
-    gens, order = additive_generators(z6)
-    assert gens == [1]
-    assert order == [0, 1, 2, 3, 4, 5]
-    gens4, order4 = additive_generators(gf4)
-    assert len(gens4) == 2
-    assert sorted(order4) == [0, 1, 2, 3]
+@pytest.mark.parametrize("left, right", [(2, 3), (3, 4)])
+def test_additive_space_of_a_cyclic_product_is_q(left, right):
+    # Z2xZ3 and Z3xZ4 are cyclic: the unit generates them, so an additive
+    # map is fixed by f(1) and the candidate space is q
+    ring = fnq.product(fnq.zn(left), fnq.zn(right))
+    q = left * right
+    assert ring.generators.tolist() == [ring.zero, ring.one]
+    for cls in (ADDITIVE, HOMOMORPHISM, DERIVATION):
+        assert class_space_size(ring, ring, cls) == q, cls
+    assert len(values_of(enumerate_maps(ring, ring, ADDITIVE))) == q
+    assert class_space_size(ring, ring, MULTIPLICATIVE) == q ** q
 
 
 def test_additive_maps_between_different_rings(z4):
@@ -607,9 +611,14 @@ def test_filter_tables_ids_and_budget(z2, z6):
     assert ids.tolist() == [0, 1, 3]  # (0,0), (0,1), (1,1)
     both = filter_tables(z6, z6, [multiplicative_equation(), leibniz_equation()])
     assert both.tolist() == sorted(both.tolist())
-    with pytest.raises(BudgetExceeded) as err:
-        filter_tables(z6, z6, [leibniz_equation()], budget=100)
-    assert err.value.needed == 6 ** 6
+    # the kernel's charge: Z6's Leibniz search grows level 3 from 6 rows,
+    # 6 * 6 * (7 pairs + 4 digits)
+    with pytest.raises(BudgetExceeded, match="search level 3 needs 396 "
+                       "evaluated pairs") as err:
+        filter_tables(z6, z6, [leibniz_equation()], budget=395)
+    assert err.value.needed == 396
+    ids = filter_tables(z6, z6, [leibniz_equation()], budget=396)
+    assert ids.tolist() == [0]
 
 
 def test_filter_tables_ids_past_int64_are_exact():

@@ -12,6 +12,10 @@ the waiting checks to the same rows when they run level by level.
 import functools
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,42 @@ def test_waiting_checks_run_before_the_budget_of_the_next_grown_level():
                          order=order)
     assert rows[:, 0].tolist() == [[a * x % 12 for x in range(12)]
                                    for a in (0, 6)]
+
+
+_WIDENED_IN_A_SUBPROCESS = """
+import json, resource, time
+import fnq
+from fnq.errors import BudgetExceeded
+ring = fnq.ut2(5)
+start = time.perf_counter()
+try:
+    list(fnq.enumerate_maps(ring, ring, fnq.ADDITIVE))
+    message = None
+except BudgetExceeded as exc:
+    message = str(exc)
+print(json.dumps({"message": message, "seconds": time.perf_counter() - start,
+                  "peak_kb": resource.getrusage(
+                      resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+def test_widening_a_computed_run_is_charged_before_memory_runs_out():
+    # additive UT2(5) grows its three generator digits, 125**3 rows, and
+    # then computes the other 122: widening every row to 125 digits is
+    # charged 1,953,125 * 125 at level 7, before anything is allocated.
+    # In its own process, so that the peak RSS is its own
+    src = str(Path(fnq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", _WIDENED_IN_A_SUBPROCESS],
+                          capture_output=True, env=env, timeout=120,
+                          check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["message"] == (
+        f"search level 7 needs {125 ** 3 * 125} widened digits, "
+        f"budget is {fnq.DEFAULT_BUDGET}")
+    assert doc["seconds"] < 2
+    assert doc["peak_kb"] < 400 * 1024
 
 
 def test_waiting_checks_that_leave_no_row_end_the_search(monkeypatch):

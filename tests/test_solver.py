@@ -9,8 +9,8 @@ from fnq import search as kernel
 from fnq.eqdsl import Binding, parse_equation
 from fnq.errors import (BudgetExceeded, EvalDomainError, FnqError,
                         InvalidTask, UnboundName)
-from fnq.maps import (ADDITIVE, ARBITRARY, FnTable, class_from_string,
-                      enumerate_maps, homo_deriv_sofy)
+from fnq.maps import (ADDITIVE, ARBITRARY, FnTable, class_constraints,
+                      class_from_string, enumerate_maps, homo_deriv_sofy)
 from fnq.solver import (SolveTask, residual, solution_set_to_csv,
                         solution_set_to_json, solve)
 from fnq.eqdsl import grid_satisfies
@@ -45,6 +45,19 @@ def brute_solutions(ring, ast, params=None, classes=None, tables=None):
 def solutions_as_tuples(ss):
     names = ss.task.ast.free_functions
     return [tuple(b.functions[n].values for n in names) for b in ss.solutions]
+
+
+def free_order_rows(task):
+    """The kernel's solutions of ``task`` with the unknowns in their free
+    order, so that a pivoted unknown keeps its place and is enumerated
+    where the y=1 pivot would compute it last: what a solve must match."""
+    ast, ring = task.ast, task.ring
+    constraints = [PairConstraint(ast)]
+    for n in ast.free_functions:
+        constraints += class_constraints(ring, n, task.classes[n])
+    found = search(constraints, tuple(ast.free_functions), ring, ring,
+                   task.params, budget=task.budget)
+    return [tuple(map(tuple, row)) for row in found.tolist()]
 
 
 def test_leibniz_over_gf3_only_zero(gf3):
@@ -85,11 +98,10 @@ def test_pivot_and_full_enumeration_agree():
     ast = parse_equation("f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y")
     for ring in (fnq.gf(2), fnq.gf(3)):
         classes = {"f": ARBITRARY, "h": ARBITRARY, "k": ARBITRARY}
-        pruned = solve(SolveTask(ast, ring, classes, budget=10 ** 9))
-        full = solve(SolveTask(ast, ring, classes, budget=10 ** 9),
-                     use_pivot=False)
-        assert pruned.pruned_by_pivot and not full.pruned_by_pivot
-        assert solutions_as_tuples(pruned) == solutions_as_tuples(full)
+        task = SolveTask(ast, ring, classes, budget=10 ** 9)
+        pruned = solve(task)
+        assert pruned.pruned_by_pivot
+        assert solutions_as_tuples(pruned) == free_order_rows(task)
 
 
 def test_pivot_vs_full_on_z4():
@@ -97,10 +109,9 @@ def test_pivot_vs_full_on_z4():
     ring = fnq.zn(4)
     classes = {"f": ARBITRARY, "h": ARBITRARY}
     pruned = solve(SolveTask(ast, ring, classes))
-    full = solve(SolveTask(ast, ring, classes, budget=2 * 10 ** 6),
-                 use_pivot=False)
     assert pruned.pruned_by_pivot
-    assert solutions_as_tuples(pruned) == solutions_as_tuples(full)
+    assert solutions_as_tuples(pruned) == free_order_rows(
+        SolveTask(ast, ring, classes, budget=2 * 10 ** 6))
 
 
 def _grown_widths(monkeypatch):
@@ -188,27 +199,30 @@ PIVOT_RINGS = {
 @pytest.mark.parametrize("ring_name", PIVOT_RINGS)
 def test_pivot_order_matches_unpivoted_solve(ring_name):
     """Differential: the pivot changes the kernel's order of the unknowns,
-    never the solutions, wherever the unpivoted task fits the budget.  At
-    2**19 pairs, the largest charge among them, every task whose whole
-    candidate space is at most 10**10 pairs runs (Z5 two-unknown and Z4
+    never the solutions, wherever the kernel's search with the unknowns in
+    free order and the pivoted solve fit the budget.  At 2**20, above the
+    largest charge among them (f(x*y)=g(x+h(y)) on the rings of size 4
+    widens 65,536 rows to 12 digits), every task whose whole candidate
+    space is at most 10**10 pairs runs (Z5 two-unknown and Z4
     three-unknown tasks among them); of the larger ones only those the
-    kernel prunes early run, and the rest are refused within milliseconds."""
+    kernel prunes early run, and the rest are refused within
+    milliseconds."""
     ring = PIVOT_RINGS[ring_name]()
     m = len(ring.domain_elements)
     compared = 0
     for text in PIVOT_EQUATIONS:
         ast = parse_equation(text)
         task = SolveTask(ast, ring, {n: ARBITRARY for n in ast.free_functions},
-                         budget=2 ** 19)
+                         budget=2 ** 20)
         try:
-            full = solve(task, use_pivot=False)
+            full = free_order_rows(task)
+            pruned = solve(task)
         except BudgetExceeded:
             space = ring.size ** (m * len(ast.free_functions)) * m * m
             assert space > 10 ** 10, text
             continue
-        pruned = solve(task)
         assert pruned.pruned_by_pivot, text
-        assert solutions_as_tuples(pruned) == solutions_as_tuples(full), text
+        assert solutions_as_tuples(pruned) == full, text
         compared += 1
     assert compared >= 2
 
@@ -228,10 +242,8 @@ def test_contradiction_at_a_computed_level_leaves_no_solution():
     # asks f(0) = (1, 0): the rows die at computed levels, and a grown
     # level (a second additive generator) still follows them
     ring = fnq.product(fnq.zn(2), fnq.zn(4))
-    ast = parse_equation("f(x+x)=x+x+x")
-    for use_pivot in (True, False):
-        ss = solve(SolveTask(ast, ring, {"f": ADDITIVE}), use_pivot=use_pivot)
-        assert ss.solutions == []
+    task = SolveTask(parse_equation("f(x+x)=x+x+x"), ring, {"f": ADDITIVE})
+    assert solve(task).solutions == [] == free_order_rows(task)
 
 
 def test_residual_examples(gf3, z6):
