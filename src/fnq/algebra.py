@@ -5,9 +5,9 @@ lookup tables, which makes noncommutative carriers free and keeps all
 downstream equation checking away from ad-hoc modular arithmetic.  The
 constructors prove the ring axioms for the whole carrier before a
 :class:`Ring` is handed out, checking the laws over three elements with one
-argument running over an additive generating set (see ``_verify_axioms``);
-they are the trusted computing base for every solver and theorem check
-built on top.
+argument, or two, running over an additive generating set (see
+``_verify_axioms``); they are the trusted computing base for every solver
+and theorem check built on top.
 
 Carrier orderings are fixed so that reports are reproducible:
 
@@ -454,99 +454,134 @@ def _default_modulus(p: int, k: int) -> tuple[int, ...]:
     return tuple(int(c) for c in first // weights % p) + (1,)
 
 
+def _poly_term(i: int, c: int) -> str:
+    """The term c * x**i of a polynomial's name, empty when c is 0."""
+    if c == 0:
+        return ""
+    if i == 0:
+        return str(c)
+    base = "x" if i == 1 else f"x^{i}"
+    return base if c == 1 else f"{c}{base}"
+
+
 def _poly_name(vec: tuple[int, ...]) -> str:
-    parts = []
-    for i, c in enumerate(vec):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            base = "x" if i == 1 else f"x^{i}"
-            parts.append(base if c == 1 else f"{c}{base}")
-    return "+".join(parts) if parts else "0"
+    return "+".join(t for t in map(_poly_term, range(len(vec)), vec) if t) or "0"
 
 
 # ----------------------------------------------------------- constructors
 
 def _zn_tables(n: int):
-    idx = np.arange(n, dtype=np.int64)
-    add = (idx[:, None] + idx[None, :]) % n
-    mul = (idx[:, None] * idx[None, :]) % n
-    neg = (-idx) % n
-    names = tuple(str(i) for i in range(n))
+    idx = np.arange(n, dtype=np.int32)
+    add = idx[:, None] + idx
+    add -= (add >= n) * np.int32(n)
+    mul = idx[:, None] * idx
+    mul %= n
+    neg = (n - idx) % n
+    names = tuple(map(str, range(n)))
     return n, add, mul, neg, 0, 1, names
+
+
+def _pairs(lt: np.ndarray, rt: np.ndarray) -> np.ndarray:
+    """The table of the pairs (l, r), at index l * len(rt) + r, whose left
+    entries combine by the table lt and whose right entries by rt."""
+    size = len(lt) * len(rt)
+    return (lt[:, None, :, None] * len(rt)
+            + rt[None, :, None, :]).reshape(size, size)
+
+
+def _digits_add(p: int, k: int) -> np.ndarray:
+    """The int16 addition table of (Z_p)^k on base-p indices, the first
+    digit most significant."""
+    if k == 1:
+        zp = np.arange(p, dtype=np.int16)
+        add = zp[:, None] + zp
+        add -= (add >= p) * np.int16(p)
+        return add
+    return _pairs(_digits_add(p, k - k // 2), _digits_add(p, k // 2))
 
 
 def _poly_ring_tables(p: int, k: int, modulus: tuple[int, ...]):
     size = p ** k
     # index <-> coefficient vector, constant term first, lexicographic order
-    weights = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    digits = (np.arange(size, dtype=np.int64)[:, None] // weights) % p
-    # + is the table of Z_p in every digit; one digit is appended per step
-    zp = np.arange(p, dtype=np.int64)
-    zp_add = (zp[:, None] + zp) % p
-    add = np.zeros((1, 1), dtype=np.int64)
-    for _ in range(k):
-        n = len(add)
-        add = (add[:, None, :, None] * p + zp_add[None, :, None, :]).reshape(n * p, n * p)
-    neg = (-digits) % p @ weights
+    weights = p ** np.arange(k - 1, -1, -1)
+    digits = np.arange(size)[:, None] // weights % p
+    # + is the table of Z_p in every digit
+    add = _digits_add(p, k)
+    neg = -digits % p @ weights
     # scaled[c, b] is the index of c * b for c in F_p
-    scaled = (zp[:, None, None] * digits) % p @ weights
-    # shifted[i] holds the digits of x^i * b for every b: multiply by x, then
-    # replace x^k by -(m_0 + .. + m_{k-1} x^{k-1}) of the monic modulus
-    low = np.asarray(modulus[:k], dtype=np.int64)
-    shifted = [digits]
+    scaled = np.arange(p)[:, None, None] * digits % p @ weights
+    # times_x[b] is the index of x * b: shift the digits up one, then replace
+    # x^k by -(m_0 + .. + m_{k-1} x^{k-1}) of the monic modulus
+    up = np.zeros_like(digits)
+    up[:, 1:] = digits[:, :-1]
+    low = np.array(modulus[:k])
+    times_x = (up - digits[:, k - 1, None] * low) % p @ weights
+    # powers[i][b] is the index of x^i * b
+    powers = [np.arange(size)]
     for _ in range(k - 1):
-        prev = shifted[-1]
-        step = np.zeros_like(prev)
-        step[:, 1:] = prev[:, :-1]
-        shifted.append((step - prev[:, k - 1, None] * low) % p)
-    # a*b is the sum of a_i * (x^i b): add the terms of a's digits one at a
-    # time, the constant term first, as it is a's most significant digit
-    mul = np.zeros((1, size), dtype=np.int64)
-    for digits_i in shifted:
-        terms = scaled[:, digits_i @ weights]
-        mul = add[mul[:, None, :], terms[None, :, :]].reshape(-1, size)
-    one = int(weights[0])
-    names = tuple(_poly_name(tuple(v)) for v in digits.tolist())
-    return size, add, mul, neg, 0, one, names
+        powers.append(times_x[powers[-1]])
+
+    def rows(first, stop):
+        """The rows of mul at the a whose digits outside first..stop-1 are
+        0: a*b is the sum of a_i * (x^i b), one digit added at a time, the
+        more significant first.  take keeps the rows of scaled row-major,
+        which a fancy index would not, and the sums run along them."""
+        out = np.zeros((1, size), dtype=np.int16)
+        for i in range(first, stop):
+            terms = scaled.take(powers[i], axis=1)
+            out = add[out[:, None, :], terms].reshape(-1, size)
+        return out
+
+    # a is its first k // 2 digits plus the rest, and a*b the sum of theirs
+    high, rest = rows(0, k // 2), rows(k // 2, k)
+    mul = add[high[:, None, :], rest].reshape(size, size)
+    # the names of each prefix of digits, the next digit appended least
+    # significant: "+" joins two nonempty parts, and an empty name is "0"
+    names = [""]
+    for i in range(k):
+        words = [_poly_term(i, c) for c in range(p)]
+        names = [f"{a}+{w}" if a and w else a or w
+                 for a in names for w in words]
+    names = tuple(a or "0" for a in names)
+    return size, add, mul, neg, 0, int(weights[0]), names
 
 
 def _product_tables(left: Ring, right: Ring):
-    nl, nr = left.size, right.size
-    size = nl * nr
-    li = np.arange(size) // nr
-    ri = np.arange(size) % nr
-    ladd = left.add.astype(np.int64)
-    radd = right.add.astype(np.int64)
-    lmul = left.mul.astype(np.int64)
-    rmul = right.mul.astype(np.int64)
-    add = ladd[np.ix_(li, li)] * nr + radd[np.ix_(ri, ri)]
-    mul = lmul[np.ix_(li, li)] * nr + rmul[np.ix_(ri, ri)]
-    neg = left.neg.astype(np.int64)[li] * nr + right.neg.astype(np.int64)[ri]
+    nr = right.size
+    add = _pairs(left.add, right.add)
+    mul = _pairs(left.mul, right.mul)
+    neg = (left.neg[:, None] * nr + right.neg).reshape(-1)
     one = None
     if left.one is not None and right.one is not None:
         one = left.one * nr + right.one
-    names = tuple(f"({left.names[a]}|{right.names[b]})" for a, b in zip(li, ri))
-    return size, add, mul, neg, 0, one, names
+    names = tuple(f"({a}|{b})" for a in left.names for b in right.names)
+    return len(add), add, mul, neg, 0, one, names
 
 
 def _ut2_tables(p: int):
     """Upper triangular 2x2 matrices [[a, b], [0, c]] over F_p."""
     size = p ** 3
-    idx = np.arange(size, dtype=np.int64)
+    zp = np.arange(p, dtype=np.int16)
+    zp_add, zp_mul = _digits_add(p, 1), zp[:, None] * zp % p
+
+    def entries(t, left, right):
+        """The table t of F_p at entry left of the first matrix and entry
+        right of the second, on the axes (a, b, c, a', b', c')."""
+        shape = [1] * 6
+        shape[left] = shape[3 + right] = p
+        return t.reshape(shape)
+
+    # (a, b, c) is the index (a p + b) p + c, so + is (Z_p)^3's; the
+    # product's entries are a a', a b' + b c' and c c'
+    corner = zp_add[entries(zp_mul, 0, 1), entries(zp_mul, 1, 2)]
+    mul = ((entries(zp_mul, 0, 0) * p + corner) * p
+           + entries(zp_mul, 2, 2)).reshape(size, size)
+    idx = np.arange(size)
     a, b, c = idx // (p * p), idx // p % p, idx % p
-
-    def index(x, y, z):
-        return (x % p * p + y % p) * p + z % p
-
-    add = index(a[:, None] + a, b[:, None] + b, c[:, None] + c)
-    mul = index(a[:, None] * a, a[:, None] * b + b[:, None] * c, c[:, None] * c)
-    neg = index(-a, -b, -c)
+    neg = (-a % p * p + -b % p) * p + -c % p
     names = tuple(f"[{x} {y};0 {z}]"
                   for x, y, z in zip(a.tolist(), b.tolist(), c.tolist()))
-    return size, add, mul, neg, 0, index(1, 0, 1), names
+    return size, _digits_add(p, 3), mul, neg, 0, p * p + 1, names
 
 
 def _spec_size(spec: RingSpec) -> int:
@@ -575,32 +610,38 @@ def _spec_size(spec: RingSpec) -> int:
 # exhaustive check and cheaper there than finding a generating set
 _EXHAUSTIVE_SIZE = 20
 # cells of one (rows, generators, size) block in the generator checks; the
-# blocks gather the tables' own int16 values, so one is 64 KiB, which the
-# allocator serves from memory it keeps instead of fresh pages
+# blocks gather the tables' own int16 values, 64 KiB a block, and the
+# allocator serves a block's arrays from memory it keeps instead of fresh
+# pages; 2**14 cells measured as fast, 2**12 and 2**16 slower
 _CHUNK_CELLS = 1 << 15
 
 
 def _magma_generators(add: np.ndarray, zero: int) -> np.ndarray:
-    """A generating set of the magma (R, +): the smallest unreached element,
-    then every sum of reached elements, until the carrier is reached.
+    """A generating set of the magma (R, +): the smallest unreached element
+    g, its multiples 0, g, g+g, g+(g+g), ... up to the first one reached
+    before, and the sums of an element reached before and a multiple, until
+    the carrier is reached.
 
     Only sums of reached elements are formed, so every reached element is a
-    sum of generators whatever the table holds.  In a group each generator
-    at least doubles the reached subgroup, so there are at most log2(size).
-    The axiom check reads it before the group law is proven, which
-    :attr:`Ring.generators` relies on.
+    sum of generators whatever the table holds, and the multiples stop, as
+    each is marked reached.  In a group the reached elements are the
+    subgroup the generators generate, as in :attr:`Ring.generators`, and
+    each generator at least doubles it, so there are at most log2(size).
+    The axiom check reads it before the group law is proven.
     """
     reached = np.zeros(len(add), dtype=bool)
     reached[zero] = True
     gens = []
     while not reached.all():
-        frontier = np.array([np.argmin(reached)])
-        gens.append(int(frontier[0]))
-        while frontier.size:
-            reached[frontier] = True
-            sums = np.zeros(len(add), dtype=bool)
-            sums[add[np.ix_(frontier, np.flatnonzero(reached))]] = True
-            frontier = np.flatnonzero(sums & ~reached)
+        g = int(np.argmin(reached))
+        gens.append(g)
+        before, multiples, c = np.flatnonzero(reached), [zero], g
+        plus_g = add[g].tolist()
+        while not reached[c]:
+            reached[c] = True
+            multiples.append(c)
+            c = plus_g[c]
+        reached[add[before][:, multiples]] = True
     return np.array(gens, dtype=np.intp)
 
 
@@ -620,21 +661,28 @@ def _verify_axioms(size, add, mul, neg, zero, one):
     * (y+a)x = yx+ax for all x, y and a in A.  With + associative the a
       that pass are closed under +, and a nonempty set closed under + in a
       finite group holds 0, so right distributivity holds everywhere.
-    * a(y+z) = ay+az for a in A and all y, z.  By right distributivity the
-      x that pass are closed under +, as (x+x')(y+z) = x(y+z)+x'(y+z) =
-      xy+xz+x'y+x'z = (x+x')y+(x+x')z, so left distributivity holds
-      everywhere.  Carriers up to ``_EXHAUSTIVE_SIZE``, and tables that
-      fail right distributivity, check x(y+a) = xy+xa for all x, y and a
-      in A instead, which is exact by the same closure in a without the
-      right law; so a table that fails both laws reports the left one, as
-      the laws are checked left first.
+    * a(y+b) = ay+ab for a and b in A and all y.  For a fixed a, the z
+      with a(y+z) = ay+az for all y hold A and are closed under +:
+      a(y+(z+z')) = a((y+z)+z') = a(y+z)+az' = ay+az+az' = ay+a(z+z'),
+      the last step the case y = z.  As above they hold 0, so they are the
+      whole carrier.  By right distributivity the x with x(y+z) = xy+xz for
+      all y, z are then closed under +, as (x+x')(y+z) = x(y+z)+x'(y+z) =
+      xy+xz+x'y+x'z = (x+x')y+(x+x')z, and they hold A, so left
+      distributivity holds everywhere.  Carriers up to
+      ``_EXHAUSTIVE_SIZE``, and tables that fail right distributivity,
+      check x(y+a) = xy+xa for all x, y and a in A instead, which is exact
+      by the same closure in a without the right law; so a table that
+      fails both laws reports the left one, as the laws are checked left
+      first.
     * (ab)c = a(bc) for a, b, c in A.  By distributivity, for fixed y and z
       the x with (xy)z = x(yz) are closed under +, and likewise y and z,
       so associativity extends to the carrier one argument at a time.
 
-    The work is O(|A| size**2), with |A| <= log2(size) in a group.  Up to
-    ``_EXHAUSTIVE_SIZE`` A is the whole carrier, which makes this the
-    exhaustive check.
+    Returns A, as an index array or, up to ``_EXHAUSTIVE_SIZE``, a slice.
+    The work is O(|A| size**2), with |A| <= log2(size) in a group: the
+    laws of + and the right law take |A| size**2 cells each, the left law
+    |A|**2 size and associativity |A|**3.  Up to ``_EXHAUSTIVE_SIZE`` A is
+    the whole carrier, which makes this the exhaustive check.
     """
     rng = np.arange(size)
     for name, table in (("add", add), ("mul", mul)):
@@ -649,42 +697,47 @@ def _verify_axioms(size, add, mul, neg, zero, one):
         raise AxiomViolation("zero is not an additive identity")
     if not (add[rng, neg] == zero).all():
         raise AxiomViolation("negation does not give additive inverses")
-    # intp copies index the tables without a conversion per block; values
-    # are gathered from the tables themselves
-    add_i, mul_i = add.astype(np.intp), mul.astype(np.intp)
+    # mul_s holds xy * size, so that add[xy, v] is one take from the flat
+    # add table at xy * size + v; the other indices are table cells
+    mul_s = mul.astype(np.intp)
+    mul_s *= size
+    flat = add.reshape(-1)
     if size <= _EXHAUSTIVE_SIZE:
         gens = slice(None)
         blocks = [(slice(None), gens)]
     else:
-        gens = _magma_generators(add_i, zero)
+        gens = _magma_generators(add, zero)
         blocks = _blocks(size, gens)
     # indices [x, a, y], [y, a, x] and [x, y, a], x or y in the block's rows
     for xs, a in blocks:
-        if not (add[add_i[xs][:, a]] == add[xs][:, add_i[a]]).all():
+        if not (add[add[xs][:, a]] == add[xs].take(add[a], axis=1)).all():
             raise AxiomViolation("addition is not associative")
-    right = all((mul[add_i[ys][:, a]]
-                 == add[mul_i[ys][:, None, :], mul_i[a][None, :, :]]).all()
+    right = all((mul[add[ys][:, a]]
+                 == flat.take(mul_s[ys][:, None, :] + mul[a])).all()
                 for ys, a in blocks)
     if right and size > _EXHAUSTIVE_SIZE:
-        # [y, z] for each a, y in the block's rows: a(y+z) gathers a's row
-        # of mul, and ay+az takes the rows, then the columns, of add
-        left = ((mul[g].take(add_i[ys]) == add.take(mul_i[g, ys], axis=0)
-                 .take(mul_i[g], axis=1)).all()
-                for ys, a in blocks for g in a)
+        # indices [a, b, y], y+b read from row b of add as + commutes; at
+        # most size * log2(size)**2 cells, 16,384 at size 256, in one block
+        rows = mul[gens]
+        left = (rows.take(add[gens], axis=1)
+                == flat.take(mul_s[gens][:, None, :]
+                             + rows.take(gens, axis=1)[:, :, None])).all()
     else:
-        left = ((mul[xs][:, add_i[:, a]]
-                 == add[mul_i[xs][:, :, None], mul_i[xs][:, a][:, None, :]]).all()
-                for xs, a in blocks)
-    if not all(left):
+        left = all((mul[xs][:, add[:, a]]
+                    == flat.take(mul_s[xs][:, :, None]
+                                 + mul[xs][:, a][:, None, :])).all()
+                   for xs, a in blocks)
+    if not left:
         raise AxiomViolation("left distributivity fails")
     if not right:
         raise AxiomViolation("right distributivity fails")
     if one is not None:
         if not ((mul[one] == rng).all() and (mul[:, one] == rng).all()):
             raise AxiomViolation("declared unit is not a two-sided identity")
-    pairs = mul_i[gens][:, gens]
+    pairs = mul[gens][:, gens]
     if not (mul[pairs][:, :, gens] == mul[gens][:, pairs]).all():
         raise AxiomViolation("multiplication is not associative")
+    return gens
 
 
 def _blocks(size: int, gens: np.ndarray) -> list[tuple[slice, np.ndarray]]:
@@ -699,19 +752,24 @@ def _blocks(size: int, gens: np.ndarray) -> list[tuple[slice, np.ndarray]]:
             for i in range(len(gens)) for r in range(0, size, rows)]
 
 
-def _structure_caches(size, add, mul, neg, zero, one):
-    rng = np.arange(size)
-    center = tuple(int(c) for c in np.nonzero((mul == mul.T).all(axis=1))[0])
+def _structure_caches(mul, zero, one, gens):
+    """The center, units and regular elements of a proven ring, ``gens``
+    generating its additive group."""
+    # by distributivity the y that commute with x are closed under +, so x
+    # is central once it commutes with gens
+    commute = (mul[:, gens] == mul[gens].T).all(axis=1)
+    center = tuple(np.flatnonzero(commute).tolist())
+    # in a finite ring xy = 1 gives yx = 1: z -> yz is one to one, as
+    # x(yz) = z, so yw = 1 for some w, and x = x(yw) = (xy)w = w
+    units = ()
     if one is not None:
-        has_inv = ((mul == one) & (mul.T == one)).any(axis=1)
-        units = tuple(int(u) for u in np.nonzero(has_inv)[0])
-    else:
-        units = ()
-    nonzero = rng != zero
-    left_zd = ((mul == zero) & nonzero[None, :]).any(axis=1)
-    right_zd = ((mul.T == zero) & nonzero[None, :]).any(axis=1)
-    reg_mask = nonzero & ~left_zd & ~right_zd
-    regular = tuple(int(r) for r in np.nonzero(reg_mask)[0])
+        units = tuple(np.flatnonzero((mul == one).any(axis=1)).tolist())
+    # xy = 0 with x and y nonzero: x is a left and y a right zero divisor
+    zd = mul == zero
+    zd[zero, :] = zd[:, zero] = False
+    reg_mask = ~(zd.any(axis=0) | zd.any(axis=1))
+    reg_mask[zero] = False
+    regular = tuple(np.flatnonzero(reg_mask).tolist())
     return center, units, regular
 
 
@@ -785,10 +843,10 @@ def build_ring(spec: RingSpec) -> Ring:
     add = np.ascontiguousarray(add, dtype=np.int16)
     mul = np.ascontiguousarray(mul, dtype=np.int16)
     neg = np.ascontiguousarray(neg, dtype=np.int16)
-    _verify_axioms(size, add, mul, neg, zero, one)
+    gens = _verify_axioms(size, add, mul, neg, zero, one)
     if spec.subring is not None:
         _validate_subring(spec.subring, size, add, mul, neg, zero)
-    center_, units, regular = _structure_caches(size, add, mul, neg, zero, one)
+    center_, units, regular = _structure_caches(mul, zero, one, gens)
 
     add.setflags(write=False)
     mul.setflags(write=False)

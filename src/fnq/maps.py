@@ -44,8 +44,10 @@ each, which the grid computes as one slice of a ring table.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -250,12 +252,14 @@ def inner_derivation(ring: Ring, b: int) -> FnTable:
 
 # ------------------------------------------------ identities as equations
 
-def _shared_identities(fn: str) -> dict[str, EquationAst]:
+@functools.cache
+def _shared_identities(fn: str) -> Mapping[str, EquationAst]:
     """The class identities for the unknown ``fn``, equal to their parsed
     text but built so that each term common to several of them is one node:
     one grid evaluation of several of them then computes each of
     ``fn(x*y)``, ``fn(x)``, ``fn(y)``, ``fn(x)+fn(y)`` and
-    ``fn(x)*y+x*fn(y)`` once."""
+    ``fn(x)*y+x*fn(y)`` once.  They are built once per name, in a
+    read-only mapping."""
     x, y = Var("x"), Var("y")
     fx, fy, fxy = FnApp(fn, x), FnApp(fn, y), FnApp(fn, Mul(x, y))
     split = Add(Mul(fx, y), Mul(x, fy))
@@ -263,7 +267,7 @@ def _shared_identities(fn: str) -> dict[str, EquationAst]:
 
     def equation(lhs: Expr, rhs: Expr, params: tuple[str, ...] = ()):
         return EquationAst(lhs, rhs, (fn,), params)
-    return {
+    return MappingProxyType({
         "additive": equation(FnApp(fn, Add(x, y)), fx_plus_fy),
         "multiplicative": equation(fxy, Mul(fx, fy)),
         "leibniz": equation(fxy, split),
@@ -272,7 +276,7 @@ def _shared_identities(fn: str) -> dict[str, EquationAst]:
                          ("e",)),
         "logarithmic": equation(fxy, fx_plus_fy),
         "zero": equation(fx, IntLit(0)),
-    }
+    })
 
 
 # built once for the unknown f, which every membership check uses
@@ -290,18 +294,12 @@ _CLASS_IDENTITIES = {
 }
 
 
-def _identity(kind: str, fn: str) -> EquationAst:
-    if fn == "f":
-        return _F_IDENTITIES[kind]
-    return _shared_identities(fn)[kind]
-
-
 def multiplicative_equation(fn: str = "f") -> EquationAst:
-    return _identity("multiplicative", fn)
+    return _shared_identities(fn)["multiplicative"]
 
 
 def leibniz_equation(fn: str = "f") -> EquationAst:
-    return _identity("leibniz", fn)
+    return _shared_identities(fn)["leibniz"]
 
 
 def class_constraints(ring: Ring, name: str,
@@ -334,8 +332,9 @@ def class_constraints(ring: Ring, name: str,
                           f"a ring of size {ring.size}")
     if cls.kind == "logarithmic":
         off_units, on_units = ring.unit_pairs
-        return [PairConstraint(_identity("zero", name), off_units),
-                PairConstraint(_identity("logarithmic", name), on_units)]
+        identities = _shared_identities(name)
+        return [PairConstraint(identities["zero"], off_units),
+                PairConstraint(identities["logarithmic"], on_units)]
     if cls.kind not in _CLASS_IDENTITIES:
         raise ValueError(f"unknown class {cls}")
     params = {"e": cls.eps} if cls.eps is not None else {}
@@ -343,8 +342,9 @@ def class_constraints(ring: Ring, name: str,
     across = other = None
     if "additive" in identities:
         across, other = ring.generator_pairs, ring.product_pairs
-    return [PairConstraint(_identity(i, name),
-                           across if i == "additive" else other, params)
+    shared = _shared_identities(name)
+    return [PairConstraint(shared[i], across if i == "additive" else other,
+                           params)
             for i in identities]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import random
@@ -225,16 +226,120 @@ def test_axiom_check_in_row_blocks_agrees_with_exhaustive_reference(
             assert got == want
 
 
+def _one_sided_tables(ring, rng, cases):
+    """Associative products on the ring's additive group, with no unit, that
+    are distributive on one side, and their mirror images x*y := y*x.
+
+    x*y = p(x) for y in T and 0 otherwise, with p additive and idempotent
+    and T a set without 0 that holds y exactly when it holds p(y), is
+    associative and right distributive, so the axiom check takes the left
+    law at generator pairs.
+    Its mirror image is left distributive.  T is a seeded subset and p the
+    identity, or, on (Z_2)^k with the index bits as coordinates, p keeps a
+    seeded set B of bits and T holds the y where the parity of some bits in
+    B of y, plus at times the product of two bits in B, is 1.  Without the
+    product such a table is a ring; with it the left law fails only at
+    multipliers with a bit in B and at b+y with b one of the two bits."""
+    size, add = ring.size, np.array(ring.add)
+    neg = np.array(ring.neg)
+    elems = np.arange(size)
+    bits = size.bit_length() - 1
+    coordinates = (add == elems[:, None] ^ elems).all()
+    for i in range(cases):
+        keep = elems
+        in_t = np.array([rng.random() < 0.5 for _ in elems])
+        if coordinates and i % 2:
+            kept = rng.sample(range(bits), rng.randint(1, bits))
+            keep = elems & sum(1 << b for b in kept)
+            mask = rng.randrange(size) & sum(1 << b for b in kept)
+            in_t = np.array([bin(y & mask).count("1") % 2 for y in elems])
+            if len(kept) > 1 and i % 3:
+                b1, b2 = rng.sample(kept, 2)
+                in_t ^= (elems >> b1) & (elems >> b2) & 1
+            in_t = in_t.astype(bool)
+        in_t[ring.zero] = False
+        mul = np.where(in_t[None, :], keep[:, None], ring.zero)
+        yield size, add, mul, neg, ring.zero, None
+        yield size, add, np.ascontiguousarray(mul.T), neg, ring.zero, None
+
+
+def test_left_law_at_generator_pairs_agrees_with_exhaustive_reference():
+    """Above ``_EXHAUSTIVE_SIZE``, at the default threshold, the left law is
+    checked at a(y+b) for a and b in the generating set A once the right
+    law holds.  Seeded one-cell corruptions (mul cells in the rows of
+    non-generators, and with a third argument outside A, and cells of add
+    and neg) and one-sided distributive tables must fail exactly when the
+    size**3 reference fails, with its message unless the reference's first
+    failure is multiplicative associativity."""
+    from conftest import exhaustive_axioms
+    rings = [fnq.zn(32), fnq.gf(2, 5), fnq.product(fnq.zn(2), fnq.zn(16)),
+             fnq.ut2(3)]
+    rng = random.Random(23)
+    seen, right_only = set(), 0
+    for ring in rings:
+        assert ring.size > algebra._EXHAUSTIVE_SIZE
+        gens = algebra._magma_generators(ring.add, ring.zero).tolist()
+        others = [e for e in range(ring.size) if e not in gens]
+        cases = list(_one_sided_tables(ring, rng, 30))
+        for i in range(150):
+            tables = {"add": np.array(ring.add), "mul": np.array(ring.mul),
+                      "neg": np.array(ring.neg)}
+            name = ("mul", "mul", "mul", "add", "neg")[i % 5]
+            table = tables[name]
+            if name == "mul":
+                # a non-generator row; half the time a column outside A
+                cell = (rng.choice(others), rng.choice(
+                    others if i % 2 else range(ring.size)))
+            else:
+                cell = tuple(rng.randrange(n) for n in table.shape)
+            table[cell] = (table[cell] + rng.randrange(1, ring.size)) % ring.size
+            cases.append((ring.size, tables["add"], tables["mul"],
+                          tables["neg"], ring.zero, ring.one))
+        for args in cases:
+            want = _axiom_failure(exhaustive_axioms, args)
+            got = _axiom_failure(_verify_axioms, args)
+            seen.add(want)
+            assert (got is None) == (want is None), (want, got)
+            if want != "multiplication is not associative":
+                assert got == want
+            add, mul = args[1], args[2]
+            if args[5] is None and np.array_equal(
+                    mul[add, :], add[mul[:, None, :], mul[None, :, :]]):
+                right_only += want is not None
+    assert {None, "left distributivity fails", "right distributivity fails",
+            "addition is not associative"} <= seen
+    # failures the generator-pair left law alone had to find
+    assert right_only >= 100
+
+
 def test_vectorized_builders_reproduce_pinned_tables():
     """Table hashes of GF(p^k) for every p^k <= 256 (three explicit moduli),
-    PolyQuot, UT2 and products, as computed by the scalar builders."""
+    PolyQuot, UT2 and products, as computed by the scalar builders, and of
+    Zn for n = 2..16, 64, 100, 255 and 256.  Some entries also pin the
+    SHA-256 of the element names, one per line."""
     pinned = json.loads((pathlib.Path(__file__).parent
                          / "table_hashes.json").read_text())
     kinds = {entry["spec"]["kind"] for entry in pinned}
-    assert kinds == {"GF", "PolyQuot", "UT2", "Product"}
+    assert kinds == {"Zn", "GF", "PolyQuot", "UT2", "Product"}
+    named = 0
     for entry in pinned:
         ring = fnq.ring_from_json(entry["spec"])
         assert ring.table_hash == entry["table_hash"], entry["spec"]
+        if "names_hash" in entry:
+            named += 1
+            digest = hashlib.sha256("\n".join(ring.names).encode()).hexdigest()
+            assert digest == entry["names_hash"], entry["spec"]
+    assert named == 4  # Z12, GF(2^8), UT2(5) and Z16xZ16
+
+
+def test_pinned_names_spot_checks():
+    assert fnq.zn(12).names == tuple(str(i) for i in range(12))
+    gf256 = fnq.gf(2, 8)
+    assert gf256.names[:3] == ("0", "x^7", "x^6")
+    assert gf256.names[-1] == "1+x+x^2+x^3+x^4+x^5+x^6+x^7"
+    assert fnq.ut2(5).names[26] == "[1 0;0 1]"
+    z16xz16 = fnq.product(fnq.zn(16), fnq.zn(16))
+    assert z16xz16.names[:2] + z16xz16.names[-1:] == ("(0|0)", "(0|1)", "(15|15)")
 
 
 def _boolean_ring_256():

@@ -273,8 +273,8 @@ def test_class_identities_are_their_parsed_text(fn):
     # equation_to_text and the search kernel see what the parser makes
     for kind, text in IDENTITY_TEXTS.items():
         ast = parse_equation(text.format(u=fn))
-        assert maps._identity(kind, fn) == ast, kind
-        assert equation_to_text(maps._identity(kind, fn)) == text.format(u=fn)
+        assert maps._shared_identities(fn)[kind] == ast, kind
+        assert equation_to_text(maps._shared_identities(fn)[kind]) == text.format(u=fn)
 
 
 def test_fn_table_rejects_values_outside_the_codomain(z4):
@@ -619,6 +619,20 @@ def test_filter_tables_ids_and_budget(z2, z6):
     assert err.value.needed == 396
     ids = filter_tables(z6, z6, [leibniz_equation()], budget=396)
     assert ids.tolist() == [0]
+
+
+def test_class_identities_are_built_once_per_name(z6):
+    # every call for a name returns the same nodes, for f and for any other
+    # unknown, and each name has its own
+    assert multiplicative_equation("g") is multiplicative_equation("g")
+    assert leibniz_equation("h") is leibniz_equation("h")
+    assert multiplicative_equation() is maps._F_IDENTITIES["multiplicative"]
+    assert multiplicative_equation("g") is not multiplicative_equation("h")
+    assert multiplicative_equation("g").free_functions == ("g",)
+    first, second = (maps.class_constraints(z6, "h", HOMO_DERIV_MP)
+                     for _ in range(2))
+    assert [c.equation for c in first] == [c.equation for c in second]
+    assert all(a.equation is b.equation for a, b in zip(first, second))
 
 
 def test_filter_tables_ids_past_int64_are_exact():
