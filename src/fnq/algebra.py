@@ -26,7 +26,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -62,6 +61,11 @@ class RingSpec:
     left: "RingSpec | None" = None
     right: "RingSpec | None" = None
     subring: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        # a subring is a set, kept in one listing: ascending, once each
+        if self.subring is not None:
+            object.__setattr__(self, "subring", tuple(sorted(set(self.subring))))
 
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind}
@@ -109,7 +113,7 @@ class RingSpec:
             return tuple(integer(v, key) for v in doc[key])
 
         try:
-            sub = tuple(sorted(set(integers("subring")))) if "subring" in doc else None
+            sub = integers("subring") if "subring" in doc else None
             if kind == "Zn":
                 return RingSpec(kind="Zn", n=integer(doc["n"], "n"), subring=sub)
             if kind in ("GF", "PolyQuot"):
@@ -184,31 +188,20 @@ class Ring:
 
     @cached_property
     def generators(self) -> np.ndarray:
-        """G: 0 and the additive generators of the domain picked greedily,
-        as a read-only ascending int64 array.  The unit, if the domain
-        holds it, comes first, as in the kernel's default position order
-        (:mod:`fnq.search`), then each the smallest element outside the
-        subgroup the ones before generate.  With the smallest element first
-        instead, the pairs (x, g) define fewer digits of that order than all
-        pairs do: UT2(3)'s additive search grew the digit of (1,0,0), which
-        the unit defines.  An additive class has q**(|G|-1) candidates
+        """G: 0 and the additive generators of the domain, as a read-only
+        ascending int64 array, picked by ``_additive_generators``, the
+        routine the axiom check picks its set with, the elements outside
+        the domain left out.  The unit, if the domain holds it, comes first,
+        as in the kernel's default position order (:mod:`fnq.search`), then
+        each the smallest element outside the subgroup the ones before
+        generate.  With the smallest element first instead, the pairs
+        (x, g) define fewer digits of that order than all pairs do: UT2(3)'s
+        additive search grew the digit of (1,0,0), which the unit defines.
+        An additive class has q**(|G|-1) candidates
         (:func:`fnq.maps.class_space_size`)."""
-        # the subgroup generated so far, and every element outside the domain
-        inside = self.position < 0
-        inside[self.zero] = True
-        subgroup, g = np.array([self.zero]), [self.zero]
-        while len(subgroup) < len(self.domain_elements):
-            e = (self.one if self.one is not None and not inside[self.one]
-                 else int(np.argmin(inside)))
-            g.append(e)
-            # the subgroup with e is its cosets by 0, e, 2e, ... up to the
-            # first multiple of e inside it
-            multiples, c = [self.zero], e
-            while not inside[c]:
-                multiples.append(c)
-                c = self.add[c, e]
-            subgroup = self.add[subgroup[:, None], multiples].ravel()
-            inside[subgroup] = True
+        outside = self.position < 0 if self.subring is not None else None
+        g = [self.zero, *_additive_generators(self.add, self.zero, outside,
+                                              self.one)]
         g = np.array(sorted(g), dtype=np.int64)
         g.setflags(write=False)
         return g
@@ -386,41 +379,6 @@ def _is_prime(n: int) -> bool:
         if n % d == 0:
             return False
         d += 1
-    return True
-
-
-def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Remainder of a by the monic polynomial m over F_p."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(_poly_trim(tuple(a))) - 1 >= dm:
-        a = list(_poly_trim(tuple(a)))
-        da = len(a) - 1
-        coef = a[da]
-        for i, mc in enumerate(m):
-            a[da - dm + i] = (a[da - dm + i] - coef * mc) % p
-    return _poly_trim(tuple(c % p for c in a))
-
-
-def _monic_polys(degree: int, p: int):
-    for lower in iproduct(range(p), repeat=degree):
-        yield tuple(lower) + (1,)
-
-
-def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial up to half the degree."""
-    k = len(modulus) - 1
-    for d in range(1, k // 2 + 1):
-        for g in _monic_polys(d, p):
-            if not _poly_mod(modulus, g, p):
-                return False
     return True
 
 
@@ -616,33 +574,45 @@ _EXHAUSTIVE_SIZE = 20
 _CHUNK_CELLS = 1 << 15
 
 
-def _magma_generators(add: np.ndarray, zero: int) -> np.ndarray:
-    """A generating set of the magma (R, +): the smallest unreached element
-    g, its multiples 0, g, g+g, g+(g+g), ... up to the first one reached
-    before, and the sums of an element reached before and a multiple, until
-    the carrier is reached.
+def _additive_generators(add: np.ndarray, zero: int, outside=None,
+                         first: int | None = None) -> list[int]:
+    """The one routine that picks additive generators, greedily and in the
+    order picked: ``first`` while it is unreached, else the smallest
+    unreached element g.  Its multiples g, g+g, g+(g+g), ... up to the
+    first one reached before, and the sums of an element reached before
+    and a multiple, are then reached, until every element is.  The
+    elements of the bool mask ``outside`` count as reached from the start
+    and enter no sum, so the generators generate the rest.
 
     Only sums of reached elements are formed, so every reached element is a
     sum of generators whatever the table holds, and the multiples stop, as
-    each is marked reached.  In a group the reached elements are the
-    subgroup the generators generate, as in :attr:`Ring.generators`, and
-    each generator at least doubles it, so there are at most log2(size).
-    The axiom check reads it before the group law is proven.
+    each is marked reached.  The reached part is read off the mask before
+    each generator, as a product of cosets repeats elements on a
+    non-associative table.  In a group the reached part is the subgroup the
+    generators generate, and each generator at least doubles it, so there
+    are at most log2(size).  The axiom check calls it with neither option
+    before the group law is proven, and :attr:`Ring.generators` on the
+    proven ring with the unit first and the elements outside a declared
+    subring left out.
     """
-    reached = np.zeros(len(add), dtype=bool)
+    reached = np.zeros(len(add), dtype=bool) if outside is None else outside.copy()
     reached[zero] = True
+    inside = None if outside is None else ~outside
+    todo = len(add) if inside is None else np.count_nonzero(inside)
     gens = []
-    while not reached.all():
-        g = int(np.argmin(reached))
+    while True:
+        before = (reached if inside is None else reached & inside).nonzero()[0]
+        if len(before) == todo:
+            return gens
+        g = (first if first is not None and not reached[first]
+             else int(reached.argmin()))
         gens.append(g)
-        before, multiples, c = np.flatnonzero(reached), [zero], g
-        plus_g = add[g].tolist()
+        plus_g, multiples, c = add[g], [zero], g
         while not reached[c]:
             reached[c] = True
             multiples.append(c)
-            c = plus_g[c]
-        reached[add[before][:, multiples]] = True
-    return np.array(gens, dtype=np.intp)
+            c = plus_g.item(c)
+        reached[add[before[:, None], multiples]] = True
 
 
 def _verify_axioms(size, add, mul, neg, zero, one):
@@ -706,7 +676,7 @@ def _verify_axioms(size, add, mul, neg, zero, one):
         gens = slice(None)
         blocks = [(slice(None), gens)]
     else:
-        gens = _magma_generators(add, zero)
+        gens = np.array(_additive_generators(add, zero), dtype=np.intp)
         blocks = _blocks(size, gens)
     # indices [x, a, y], [y, a, x] and [x, y, a], x or y in the block's rows
     for xs, a in blocks:
@@ -795,7 +765,12 @@ def build_ring(spec: RingSpec) -> Ring:
     """Build the ring described by ``spec`` and prove its axioms.
 
     Raises :class:`BudgetExceeded` before any table is materialized when the
-    resulting carrier would be larger than :data:`DEFAULT_SIZE_BUDGET`.
+    resulting carrier would be larger than :data:`DEFAULT_SIZE_BUDGET`.  A
+    GF modulus is irreducible exactly when the proven quotient is a field,
+    so a reducible one raises :class:`ReducibleModulus` once the units are
+    counted, before the subring is checked.  The axiom check's generating
+    set comes from ``_additive_generators``, as :attr:`Ring.generators`
+    does.
     """
     size = _spec_size(spec)
     if size > DEFAULT_SIZE_BUDGET:
@@ -821,9 +796,6 @@ def build_ring(spec: RingSpec) -> Ring:
                     # normalize to monic; units of F_p do not change the quotient
                     lead_inv = pow(modulus[-1], -1, spec.p)
                     modulus = tuple((c * lead_inv) % spec.p for c in modulus)
-                if not _is_irreducible(modulus, spec.p):
-                    raise ReducibleModulus(
-                        f"{_poly_name(modulus)} is reducible over F_{spec.p}")
         else:
             modulus = (0,) * spec.k + (1,)  # x^k, deliberately reducible
         size, add, mul, neg, zero, one, names = _poly_ring_tables(
@@ -844,9 +816,12 @@ def build_ring(spec: RingSpec) -> Ring:
     mul = np.ascontiguousarray(mul, dtype=np.int16)
     neg = np.ascontiguousarray(neg, dtype=np.int16)
     gens = _verify_axioms(size, add, mul, neg, zero, one)
+    center_, units, regular = _structure_caches(mul, zero, one, gens)
+    # F_p[x]/(m) is a field exactly when m is irreducible
+    if spec.kind == "GF" and len(units) != size - 1:
+        raise ReducibleModulus(f"{_poly_name(modulus)} is reducible over F_{spec.p}")
     if spec.subring is not None:
         _validate_subring(spec.subring, size, add, mul, neg, zero)
-    center_, units, regular = _structure_caches(mul, zero, one, gens)
 
     add.setflags(write=False)
     mul.setflags(write=False)

@@ -195,6 +195,26 @@ def domain_units(ring):
                    and int(ring.mul[v, u]) == ring.one for v in elems)]
 
 
+def reference_generators(ring):
+    """0 and the additive generators of the domain by the greedy rule, on
+    Python sets: the unit first if the domain holds it, then each the
+    smallest element outside the subgroup the ones before generate.  The
+    subgroup with e is its cosets by 0, e, 2e, ... up to the first multiple
+    of e inside it."""
+    add = ring.add.tolist()
+    subgroup, gens = {ring.zero}, [ring.zero]
+    while len(subgroup) < len(ring.domain_elements):
+        left = [e for e in ring.domain_elements if e not in subgroup]
+        e = ring.one if ring.one in left else min(left)
+        gens.append(e)
+        multiples, c = [ring.zero], e
+        while c not in subgroup:
+            multiples.append(c)
+            c = add[c][e]
+        subgroup = {add[h][m] for h in subgroup for m in multiples}
+    return sorted(gens)
+
+
 def is_logarithmic(ring, values):
     units = domain_units(ring)
     if any(table_at(ring, values, e) != ring.zero

@@ -109,9 +109,40 @@ def test_left_distributivity_failing_off_the_generators_is_reported_first():
     mul[5, 1] = 2
     args = (size, add, mul, -np.arange(size) % size, 0, None)
     assert size > algebra._EXHAUSTIVE_SIZE
-    assert algebra._magma_generators(add, 0).tolist() == [1]
+    assert algebra._additive_generators(add, 0) == [1]
     for check in (exhaustive_axioms, _verify_axioms):
         assert _axiom_failure(check, args) == "left distributivity fails"
+
+
+def _spec_sweep():
+    """Every pinned spec, Zn for n = 2..256, GF and PolyQuot of p**k <= 256
+    for p = 2, 3, 5, UT2, products of small rings and subrings."""
+    pinned = json.loads((pathlib.Path(__file__).parent
+                         / "table_hashes.json").read_text())
+    specs = [entry["spec"] for entry in pinned]
+    specs += [{"kind": "Zn", "n": n} for n in range(2, 257)]
+    specs += [{"kind": kind, "p": p, "k": k} for kind in ("GF", "PolyQuot")
+              for p in (2, 3, 5) for k in range(1, 9) if p ** k <= 256]
+    specs += [{"kind": "UT2", "p": p} for p in (2, 3, 5)]
+    small = [{"kind": "Zn", "n": 2}, {"kind": "Zn", "n": 3},
+             {"kind": "Zn", "n": 4}, {"kind": "GF", "p": 2, "k": 2},
+             {"kind": "PolyQuot", "p": 2, "k": 2}, {"kind": "UT2", "p": 2}]
+    specs += [{"kind": "Product", "left": a, "right": b}
+              for a in small for b in small]
+    specs += [{"kind": "Zn", "n": n, "subring": sub} for n, sub in (
+        (6, [0]), (6, [0, 2, 4]), (12, [0, 3, 6, 9]),
+        (36, list(range(0, 36, 6))))]
+    return specs
+
+
+def test_generators_match_the_scalar_reference():
+    # the one generating-set routine, called with the unit and the
+    # complement of the domain, keeps Ring.generators' greedy rule
+    from conftest import reference_generators
+    for spec in _spec_sweep():
+        ring = fnq.ring_from_json(spec)
+        assert ring.generators.tolist() == reference_generators(ring), spec
+
 
 _AXIOM_MESSAGES = {
     "add table is not total on the carrier",
@@ -278,7 +309,7 @@ def test_left_law_at_generator_pairs_agrees_with_exhaustive_reference():
     seen, right_only = set(), 0
     for ring in rings:
         assert ring.size > algebra._EXHAUSTIVE_SIZE
-        gens = algebra._magma_generators(ring.add, ring.zero).tolist()
+        gens = algebra._additive_generators(ring.add, ring.zero)
         others = [e for e in range(ring.size) if e not in gens]
         cases = list(_one_sided_tables(ring, rng, 30))
         for i in range(150):
@@ -376,6 +407,9 @@ def test_constructor_errors():
         fnq.gf(4, 1)
     with pytest.raises(ReducibleModulus):
         fnq.gf(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+    with pytest.raises(ReducibleModulus):  # reported before the subring
+        fnq.build_ring(RingSpec(kind="GF", p=2, k=2, modulus=(1, 0, 1),
+                                subring=(1,)))
     with pytest.raises(BudgetExceeded):
         fnq.build_ring(RingSpec(kind="Zn", n=300))
     with pytest.raises(InvalidRingSpec):
@@ -396,11 +430,36 @@ def test_default_gf_modulus_matches_explicit():
                                  (3, 2), (3, 3), (3, 4), (5, 2), (5, 3),
                                  (7, 2), (7, 3), (11, 2), (13, 2)])
 def test_default_modulus_is_first_irreducible_by_trial_division(p, k):
-    # the sieve picks the candidate that trial division, scanning in
-    # lexicographic order from the constant term, accepts first
-    first = next(lower + (1,) for lower in iproduct(range(p), repeat=k)
-                 if algebra._is_irreducible(lower + (1,), p))
-    assert algebra._default_modulus(p, k) == first
+    # the sieve picks the first candidate, in lexicographic order from the
+    # constant term, whose quotient has no zero divisor: F_p[x]/(m) is a
+    # field exactly when m is irreducible.  The quotients' products are
+    # tried, not their units
+    def zero_divisor(modulus):
+        mul = algebra._poly_ring_tables(p, k, modulus)[2]
+        return bool((mul[1:, 1:] == 0).any())
+    default = algebra._default_modulus(p, k)
+    candidates = [lower + (1,) for lower in iproduct(range(p), repeat=k)]
+    earlier = candidates[:candidates.index(default)]
+    assert all(map(zero_divisor, earlier)) and not zero_divisor(default)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2),
+                                 (5, 3), (7, 2)])
+def test_explicit_modulus_is_refused_exactly_when_it_has_a_root(p, k):
+    # a monic of degree 2 or 3 is reducible exactly when it has a linear
+    # factor; 7**3 exceeds the size budget
+    for lower in iproduct(range(p), repeat=k):
+        modulus = lower + (1,)
+        has_root = any(sum(c * a ** i for i, c in enumerate(modulus)) % p == 0
+                       for a in range(p))
+        try:
+            ring = fnq.gf(p, k, modulus=modulus)
+        except ReducibleModulus as exc:
+            assert has_root, modulus
+            assert str(exc) == (f"{algebra._poly_name(modulus)} is reducible "
+                                f"over F_{p}")
+        else:
+            assert not has_root and ring.is_field, modulus
 
 
 def test_subring_declaration(z6):
@@ -412,6 +471,25 @@ def test_subring_declaration(z6):
         fnq.zn(6, subring=(0, 1, 2))  # not closed: 1+2=3
     with pytest.raises(InvalidRingSpec):
         fnq.zn(6, subring=(2, 4))  # missing zero
+
+
+def test_subring_listing_order_and_repeats_do_not_matter():
+    # the subring is a set: listed out of order or with a repeat, the ring
+    # has one domain, spec and table hash, and equations solve over it once
+    canonical = fnq.zn(6, subring=(0, 2, 4))
+    for listed in ((0, 4, 2), (0, 2, 2, 4), (4, 2, 0, 0)):
+        ring = fnq.zn(6, subring=listed)
+        again = fnq.ring_from_json(json.dumps(ring.spec.to_json()))
+        for r in (ring, again):
+            assert r.spec == canonical.spec and r.subring == (0, 2, 4)
+            assert r.domain_elements == (0, 2, 4)
+            assert r.table_hash == canonical.table_hash
+    ast = fnq.parse_equation("f(x+y)=f(x)+f(y)")
+    ss = fnq.solve(fnq.SolveTask(ast, fnq.zn(6, subring=(0, 2, 2, 4)),
+                                 {"f": fnq.ARBITRARY}))
+    # f(2) is a of order dividing 3 in Z6, and f(4) = 2a
+    assert sorted(b.functions["f"].values for b in ss.solutions) == [
+        (0, 0, 0), (0, 2, 4), (0, 4, 2)]
 
 
 def test_spec_json_round_trip():
