@@ -21,10 +21,10 @@ for ring, eps in [(fnq.zn(2), 1), (fnq.gf(3), 2), (fnq.zn(4), 3)]:
 print("\nthe noncommutative carrier UT2(2), eps = identity matrix:")
 ut2 = fnq.ut2(2)
 eps = [e for e in ut2.center if e != ut2.zero][0]
-report = fnq.verify_sofy(ut2, eps, directions="forward")
+report = fnq.verify_sofy(ut2, eps)
 print(f"  candidate space 8^8 = 16.7M tables, "
       f"solutions={report.solutions_found}, "
-      f"forward_ok={report.forward_ok}")
+      f"forward_ok={report.forward_ok}, backward_ok={report.backward_ok}")
 
 print("\nzero-divisor probe on Z_6 with eps = 3:")
 z6 = fnq.zn(6)

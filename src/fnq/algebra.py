@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +41,20 @@ from .errors import (
 
 DEFAULT_SIZE_BUDGET = 256
 
-_KINDS = ("Zn", "GF", "PolyQuot", "Product", "UT2")
+# each kind's fields besides the subring, in their JSON order
+_FIELDS = {"Zn": ("n",), "GF": ("p", "k", "modulus"), "PolyQuot": ("p", "k"),
+           "Product": ("left", "right"), "UT2": ("p",)}
+
+
+def _spec_int(value, kind: str, key: str) -> int:
+    """``value`` as a Python int; bools and non-integers are refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidRingSpec(
+        f"{kind} ring spec field {key!r} needs integers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,26 +77,28 @@ class RingSpec:
     subring: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        # integers are kept as Python ints, so that numpy integers give the
+        # same spec, table hash and JSON
+        for key in ("n", "p", "k"):
+            if key in _FIELDS.get(self.kind, ()):
+                object.__setattr__(self, key, _spec_int(getattr(self, key),
+                                                        self.kind, key))
+        if self.modulus is not None:
+            object.__setattr__(self, "modulus", tuple(
+                _spec_int(c, self.kind, "modulus") for c in self.modulus))
         # a subring is a set, kept in one listing: ascending, once each
         if self.subring is not None:
-            object.__setattr__(self, "subring", tuple(sorted(set(self.subring))))
+            object.__setattr__(self, "subring", tuple(sorted(
+                {_spec_int(e, self.kind, "subring") for e in self.subring})))
 
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind}
-        if self.kind == "Zn":
-            doc["n"] = self.n
-        elif self.kind in ("GF", "PolyQuot"):
-            doc["p"] = self.p
-            doc["k"] = self.k
-            if self.kind == "GF" and self.modulus is not None:
-                doc["modulus"] = list(self.modulus)
-        elif self.kind == "Product":
-            doc["left"] = self.left.to_json()
-            doc["right"] = self.right.to_json()
-        elif self.kind == "UT2":
-            doc["p"] = self.p
-        if self.subring is not None:
-            doc["subring"] = list(self.subring)
+        for key in (*_FIELDS[self.kind], "subring"):
+            value = getattr(self, key)
+            if isinstance(value, RingSpec):
+                value = value.to_json()
+            if value is not None:
+                doc[key] = list(value) if isinstance(value, tuple) else value
         return doc
 
     @staticmethod
@@ -95,40 +111,31 @@ class RingSpec:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise InvalidRingSpec("ring spec must be an object with a 'kind' field")
         kind = doc["kind"]
-        if kind not in _KINDS:
+        if kind not in _FIELDS:
             raise InvalidRingSpec(f"unknown ring kind {kind!r}")
 
-        def integer(value, key: str) -> int:
-            if isinstance(value, (int, str)) and not isinstance(value, bool):
-                try:
-                    return int(value)
-                except ValueError:
-                    pass
-            raise InvalidRingSpec(
-                f"{kind} ring spec field {key!r} needs integers, got {value!r}")
+        def integer(value):
+            # a JSON string of digits reads as its integer; RingSpec refuses
+            # every other non-integer
+            try:
+                return int(value) if isinstance(value, str) else value
+            except ValueError:
+                return value
 
-        def integers(key: str) -> tuple[int, ...]:
-            if not isinstance(doc[key], list):
+        def field(key: str):
+            value = doc[key]
+            if key in ("left", "right"):
+                return RingSpec.from_json(value)
+            if key not in ("modulus", "subring"):
+                return integer(value)
+            if not isinstance(value, list):
                 raise InvalidRingSpec(f"{kind} ring spec field {key!r} must be a list")
-            return tuple(integer(v, key) for v in doc[key])
+            return tuple(integer(v) for v in value)
 
         try:
-            sub = integers("subring") if "subring" in doc else None
-            if kind == "Zn":
-                return RingSpec(kind="Zn", n=integer(doc["n"], "n"), subring=sub)
-            if kind in ("GF", "PolyQuot"):
-                modulus = None
-                if kind == "GF" and "modulus" in doc:
-                    modulus = integers("modulus")
-                return RingSpec(kind=kind, p=integer(doc["p"], "p"),
-                                k=integer(doc["k"], "k"),
-                                modulus=modulus, subring=sub)
-            if kind == "Product":
-                return RingSpec(kind="Product",
-                                left=RingSpec.from_json(doc["left"]),
-                                right=RingSpec.from_json(doc["right"]),
-                                subring=sub)
-            return RingSpec(kind="UT2", p=integer(doc["p"], "p"), subring=sub)
+            return RingSpec(kind=kind, **{
+                key: field(key) for key in (*_FIELDS[kind], "subring")
+                if key in doc or key not in ("modulus", "subring")})
         except KeyError as exc:
             raise InvalidRingSpec(
                 f"{kind} ring spec needs the field {exc.args[0]!r}") from None
@@ -543,12 +550,13 @@ def _ut2_tables(p: int):
 
 
 def _spec_size(spec: RingSpec) -> int:
+    # RingSpec holds an integer in every field of its kind but left and right
     if spec.kind == "Zn":
-        if spec.n is None or spec.n < 2:
+        if spec.n < 2:
             raise InvalidRingSpec("Zn needs n >= 2")
         return spec.n
     if spec.kind in ("GF", "PolyQuot"):
-        if spec.p is None or spec.k is None or spec.k < 1:
+        if spec.k < 1:
             raise InvalidRingSpec(f"{spec.kind} needs p and k >= 1")
         return spec.p ** spec.k
     if spec.kind == "Product":
@@ -556,8 +564,6 @@ def _spec_size(spec: RingSpec) -> int:
             raise InvalidRingSpec("Product needs left and right specs")
         return _spec_size(spec.left) * _spec_size(spec.right)
     if spec.kind == "UT2":
-        if spec.p is None:
-            raise InvalidRingSpec("UT2 needs p")
         return spec.p ** 3
     raise InvalidRingSpec(f"unknown ring kind {spec.kind!r}")
 

@@ -29,7 +29,8 @@ or the grid) before it is returned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from math import prod
 
 import numpy as np
@@ -48,7 +49,8 @@ class SolveTask:
     """A fully specified search: equation, ring, classes, parameters, budget.
 
     Each parameter is bound to an element of ``ring`` by its index;
-    :func:`solve` raises :class:`InvalidTask` for a value outside it.
+    :func:`solve` raises :class:`InvalidTask` for a value outside it, and
+    its result's task holds the values as Python ints.
 
     ``budget`` bounds the charge of each level the kernel grows or widens
     (:func:`fnq.search.search`) and the pairs of the re-verification; past
@@ -115,6 +117,9 @@ def solve(task: SolveTask) -> SolutionSet:
     missing_p = [p for p in ast.free_params if p not in task.params]
     if missing_p:
         raise InvalidTask(f"no value bound for parameters {missing_p}")
+    # Python ints, so that the reports serialize
+    task = replace(task, params={p: operator.index(v)
+                                 for p, v in task.params.items()})
     for p, v in task.params.items():
         if not 0 <= v < ring.size:
             raise InvalidTask(f"parameter {p!r} = {v} is not an element of "

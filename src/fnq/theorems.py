@@ -21,8 +21,9 @@ Check identifiers used across reports and the CLI:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, fields
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from math import prod
 
 import numpy as np
@@ -40,10 +41,8 @@ from .solver import SolveTask, residual, solve
 from .symbolic import (DERIVED_INVERSES, PEXIDER_FAMILIES, check_identity,
                        derive_constraints, thm5_family)
 
-# largest annihilator product prop1's converse probe walks
-_BACKWARD_CAP = 10 ** 6
 _WITNESS_LIMIT = 20
-# rows of one block of the lazy walks over preimage and annihilator sets
+# rows of one block of the converse sample walk
 _SAMPLE_CHUNK = 1 << 12
 # instances of each Pexider family the closure check takes
 _CLOSURE_CAP = 200
@@ -148,6 +147,33 @@ def _product_blocks(options: list[list[int]], max_rows: int):
                                          (len(tail), split)), tail])
 
 
+def _outside(sets: np.ndarray, sol_ids: np.ndarray):
+    """The value rows of a union of product sets that are not solutions,
+    lazily, as (set index, row) pairs.
+
+    Set ``s`` is the (m, q) mask ``sets[s]`` of the values allowed at each
+    position.  The walk goes through the sets in order, each in
+    lexicographic order and in blocks (:func:`_product_blocks`), skips a set
+    with an empty position, and skips any row an earlier set holds.  Every
+    row is a candidate of the equation, so it is a non-solution exactly when
+    its id (:func:`fnq.maps.row_ids`) is not in ``sol_ids``.  The walk
+    reaches set ``s`` only after yielding every non-solution of the earlier
+    sets, so a row an earlier set holds is a solution or a row already
+    yielded, and one id test skips both.
+    """
+    known = sol_ids
+    for s, mask in enumerate(sets):
+        options = [np.flatnonzero(allowed) for allowed in mask]
+        if not all(len(o) for o in options):
+            continue
+        for block in _product_blocks(options, _SAMPLE_CHUNK):
+            ids = row_ids(block, sets.shape[2])
+            new = ~np.isin(ids, known)
+            known = np.concatenate([known, ids[new]])
+            for row in block[new]:
+                yield s, row.tolist()
+
+
 @dataclass
 class FamilyTag:
     """Which parametric family a solution belongs to, with witnesses.
@@ -188,17 +214,21 @@ def multiplicative_shift(h: FnTable, eps: int) -> FnTable:
     return FnTable(h.domain, ring, tuple(int(v) for v in vals))
 
 
-def verify_sofy(ring: Ring, eps: int, directions: str = "both",
+def verify_sofy(ring: Ring, eps: int,
                 budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Check the shift characterization of the homo-derivation equation.
 
     Forward: every brute-force solution h maps to a multiplicative function
     under h -> eps*h + id.  Backward: for every multiplicative m, every
     pointwise solution h of eps*h = m - id satisfies the equation.  The
-    non-solutions among these preimages are counted exactly; the first few
-    are enumerated as counterexamples.  When eps is a unit the two
-    directions form a bijection and the counts are compared.
+    non-solutions among these preimages are counted exactly
+    (``backward_violation_count``); the first few, up to
+    ``_WITNESS_LIMIT`` counterexamples with at most five violating pairs
+    each, are a sample (:func:`_outside`), as is ``witness_sample``.  When
+    eps is a unit the two directions form a bijection and the counts are
+    compared.
     """
+    eps = operator.index(eps)
     if eps == ring.zero:
         raise EpsilonZero("the shift constant must be nonzero")
     if eps not in set(ring.center):
@@ -225,77 +255,87 @@ def verify_sofy(ring: Ring, eps: int, directions: str = "both",
                              | {"h": h_vals})
     forward_ok = not counterexamples
 
+    mult_maps = list(enumerate_maps(ring, ring, MULTIPLICATIVE, budget))
+    # the preimage set P(m) = {h : eps*h = m - id}, one mask per map
+    targets = ring.add[np.array([mt.values for mt in mult_maps],
+                                dtype=np.int64).reshape(-1, m),
+                       ring.neg[elems]]
+    preimages = ring.mul[eps] == targets[:, :, None]
+    # The sets P(m) are disjoint, and a solution lies in one exactly when
+    # its shift is multiplicative, so the non-solutions among them are
+    # counted without enumerating any.
+    backward_violations = (sum(prod(row) for row in
+                               preimages.sum(axis=2).tolist())
+                           - int(multiplicative.sum()))
+    if backward_violations:
+        room = max(_WITNESS_LIMIT - len(counterexamples), 0)
+        for s, h_vals in islice(_outside(preimages, row_ids(hs, ring.size)),
+                                room):
+            bind = Binding(functions={"h": _table(ring, h_vals)},
+                           params={"e": eps})
+            counterexamples.append({
+                "direction": "backward",
+                "m": list(mult_maps[s].values),
+                "h": h_vals,
+                "violations": residual(ast, bind, ring)[:5],
+            })
+
     eps_is_unit = eps in set(ring.units)
     details: dict = {
         "eps_is_unit": eps_is_unit,
         "eps_is_regular": eps in set(ring.regular),
         "enumerated_count": sols.enumerated_count,
         "witness_sample": witnesses,
+        "backward_violation_count": backward_violations,
     }
-
-    predicted_count = None
-    backward_ok: bool | None = None
-    if directions == "both":
-        mult_maps = list(enumerate_maps(ring, ring, MULTIPLICATIVE, budget))
-        predicted_count = len(mult_maps)
-        preimage = [[w for w in range(ring.size) if int(ring.mul[eps, w]) == t]
-                    for t in range(ring.size)]
-        options_of = [[preimage[ring.sub(v, int(e))]
-                       for v, e in zip(mt.values, elems)] for mt in mult_maps]
-        sizes = [prod(len(opt) for opt in options) for options in options_of]
-        # The preimage sets P(m) = {h : eps*h = m - id} are disjoint, and a
-        # solution lies in one exactly when its shift is multiplicative, so
-        # the non-solutions among them are counted without enumerating any.
-        backward_violations = sum(sizes) - int(multiplicative.sum())
-        backward_ok = backward_violations == 0
-        # The sample walks the sets in order, each in lexicographic order and
-        # in chunks, until it is full.  Every preimage is a candidate of the
-        # equation, so it is a non-solution exactly when its id is not among
-        # the solutions' ids.
-        sol_ids = row_ids(hs, ring.size)
-        for mt, options in zip(mult_maps, options_of):
-            if backward_ok or len(counterexamples) >= _WITNESS_LIMIT:
-                break
-            for block in _product_blocks(options, _SAMPLE_CHUNK):
-                room = _WITNESS_LIMIT - len(counterexamples)
-                if not room:
-                    break
-                bad = block[~np.isin(row_ids(block, ring.size), sol_ids)]
-                for h_vals in bad[:room].tolist():
-                    bind = Binding(functions={"h": _table(ring, h_vals)},
-                                   params={"e": eps})
-                    counterexamples.append({
-                        "direction": "backward",
-                        "m": list(mt.values),
-                        "h": h_vals,
-                        "violations": residual(ast, bind, ring)[:5],
-                    })
-        details["backward_violation_count"] = backward_violations
-        if eps_is_unit:
-            details["bijection"] = (len(set(map(tuple, shifts.tolist())))
-                                    == len(sols.solutions) == predicted_count)
+    if eps_is_unit:
+        details["bijection"] = (len(set(map(tuple, shifts.tolist())))
+                                == len(sols.solutions) == len(mult_maps))
 
     return TheoremReport(theorem="thm4", ring=_ring_doc(ring),
                          params={"eps": eps},
                          solutions_found=len(sols.solutions),
-                         predicted_count=predicted_count,
-                         forward_ok=forward_ok, backward_ok=backward_ok,
+                         predicted_count=len(mult_maps),
+                         forward_ok=forward_ok,
+                         backward_ok=backward_violations == 0,
                          counterexamples=counterexamples, details=details)
 
 
 # --------------------------------------------------- prop1 (annihilators)
 
+def _annihilators(ring: Ring) -> np.ndarray:
+    """The mask ``ann[a, v]``: a*v = v*a = 0, with the zero row cleared."""
+    ann = (ring.mul == ring.zero) & (ring.mul.T == ring.zero)
+    ann[ring.zero] = False
+    return ann
+
+
+def _union_count(sets: list[int], m: int) -> int:
+    """The number of length-m value vectors whose image lies in at least
+    one of ``sets``, each a bitmask of values.
+
+    Close the sets under intersection.  The members that contain a
+    vector's image then have an intersection in the family that still
+    contains it: its unique least member.  A vector's image lies in a
+    member A exactly when its least member lies in A, so the vectors whose
+    least member is A number ``|A|**m`` minus those of A's proper
+    sub-members, and the union is the sum of these over the family.
+    """
+    closed: set[int] = set()
+    for a in sets:
+        closed |= {a} | {a & c for c in closed}
+    least: dict[int, int] = {}
+    for a in sorted(closed, key=int.bit_count):
+        least[a] = a.bit_count() ** m - sum(n for b, n in least.items()
+                                            if b & a == b)
+    return sum(least.values())
+
+
 def annihilator_witness(f: FnTable, ring: Ring | None = None) -> int | None:
     """Smallest-index nonzero element annihilating every value two-sidedly."""
-    ring = ring or f.codomain
-    image = sorted(set(f.values))
-    for alpha in range(ring.size):
-        if alpha == ring.zero:
-            continue
-        if all(int(ring.mul[alpha, v]) == ring.zero
-               and int(ring.mul[v, alpha]) == ring.zero for v in image):
-            return alpha
-    return None
+    hit = np.flatnonzero(
+        _annihilators(ring or f.codomain)[:, f.values].all(axis=1))
+    return int(hit[0]) if len(hit) else None
 
 
 def verify_mp(ring: Ring, budget: int = DEFAULT_BUDGET) -> TheoremReport:
@@ -304,14 +344,15 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_BUDGET) -> TheoremReport:
     On carriers without zero divisors the solution set must be exactly the
     zero map.  The converse direction (a witness forces a solution) is not
     part of the claim being checked; candidate maps whose image is
-    annihilated but which fail the system are counted informationally.
+    annihilated but which fail the system are counted exactly
+    (``backward_counterexample_count``, by :func:`_union_count`) and the
+    first five are a sample (``backward_sample``, by :func:`_outside`).
     The system is solved as the Leibniz equation over multiplicative maps,
     so its solutions are re-verified like every other check's.
     """
     m = len(ring.domain_elements)
     found = solve(SolveTask(ast=leibniz_equation(), ring=ring,
                             classes={"f": MULTIPLICATIVE}, budget=budget))
-    sol_ids = row_ids(_value_rows(found.solutions, "f", m), ring.size)
     sols = [b.functions["f"] for b in found.solutions]
     witnesses = {s.values: annihilator_witness(s) for s in sols}
     counterexamples = [{"direction": "forward", "f": list(v)}
@@ -333,36 +374,20 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_BUDGET) -> TheoremReport:
         details["solution_set_is_zero"] = only_zero
         forward_ok = forward_ok and only_zero
 
-    # informational probe of the converse: annihilated image vs the system.
-    # Each alpha probes every value vector inside its annihilator, in
-    # lexicographic order and in blocks, skipping vectors an earlier alpha
-    # already probed.  Every probed vector is a candidate of the system, so
-    # it satisfies the system exactly when its id is among the solutions'
-    # ids.
-    probed: list[np.ndarray] = []  # membership masks of probed annihilators
-    backward_bad = 0
-    backward_sample: list = []
-    capped = False
-    for alpha in range(ring.size):
-        if alpha == ring.zero:
-            continue
-        member = ((ring.mul[alpha, :] == ring.zero)
-                  & (ring.mul[:, alpha] == ring.zero))
-        ann = np.flatnonzero(member)
-        if len(ann) ** m > _BACKWARD_CAP:
-            capped = True
-            continue
-        for batch in _product_blocks([ann] * m, _SAMPLE_CHUNK):
-            for mask in probed:
-                batch = batch[~mask[batch].all(axis=1)]
-            bad = batch[~np.isin(row_ids(batch, ring.size), sol_ids)]
-            backward_bad += len(bad)
-            backward_sample += bad[:5 - len(backward_sample)].tolist()
-        probed.append(member)
+    # informational probe of the converse: a vector is probed when its
+    # image is annihilated, and the probed solutions are those with a witness
+    ann = _annihilators(ring)
+    probed = _union_count([int.from_bytes(r.tobytes(), "little") for r in
+                           np.packbits(ann, axis=1, bitorder="little")], m)
+    backward_bad = probed - sum(w is not None for w in witnesses.values())
+    sample = []
+    if backward_bad:
+        sol_ids = row_ids(_value_rows(found.solutions, "f", m), ring.size)
+        sets = np.broadcast_to(ann[:, None, :], (ring.size, m, ring.size))
+        sample = [row for _, row in islice(_outside(sets, sol_ids), 5)]
     details["backward_informational"] = True
     details["backward_counterexample_count"] = backward_bad
-    details["backward_sample"] = backward_sample
-    details["backward_enumeration_capped"] = capped
+    details["backward_sample"] = sample
 
     return TheoremReport(theorem="prop1", ring=_ring_doc(ring), params={},
                          solutions_found=len(sols),
@@ -759,6 +784,7 @@ def verify_alien(ring: Ring, lam: int, mu: int,
     Predicted: all multiplicative maps when lam = 0, all Leibniz maps when
     mu = 0, and otherwise exactly the zero map and ((mu-lam)/mu) * id.
     """
+    lam, mu = operator.index(lam), operator.index(mu)
     if lam == ring.zero and mu == ring.zero:
         raise BothZero("lam and mu must not vanish simultaneously")
     _require_field(ring)

@@ -46,7 +46,7 @@ def test_c1_shift_forward_exhaustive():
             for eps in ring.center:
                 if eps == ring.zero:
                     continue
-                report = verify_sofy(ring, eps, directions="forward")
+                report = verify_sofy(ring, eps)
                 assert report.forward_ok, (ring.spec, eps)
                 checked += 1
         assert checked >= 18
@@ -59,7 +59,7 @@ def test_c2_shift_bijection_for_unit_shifts():
         cases = [(fnq.zn(2), (1,)), (fnq.gf(3), (1, 2)), (fnq.zn(4), (1, 3))]
         for ring, eps_list in cases:
             for eps in eps_list:
-                report = verify_sofy(ring, eps, directions="both")
+                report = verify_sofy(ring, eps)
                 assert report.forward_ok and report.backward_ok
                 assert report.solutions_found == report.predicted_count
                 assert report.details["bijection"] is True

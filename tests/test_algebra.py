@@ -509,6 +509,29 @@ def test_spec_json_round_trip():
         assert ring.size >= 2
 
 
+def test_numpy_integers_build_the_same_spec():
+    built = [(fnq.zn(6, subring=tuple(np.arange(0, 6, 2))),
+              fnq.zn(6, subring=(0, 2, 4))),
+             (fnq.gf(2, 2, modulus=tuple(np.array([1, 1, 1]))),
+              fnq.gf(2, 2, modulus=(1, 1, 1))),
+             (fnq.zn(np.int64(6)), fnq.zn(6))]
+    for ring, plain in built:
+        assert ring.spec == plain.spec
+        assert ring.table_hash == plain.table_hash
+        again = fnq.ring_from_json(json.dumps(ring.spec.to_json()))
+        assert again.spec == plain.spec
+
+
+@pytest.mark.parametrize("spec", [
+    dict(kind="Zn", n=6.0), dict(kind="Zn", n=True),
+    dict(kind="Zn", n=6, subring=(0, 2.0, 4)),
+    dict(kind="GF", p=2, k=2, modulus=(1, True, 1)),
+    dict(kind="UT2", p=np.float64(2))], ids=str)
+def test_spec_refuses_floats_and_bools(spec):
+    with pytest.raises(InvalidRingSpec, match="needs integers"):
+        RingSpec(**spec)
+
+
 def test_int_embed(z6, gf4):
     assert z6.int_embed(0) == 0
     assert z6.int_embed(7) == 1

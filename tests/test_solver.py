@@ -1,3 +1,4 @@
+import json
 from itertools import product as iproduct
 
 import numpy as np
@@ -352,6 +353,14 @@ def test_parameter_outside_the_ring_is_an_invalid_task(z6, value):
                      params={"a": value})
     with pytest.raises(InvalidTask, match=f"parameter 'a' = {value} "):
         solve(task)
+
+
+def test_numpy_parameter_serializes_as_a_python_int(z4):
+    ast = parse_equation("f(x*y)=a*f(x)*y")
+    ss = solve(SolveTask(ast, z4, {"f": ARBITRARY}, params={"a": np.int64(2)}))
+    doc = json.loads(json.dumps(solution_set_to_json(ss)))
+    assert doc["task"]["params"] == {"a": 2}
+    assert type(ss.task.params["a"]) is int
 
 
 def test_class_restricted_solve_matches_enumeration(z4):

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,9 @@ from fnq.theorems import (annihilator_witness, classify_pexider,
                           verify_alien, verify_mp, verify_pexider,
                           verify_sofy, verify_thm5_symbolic)
 
-from conftest import (is_homo_deriv_at, is_leibniz_at, is_multiplicative_at,
-                      reference_classify_pexider, thm4_backward_violations)
+from conftest import (brute_tables, is_homo_deriv_at, is_leibniz_at,
+                      is_multiplicative_at, reference_classify_pexider,
+                      thm4_backward_violations)
 
 
 def test_thm4_z2_bijection(z2):
@@ -187,7 +188,6 @@ def test_prop1_probe_matches_brute_force(ring):
                 sample += [list(vals)][:5 - len(sample)]
         probed.append(ann)
     details = verify_mp(ring).details
-    assert not details["backward_enumeration_capped"]
     assert details["backward_counterexample_count"] == bad
     assert details["backward_sample"] == sample
 
@@ -201,6 +201,127 @@ def test_product_blocks_walk_the_product_in_order(sizes, max_rows):
     assert all(len(b) <= max(max_rows, sizes[-1]) for b in blocks)
     rows = [r for b in blocks for r in b.tolist()]
     assert rows == [list(p) for p in iproduct(*options)]
+
+
+def _masks(*sets, q=4):
+    """(S, m, q) masks of product sets given as per-position value lists."""
+    out = np.zeros((len(sets), len(sets[0]), q), dtype=bool)
+    for s, options in enumerate(sets):
+        for j, allowed in enumerate(options):
+            out[s, j, allowed] = True
+    return out
+
+
+def test_outside_walks_each_set_once_in_order():
+    def outside(sets, sol_ids, limit=100):
+        return list(islice(fnq.theorems._outside(sets, sol_ids), limit))
+
+    none = np.array([], dtype=np.int64)
+    # the second set overlaps the first in the rows (1, 2) and (1, 3)
+    sets = _masks([[0, 1], [2, 3]], [[1, 2], [2, 3]])
+    assert outside(sets, none) == [
+        (0, [0, 2]), (0, [0, 3]), (0, [1, 2]), (0, [1, 3]),
+        (1, [2, 2]), (1, [2, 3])]
+    # solutions are skipped wherever they lie
+    sol_ids = fnq.maps.row_ids(np.array([[0, 3], [2, 2]]), 4)
+    assert outside(sets, sol_ids) == [
+        (0, [0, 2]), (0, [1, 2]), (0, [1, 3]), (1, [2, 3])]
+    assert outside(sets, sol_ids, 2) == [(0, [0, 2]), (0, [1, 2])]
+    # a set with an empty position holds no row
+    assert outside(_masks([[0], []], [[3], [1]]), none) == [(1, [3, 1])]
+    # a row an earlier set holds is skipped even when that set was walked
+    # in several blocks
+    wide = _masks([[0, 1, 2, 3]] * 7, [[0, 1]] * 6 + [[0, 1, 2, 3]])
+    taken = outside(wide, none, 4 ** 7 + 1)
+    assert [row for _, row in taken] == [list(p) for p in
+                                         iproduct(range(4), repeat=7)]
+
+
+def _prop1_brute_count(ring):
+    """Value vectors with an annihilated image that fail the system, by a
+    scan of every vector with scalar pair checks."""
+    add, mul = ring.add.tolist(), ring.mul.tolist()
+    zero, elems = ring.zero, ring.domain_elements
+    at = {x: i for i, x in enumerate(elems)}
+    pairs = [(at[x], at[y], at[mul[x][y]], x, y) for x in elems for y in elems]
+    anns = [{v for v in range(ring.size) if mul[a][v] == zero == mul[v][a]}
+            for a in range(ring.size) if a != zero]
+    count = 0
+    for f in brute_tables(ring):
+        image = set(f)
+        if any(image <= ann for ann in anns) and not all(
+                f[p] == mul[f[i]][f[j]] == add[mul[f[i]][y]][mul[x][f[j]]]
+                for i, j, p, x, y in pairs):
+            count += 1
+    return count
+
+
+BRUTE_RINGS = {
+    **{f"Z{n}": fnq.zn(n) for n in range(2, 7)},
+    "GF4": fnq.gf(2, 2), "F2[x]/(x^2)": fnq.poly_quot(2, 2),
+    "Z2xZ2": fnq.product(fnq.zn(2), fnq.zn(2)),
+    "Z2xZ3": fnq.product(fnq.zn(2), fnq.zn(3)),
+    "Z6{0,2,4}": fnq.zn(6, subring=(0, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("ring", BRUTE_RINGS.values(), ids=BRUTE_RINGS.keys())
+def test_prop1_converse_count_matches_brute_force(ring):
+    count = verify_mp(ring).details["backward_counterexample_count"]
+    assert count == _prop1_brute_count(ring)
+
+
+@pytest.mark.parametrize("ring, count", [
+    (fnq.zn(6), 791), (fnq.zn(8), 65_535), (fnq.zn(9), 19_682),
+    (fnq.zn(6, subring=(0, 2, 4)), 33),
+    # Z10: Ann(5) = {0,2,4,6,8} and Ann(2) = {0,5} meet in {0}, the zero
+    # map is the one solution: 5**10 + 2**10 - 1 - 1
+    (fnq.zn(10), 5 ** 10 + 2 ** 10 - 1 - 1),
+    # Z12: the union of Ann(6)^12 and Ann(4)^12, which meet in {0, 6},
+    # minus the zero map: 6**12 + 4**12 - 2**12 - 1 = 2,193,555,455
+    (fnq.zn(12), 2_193_555_455),
+    # Z16: every annihilator lies in Ann(8), the evens: 8**16 - 1
+    (fnq.zn(16), 281_474_976_710_655)],
+    ids=["Z6", "Z8", "Z9", "Z6{0,2,4}", "Z10", "Z12", "Z16"])
+def test_prop1_converse_count_is_exact(ring, count):
+    report = verify_mp(ring)
+    details = report.details
+    assert details["backward_counterexample_count"] == count
+    assert "backward_enumeration_capped" not in details
+    # the sample: the first five non-solutions with an annihilated image,
+    # here all from one annihilator, so in lexicographic order
+    sample = details["backward_sample"]
+    assert len(sample) == 5
+    elems = ring.domain_elements
+    for vals in sample:
+        assert annihilator_witness(FnTable(ring, ring, tuple(vals))) is not None
+        assert not all(is_multiplicative_at(ring, vals, x, y)
+                       and is_leibniz_at(ring, vals, x, y)
+                       for x in elems for y in elems)
+    assert sample == sorted(sample)
+
+
+def _scalar_witness(ring, values):
+    for alpha in range(ring.size):
+        if alpha != ring.zero and all(
+                ring.mul[alpha, v] == ring.zero == ring.mul[v, alpha]
+                for v in values):
+            return alpha
+    return None
+
+
+@pytest.mark.parametrize("ring", [fnq.zn(6), fnq.zn(8), fnq.ut2(2),
+                                  fnq.product(fnq.zn(2), fnq.zn(4)),
+                                  fnq.poly_quot(2, 2)],
+                         ids=["Z6", "Z8", "UT2(2)", "Z2xZ4", "F2[x]/(x^2)"])
+def test_annihilator_witness_matches_a_scalar_scan(ring):
+    # the witness depends on the image only: try every nonempty image
+    q = ring.size
+    for bits in range(1, 1 << q):
+        image = [v for v in range(q) if bits >> v & 1]
+        values = tuple(image + image[:1] * (q - len(image)))
+        f = FnTable(ring, ring, values)
+        assert annihilator_witness(f) == _scalar_witness(ring, image)
 
 
 def test_prop1_no_zero_divisors(gf3, gf5, gf4):
@@ -346,9 +467,17 @@ def test_report_serialization(z2):
     assert "verdict: holds" in text
 
 
+def test_numpy_check_parameters_serialize():
+    sofy = verify_sofy(fnq.zn(6), np.int64(1))
+    alien = verify_alien(fnq.gf(5), np.int64(1), np.int64(2))
+    assert json.loads(json.dumps(sofy.to_json()))["params"] == {"eps": 1}
+    assert json.loads(json.dumps(alien.to_json()))["params"] == {
+        "lam": 1, "mu": 2}
+
+
 def test_verify_sofy_on_declared_subring():
     ring = fnq.zn(6, subring=(0, 2, 4))
-    report = verify_sofy(ring, 3, directions="forward")
+    report = verify_sofy(ring, 3)
     assert report.forward_ok
     assert report.details["enumerated_count"] == 6 ** 3
 
