@@ -189,8 +189,7 @@ class Ring:
     def position(self) -> np.ndarray:
         """Carrier index -> position in ``domain_elements`` (-1 outside)."""
         pos = np.full(self.size, -1, dtype=np.int64)
-        for i, e in enumerate(self.domain_elements):
-            pos[e] = i
+        pos[self.element_array] = np.arange(len(self.element_array))
         return pos
 
     @cached_property

@@ -9,7 +9,13 @@ x=1 and y=0 checks constrain most, unless the caller passes its own order
 (:func:`fnq.maps.enumerate_maps` does for the logarithmic class); the
 order changes the work, never the solutions.  Before searching, every
 (constraint, x, y) check gets the level at which it becomes decidable, the
-last digit it reads, worked out with numpy over the whole pair grid.  An
+last digit it reads, worked out with numpy over the whole pair grid.  This
+planning is one pass per search: the grid of every pair is built once, and
+the digits a plain application reads at each pair (its slots) are worked
+out once per pair set and parameters, and shared by every constraint that
+applies it there, as an equation and its class identities do.  On a
+domain that is the whole carrier a position is the element itself and no
+argument can leave the domain, so neither is looked up.  An
 unknown applied to an argument that reads an unknown, as ``g`` in
 ``g(h(x))``, may read any of its digits.  Such unknowns and the unknowns
 read inside their arguments take the first digits, and a check with such
@@ -28,8 +34,14 @@ f(1) is assigned, and the pair (x, 1) of ``f(x*y) = h(x)*h(y)`` defines
 f(x) when ``f`` comes after ``h``.  The planner sorts each constraint's
 pairs by level once, notes where every level's pairs start, and marks the
 defining pairs; at a level with one the search writes the other side's
-value into every row: no rows·q growth.  A run of computed levels widens
-the rows once, and its checks wait: they run as one slice of pairs per
+value into every row: no rows·q growth.  That value is taken at its one
+pair on columns of the rows: x and y are that pair's elements, and each
+application is the column of the one digit it reads, kept as an integer
+array that indexes a ring table faster than the rows' own small dtype, so
+a computed level costs a table lookup per operation and one column write.
+This is the whole per-level step of Hom(Z256)'s 254 computed levels, each
+f(k) = f(1) + f(k-1).  A run of computed levels widens the rows once, and
+its checks wait: they run as one slice of pairs per
 constraint before the next grown level, at the end, or once the waiting
 (row, pair) cells reach ``_CELLS``.  A computed digit depends only on the
 digits before it, so a row that a waiting check would drop yields the
@@ -101,30 +113,48 @@ class _Plan:
     nested: bool               # applies an unknown to an unknown's value
     cuts: list[int]            # level L's pairs are cuts[L+1]:cuts[L+2]
     defines: dict[int, tuple]  # level: the side whose value at one pair is
-    #                            the level's digit, and that pair
+    #                            the level's digit, that pair's x and y,
+    #                            and the digits its applications read
 
 
-def _eval(node: tuple, x, y, slots, rows):
-    """Value of a compiled node: an int, (1, P) or (rows, P)."""
+def _eval(node: tuple, x, y, slots, rows, cols=None):
+    """Value of a compiled node: an int, (1, P) or (rows, P).
+
+    With ``cols`` the node is taken at one pair: x and y are its elements,
+    ``slots`` lists as ints the digits its plain applications read there,
+    and the value is an int or a column.  Each digit's column is read once
+    into ``cols``, as an integer array, which indexes a table faster than
+    the rows' own small dtype."""
     tag = node[0]
+    if tag == "fn":
+        if cols is None:
+            return rows[:, slots[node[1]]]
+        digit = slots[node[1]]
+        col = cols.get(digit)
+        if col is None:
+            col = cols[digit] = rows[:, digit].astype(np.intp)
+        return col
     if tag == "x":
         return x
     if tag == "y":
         return y
     if tag == "k":
         return node[1]
-    if tag == "fn":
-        return rows[:, slots[node[1]]]
     if tag == "neg":
-        return node[1][_eval(node[2], x, y, slots, rows)]
+        return node[1][_eval(node[2], x, y, slots, rows, cols)]
     if tag == "nest":
         _, digit_at, position, arg = node
-        pos = position[_eval(arg, x, y, slots, rows)]
-        if np.any(pos < 0):
-            raise EvalDomainError("function applied outside declared domain")
-        return np.take_along_axis(rows, digit_at[pos], axis=1)
-    return node[1][_eval(node[2], x, y, slots, rows),
-                   _eval(node[3], x, y, slots, rows)]
+        pos = _eval(arg, x, y, slots, rows, cols)
+        if position is not None:
+            pos = position[pos]
+            if (pos < 0).any():
+                raise EvalDomainError(
+                    "function applied outside declared domain")
+        if cols is None:
+            return np.take_along_axis(rows, digit_at[pos], axis=1)
+        return np.take_along_axis(rows, digit_at[pos][:, None], axis=1)[:, 0]
+    return node[1][_eval(node[2], x, y, slots, rows, cols),
+                   _eval(node[3], x, y, slots, rows, cols)]
 
 
 class _Planner:
@@ -137,8 +167,13 @@ class _Planner:
         self.params = params
         self.mixable = same_carrier(domain, codomain)
         m = len(domain.domain_elements)
-        # no argument leaves a domain that is the whole carrier
+        # no argument leaves a domain that is the whole carrier, whose
+        # positions are its elements
         self.whole = m == domain.size
+        self.grid = None  # every (x, y), built once when a constraint asks
+        # the slots of each plain application by pair set and parameters,
+        # freed with the planner
+        self.memo: dict[tuple, np.ndarray] = {}
         # the unknowns of nested applications, and the positions that
         # constant arguments read
         dynamic: set[str] = set()
@@ -180,10 +215,12 @@ class _Planner:
 
     def compile(self, constraint: PairConstraint) -> _Plan | None:
         """The plan of one constraint; None when it has no pairs."""
-        elems = self.domain.element_array
         if constraint.pairs is None:
-            m = len(elems)
-            xs, ys = elems.repeat(m), elems[None, :].repeat(m, axis=0).ravel()
+            if self.grid is None:
+                elems = self.domain.element_array
+                self.grid = (elems.repeat(len(elems)),
+                             np.tile(elems, len(elems)))
+            xs, ys = self.grid
         else:
             pairs = np.asarray(constraint.pairs, dtype=np.int64).reshape(-1, 2)
             xs, ys = pairs[:, 0], pairs[:, 1]
@@ -192,13 +229,15 @@ class _Planner:
         # last digit of the unknowns of the nested applications
         self.pairs, self.slots, self.late = (xs, ys), [], -1
         self.bound = {**self.params, **constraint.params}
+        # with an application, these fix its slots
+        self.context = (id(constraint.pairs),
+                        tuple(sorted(self.bound.items())))
         lhs = self._build(constraint.equation.lhs, False)
         split = len(self.slots)
         rhs = self._build(constraint.equation.rhs, False)
-        lhs_last, rhs_last = np.full((2, len(xs)), self.late)
-        for i, slot in enumerate(self.slots):
-            last = lhs_last if i < split else rhs_last
-            np.maximum(last, slot, out=last)
+        stacked = np.array(self.slots, dtype=np.int64).reshape(-1, len(xs))
+        lhs_last = stacked[:split].max(axis=0, initial=self.late)
+        rhs_last = stacked[split:].max(axis=0, initial=self.late)
         # levels shifted by one, -1 (reads no digit) to 0, in the smallest
         # unsigned dtype, which numpy sorts stably by radix
         dtype = np.min_scalar_type(self.digits)
@@ -206,9 +245,9 @@ class _Planner:
         sides = ((rhs, lhs, rhs_last > lhs_last),
                  (lhs, rhs, lhs_last > rhs_last))
         del lhs_last, rhs_last
-        order = np.argsort(levels, kind="stable")
+        order = levels.argsort(kind="stable")
         levels, xs, ys = levels[order], xs[order], ys[order]
-        slots = np.array(self.slots, dtype=dtype).reshape(-1, len(xs))[:, order]
+        slots = stacked.astype(dtype)[:, order]
         self.pairs = self.slots = None  # drop the unsorted arrays
         # a pair defines its level's digit when one side is a lone
         # application reading that digit and the other reads only earlier
@@ -218,14 +257,16 @@ class _Planner:
         if self.late < 0 or self.whole:
             for lone, other, later in sides:
                 if lone[0] == "fn":
-                    hits = np.flatnonzero(later[order])
+                    hits = later[order].nonzero()[0]
                     level = levels[hits]
                     first = np.ones(len(hits), dtype=bool)
                     first[1:] = level[1:] != level[:-1]
+                    hits = hits[first]
                     defines.update(zip((level[first] - 1).tolist(), zip(
-                        repeat(other), hits[first].tolist())))
-        cuts = np.searchsorted(
-            levels, np.arange(self.digits + 1, dtype=levels.dtype))
+                        repeat(other), xs[hits].tolist(), ys[hits].tolist(),
+                        slots[:, hits].T.tolist())))
+        cuts = levels.searchsorted(
+            np.arange(self.digits + 1, dtype=levels.dtype))
         return _Plan(lhs, rhs, xs[None, :], ys[None, :], slots,
                      self.late >= 0, [*cuts.tolist(), len(levels)], defines)
 
@@ -252,21 +293,29 @@ class _Planner:
                 raise UnboundName(f"function {expr.name!r} is not an unknown")
             if in_arg:
                 self._mixing("a value used as an argument")
-            digit_at = self.digit_of[self.unknowns[expr.name]]
-            arg = self._build(expr.arg, True)
-            inner = _scan(expr.arg, set(), [])[0]
-            if inner:
-                self.late = max([self.late] + [
-                    int(self.digit_of[self.unknowns[n]].max())
-                    for n in inner | {expr.name}])
-                return ("nest", digit_at, self.domain.position, arg)
-            pos = self.domain.position[_eval(arg, *self.pairs, None, None)]
-            if np.any(pos < 0):
-                raise EvalDomainError(
-                    f"function {expr.name!r} applied outside declared domain")
-            slot = digit_at[pos]
-            if slot.shape != self.pairs[0].shape:  # a constant argument
-                slot = np.broadcast_to(slot, self.pairs[0].shape)
+            key = (expr, self.context)
+            slot = self.memo.get(key)
+            if slot is None:
+                digit_at = self.digit_of[self.unknowns[expr.name]]
+                start = len(self.slots)
+                arg = self._build(expr.arg, True)
+                if len(self.slots) > start:  # the argument reads an unknown
+                    self.late = max([self.late] + [
+                        int(self.digit_of[self.unknowns[n]].max())
+                        for n in _scan(expr.arg, set(), [])[0] | {expr.name}])
+                    return ("nest", digit_at,
+                            None if self.whole else self.domain.position, arg)
+                pos = _eval(arg, *self.pairs, None, None)
+                if not self.whole:
+                    pos = self.domain.position[pos]
+                    if (pos < 0).any():
+                        raise EvalDomainError(
+                            f"function {expr.name!r} applied outside "
+                            "declared domain")
+                slot = digit_at[pos]
+                if slot.shape != self.pairs[0].shape:  # a constant argument
+                    slot = np.broadcast_to(slot, self.pairs[0].shape)
+                self.memo[key] = slot
             self.slots.append(slot)
             return ("fn", len(self.slots) - 1)
         if isinstance(expr, Neg):
@@ -342,45 +391,48 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
     # reach a nested check
     plans = sorted(filter(None, map(planner.compile, constraints)),
                    key=lambda plan: plan.nested)
-    digits = planner.digits
+    digits, digit_of, whole = planner.digits, planner.digit_of, planner.whole
+    del planner  # with the slots the plans shared while planning
     # a level with a defining pair computes its digit, unless a nested check
     # there may read outside a proper subring; the rest are grown
     computed = {}
+    for plan in reversed(plans):  # the first plan's pair of a level wins
+        computed.update(plan.defines)
     for plan in plans:
-        for level, (node, j) in plan.defines.items():
-            if level not in computed:
-                at = slice(j, j + 1)
-                computed[level] = (node, plan.x[:, at], plan.y[:, at],
-                                   plan.slots[:, at])
-        if plan.nested and not planner.whole:
+        if plan.nested and not whole:
             for level in range(digits):
                 if plan.cuts[level + 1] < plan.cuts[level + 2]:
                     computed.pop(level, None)
     # done[k]: the pairs, over all plans, at the levels before level k-1
-    done = [sum(cuts) for cuts in zip(*(plan.cuts for plan in plans))
-            ] or [0] * (digits + 2)
+    done = list(map(sum, zip(*(plan.cuts for plan in plans)))
+                ) or [0] * (digits + 2)
 
     q = codomain.size
     rows = _filter(np.zeros((1, 0), dtype=np.min_scalar_type(q - 1)),
                    _checks(plans, -1, -1))
     waiting = 0  # the first level whose checks have not run
-    for level in range(digits):
-        if not len(rows):
-            break
-        digit = computed.get(level)
-        if digit is not None:
-            if rows.shape[1] == level:  # the first of a run: widen once
-                stop = next((k for k in range(level, digits)
-                             if k not in computed), digits)
-                _charge(budget, level, len(rows) * stop, "widened digits")
-                wide = np.empty((len(rows), stop), dtype=rows.dtype)
-                wide[:, :level] = rows
-                rows = wide
-            node, x, y, slots = digit
-            rows[:, level:level + 1] = _eval(node, x, y, slots, rows)
-            if len(rows) * (done[level + 2] - done[waiting + 1]) >= _CELLS:
-                rows = _filter(rows, _checks(plans, waiting, level))
-                waiting = level + 1
+    level = 0
+    while level < digits and len(rows):
+        if level in computed:
+            # a run of computed levels: widen the rows once, then write
+            # each digit from the columns it reads
+            stop = next((k for k in range(level, digits)
+                         if k not in computed), digits)
+            _charge(budget, level, len(rows) * stop, "widened digits")
+            wide = np.empty((len(rows), stop), dtype=rows.dtype)
+            wide[:, :level] = rows
+            rows, cols, count = wide, {}, len(rows)
+            for level in range(level, stop):
+                node, x, y, slots = computed[level]
+                rows[:, level] = value = _eval(node, x, y, slots, rows, cols)
+                if isinstance(value, np.ndarray):
+                    cols[level] = value
+                if count * (done[level + 2] - done[waiting + 1]) >= _CELLS:
+                    rows = _filter(rows, _checks(plans, waiting, level))
+                    cols, waiting, count = {}, level + 1, len(rows)
+                    if not count:
+                        break
+            level = stop
             continue
         rows = _filter(rows, _checks(plans, waiting, level - 1))
         if not len(rows):
@@ -389,15 +441,19 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
         _charge(budget, level, len(rows) * q * (pairs + level + 1),
                 "evaluated pairs")
         rows = _grow(rows, q, _checks(plans, level, level))
-        waiting = level + 1
+        waiting = level = level + 1
     rows = _filter(rows, _checks(plans, waiting, digits - 1))
     if not len(rows):
         rows = np.zeros((0, digits), dtype=rows.dtype)
 
-    values = rows[:, planner.digit_of.reshape(-1)].astype(np.int64)
+    values = rows[:, digit_of.reshape(-1)]
     if values.shape[1]:
-        values = values[np.lexsort(values.T[::-1])]
-    return values.reshape((len(values),) + planner.digit_of.shape)
+        # unsigned big-endian digits compare as bytes in lexicographic order
+        key = values.astype(values.dtype.newbyteorder(">"), order="C")
+        row = np.dtype((np.void, key.itemsize * key.shape[1]))
+        values = values[key.view(row)[:, 0].argsort(kind="stable")]
+    values = values.astype(np.int64)
+    return values.reshape((len(values),) + digit_of.shape)
 
 
 def _charge(budget: int | None, level: int, needed: int, what: str) -> None:
@@ -424,10 +480,10 @@ def _grow(rows: np.ndarray, q: int, checks: list[tuple[_Plan, int, int]]
     parts = []
     for start in range(0, count, step):
         block = rows[start:start + step]
-        grown = np.empty((len(block) * q, width + 1), dtype=rows.dtype)
-        grown[:, :width] = np.repeat(block, q, axis=0)
-        grown[:, width] = np.tile(np.arange(q, dtype=rows.dtype), len(block))
-        parts.append(_filter(grown, checks))
+        grown = np.empty((len(block), q, width + 1), dtype=rows.dtype)
+        grown[:, :, :width] = block[:, None]
+        grown[:, :, width] = np.arange(q, dtype=rows.dtype)
+        parts.append(_filter(grown.reshape(-1, width + 1), checks))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -446,9 +502,9 @@ def _filter(rows: np.ndarray, checks: list[tuple[_Plan, int, int]]
             x, y, slots = c.x[:, part], c.y[:, part], c.slots[:, part]
             ok = np.equal(_eval(c.lhs, x, y, slots, rows),
                           _eval(c.rhs, x, y, slots, rows))
-            if np.ndim(ok) == 2 and len(ok) == len(rows):
+            if ok.ndim == 2 and len(ok) == len(rows):
                 rows = rows[ok.all(axis=1)]
-            elif not np.all(ok):  # reads no digit: every row or none
+            elif not ok.all():  # reads no digit: every row or none
                 rows = rows[:0]
             start, size = start + size, 2 * size
     return rows

@@ -113,6 +113,16 @@ def test_zn_homomorphisms_are_idempotent_scalings_up_to_256():
                              for e in range(n) if e * e % n == e), n
 
 
+def test_solutions_come_in_lexicographic_order_of_wide_digits(monkeypatch):
+    # x -> a*x for every a: f(1) = a orders them, past the signed range of
+    # a byte on Z256 and past one byte per digit on Z300
+    monkeypatch.setattr(fnq.algebra, "DEFAULT_SIZE_BUDGET", 300)
+    for n in (256, 300):
+        r = fnq.zn(n)
+        got = [t.values for t in enumerate_maps(r, r, ADDITIVE)]
+        assert got == [tuple(a * x % n for x in range(n)) for a in range(n)]
+
+
 def test_logarithmic_maps_on_z16xz16():
     # U(Z16) = Z2 x Z4, and Hom(Z2 x Z4, Z16) has 2 * 4 elements, so
     # Hom(U(Z16 x Z16), Z16 x Z16) has 8**4; the kernel reaches them in
