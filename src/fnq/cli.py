@@ -131,9 +131,8 @@ def _cmd_solve(args) -> int:
                  f"ring: {json.dumps(doc['task']['ring'])}",
                  f"candidate space: {result.enumerated_count}",
                  f"pivot pruning: {'yes' if result.pruned_by_pivot else 'no'}",
-                 f"solutions: {len(result.solutions)}"]
-        for sol in doc["solutions"]:
-            lines.append("  " + json.dumps(sol))
+                 f"solutions: {doc['solution_count']}"]
+        lines += ["  " + json.dumps(sol) for sol in doc["solutions"]]
         _write(args, "\n".join(lines) + "\n")
     return 0
 

@@ -403,22 +403,38 @@ def _unit_generators(ring: Ring) -> tuple[list[int], list[int]]:
     return gens, order
 
 
-def enumerate_maps(domain: Ring, codomain: Ring, cls: FunctionClass,
-                   budget: int = DEFAULT_BUDGET) -> Iterator[FnTable]:
-    """Yield every table of the class exactly once, in lexicographic order.
+def logarithmic_order(domain: Ring) -> list[int]:
+    """The domain positions in the order the kernel assigns the digits of
+    a logarithmic unknown: the non-units ascending, then the units in the
+    order the closure of :func:`_unit_generators` reaches them, so that
+    only the generators' digits are grown.  :func:`enumerate_maps` and
+    :func:`fnq.solver.solve` both pass it to the kernel."""
+    units = [int(domain.position[u]) for u in _unit_generators(domain)[1]]
+    rest = set(range(len(domain.domain_elements))) - set(units)
+    return sorted(rest) + units
+
+
+def class_rows(domain: Ring, codomain: Ring, cls: FunctionClass,
+               budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """The value vectors of every table of the class, in lexicographic
+    order, as the (tables, domain size) int64 rows of the kernel.
 
     Every class is a search of the kernel for its constraints, ``arbitrary``
-    one with none.  ``budget`` is the kernel's: a level whose charge would
-    pass it raises :class:`BudgetExceeded` (:func:`fnq.search.search`).
+    one with none, in the kernel's default position order except for the
+    logarithmic class (:func:`logarithmic_order`).  ``budget`` is the
+    kernel's: a level whose charge would pass it raises
+    :class:`BudgetExceeded` (:func:`fnq.search.search`).
     """
-    order = None
-    if cls.kind == "logarithmic":
-        units = [int(domain.position[u]) for u in _unit_generators(domain)[1]]
-        rest = set(range(len(domain.domain_elements))) - set(units)
-        order = sorted(rest) + units
-    found = search(class_constraints(domain, "f", cls), ("f",),
-                   domain, codomain, budget=budget, order=order)[:, 0, :]
-    for row in found.tolist():
+    order = logarithmic_order(domain) if cls.kind == "logarithmic" else None
+    return search(class_constraints(domain, "f", cls), ("f",),
+                  domain, codomain, budget=budget, order=order)[:, 0, :]
+
+
+def enumerate_maps(domain: Ring, codomain: Ring, cls: FunctionClass,
+                   budget: int = DEFAULT_BUDGET) -> Iterator[FnTable]:
+    """Yield every table of the class exactly once, in lexicographic order:
+    the rows of :func:`class_rows` as tables."""
+    for row in class_rows(domain, codomain, cls, budget).tolist():
         yield FnTable(domain, codomain, tuple(row))
 
 

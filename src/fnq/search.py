@@ -6,8 +6,8 @@ the order the caller gives them.  Positions go first to those that constant
 arguments read, like the 5 of ``g(5)``, then unit, then zero, then the rest
 ascending, because a check reading ``g(5)`` waits for that digit and the
 x=1 and y=0 checks constrain most, unless the caller passes its own order
-(:func:`fnq.maps.enumerate_maps` does for the logarithmic class); the
-order changes the work, never the solutions.  Before searching, every
+(:func:`fnq.maps.logarithmic_order`, for an unknown of the logarithmic
+class); the order changes the work, never the solutions.  Before searching, every
 (constraint, x, y) check gets the level at which it becomes decidable, the
 last digit it reads, worked out with numpy over the whole pair grid.  This
 planning is one pass per search: the grid of every pair is built once, and
@@ -54,7 +54,7 @@ that check raises if it reads outside.  For Hom(Z256) only the digits of
 f(1) and f(0) are grown, and the checks of the other 254 levels run in
 one pass over 1,017 of the 1,024 pairs that
 :func:`fnq.maps.class_constraints` states; in the logarithmic order
-(:func:`fnq.maps.enumerate_maps`) only the unit generators' digits are
+(:func:`fnq.maps.logarithmic_order`) only the unit generators' digits are
 grown.
 
 A check takes its pairs in chunks: the first covers about 4,096 (row,
@@ -83,6 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from math import prod
 
 import numpy as np
 
@@ -381,9 +382,10 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
     unknown that a pair defines from the others, as the pair (x, 1) of
     ``f(x*y) = h(x)*h(y)`` defines f(x), goes last to be computed.
 
-    Returns an int array of shape (solutions, unknowns, domain size) in
-    lexicographic order of the concatenated value vectors, unknowns in the
-    given order and positions in domain order.
+    Returns an int64 array of shape (solutions, unknowns, domain size) in
+    lexicographic order of the concatenated value vectors
+    (:func:`lex_sorted`), unknowns in the given order and positions in
+    domain order.
     """
     planner = _Planner(constraints, unknowns, domain, codomain, params or {},
                        order)
@@ -446,14 +448,23 @@ def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],
     if not len(rows):
         rows = np.zeros((0, digits), dtype=rows.dtype)
 
-    values = rows[:, digit_of.reshape(-1)]
-    if values.shape[1]:
-        # unsigned big-endian digits compare as bytes in lexicographic order
-        key = values.astype(values.dtype.newbyteorder(">"), order="C")
-        row = np.dtype((np.void, key.itemsize * key.shape[1]))
-        values = values[key.view(row)[:, 0].argsort(kind="stable")]
-    values = values.astype(np.int64)
-    return values.reshape((len(values),) + digit_of.shape)
+    return lex_sorted(rows[:, digit_of]).astype(np.int64)
+
+
+def lex_sorted(values: np.ndarray) -> np.ndarray:
+    """``values`` with its rows, the entries along the first axis, in
+    lexicographic order of their flattened non-negative integers.
+
+    Each row becomes one key of big-endian digits in the smallest unsigned
+    dtype that holds them, so that keys compare as bytes in that order, and
+    one stable sort orders them, instead of one sort key per digit."""
+    flat = values.reshape(len(values), prod(values.shape[1:]))
+    if not flat.size:
+        return values
+    key = flat.astype(np.min_scalar_type(flat.max()).newbyteorder(">"),
+                      order="C")
+    row = np.dtype((np.void, key.itemsize * key.shape[1]))
+    return values[key.view(row)[:, 0].argsort(kind="stable")]
 
 
 def _charge(budget: int | None, level: int, needed: int, what: str) -> None:

@@ -1,10 +1,12 @@
 """Exhaustive equation solving over finite rings.
 
 Given a parsed equation, a ring and a structure class per unknown, the
-solver finds every binding of function tables satisfying the equation at
+solver finds every assignment of value vectors satisfying the equation at
 all domain pairs.  The equation and each unknown's class identities go to
 the level-wise search kernel (:mod:`fnq.search`) as one system, which grows
-all unknowns' value vectors together, one digit at a time.
+all unknowns' value vectors together, one digit at a time.  The kernel's
+sorted array of solutions is the result (:class:`SolutionSet`), from the
+search to the reports.
 
 When the left side is a lone unknown applied to ``x*y`` over a unital
 domain, the y=1 pivot determines that unknown from the others.  The pivot
@@ -17,7 +19,7 @@ and come back in free-function order.
 
 The budget is charged by the kernel before each level it grows or
 widens (:func:`fnq.search.search`) and by the re-verification, solutions
-times the squared domain size, before any binding is built.
+times the squared domain size, before any row is checked.
 
 Results are exact, exhaustive and deterministic: solutions come out in
 lexicographic order of the concatenated value vectors (free-function
@@ -28,6 +30,7 @@ or the grid) before it is returned.
 """
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import dataclass, field, replace
@@ -40,8 +43,9 @@ from .errors import BudgetExceeded, FnqError, InvalidTask
 from .eqdsl import (Binding, Definition, EquationAst, FnApp, PairConstraint,
                     compile_side, equation_to_text, grid_satisfies,
                     pivot_reduce)
-from .maps import FnTable, FunctionClass, class_constraints, class_space_size
-from .search import DEFAULT_BUDGET, search
+from .maps import (FnTable, FunctionClass, class_constraints, class_space_size,
+                   logarithmic_order)
+from .search import DEFAULT_BUDGET, lex_sorted, search
 
 
 @dataclass
@@ -64,12 +68,35 @@ class SolveTask:
     budget: int = DEFAULT_BUDGET
 
 
-@dataclass
+@dataclass(eq=False)
 class SolutionSet:
+    """The exact solution set of a task, as the kernel's rows.
+
+    ``rows`` is an int64 array of shape (solutions, unknowns, domain size):
+    row ``i`` holds the value vector of each unknown of the equation, in
+    free-function order, and the rows are in lexicographic order of their
+    concatenated value vectors.  The reports and checks read it directly.
+    ``solutions`` is the same set as one :class:`fnq.eqdsl.Binding` of
+    tables per row, built on first access and then kept.  An array does
+    not compare with ``==``, so solution sets compare by identity.
+    """
+
     task: SolveTask
-    solutions: list[Binding]
+    rows: np.ndarray
     enumerated_count: int
     pruned_by_pivot: bool
+
+    @functools.cached_property
+    def solutions(self) -> list[Binding]:
+        return [_binding(self.task, row) for row in self.rows.tolist()]
+
+
+def _binding(task: SolveTask, row: list[list[int]]) -> Binding:
+    """The tables of one solution row, bound with the task's parameters."""
+    ring = task.ring
+    return Binding(functions={n: FnTable(ring, ring, tuple(vec))
+                              for n, vec in zip(task.ast.free_functions, row)},
+                   params=dict(task.params))
 
 
 # ----------------------------------------------------- vectorized evaluation
@@ -106,8 +133,13 @@ def solve(task: SolveTask) -> SolutionSet:
     """Find every satisfying binding, exactly and deterministically.
 
     When the y=1 pivot applies, the pivoted unknown is passed to the kernel
-    last, so the pair (x, 1) computes its digits; the kernel finds the same
-    solutions in any order of the unknowns.
+    last, so the pair (x, 1) computes its digits; when an unknown is
+    logarithmic, the kernel takes the positions in that class's order
+    (:func:`fnq.maps.logarithmic_order`).  The kernel finds the same
+    solutions in any order of the unknowns and positions, and the result
+    holds them as its rows in free-function order.  Each row is checked at
+    every pair by :func:`residual`, through a binding built for that call
+    only.
     """
     ast, ring = task.ast, task.ring
     names = ast.free_functions
@@ -138,28 +170,23 @@ def solve(task: SolveTask) -> SolutionSet:
     for n in names:
         constraints += class_constraints(ring, n, task.classes[n])
     # the pivot goes last, so that the pair (x, 1) computes its digit at x
-    order = sorted(range(len(names)), key=lambda i: names[i] == pivot_name)
-    found = search(constraints, tuple(names[i] for i in order), ring, ring,
-                   task.params, budget=task.budget)
-    if order != sorted(order):
-        found = found[:, np.argsort(order)]
-        flat = found.reshape(len(found), -1)
-        found = found[np.lexsort(flat.T[::-1])]
-    needed = len(found) * m * m
+    unknowns = sorted(range(len(names)), key=lambda i: names[i] == pivot_name)
+    logarithmic = any(task.classes[n].kind == "logarithmic" for n in names)
+    rows = search(constraints, tuple(names[i] for i in unknowns), ring, ring,
+                  task.params, budget=task.budget,
+                  order=logarithmic_order(ring) if logarithmic else None)
+    if unknowns != sorted(unknowns):
+        rows = lex_sorted(rows[:, np.argsort(unknowns)])
+    needed = len(rows) * m * m
     if needed > task.budget:
         raise BudgetExceeded(
-            f"re-verifying {len(found)} solutions needs {needed} evaluated "
+            f"re-verifying {len(rows)} solutions needs {needed} evaluated "
             f"pairs, budget is {task.budget}", needed=needed)
-    solutions = []
-    for row in found.tolist():
-        binding = Binding(functions={n: FnTable(ring, ring, tuple(vec))
-                                     for n, vec in zip(names, row)},
-                          params=dict(task.params))
-        if residual(ast, binding, ring):
+    for row in rows.tolist():
+        if residual(ast, _binding(task, row), ring):
             raise FnqError(
                 f"internal error: search accepted a non-solution {row}")
-        solutions.append(binding)
-    return SolutionSet(task=task, solutions=solutions,
+    return SolutionSet(task=task, rows=rows,
                        enumerated_count=prod(
                            class_space_size(ring, ring, task.classes[n])
                            for n in names if n != pivot_name),
@@ -181,11 +208,9 @@ def solution_set_to_json(ss: SolutionSet) -> dict:
         },
         "enumerated_count": ss.enumerated_count,
         "pruned_by_pivot": ss.pruned_by_pivot,
-        "solution_count": len(ss.solutions),
-        "solutions": [
-            {n: list(b.functions[n].values) for n in task.ast.free_functions}
-            for b in ss.solutions
-        ],
+        "solution_count": len(ss.rows),
+        "solutions": [dict(zip(task.ast.free_functions, row))
+                      for row in ss.rows.tolist()],
     }
 
 
@@ -198,7 +223,6 @@ def solution_set_to_csv(ss: SolutionSet) -> str:
     m = len(ss.task.ring.domain_elements)
     header = [f"{n}_{i}" for n in names for i in range(m)]
     lines = [",".join(header)]
-    for b in ss.solutions:
-        row = [str(v) for n in names for v in b.functions[n].values]
-        lines.append(",".join(row))
+    for row in ss.rows.tolist():
+        lines.append(",".join(str(v) for vec in row for v in vec))
     return "\n".join(lines) + "\n"

@@ -34,8 +34,8 @@ from .eqdsl import (Binding, EquationAst, PairConstraint, grid_satisfies,
 from .errors import (BothZero, EpsilonZero, InvalidTask, NotAField,
                      NotCentral, ResidualNonzero, Unclassifiable)
 from .maps import (ARBITRARY, FnTable, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
-                   class_mask, enumerate_maps, leibniz_equation, row_ids,
-                   zero_map)
+                   class_mask, class_rows, enumerate_maps, leibniz_equation,
+                   row_ids, zero_map)
 from .search import DEFAULT_BUDGET
 from .solver import SolveTask, residual, solve
 from .symbolic import (DERIVED_INVERSES, PEXIDER_FAMILIES, check_identity,
@@ -123,12 +123,6 @@ def _ring_doc(ring: Ring) -> dict:
 
 def _table(ring: Ring, vals) -> FnTable:
     return FnTable(ring, ring, tuple(int(v) for v in vals))
-
-
-def _value_rows(bindings: list[Binding], name: str, m: int) -> np.ndarray:
-    """The (N, m) value rows of one unknown across solution bindings."""
-    return np.array([b.functions[name].values for b in bindings],
-                    dtype=np.int64).reshape(len(bindings), m)
 
 
 def _product_blocks(options: list[list[int]], max_rows: int):
@@ -234,12 +228,11 @@ def verify_sofy(ring: Ring, eps: int,
     if eps not in set(ring.center):
         raise NotCentral(f"element {eps} is not central")
     ast = homo_derivation_equation()
-    m = len(ring.domain_elements)
     task = SolveTask(ast=ast, ring=ring, classes={"h": ARBITRARY},
                      params={"e": eps}, budget=budget)
     sols = solve(task)
     elems = ring.element_array
-    hs = _value_rows(sols.solutions, "h", m)
+    hs = sols.rows[:, 0]
     shifts = ring.add[ring.mul[eps, hs], elems]
     multiplicative = class_mask(ring, ring, shifts, MULTIPLICATIVE)
 
@@ -255,11 +248,9 @@ def verify_sofy(ring: Ring, eps: int,
                              | {"h": h_vals})
     forward_ok = not counterexamples
 
-    mult_maps = list(enumerate_maps(ring, ring, MULTIPLICATIVE, budget))
+    mult_maps = class_rows(ring, ring, MULTIPLICATIVE, budget)
     # the preimage set P(m) = {h : eps*h = m - id}, one mask per map
-    targets = ring.add[np.array([mt.values for mt in mult_maps],
-                                dtype=np.int64).reshape(-1, m),
-                       ring.neg[elems]]
+    targets = ring.add[mult_maps, ring.neg[elems]]
     preimages = ring.mul[eps] == targets[:, :, None]
     # The sets P(m) are disjoint, and a solution lies in one exactly when
     # its shift is multiplicative, so the non-solutions among them are
@@ -275,7 +266,7 @@ def verify_sofy(ring: Ring, eps: int,
                            params={"e": eps})
             counterexamples.append({
                 "direction": "backward",
-                "m": list(mult_maps[s].values),
+                "m": mult_maps[s].tolist(),
                 "h": h_vals,
                 "violations": residual(ast, bind, ring)[:5],
             })
@@ -290,11 +281,11 @@ def verify_sofy(ring: Ring, eps: int,
     }
     if eps_is_unit:
         details["bijection"] = (len(set(map(tuple, shifts.tolist())))
-                                == len(sols.solutions) == len(mult_maps))
+                                == len(hs) == len(mult_maps))
 
     return TheoremReport(theorem="thm4", ring=_ring_doc(ring),
                          params={"eps": eps},
-                         solutions_found=len(sols.solutions),
+                         solutions_found=len(hs),
                          predicted_count=len(mult_maps),
                          forward_ok=forward_ok,
                          backward_ok=backward_violations == 0,
@@ -331,11 +322,18 @@ def _union_count(sets: list[int], m: int) -> int:
     return sum(least.values())
 
 
-def annihilator_witness(f: FnTable, ring: Ring | None = None) -> int | None:
+def _witnesses(ann: np.ndarray, rows: np.ndarray) -> list[int | None]:
+    """For each value row, the smallest ``a`` with ``ann[a, v]`` at every
+    value ``v`` of the row, or None."""
+    hits = ann[:, rows].all(axis=2)
+    return [int(a) if hit else None
+            for a, hit in zip(hits.argmax(axis=0).tolist(),
+                              hits.any(axis=0).tolist())]
+
+
+def annihilator_witness(f: FnTable) -> int | None:
     """Smallest-index nonzero element annihilating every value two-sidedly."""
-    hit = np.flatnonzero(
-        _annihilators(ring or f.codomain)[:, f.values].all(axis=1))
-    return int(hit[0]) if len(hit) else None
+    return _witnesses(_annihilators(f.codomain), f.as_array()[None, :])[0]
 
 
 def verify_mp(ring: Ring, budget: int = DEFAULT_BUDGET) -> TheoremReport:
@@ -353,36 +351,36 @@ def verify_mp(ring: Ring, budget: int = DEFAULT_BUDGET) -> TheoremReport:
     m = len(ring.domain_elements)
     found = solve(SolveTask(ast=leibniz_equation(), ring=ring,
                             classes={"f": MULTIPLICATIVE}, budget=budget))
-    sols = [b.functions["f"] for b in found.solutions]
-    witnesses = {s.values: annihilator_witness(s) for s in sols}
-    counterexamples = [{"direction": "forward", "f": list(v)}
-                       for v, w in witnesses.items() if w is None]
+    fs = found.rows[:, 0]
+    sols = fs.tolist()  # distinct and in lexicographic order
+    ann = _annihilators(ring)
+    witnesses = _witnesses(ann, fs)
+    counterexamples = [{"direction": "forward", "f": v}
+                       for v, w in zip(sols, witnesses) if w is None]
     forward_ok = not counterexamples
     details: dict = {
-        "solutions": [list(v) for v in sorted(witnesses)],
-        "witnesses": {str(list(v)): w for v, w in sorted(witnesses.items())},
+        "solutions": sols,
+        "witnesses": {str(v): w for v, w in zip(sols, witnesses)},
         "family_tags": [FamilyTag("MPAnnihilated", {"alpha": w}).to_json()
-                        for _, w in sorted(witnesses.items())
-                        if w is not None],
+                        for w in witnesses if w is not None],
         "no_zero_divisors": not ring.has_zero_divisors,
         "enumerated_count": found.enumerated_count,
     }
     predicted_count = None
     if not ring.has_zero_divisors:
         predicted_count = 1
-        only_zero = (len(sols) == 1 and sols[0].is_zero())
+        only_zero = len(sols) == 1 and bool((fs == ring.zero).all())
         details["solution_set_is_zero"] = only_zero
         forward_ok = forward_ok and only_zero
 
     # informational probe of the converse: a vector is probed when its
     # image is annihilated, and the probed solutions are those with a witness
-    ann = _annihilators(ring)
     probed = _union_count([int.from_bytes(r.tobytes(), "little") for r in
                            np.packbits(ann, axis=1, bitorder="little")], m)
-    backward_bad = probed - sum(w is not None for w in witnesses.values())
+    backward_bad = probed - sum(w is not None for w in witnesses)
     sample = []
     if backward_bad:
-        sol_ids = row_ids(_value_rows(found.solutions, "f", m), ring.size)
+        sol_ids = row_ids(fs, ring.size)
         sets = np.broadcast_to(ann[:, None, :], (ring.size, m, ring.size))
         sample = [row for _, row in islice(_outside(sets, sol_ids), 5)]
     details["backward_informational"] = True
@@ -667,19 +665,13 @@ def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
                               for n, r in zip("fhk", rows)}, params={})
 
 
-def _closure_rows(field_ring: Ring, per_family_cap: int):
+def _closure_rows(field_ring: Ring):
     """(family name, (f, h, k) value rows) of each family's first
-    ``per_family_cap`` instances: the parameters vary in the order listed,
+    ``_CLOSURE_CAP`` instances: the parameters vary in the order listed,
     the witness fastest."""
     n = field_ring.size
-    m = len(field_ring.domain_elements)
-
-    def witness_rows(cls):
-        return np.array([t.values for t in enumerate_maps(
-            field_ring, field_ring, cls)], dtype=np.int64).reshape(-1, m)
-
-    leibniz = {"delta": witness_rows(LEIBNIZ)}
-    multiplicative = {"m": witness_rows(MULTIPLICATIVE)}
+    leibniz = {"delta": class_rows(field_ring, field_ring, LEIBNIZ)}
+    multiplicative = {"m": class_rows(field_ring, field_ring, MULTIPLICATIVE)}
     every = np.arange(n)
     nonzero = every[every != field_ring.zero]
     families = (
@@ -693,7 +685,7 @@ def _closure_rows(field_ring: Ring, per_family_cap: int):
     for name, params, witnesses in families:
         axes = [*params.values(), *witnesses.values()]
         sizes = [len(axis) for axis in axes]
-        index = np.unravel_index(np.arange(min(per_family_cap, prod(sizes))),
+        index = np.unravel_index(np.arange(min(_CLOSURE_CAP, prod(sizes))),
                                  sizes)
         picked = [axis[i] for axis, i in zip(axes, index)]
         yield name, _family_rows(
@@ -702,9 +694,9 @@ def _closure_rows(field_ring: Ring, per_family_cap: int):
             dict(zip(witnesses, picked[len(params):])))
 
 
-def pexider_closure_samples(field_ring: Ring,
-                            per_family_cap: int = _CLOSURE_CAP):
-    """Deterministic family instantiations, capped per family.
+def pexider_closure_samples(field_ring: Ring):
+    """Deterministic family instantiations, the first ``_CLOSURE_CAP`` of
+    each family.
 
     Yields (family name, binding) pairs covering every scalar parameter and
     every enumerated Leibniz / multiplicative witness; within a family the
@@ -714,7 +706,7 @@ def pexider_closure_samples(field_ring: Ring,
     evaluation.
     """
     _require_field(field_ring)
-    for name, rows in _closure_rows(field_ring, per_family_cap):
+    for name, rows in _closure_rows(field_ring):
         for triple in zip(*(r.tolist() for r in rows)):
             yield name, Binding(functions={n: _table(field_ring, v)
                                            for n, v in zip("fhk", triple)},
@@ -731,12 +723,12 @@ def verify_pexider(field_ring: Ring,
                      classes={"f": ARBITRARY, "h": ARBITRARY, "k": ARBITRARY},
                      budget=budget)
     sols = solve(task)
-    m = len(field_ring.domain_elements)
 
     histogram: dict[str, int] = {}
     counterexamples: list = []
-    # solve has already checked every triple at every pair
-    found = [_value_rows(sols.solutions, n, m) for n in "fhk"]
+    # solve has already checked every triple at every pair; the unknowns
+    # are in free-function order, f, h and k
+    found = list(sols.rows.swapaxes(0, 1))
     for row, fit in enumerate(_classify_rows(field_ring, *found)):
         if isinstance(fit, str):
             counterexamples.append({"direction": "forward", "reason": fit,
@@ -746,7 +738,7 @@ def verify_pexider(field_ring: Ring,
             histogram[fit.name] = histogram.get(fit.name, 0) + 1
     unclassifiable = len(counterexamples)
 
-    closure = list(_closure_rows(field_ring, _CLOSURE_CAP))
+    closure = list(_closure_rows(field_ring))
     families = [name for name, rows in closure for _ in range(len(rows[0]))]
     samples = [np.concatenate([rows[i] for _, rows in closure])
                for i in range(3)]
@@ -763,7 +755,7 @@ def verify_pexider(field_ring: Ring,
     closure_failures = int((~holds).sum())
     return TheoremReport(
         theorem="pexider", ring=_ring_doc(field_ring), params={},
-        solutions_found=len(sols.solutions), predicted_count=None,
+        solutions_found=len(sols.rows), predicted_count=None,
         forward_ok=unclassifiable == 0,
         backward_ok=closure_failures == 0,
         counterexamples=counterexamples,
@@ -792,7 +784,7 @@ def verify_alien(ring: Ring, lam: int, mu: int,
     task = SolveTask(ast=ast, ring=ring, classes={"f": ARBITRARY},
                      params={"lam": lam, "mu": mu}, budget=budget)
     sols = solve(task)
-    found = {b.functions["f"].values for b in sols.solutions}
+    found = set(map(tuple, sols.rows[:, 0].tolist()))
 
     zero_values = zero_map(ring).values
     if lam == ring.zero:

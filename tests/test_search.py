@@ -307,3 +307,14 @@ def test_nested_pair_defines_no_digit_on_a_subring():
         (g, tuple(g[g[x // 2] // 2] for x in (0, 2, 4)))
         for g in itertools.product((0, 2, 4), repeat=3))
     assert [(tuple(g), tuple(f)) for g, f in rows.tolist()] == expected
+
+
+@pytest.mark.parametrize("shape,high", [((0, 2, 4), 4), ((1, 3, 2), 7),
+                                        ((300, 2, 3), 3), ((200, 1, 4), 300),
+                                        ((50, 0, 3), 2)])
+def test_lex_sorted_orders_rows_as_python_sorts_them(shape, high):
+    values = np.random.default_rng(0).integers(0, high, size=shape)
+    got = kernel.lex_sorted(values)
+    assert got.shape == values.shape and got.dtype == values.dtype
+    assert [r.ravel().tolist() for r in got] == sorted(
+        r.ravel().tolist() for r in values)

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 import fnq
+import fnq.cli
 import fnq.solver
 from fnq import search as kernel
 from fnq.eqdsl import Binding, parse_equation
 from fnq.errors import (BudgetExceeded, EvalDomainError, FnqError,
                         InvalidTask, UnboundName)
-from fnq.maps import (ADDITIVE, ARBITRARY, FnTable, class_constraints,
-                      class_from_string, enumerate_maps, homo_deriv_sofy)
+from fnq.maps import (ADDITIVE, ARBITRARY, LOGARITHMIC, FnTable,
+                      class_constraints, class_from_string, enumerate_maps,
+                      homo_deriv_sofy)
 from fnq.solver import (SolveTask, residual, solution_set_to_csv,
                         solution_set_to_json, solve)
 from fnq.eqdsl import grid_satisfies
@@ -662,3 +664,62 @@ def test_residual_errors_match_reference(text, params, error):
         reference_residual(ast, binding, ring)
     with pytest.raises(error):
         residual(ast, binding, ring)
+
+
+def test_pivoted_solve_with_no_solution_reports_none(capsys):
+    # f(x) = g(x) + x from y = 1, but y = 0 asks f(0) = x for every x
+    ring = fnq.zn(4)
+    task = SolveTask(parse_equation("f(x*y)=g(x)*y+x"), ring,
+                     {"f": ARBITRARY, "g": ARBITRARY})
+    ss = solve(task)
+    assert ss.pruned_by_pivot and ss.rows.shape == (0, 2, 4)
+    assert ss.solutions == []
+    code = fnq.cli.main(["solve", "--ring", '{"kind":"Zn","n":4}',
+                         "--eq", "f(x*y)=g(x)*y+x", "--out", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["solution_count"] == 0 and doc["solutions"] == []
+
+
+def test_pivoted_solutions_come_in_free_function_order():
+    # f(x) = g(x) - x for the 4 homomorphisms g = e*x, e idempotent; the
+    # kernel takes (g, f), and g's order runs opposite to f's
+    ring = fnq.ring_from_json(json.dumps(
+        {"kind": "Product", "left": {"kind": "Zn", "n": 16},
+         "right": {"kind": "Zn", "n": 16}}))
+    ss = solve(SolveTask(parse_equation("f(x*y)=g(x)*y-x*y"), ring,
+                         {"f": ARBITRARY, "g": class_from_string(
+                             "homomorphism")}))
+    elems = ring.element_array
+    gs = [ring.mul[e, elems] for e in range(ring.size)
+          if ring.mul[e, e] == e]
+    expected = sorted((ring.add[g, ring.neg[elems]].tolist(), g.tolist())
+                      for g in gs)
+    assert ss.pruned_by_pivot
+    assert ss.rows.tolist() == [list(pair) for pair in expected]
+    assert ss.rows.max() == 255
+    by_g = sorted(expected, key=lambda pair: pair[1])
+    assert by_g == expected[::-1]
+    assert solutions_as_tuples(ss) == [tuple(map(tuple, pair))
+                                       for pair in expected]
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_logarithmic_solve_takes_the_class_order(k):
+    # in the default order the kernel would grow every unit's digit and
+    # pass the default budget; the class's order computes all but one
+    ring = fnq.gf(2, k)
+    ss = solve(SolveTask(parse_equation("f(x)=f(x)"), ring,
+                         {"f": class_from_string("logarithmic")}))
+    assert ss.rows[:, 0].tolist() == [
+        list(t.values) for t in enumerate_maps(ring, ring, LOGARITHMIC)]
+
+
+def test_solution_set_holds_rows_and_builds_bindings_once(z6):
+    ss = solve(SolveTask(parse_equation("h(x*y)=h(x)*y+x*h(y)+e*h(x)*h(y)"),
+                         z6, {"h": ARBITRARY}, params={"e": 3}))
+    assert ss.rows.dtype == np.int64 and ss.rows.shape == (5, 1, 6)
+    assert ss.solutions is ss.solutions
+    assert [list(b.functions["h"].values) for b in ss.solutions] == (
+        ss.rows[:, 0].tolist())
+    assert all(b.params == {"e": 3} for b in ss.solutions)

@@ -398,9 +398,10 @@ def test_classify_two_exponential(gf3):
     assert result.tag.witnesses["m"].values == m.values
 
 
-def test_family_instantiations_solve(gf5):
+def test_family_instantiations_solve(gf5, monkeypatch):
+    monkeypatch.setattr(fnq.theorems, "_CLOSURE_CAP", 40)
     count = 0
-    for name, binding in pexider_closure_samples(gf5, per_family_cap=40):
+    for name, binding in pexider_closure_samples(gf5):
         assert residual(pexider_equation(), binding, gf5) == [], name
         count += 1
     assert count > 100
@@ -505,12 +506,13 @@ def test_classify_accepts_only_an_exact_rebuild(gf3, monkeypatch):
 
 @pytest.mark.parametrize("ring", [fnq.gf(3), fnq.gf(2, 2)],
                          ids=lambda r: f"gf{r.size}")
-def test_closure_samples_cover_every_parameter(ring):
+def test_closure_samples_cover_every_parameter(ring, monkeypatch):
+    monkeypatch.setattr(fnq.theorems, "_CLOSURE_CAP", 10 ** 6)
     q = ring.size
     n_leibniz = len(list(enumerate_maps(ring, ring, LEIBNIZ)))
     n_mult = len(list(enumerate_maps(ring, ring, MULTIPLICATIVE)))
     counts: dict[str, int] = {}
-    for name, _ in pexider_closure_samples(ring, per_family_cap=10 ** 6):
+    for name, _ in pexider_closure_samples(ring):
         counts[name] = counts.get(name, 0) + 1
     assert counts == {"AllLinear": q * q, "LinearPlusLeibniz": q * q * n_leibniz,
                       "MultiplicativeSquare": q * q * n_mult,
@@ -536,18 +538,19 @@ def test_classification_rebuilds_every_closure_sample(ring):
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                                  (2, 3), (3, 2)])
-def test_every_family_instance_solves_the_equation(p, k):
+def test_every_family_instance_solves_the_equation(p, k, monkeypatch):
     # every family at every parameter and witness, NonDegenerate included,
     # checked by the grid evaluator, which shares no code with the templates
     from fnq.theorems import _closure_rows, _family_rows
     ring = fnq.gf(p, k)
     q, m = ring.size, len(ring.domain_elements)
+    monkeypatch.setattr(fnq.theorems, "_CLOSURE_CAP", q ** 6)
 
     def witness_rows(cls):
         return np.array([t.values for t in enumerate_maps(ring, ring, cls)],
                         dtype=np.int64).reshape(-1, m)
 
-    rows = [r for _, r in _closure_rows(ring, per_family_cap=q ** 6)]
+    rows = [r for _, r in _closure_rows(ring)]
     mult, log = witness_rows(MULTIPLICATIVE), witness_rows(LOGARITHMIC)
     grid = np.array(list(iproduct(range(q), range(q), range(q), range(q),
                                   range(len(mult)), range(len(log)))))
