@@ -222,7 +222,6 @@ def solution_set_to_csv(ss: SolutionSet) -> str:
     names = ss.task.ast.free_functions
     m = len(ss.task.ring.domain_elements)
     header = [f"{n}_{i}" for n in names for i in range(m)]
-    lines = [",".join(header)]
-    for row in ss.rows.tolist():
-        lines.append(",".join(str(v) for vec in row for v in vec))
+    rows = ss.rows.reshape(len(ss.rows), len(header)).tolist()
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
