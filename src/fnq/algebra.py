@@ -21,7 +21,6 @@ Carrier orderings are fixed so that reports are reproducible:
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import operator
@@ -197,7 +196,10 @@ class Ring:
         """G: 0 and the additive generators of the domain, as a read-only
         ascending int64 array, picked by ``_additive_generators``, the
         routine the axiom check picks its set with, the elements outside
-        the domain left out.  The unit, if the domain holds it, comes first,
+        the domain left out.  Without a declared subring, above
+        ``_EXHAUSTIVE_SIZE``, they are the axiom check's own set, which
+        :func:`build_ring` stores here, so a build walks the routine once.
+        The unit, if the domain holds it, comes first,
         as in the kernel's default position order (:mod:`fnq.search`), then
         each the smallest element outside the subgroup the ones before
         generate.  With the smallest element first instead, the pairs
@@ -206,11 +208,8 @@ class Ring:
         An additive class has q**(|G|-1) candidates
         (:func:`fnq.maps.class_space_size`)."""
         outside = self.position < 0 if self.subring is not None else None
-        g = [self.zero, *_additive_generators(self.add, self.zero, outside,
-                                              self.one)]
-        g = np.array(sorted(g), dtype=np.int64)
-        g.setflags(write=False)
-        return g
+        return _generator_array(self.zero, _additive_generators(
+            self.add, self.zero, outside, self.one))
 
     @cached_property
     def generator_pairs(self) -> np.ndarray:
@@ -510,16 +509,16 @@ def _poly_ring_tables(p: int, k: int, modulus: tuple[int, ...]):
     return size, add, mul, neg, 0, int(weights[0]), names
 
 
-def _product_tables(left: Ring, right: Ring):
-    nr = right.size
-    add = _pairs(left.add, right.add)
-    mul = _pairs(left.mul, right.mul)
-    neg = (left.neg[:, None] * nr + right.neg).reshape(-1)
-    one = None
-    if left.one is not None and right.one is not None:
-        one = left.one * nr + right.one
-    names = tuple(f"({a}|{b})" for a in left.names for b in right.names)
-    return len(add), add, mul, neg, 0, one, names
+def _product_tables(left, right):
+    """The tables of left × right from the components' tables, each as
+    (size, add, mul, neg, zero, one, names) with zero 0."""
+    nl, l_add, l_mul, l_neg, _, l_one, l_names = left
+    nr, r_add, r_mul, r_neg, _, r_one, r_names = right
+    neg = (l_neg[:, None] * nr + r_neg).reshape(-1)
+    one = None if l_one is None or r_one is None else l_one * nr + r_one
+    names = tuple(f"({a}|{b})" for a in l_names for b in r_names)
+    return (nl * nr, _pairs(l_add, r_add), _pairs(l_mul, r_mul), neg, 0, one,
+            names)
 
 
 def _ut2_tables(p: int):
@@ -595,10 +594,10 @@ def _additive_generators(add: np.ndarray, zero: int, outside=None,
     each generator, as a product of cosets repeats elements on a
     non-associative table.  In a group the reached part is the subgroup the
     generators generate, and each generator at least doubles it, so there
-    are at most log2(size).  The axiom check calls it with neither option
-    before the group law is proven, and :attr:`Ring.generators` on the
-    proven ring with the unit first and the elements outside a declared
-    subring left out.
+    are at most log2(size).  The axiom check calls it with the unit first
+    before the group law is proven, and :attr:`Ring.generators` with the
+    unit first and the elements outside a declared subring left out, on
+    the proven ring; without a subring the two calls are one.
     """
     reached = np.zeros(len(add), dtype=bool) if outside is None else outside.copy()
     reached[zero] = True
@@ -623,16 +622,24 @@ def _additive_generators(add: np.ndarray, zero: int, outside=None,
 def _verify_axioms(size, add, mul, neg, zero, one):
     """Exact check of every ring axiom on the full carrier.
 
-    Totality, commutativity of +, the zero, negation and the unit are
-    checked cell by cell.  The laws over three elements are checked with one
-    argument running over a generating set A of (R, +): every element is a
-    sum of elements of A and 0, so a set of elements that holds A and 0 and
-    is closed under + is the whole carrier.  Each step is exact given the
-    ones before it:
+    Totality, the zero, negation and the unit are checked cell by cell.
+    The laws over three elements, and commutativity of +, are checked with
+    one argument running over a generating set A of (R, +), picked by
+    ``_additive_generators`` with the unit first: every element is a sum of
+    elements of A and 0, so a set of elements that holds A and 0 and is
+    closed under + is the whole carrier.  Each step is exact given the ones
+    before it:
 
     * (x+a)+y = x+(a+y) for all x, y and a in A.  The a that pass hold 0
       and are closed under + (Light's associativity test), so + is
-      associative and (R, +) is a finite abelian group.
+      associative and (R, +) is a finite group.
+    * x+a = a+x for all x and a in A.  For a fixed x, the z with
+      x+z = z+x hold 0, as 0 is an identity on both sides, and A, and with
+      + associative they are closed under +: x+(z+z') = (z+x)+z' =
+      z+(z'+x) = (z+z')+x.  So they are the whole carrier and (R, +) is
+      abelian.  A table that fails + commutativity and an earlier law of +
+      reports commutativity, which the reference order checks first: on
+      that failing path the whole table is compared.
     * (y+a)x = yx+ax for all x, y and a in A.  With + associative the a
       that pass are closed under +, and a nonempty set closed under + in a
       finite group holds 0, so right distributivity holds everywhere.
@@ -655,9 +662,10 @@ def _verify_axioms(size, add, mul, neg, zero, one):
 
     Returns A, as an index array or, up to ``_EXHAUSTIVE_SIZE``, a slice.
     The work is O(|A| size**2), with |A| <= log2(size) in a group: the
-    laws of + and the right law take |A| size**2 cells each, the left law
-    |A|**2 size and associativity |A|**3.  Up to ``_EXHAUSTIVE_SIZE`` A is
-    the whole carrier, which makes this the exhaustive check.
+    associativity of + and the right law take |A| size**2 cells each,
+    commutativity |A| size, the left law |A|**2 size and associativity
+    |A|**3.  Up to ``_EXHAUSTIVE_SIZE`` A is the whole carrier, which makes
+    this the exhaustive check.
     """
     rng = np.arange(size)
     for name, table in (("add", add), ("mul", mul)):
@@ -666,12 +674,10 @@ def _verify_axioms(size, add, mul, neg, zero, one):
     if neg.shape != (size,) or neg.min() < 0 or neg.max() >= size:
         raise AxiomViolation("negation table is not total on the carrier")
     # the shapes are fixed from here on, so == compares whole tables
-    if not (add == add.T).all():
-        raise AxiomViolation("addition is not commutative")
     if not ((add[zero] == rng).all() and (add[:, zero] == rng).all()):
-        raise AxiomViolation("zero is not an additive identity")
+        _additive_failure(add, "zero is not an additive identity")
     if not (add[rng, neg] == zero).all():
-        raise AxiomViolation("negation does not give additive inverses")
+        _additive_failure(add, "negation does not give additive inverses")
     # mul_s holds xy * size, so that add[xy, v] is one take from the flat
     # add table at xy * size + v; the other indices are table cells
     mul_s = mul.astype(np.intp)
@@ -681,12 +687,15 @@ def _verify_axioms(size, add, mul, neg, zero, one):
         gens = slice(None)
         blocks = [(slice(None), gens)]
     else:
-        gens = np.array(_additive_generators(add, zero), dtype=np.intp)
+        gens = np.array(_additive_generators(add, zero, first=one),
+                        dtype=np.intp)
         blocks = _blocks(size, gens)
     # indices [x, a, y], [y, a, x] and [x, y, a], x or y in the block's rows
     for xs, a in blocks:
         if not (add[add[xs][:, a]] == add[xs].take(add[a], axis=1)).all():
-            raise AxiomViolation("addition is not associative")
+            _additive_failure(add, "addition is not associative")
+    if not (add[:, gens] == add[gens].T).all():
+        raise AxiomViolation("addition is not commutative")
     right = all((mul[add[ys][:, a]]
                  == flat.take(mul_s[ys][:, None, :] + mul[a])).all()
                 for ys, a in blocks)
@@ -713,6 +722,15 @@ def _verify_axioms(size, add, mul, neg, zero, one):
     if not (mul[pairs][:, :, gens] == mul[gens][:, pairs]).all():
         raise AxiomViolation("multiplication is not associative")
     return gens
+
+
+def _additive_failure(add, message):
+    """Raise ``message``, or that + does not commute when the whole table
+    shows it: the reference order checks commutativity before the other
+    laws of +."""
+    if not (add == add.T).all():
+        message = "addition is not commutative"
+    raise AxiomViolation(message)
 
 
 def _blocks(size: int, gens: np.ndarray) -> list[tuple[slice, np.ndarray]]:
@@ -766,25 +784,15 @@ def _validate_subring(sub: tuple[int, ...], size, add, mul, neg, zero):
                 raise InvalidRingSpec("declared subring not closed under multiplication")
 
 
-def build_ring(spec: RingSpec) -> Ring:
-    """Build the ring described by ``spec`` and prove its axioms.
-
-    Raises :class:`BudgetExceeded` before any table is materialized when the
-    resulting carrier would be larger than :data:`DEFAULT_SIZE_BUDGET`.  A
-    GF modulus is irreducible exactly when the proven quotient is a field,
-    so a reducible one raises :class:`ReducibleModulus` once the units are
-    counted, before the subring is checked.  The axiom check's generating
-    set comes from ``_additive_generators``, as :attr:`Ring.generators`
-    does.
-    """
-    size = _spec_size(spec)
-    if size > DEFAULT_SIZE_BUDGET:
-        raise BudgetExceeded(
-            f"ring of size {size} exceeds the size budget "
-            f"{DEFAULT_SIZE_BUDGET}", needed=size)
-
+def _tables(spec: RingSpec):
+    """The tables of the carrier of ``spec``, its subring left out, as
+    (size, add, mul, neg, zero, one, names) with int16 tables.  They are not
+    proven here.  A GF carrier whose nonzero elements are not all units is
+    refused with :class:`ReducibleModulus` right after its tables are
+    built, and a product builds its left component's tables before its
+    right's, so errors come left component first."""
     if spec.kind == "Zn":
-        size, add, mul, neg, zero, one, names = _zn_tables(spec.n)
+        tables = _zn_tables(spec.n)
     elif spec.kind in ("GF", "PolyQuot"):
         if not _is_prime(spec.p):
             raise NonPrimeModulus(f"{spec.p} is not prime")
@@ -803,37 +811,80 @@ def build_ring(spec: RingSpec) -> Ring:
                     modulus = tuple((c * lead_inv) % spec.p for c in modulus)
         else:
             modulus = (0,) * spec.k + (1,)  # x^k, deliberately reducible
-        size, add, mul, neg, zero, one, names = _poly_ring_tables(
-            spec.p, spec.k, modulus)
+        tables = _poly_ring_tables(spec.p, spec.k, modulus)
     elif spec.kind == "Product":
-        left = build_ring(dataclasses.replace(spec.left, subring=None))
-        right = build_ring(dataclasses.replace(spec.right, subring=None))
-        size, add, mul, neg, zero, one, names = _product_tables(left, right)
+        tables = _product_tables(_tables(spec.left), _tables(spec.right))
     elif spec.kind == "UT2":
         if not _is_prime(spec.p):
             raise NonPrimeModulus(f"{spec.p} is not prime")
-        size, add, mul, neg, zero, one, names = _ut2_tables(spec.p)
+        tables = _ut2_tables(spec.p)
     else:
         raise InvalidRingSpec(f"unknown ring kind {spec.kind!r}")
-
+    size, add, mul, neg, zero, one, names = tables
+    # F_p[x]/(m) is a field exactly when m is irreducible; the units are the
+    # rows that hold 1 (see _structure_caches)
+    if (spec.kind == "GF"
+            and np.count_nonzero((mul == one).any(axis=1)) != size - 1):
+        raise ReducibleModulus(
+            f"{_poly_name(modulus)} is reducible over F_{spec.p}")
     # int16 holds every index below 2**15 and is the layout table_hash digests
-    add = np.ascontiguousarray(add, dtype=np.int16)
-    mul = np.ascontiguousarray(mul, dtype=np.int16)
-    neg = np.ascontiguousarray(neg, dtype=np.int16)
+    add, mul, neg = (np.ascontiguousarray(t, dtype=np.int16)
+                     for t in (add, mul, neg))
+    return size, add, mul, neg, zero, one, names
+
+
+def build_ring(spec: RingSpec) -> Ring:
+    """Build the ring described by ``spec`` and prove its axioms.
+
+    Raises :class:`BudgetExceeded` before any table is materialized when the
+    resulting carrier would be larger than :data:`DEFAULT_SIZE_BUDGET`.  A
+    GF modulus is irreducible exactly when its quotient is a field, so a
+    reducible one raises :class:`ReducibleModulus` once the units of its
+    tables are counted, before the axioms and the subring are checked.
+
+    A ``Product`` is proved once, on its own tables: its components' tables
+    come from the builders this function uses and are neither proven nor
+    given structure caches of their own.  That loses nothing.  Each builder
+    reduces its entries into its carrier, and the product tables are built
+    entry by entry from the components' (the entry at (l, r) and (l', r')
+    is the pair of the components' entries), so each projection is a
+    surjective map that preserves +, ·, 0, negation and 1.  Every totality
+    condition and every equational law that holds on the product therefore
+    holds on each component.
+
+    The axiom check's generating set comes from ``_additive_generators``
+    with the unit first, as :attr:`Ring.generators` does, and on a carrier
+    without a declared subring above ``_EXHAUSTIVE_SIZE`` the ring keeps
+    it as :attr:`Ring.generators`, so a build walks the routine once.
+    """
+    size = _spec_size(spec)
+    if size > DEFAULT_SIZE_BUDGET:
+        raise BudgetExceeded(
+            f"ring of size {size} exceeds the size budget "
+            f"{DEFAULT_SIZE_BUDGET}", needed=size)
+    size, add, mul, neg, zero, one, names = _tables(spec)
     gens = _verify_axioms(size, add, mul, neg, zero, one)
     center_, units, regular = _structure_caches(mul, zero, one, gens)
-    # F_p[x]/(m) is a field exactly when m is irreducible
-    if spec.kind == "GF" and len(units) != size - 1:
-        raise ReducibleModulus(f"{_poly_name(modulus)} is reducible over F_{spec.p}")
     if spec.subring is not None:
         _validate_subring(spec.subring, size, add, mul, neg, zero)
 
     add.setflags(write=False)
     mul.setflags(write=False)
     neg.setflags(write=False)
-    return Ring(spec=spec, size=size, add=add, mul=mul, neg=neg, zero=zero,
+    ring = Ring(spec=spec, size=size, add=add, mul=mul, neg=neg, zero=zero,
                 one=one, center=center_, units=units, regular=regular,
                 names=names, subring=spec.subring)
+    if spec.subring is None and size > _EXHAUSTIVE_SIZE:
+        # the set Ring.generators would walk again
+        ring.__dict__["generators"] = _generator_array(zero, gens)
+    return ring
+
+
+def _generator_array(zero: int, gens) -> np.ndarray:
+    """0 and ``gens`` as a read-only ascending int64 array."""
+    g = np.array(sorted([zero, *gens]), dtype=np.int64)
+    g.setflags(write=False)
+    return g
 
 
 def ring_from_json(doc: dict | str) -> Ring:

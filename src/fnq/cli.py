@@ -28,7 +28,7 @@ from .algebra import ring_from_json
 from .eqdsl import ast_to_json, equation_to_text, parse_equation
 from .errors import (EquationSyntaxError, FnqError, InvalidBudget,
                      ResidualNonzero, Unclassifiable)
-from .maps import FnTable, class_from_string, enumerate_maps, class_space_size
+from .maps import FnTable, class_from_string, class_rows, class_space_size
 from .search import DEFAULT_BUDGET
 from .solver import (SolveTask, solve, solution_set_to_csv,
                      solution_set_to_json, solution_set_to_json_bytes)
@@ -147,20 +147,19 @@ def _cmd_enumerate(args) -> int:
             "candidate_space": class_space_size(ring, ring, cls),
             "budget": _budget(args)}))
         return 0
-    tables = list(enumerate_maps(ring, ring, cls, budget=_budget(args)))
+    rows = class_rows(ring, ring, cls, budget=_budget(args)).tolist()
     if args.out == "csv":
         m = len(ring.domain_elements)
         lines = [",".join(f"v{i}" for i in range(m))]
-        lines += [",".join(str(v) for v in t.values) for t in tables]
+        lines += [",".join(map(str, row)) for row in rows]
         _write(args, "\n".join(lines) + "\n")
     elif args.out == "json":
         _write(args, _json_dump({
             "class": str(cls), "ring": ring.spec.to_json(),
-            "count": len(tables),
-            "maps": [list(t.values) for t in tables]}))
+            "count": len(rows), "maps": rows}))
     else:
-        lines = [f"{len(tables)} maps of class {cls}"]
-        lines += ["  " + ",".join(str(v) for v in t.values) for t in tables]
+        lines = [f"{len(rows)} maps of class {cls}"]
+        lines += ["  " + ",".join(map(str, row)) for row in rows]
         _write(args, "\n".join(lines) + "\n")
     return 0
 

@@ -34,7 +34,7 @@ from .eqdsl import (Binding, EquationAst, PairConstraint, grid_satisfies,
 from .errors import (BothZero, EpsilonZero, InvalidTask, NotAField,
                      NotCentral, ResidualNonzero, Unclassifiable)
 from .maps import (ARBITRARY, FnTable, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
-                   class_mask, class_rows, enumerate_maps, leibniz_equation,
+                   class_mask, class_rows, leibniz_equation,
                    row_ids, zero_map)
 from .search import DEFAULT_BUDGET
 from .solver import SolveTask, residual, solve
@@ -788,13 +788,13 @@ def verify_alien(ring: Ring, lam: int, mu: int,
 
     zero_values = zero_map(ring).values
     if lam == ring.zero:
-        predicted = {t.values for t in enumerate_maps(
-            ring, ring, MULTIPLICATIVE, budget)}
+        predicted = set(map(tuple, class_rows(ring, ring, MULTIPLICATIVE,
+                                              budget).tolist()))
         case = "multiplicative"
         tag_of = lambda vals: FamilyTag("AlienA")
     elif mu == ring.zero:
-        predicted = {t.values for t in enumerate_maps(ring, ring, LEIBNIZ,
-                                                      budget)}
+        predicted = set(map(tuple, class_rows(ring, ring, LEIBNIZ,
+                                              budget).tolist()))
         case = "leibniz"
         tag_of = lambda vals: FamilyTag("AlienB")
     else:

@@ -3,7 +3,7 @@ import json
 import pathlib
 import random
 import tracemalloc
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import numpy as np
 import pytest
@@ -170,6 +170,18 @@ def _z2_cubed(product):
     return 8, add, mul, np.arange(8), 0, None
 
 
+def _s3_with_zero_product():
+    """The symmetric group S3 as + and 0 as every product: a non-abelian
+    group with an associative, distributive product, so only the
+    commutativity of + can refuse it."""
+    perms = list(permutations(range(3)))
+    add = np.array([[perms.index(tuple(p[i] for i in q)) for q in perms]
+                    for p in perms])
+    neg = np.array([perms.index(tuple(p.index(i) for i in range(3)))
+                    for p in perms])
+    return 6, add, np.zeros((6, 6), dtype=np.int64), neg, 0, None
+
+
 def _hand_built_tables(z6):
     """Tables that break one law that random corruptions rarely reach."""
     def cross(a, b):  # distributive, not associative
@@ -183,7 +195,8 @@ def _hand_built_tables(z6):
     return [_z2_cubed(cross), wrong_one,
             _z2_cubed(lambda a, b: a),   # associative, not left distributive
             _z2_cubed(lambda a, b: b),   # associative, not right distributive
-            (9, np.array(z3xz3.add), off_subgroup, np.array(z3xz3.neg), 0, None)]
+            (9, np.array(z3xz3.add), off_subgroup, np.array(z3xz3.neg), 0, None),
+            _s3_with_zero_product()]
 
 
 def _corrupted_tables(rings, cases, seed):
@@ -341,6 +354,145 @@ def test_left_law_at_generator_pairs_agrees_with_exhaustive_reference():
             "addition is not associative"} <= seen
     # failures the generator-pair left law alone had to find
     assert right_only >= 100
+
+
+@pytest.mark.parametrize("exhaustive_size", [0, algebra._EXHAUSTIVE_SIZE])
+def test_non_abelian_group_fails_commutativity_alone(monkeypatch,
+                                                      exhaustive_size):
+    # every law but commutativity holds, so the check at the generators
+    # refuses S3 without the full compare of the failing path
+    from conftest import exhaustive_axioms
+    monkeypatch.setattr(algebra, "_EXHAUSTIVE_SIZE", exhaustive_size)
+    size, add, mul, neg, zero, one = _s3_with_zero_product()
+    assert not np.array_equal(add, add.T)
+    assert np.array_equal(add[add, :], add[:, add])  # + is associative
+    for check in (exhaustive_axioms, _verify_axioms):
+        assert (_axiom_failure(check, _s3_with_zero_product())
+                == "addition is not commutative")
+
+
+def _corrupted_zn_builder(n, table, cell, value):
+    """``algebra._zn_tables`` with one cell of Z_n's add, mul or neg table
+    overwritten; other moduli are built as they are."""
+    build = algebra._zn_tables
+
+    def corrupted(m):
+        tables = build(m)
+        if m == n:
+            tables = list(tables)
+            i = {"add": 1, "mul": 2, "neg": 3}[table]
+            tables[i] = np.array(tables[i])
+            tables[i][cell] = value
+        return tuple(tables)
+    return corrupted
+
+
+def _pair_tables(left, right):
+    """The product of two rings' (size, add, mul, neg, zero, one) tables,
+    entry by entry, the pair (l, r) at index l * right size + r."""
+    nl, nr = left[0], right[0]
+    pairs = [(a, b) for a in range(nl) for b in range(nr)]
+
+    def op(i):
+        return np.array([[left[i][a][c] * nr + right[i][b][d]
+                          for c, d in pairs] for a, b in pairs])
+    neg = np.array([left[3][a] * nr + right[3][b] for a, b in pairs])
+    return (nl * nr, op(1), op(2), neg, 0, left[5] * nr + right[5])
+
+
+def test_a_corrupted_component_fails_as_its_product_does(monkeypatch):
+    """A product's components are not proven on their own: a cell of Z4's
+    tables, corrupted in its builder, makes the product raise what the
+    size**3 reference raises on the product's tables, with Z4 left or
+    right, unless that is multiplicative associativity, which the check
+    takes last."""
+    from conftest import exhaustive_axioms
+    z4, z2 = RingSpec(kind="Zn", n=4), RingSpec(kind="Zn", n=2)
+    rng = random.Random(11)
+    seen = set()
+    for i in range(60):
+        table = ("add", "mul", "neg")[i % 3]
+        cell = (rng.randrange(4),) if table == "neg" else (
+            rng.randrange(4), rng.randrange(4))
+        clean = algebra._zn_tables(4)[{"add": 1, "mul": 2, "neg": 3}[table]]
+        value = (int(clean[cell]) + rng.randrange(1, 4)) % 4
+        builder = _corrupted_zn_builder(4, table, cell, value)
+        monkeypatch.setattr(algebra, "_zn_tables", builder)
+        for left, right in ((z4, z2), (z2, z4)):
+            want = _axiom_failure(exhaustive_axioms, _pair_tables(
+                builder(left.n)[:6], builder(right.n)[:6]))
+            assert want is not None
+            with pytest.raises(AxiomViolation) as exc:
+                fnq.product(left, right)
+            if want != "multiplication is not associative":
+                assert str(exc.value) == want
+            seen.add(want)
+        monkeypatch.undo()
+    assert len(seen) >= 4, seen
+
+
+_SPEC_ERRORS = [  # a bad component spec, its error and message
+    (RingSpec(kind="GF", p=2, k=2, modulus=(1, 0, 1)), ReducibleModulus,
+     "1+x^2 is reducible over F_2"),
+    (RingSpec(kind="GF", p=3, k=2, modulus=(0, 0, 1)), ReducibleModulus,
+     "x^2 is reducible over F_3"),
+    (RingSpec(kind="GF", p=4, k=1), NonPrimeModulus, "4 is not prime"),
+    (RingSpec(kind="GF", p=6, k=1), NonPrimeModulus, "6 is not prime"),
+    (RingSpec(kind="Zn", n=1), InvalidRingSpec, "Zn needs n >= 2"),
+    (RingSpec(kind="Zn", n=3), None, None),
+]
+
+
+@pytest.mark.parametrize("left", range(len(_SPEC_ERRORS)))
+@pytest.mark.parametrize("right", range(len(_SPEC_ERRORS)))
+def test_product_errors_come_left_component_first(left, right):
+    """A product reports its components' errors as building them on their
+    own would, the left component first; a size error of either component
+    comes first, as the product's size is counted before any table is
+    built."""
+    (ls, l_err, l_msg), (rs, r_err, r_msg) = _SPEC_ERRORS[left], _SPEC_ERRORS[right]
+    if l_err is None and r_err is None:
+        assert fnq.product(ls, rs).size == 9
+        return
+    if InvalidRingSpec in (l_err, r_err):
+        err, msg = InvalidRingSpec, "Zn needs n >= 2"
+    else:
+        err, msg = (l_err, l_msg) if l_err is not None else (r_err, r_msg)
+    for spec in (RingSpec(kind="Product", left=ls, right=rs),
+                 RingSpec(kind="Product", left=RingSpec(
+                     kind="Product", left=ls, right=RingSpec(kind="Zn", n=2)),
+                     right=rs)):
+        with pytest.raises(err) as exc:
+            fnq.build_ring(spec)
+        assert str(exc.value) == msg and type(exc.value) is err
+
+
+def test_a_build_proves_once_and_walks_the_generators_once(monkeypatch):
+    """A product calls the axiom check once, on its own tables, and a
+    carrier above ``_EXHAUSTIVE_SIZE`` without a declared subring hands
+    the check's generating set to ``Ring.generators``; smaller carriers and
+    subrings walk it when ``generators`` is read."""
+    calls = {"_verify_axioms": 0, "_additive_generators": 0}
+    for name in calls:
+        original = getattr(algebra, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(algebra, name, counted)
+    zn = lambda n: RingSpec(kind="Zn", n=n)
+    for spec, walks in [
+            (RingSpec(kind="Product", left=zn(16), right=zn(16)), 1),
+            (RingSpec(kind="Product", left=RingSpec(
+                kind="Product", left=zn(2), right=zn(2)), right=zn(2)), 1),
+            (zn(256), 1), (RingSpec(kind="GF", p=2, k=8), 1), (zn(6), 1),
+            (RingSpec(kind="Zn", n=36, subring=tuple(range(0, 36, 6))), 2),
+            (RingSpec(kind="Zn", n=6, subring=(0, 2, 4)), 1)]:
+        for name in calls:
+            calls[name] = 0
+        ring = fnq.build_ring(spec)
+        assert ring.generators is ring.generators
+        assert calls == {"_verify_axioms": 1, "_additive_generators": walks}, spec
 
 
 def test_vectorized_builders_reproduce_pinned_tables():

@@ -27,8 +27,13 @@ PRESENTATIONS = {
                  lambda: fnq.product(fnq.zn(2), fnq.zn(3))),
     "z10/z5xz2": (lambda: fnq.zn(10),
                   lambda: fnq.product(fnq.zn(5), fnq.zn(2))),
+    "z15/z3xz5": (lambda: fnq.zn(15),
+                  lambda: fnq.product(fnq.zn(3), fnq.zn(5))),
     "z2xz4/z4xz2": (lambda: fnq.product(fnq.zn(2), fnq.zn(4)),
                     lambda: fnq.product(fnq.zn(4), fnq.zn(2))),
+    "(z2xz2)xz3/z3x(z2xz2)": (
+        lambda: fnq.product(fnq.product(fnq.zn(2), fnq.zn(2)), fnq.zn(3)),
+        lambda: fnq.product(fnq.zn(3), fnq.product(fnq.zn(2), fnq.zn(2)))),
     # x^3+x+1 and x^3+x^2+1, constant term first
     "gf8": (lambda: fnq.gf(2, 3, modulus=(1, 1, 0, 1)),
             lambda: fnq.gf(2, 3, modulus=(1, 0, 1, 1))),
@@ -139,6 +144,16 @@ def test_presentations_number_their_elements_differently():
     for name in PRESENTATIONS:
         r, s, phi = presentations(name)
         assert phi.tolist() != list(range(r.size)), name
+
+
+def test_nestings_in_one_factor_order_build_one_table():
+    # so they number their elements alike, and the presentations above
+    # nest factors in different orders instead
+    z2 = fnq.RingSpec(kind="Zn", n=2)
+    left = fnq.product(fnq.product(z2, z2), z2)
+    right = fnq.product(z2, fnq.product(z2, z2))
+    assert left.table_hash == right.table_hash
+    assert left.names != right.names
 
 
 @pytest.mark.parametrize("name", list(PRESENTATIONS))

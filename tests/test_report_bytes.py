@@ -8,9 +8,10 @@ every one of them as it is.
 
 The first six cases are the paper's checks of the benchmark's
 verify-solve workload, with their argv as ``perfbench/workloads.py``
-builds it; the rest are ``solve`` tasks over the three output formats that
+builds it; then come ``solve`` tasks over the three output formats that
 cover the y=1 pivot, a proper subring, a nested unknown, parameters and
-class-restricted unknowns.
+class-restricted unknowns, and ``enumerate`` reports of three classes in
+each format.
 
 Regenerate the fixture only for a change that is meant to alter a report,
 and say so where the change is described::
@@ -51,6 +52,10 @@ def _verify(check: str, ring: str | None = None, *flags: str) -> list[str]:
 
 def _solve(ring: str, eq: str, out: str, *flags: str) -> list[str]:
     return ["solve", "--ring", ring, "--eq", eq, "--out", out, *flags]
+
+
+def _enumerate(ring: str, cls: str, out: str) -> list[str]:
+    return ["enumerate", "--ring", ring, "--class", cls, "--out", out]
 
 
 PEXIDER = "f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y"
@@ -105,6 +110,12 @@ CASES = {
     "shifted class z8 json": _solve(_zn(8), "f(x)=f(x)", "json",
                                     "--class", "f=homo-deriv-sofy:1"),
     "no solution z4 json": _solve(_zn(4), "f(x)=f(x)+1", "json"),
+    **{f"enumerate {name} {out}": _enumerate(ring, cls, out)
+       for name, ring, cls in (
+           ("homomorphism z12", _zn(12), "homomorphism"),
+           ("logarithmic gf8", _gf(2, 3), "logarithmic"),
+           ("additive ut2(2)", _ring({"kind": "UT2", "p": 2}), "additive"))
+       for out in ("json", "csv", "text")},
 }
 
 
