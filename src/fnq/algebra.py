@@ -166,11 +166,35 @@ class Ring:
     neg: np.ndarray
     zero: int
     one: int | None
-    center: tuple[int, ...]
-    units: tuple[int, ...]
-    regular: tuple[int, ...]
     names: tuple[str, ...]
     subring: tuple[int, ...] | None
+
+    @cached_property
+    def center(self) -> tuple[int, ...]:
+        """Elements commuting with the whole carrier, ascending."""
+        return tuple(np.flatnonzero((self.mul == self.mul.T).all(axis=1))
+                     .tolist())
+
+    @cached_property
+    def units(self) -> tuple[int, ...]:
+        """Elements with an inverse in the carrier, ascending."""
+        if self.one is None:
+            return ()
+        # in a finite ring xy = 1 gives yx = 1: z -> yz is one to one, as
+        # x(yz) = z, so yw = 1 for some w, and x = x(yw) = (xy)w = w
+        return tuple(np.flatnonzero((self.mul == self.one).any(axis=1))
+                     .tolist())
+
+    @cached_property
+    def regular(self) -> tuple[int, ...]:
+        """Nonzero elements that are no zero divisor on either side,
+        ascending."""
+        # xy = 0 with x and y nonzero: x is a left and y a right zero divisor
+        zd = self.mul == self.zero
+        zd[self.zero, :] = zd[:, self.zero] = False
+        mask = ~(zd.any(axis=0) | zd.any(axis=1))
+        mask[self.zero] = False
+        return tuple(np.flatnonzero(mask).tolist())
 
     @cached_property
     def domain_elements(self) -> tuple[int, ...]:
@@ -745,27 +769,6 @@ def _blocks(size: int, gens: np.ndarray) -> list[tuple[slice, np.ndarray]]:
             for i in range(len(gens)) for r in range(0, size, rows)]
 
 
-def _structure_caches(mul, zero, one, gens):
-    """The center, units and regular elements of a proven ring, ``gens``
-    generating its additive group."""
-    # by distributivity the y that commute with x are closed under +, so x
-    # is central once it commutes with gens
-    commute = (mul[:, gens] == mul[gens].T).all(axis=1)
-    center = tuple(np.flatnonzero(commute).tolist())
-    # in a finite ring xy = 1 gives yx = 1: z -> yz is one to one, as
-    # x(yz) = z, so yw = 1 for some w, and x = x(yw) = (xy)w = w
-    units = ()
-    if one is not None:
-        units = tuple(np.flatnonzero((mul == one).any(axis=1)).tolist())
-    # xy = 0 with x and y nonzero: x is a left and y a right zero divisor
-    zd = mul == zero
-    zd[zero, :] = zd[:, zero] = False
-    reg_mask = ~(zd.any(axis=0) | zd.any(axis=1))
-    reg_mask[zero] = False
-    regular = tuple(np.flatnonzero(reg_mask).tolist())
-    return center, units, regular
-
-
 def _validate_subring(sub: tuple[int, ...], size, add, mul, neg, zero):
     members = set(sub)
     if not members:
@@ -822,7 +825,7 @@ def _tables(spec: RingSpec):
         raise InvalidRingSpec(f"unknown ring kind {spec.kind!r}")
     size, add, mul, neg, zero, one, names = tables
     # F_p[x]/(m) is a field exactly when m is irreducible; the units are the
-    # rows that hold 1 (see _structure_caches)
+    # rows that hold 1 (see Ring.units)
     if (spec.kind == "GF"
             and np.count_nonzero((mul == one).any(axis=1)) != size - 1):
         raise ReducibleModulus(
@@ -842,9 +845,13 @@ def build_ring(spec: RingSpec) -> Ring:
     reducible one raises :class:`ReducibleModulus` once the units of its
     tables are counted, before the axioms and the subring are checked.
 
+    The center, units and regular elements are computed from the proven
+    tables when first read (:attr:`Ring.center`, :attr:`Ring.units`,
+    :attr:`Ring.regular`), not by the build.
+
     A ``Product`` is proved once, on its own tables: its components' tables
-    come from the builders this function uses and are neither proven nor
-    given structure caches of their own.  That loses nothing.  Each builder
+    come from the builders this function uses and are not proven on their
+    own.  That loses nothing.  Each builder
     reduces its entries into its carrier, and the product tables are built
     entry by entry from the components' (the entry at (l, r) and (l', r')
     is the pair of the components' entries), so each projection is a
@@ -864,7 +871,6 @@ def build_ring(spec: RingSpec) -> Ring:
             f"{DEFAULT_SIZE_BUDGET}", needed=size)
     size, add, mul, neg, zero, one, names = _tables(spec)
     gens = _verify_axioms(size, add, mul, neg, zero, one)
-    center_, units, regular = _structure_caches(mul, zero, one, gens)
     if spec.subring is not None:
         _validate_subring(spec.subring, size, add, mul, neg, zero)
 
@@ -872,8 +878,7 @@ def build_ring(spec: RingSpec) -> Ring:
     mul.setflags(write=False)
     neg.setflags(write=False)
     ring = Ring(spec=spec, size=size, add=add, mul=mul, neg=neg, zero=zero,
-                one=one, center=center_, units=units, regular=regular,
-                names=names, subring=spec.subring)
+                one=one, names=names, subring=spec.subring)
     if spec.subring is None and size > _EXHAUSTIVE_SIZE:
         # the set Ring.generators would walk again
         ring.__dict__["generators"] = _generator_array(zero, gens)

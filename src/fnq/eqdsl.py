@@ -17,12 +17,15 @@ Two evaluators share nothing but the AST.  The scalar one
 (:func:`compile_side`, and :func:`eval_side` on top of it) compiles a side
 once per call into a function of (x, y) over list views of the ring
 tables, then evaluates it per pair; it is the independent re-verifier of
-every reported solution.  The grid one evaluates batched tables over all
-pairs of one pair set at once with numpy: :func:`grid_masks` gives several
-equations' per-pair masks from one grid, computing each subexpression once
-per call, and :func:`grid_satisfies` reduces one equation to a mask per
-row.  Nothing outlives a call.  Neither evaluator shares code with the
-search kernel.
+every reported solution.  The grid one, :func:`grid_masks`, evaluates
+batched tables over all pairs of one pair set at once with numpy and gives
+each of several equations a verdict per row, computing each subexpression
+once per call.  Nothing outlives a call.  Neither evaluator shares code
+with the search kernel.  The evaluators (these two, the kernel's planner
+and the symbolic expansion) and the printer dispatch on the node type
+themselves, since a node means something of its own to each; every other
+walk over the tree goes through :func:`children`, the one statement of
+which fields of a node hold subexpressions.
 """
 from __future__ import annotations
 
@@ -83,6 +86,35 @@ class Neg:
 
 
 Expr = Union[Var, Param, IntLit, FnApp, Add, Sub, Mul, Neg]
+
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The subexpressions of a node, left operand first; none for a leaf.
+
+    The one place that says which fields of a node hold subexpressions:
+    every structural walk goes through it or :func:`_rebuilt`.  Raises
+    :class:`TypeError` on a value that is not a node.
+    """
+    if isinstance(expr, (Var, Param, IntLit)):
+        return ()
+    if isinstance(expr, (Add, Sub, Mul)):
+        return expr.left, expr.right
+    if isinstance(expr, FnApp):
+        return (expr.arg,)
+    if isinstance(expr, Neg):
+        return (expr.operand,)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _rebuilt(expr: Expr, fn: Callable[..., Expr], *args) -> Expr:
+    """``expr`` with ``fn(child, *args)`` in place of each child, built
+    with its node's constructor; a leaf is returned as it is."""
+    kids = children(expr)
+    if not kids:
+        return expr
+    if isinstance(expr, FnApp):
+        return FnApp(expr.name, fn(kids[0], *args))
+    return type(expr)(*[fn(kid, *args) for kid in kids])
 
 
 @dataclass(frozen=True)
@@ -229,18 +261,13 @@ class _Parser:
 
 
 def _collect_names(expr: Expr, functions: list[str], params: list[str]):
-    if isinstance(expr, FnApp):
-        if expr.name not in functions:
-            functions.append(expr.name)
-        _collect_names(expr.arg, functions, params)
-    elif isinstance(expr, Param):
-        if expr.name not in params:
-            params.append(expr.name)
-    elif isinstance(expr, (Add, Sub, Mul)):
-        _collect_names(expr.left, functions, params)
-        _collect_names(expr.right, functions, params)
-    elif isinstance(expr, Neg):
-        _collect_names(expr.operand, functions, params)
+    """Append each unknown and parameter not listed yet, in textual order."""
+    if isinstance(expr, FnApp) and expr.name not in functions:
+        functions.append(expr.name)
+    elif isinstance(expr, Param) and expr.name not in params:
+        params.append(expr.name)
+    for child in children(expr):
+        _collect_names(child, functions, params)
 
 
 def parse_equation(text: str) -> EquationAst:
@@ -293,24 +320,18 @@ def equation_to_text(ast: EquationAst) -> str:
     return f"{expr_to_text(ast.lhs)}={expr_to_text(ast.rhs)}"
 
 
+_JSON_NODES = {Var: "var", Param: "param", IntLit: "int", FnApp: "apply",
+               Add: "add", Sub: "sub", Mul: "mul", Neg: "neg"}
+
+
 def expr_to_json(expr: Expr) -> dict:
-    """Debug dump of an expression tree as plain JSON-ready objects."""
-    if isinstance(expr, Var):
-        return {"node": "var", "name": expr.name}
-    if isinstance(expr, Param):
-        return {"node": "param", "name": expr.name}
-    if isinstance(expr, IntLit):
-        return {"node": "int", "value": expr.value}
-    if isinstance(expr, FnApp):
-        return {"node": "apply", "name": expr.name,
-                "arg": expr_to_json(expr.arg)}
-    if isinstance(expr, (Add, Sub, Mul)):
-        op = {Add: "add", Sub: "sub", Mul: "mul"}[type(expr)]
-        return {"node": op, "left": expr_to_json(expr.left),
-                "right": expr_to_json(expr.right)}
-    if isinstance(expr, Neg):
-        return {"node": "neg", "operand": expr_to_json(expr.operand)}
-    raise TypeError(f"not an expression node: {expr!r}")
+    """Debug dump of an expression tree as plain JSON-ready objects: the
+    node's kind, then its fields in order, each subexpression dumped."""
+    kids = children(expr)
+    doc = {"node": _JSON_NODES[type(expr)], **vars(expr)}
+    # the subexpressions are the last fields of their node
+    doc.update(zip(list(doc)[len(doc) - len(kids):], map(expr_to_json, kids)))
+    return doc
 
 
 def ast_to_json(ast: EquationAst) -> dict:
@@ -387,7 +408,7 @@ def compile_side(side: Expr, binding: Binding, ring: Ring) -> Scalar:
     share its tables with ``ring`` (:class:`EvalDomainError`), compile
     into a step that raises when evaluation reaches it, so errors come in
     the order of evaluating the tree inside out, left operand first.
-    Shares no code with the search kernel or :func:`grid_satisfies`.
+    Shares no code with the search kernel or :func:`grid_masks`.
     """
     t = ring.lists
 
@@ -463,46 +484,24 @@ def eval_side(side: Expr, binding: Binding, x: int, y: int, ring: Ring) -> int:
 def grid_masks(equations: Sequence[EquationAst], pairs, domain: Ring,
                codomain: Ring, tables: dict[str, np.ndarray],
                params: dict[str, int]) -> list[np.ndarray]:
-    """Each equation's per-pair mask over batched tables, from one grid.
+    """Each equation's verdict per row of batched tables, from one grid.
 
     ``pairs`` is one pair set for all the equations, as in
     :class:`PairConstraint`: an array of shape (P, 2), or ``None`` for all
-    m*m domain pairs.  Each mask has shape (rows, P), the pairs in
-    row-major order, and is True where the equation holds; it may be a
-    read-only view.  ``tables`` and ``params`` are read as by
-    :func:`grid_satisfies`, and every subexpression, however many of the
-    equations share it as a node, is computed once per call.  An equation
-    whose evaluation raises :class:`EvalDomainError` fails alone, at every
-    pair of every row; any other error propagates.
-    """
-    grid = _Grid(domain, codomain, pairs, tables, params)
-    masks = []
-    for equation in equations:
-        try:
-            equal = grid.equal(equation)
-        except EvalDomainError:
-            equal = np.zeros((1, 1, 1), dtype=bool)
-        masks.append(np.broadcast_to(equal, (grid.rows, *grid.shape))
-                     .reshape(grid.rows, -1))
-    return masks
+    m*m domain pairs.  Each verdict is a bool array of shape (rows,), True
+    where the equation holds at every pair; each row's equality cells are
+    reduced as they are, with no per-pair copy.  Every subexpression,
+    however many of the equations share it as a node, is computed once per
+    call.  An equation whose evaluation raises :class:`EvalDomainError`
+    fails alone, in every row; any other error propagates.
 
-
-def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
-                   tables: dict[str, np.ndarray],
-                   params: dict[str, int]) -> np.ndarray:
-    """Boolean mask over batched tables meeting a constraint at all its pairs.
-
-    The one-equation reduction of :func:`grid_masks`, except that
-    :class:`EvalDomainError` propagates, and that it reduces each row's
-    equality cells as they are instead of spreading them into a per-pair
-    mask.  ``tables`` give each unknown's value vectors over the domain
+    ``tables`` give each unknown's value vectors over the domain
     positions, one row per candidate; a single row counts for every
-    candidate.  A parameter is one codomain element, or a 1-D integer
-    array of them that gives one per row and counts for the rows as a
-    table does.  A value outside the codomain raises
-    :class:`InvalidTask`, and a row count other than 1 or the largest one
-    raises :class:`ValueError`.  Parameters bound by the constraint take
-    precedence over ``params``.
+    candidate, and zero rows give empty verdicts.  A parameter is one
+    codomain element, or a 1-D integer array of them that gives one per
+    row and counts for the rows as a table does.  A value outside the
+    codomain raises :class:`InvalidTask`, and a row count other than 1 or
+    the largest one raises :class:`ValueError`.
     Both sides are evaluated over the whole (candidate, pair) grid:
     arguments of unknowns in the domain ring and everything else in the
     codomain ring, so ``x`` or ``y`` outside an argument, or an unknown
@@ -514,15 +513,21 @@ def grid_satisfies(constraint: PairConstraint, domain: Ring, codomain: Ring,
 
     Over a declared subring each unknown is spread over the carrier with
     -1 outside the domain, and an application that reads -1 raises
-    :class:`EvalDomainError`; without one the tables are used as they
-    are, since no argument can leave the domain.
+    :class:`EvalDomainError`, which fails its equation; without one the
+    tables are used as they are, since no argument can leave the domain.
     """
-    grid = _Grid(domain, codomain, constraint.pairs, tables,
-                 {**params, **constraint.params})
-    equal = grid.equal(constraint.equation)
-    # one entry per row that the tables or parameters read, or one for all
-    mask = np.broadcast_to(equal, (len(equal), *grid.shape)).all(axis=(1, 2))
-    return mask.repeat(grid.rows if len(mask) == 1 else 1)
+    grid = _Grid(domain, codomain, pairs, tables, params)
+    verdicts = []
+    for equation in equations:
+        try:
+            equal = grid.equal(equation)
+        except EvalDomainError:
+            verdicts.append(np.zeros(grid.rows, dtype=bool))
+            continue
+        # one entry per row that the tables or parameters read, or one for all
+        held = np.broadcast_to(equal, (len(equal), *grid.shape)).all(axis=(1, 2))
+        verdicts.append(held.repeat(grid.rows if len(held) == 1 else 1))
+    return verdicts
 
 
 class _Grid:
@@ -672,24 +677,10 @@ PivotResult = Union[Definition, Constraint, NotReducible]
 
 
 def substitute(expr: Expr, name: str, replacement: Expr) -> Expr:
+    """``expr`` with ``replacement`` in place of the variable ``name``."""
     if isinstance(expr, Var):
         return replacement if expr.name == name else expr
-    if isinstance(expr, (Param, IntLit)):
-        return expr
-    if isinstance(expr, FnApp):
-        return FnApp(expr.name, substitute(expr.arg, name, replacement))
-    if isinstance(expr, Add):
-        return Add(substitute(expr.left, name, replacement),
-                   substitute(expr.right, name, replacement))
-    if isinstance(expr, Sub):
-        return Sub(substitute(expr.left, name, replacement),
-                   substitute(expr.right, name, replacement))
-    if isinstance(expr, Mul):
-        return Mul(substitute(expr.left, name, replacement),
-                   substitute(expr.right, name, replacement))
-    if isinstance(expr, Neg):
-        return Neg(substitute(expr.operand, name, replacement))
-    raise TypeError(f"not an expression node: {expr!r}")
+    return _rebuilt(expr, substitute, name, replacement)
 
 
 def _terms(expr: Expr, sign: int = 1) -> list[tuple[int, Expr]]:
@@ -704,32 +695,21 @@ def _terms(expr: Expr, sign: int = 1) -> list[tuple[int, Expr]]:
 
 def _strip_ones(expr: Expr) -> Expr:
     """Normal form for term matching: drop multiplications by literal 1."""
+    expr = _rebuilt(expr, _strip_ones)
     if isinstance(expr, Mul):
-        left = _strip_ones(expr.left)
-        right = _strip_ones(expr.right)
-        if left == IntLit(1):
-            return right
-        if right == IntLit(1):
-            return left
-        return Mul(left, right)
-    if isinstance(expr, FnApp):
-        return FnApp(expr.name, _strip_ones(expr.arg))
-    if isinstance(expr, Add):
-        return Add(_strip_ones(expr.left), _strip_ones(expr.right))
-    if isinstance(expr, Sub):
-        return Sub(_strip_ones(expr.left), _strip_ones(expr.right))
-    if isinstance(expr, Neg):
-        return Neg(_strip_ones(expr.operand))
+        if expr.left == IntLit(1):
+            return expr.right
+        if expr.right == IntLit(1):
+            return expr.left
     return expr
 
 
 def _contains_fn(expr: Expr, name: str) -> bool:
-    if isinstance(expr, FnApp):
-        return expr.name == name or _contains_fn(expr.arg, name)
-    if isinstance(expr, (Add, Sub, Mul)):
-        return _contains_fn(expr.left, name) or _contains_fn(expr.right, name)
-    if isinstance(expr, Neg):
-        return _contains_fn(expr.operand, name)
+    if isinstance(expr, FnApp) and expr.name == name:
+        return True
+    for child in children(expr):
+        if _contains_fn(child, name):
+            return True
     return False
 
 

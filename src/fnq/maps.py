@@ -31,11 +31,11 @@ class are stated at :attr:`fnq.algebra.Ring.product_pairs`, which hold
 the pairs (g, h) and every pair that can prune a grown level.
 Membership of tables (:func:`in_class`, :func:`class_mask`) is a grid
 check of the same constraints at the same pairs
-(:func:`fnq.eqdsl.grid_satisfies`), which shares no code with the
+(:func:`fnq.eqdsl.grid_masks`), which shares no code with the
 kernel.  :func:`classify_map` checks every identity in one
-grid evaluation at the pairs (x, g) (:func:`fnq.eqdsl.grid_masks`), which
-hold the pairs (g, h) and the logarithmic zero check's pairs (x, 0); only
-a map that is not additive, or that is zero off the units, needs one more.
+grid evaluation at the pairs (x, g), which hold the pairs (g, h), and
+reads the logarithmic zero check off the map's values; only a map that is
+not additive, or that is zero off the units, needs one more evaluation.
 The identities share their common terms as nodes, which one evaluation
 computes once.  Over all pairs every operation in them but the
 applications ``f(x*y)`` and ``f(x+y)`` and the sums ``f(x)*y+x*f(y)`` and
@@ -53,7 +53,7 @@ import numpy as np
 
 from .algebra import Ring, same_carrier
 from .eqdsl import (Add, EquationAst, Expr, FnApp, IntLit, Mul, PairConstraint,
-                    Param, Var, grid_masks, grid_satisfies)
+                    Param, Var, grid_masks)
 from .errors import EvalDomainError, InvalidTask, NotAField
 from .search import DEFAULT_BUDGET, search
 
@@ -179,13 +179,11 @@ def class_mask(domain: Ring, codomain: Ring, rows: np.ndarray,
     declared domain fails every row alike.
     """
     ok = np.ones(len(rows), dtype=bool)
-    try:
-        for c in class_constraints(domain, "f", cls):
-            ok &= grid_satisfies(c, domain, codomain, {"f": rows}, {})
-            if not ok.any():
-                break
-    except EvalDomainError:
-        ok[:] = False
+    for c in class_constraints(domain, "f", cls):
+        ok &= grid_masks([c.equation], c.pairs, domain, codomain,
+                         {"f": rows}, c.params)[0]
+        if not ok.any():
+            break
     return ok
 
 
@@ -194,23 +192,24 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
 
     One grid evaluation (:func:`fnq.eqdsl.grid_masks`) at the pairs
     (x, g) of :attr:`fnq.algebra.Ring.generator_pairs` checks the additive,
-    multiplicative and Leibniz identities, ``f(x)=0``, and, when the
-    carriers agree, the shifted homo-derivation identity for the array of
-    all nonzero central shift constants.  The pairs (x, g) hold the pairs
+    multiplicative and Leibniz identities and, when the carriers agree,
+    the shifted homo-derivation identity for the array of all nonzero
+    central shift constants.  The pairs (x, g) hold the pairs
     (g, h), so an additive map's product identities hold everywhere
     exactly when they hold there; any other map checks them again at every
     pair, in one more evaluation.  A named class but logarithmic is tagged
     when each identity it lists in ``_CLASS_IDENTITIES`` holds, and each
     shift constant whose row passes for an additive map produces its own
-    parameterized tag.  The logarithmic zero check reads the pairs (x, 0)
-    with x a non-unit, which lie in (x, g); a map that passes it checks the
-    logarithmic identity at the unit pairs in one more evaluation.
-    An identity whose evaluation raises fails alone.
+    parameterized tag.  The logarithmic zero check, f(x) = 0 at every
+    domain element that is not a unit, reads the map's values; a map that
+    passes it checks the logarithmic identity at the unit pairs in one more
+    evaluation.  An identity whose evaluation raises fails alone.
     """
     domain, codomain = f.domain, f.codomain
-    tables = {"f": f.as_array()[None, :]}
+    values = f.as_array()
+    tables = {"f": values[None, :]}
     across = domain.generator_pairs
-    kinds = ["additive", "multiplicative", "leibniz", "zero"]
+    kinds = ["additive", "multiplicative", "leibniz"]
     shifts = np.array([e for e in codomain.center if e != codomain.zero],
                       dtype=np.int64)
     params = {}
@@ -218,28 +217,26 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
         # f reads only x, y and x*y, which a declared subring keeps inside
         kinds.append("sofy")
         params = {"e": shifts}
-    masks = dict(zip(kinds, grid_masks([_F_IDENTITIES[k] for k in kinds],
-                                       across, domain, codomain, tables,
-                                       params)))
-    found = {k: bool(masks[k].all())
+    held = dict(zip(kinds, grid_masks([_F_IDENTITIES[k] for k in kinds],
+                                      across, domain, codomain, tables,
+                                      params)))
+    found = {k: bool(held[k].all())
              for k in ("additive", "multiplicative", "leibniz")}
     if not found["additive"]:
         found["multiplicative"], found["leibniz"] = (
-            bool(mask.all()) for mask in grid_masks(
+            bool(verdict[0]) for verdict in grid_masks(
                 [_F_IDENTITIES["multiplicative"], _F_IDENTITIES["leibniz"]],
                 None, domain, codomain, tables, {}))
     tags = {cls for cls in _NAMED.values() if cls.kind in _CLASS_IDENTITIES
             and all(found[i] for i in _CLASS_IDENTITIES[cls.kind])}
     off_units, on_units = domain.unit_pairs
-    # f(x)=0 per domain x at its pair (x, 0), then at the non-units only
-    zero = masks["zero"][0, across[:, 1] == domain.zero]
-    if zero[domain.position[off_units[:, 0]]].all() and grid_masks(
+    off = values[domain.position[off_units[:, 0]]]
+    if (off == codomain.zero).all() and grid_masks(
             [_F_IDENTITIES["logarithmic"]], on_units, domain, codomain,
-            tables, {})[0].all():
+            tables, {})[0][0]:
         tags.add(LOGARITHMIC)
-    if found["additive"] and "sofy" in masks:
-        tags |= {homo_deriv_sofy(int(e))
-                 for e in shifts[masks["sofy"].all(axis=1)]}
+    if found["additive"] and "sofy" in held:
+        tags |= {homo_deriv_sofy(int(e)) for e in shifts[held["sofy"]]}
     return tags
 
 
@@ -302,6 +299,14 @@ def leibniz_equation(fn: str = "f") -> EquationAst:
     return _shared_identities(fn)["leibniz"]
 
 
+def require_shift(ring: Ring, eps: int) -> None:
+    """Raise :class:`InvalidTask` unless the shift constant ``eps`` is an
+    element of ``ring``."""
+    if not 0 <= eps < ring.size:
+        raise InvalidTask(f"shift constant {eps} is not an element of "
+                          f"a ring of size {ring.size}")
+
+
 def class_constraints(ring: Ring, name: str,
                       cls: FunctionClass) -> list[PairConstraint]:
     """Membership of unknown ``name`` in a class, as search constraints.
@@ -327,9 +332,8 @@ def class_constraints(ring: Ring, name: str,
     and more selective check.  The search kernel and :func:`class_mask`
     both read these constraints.
     """
-    if cls.eps is not None and not 0 <= cls.eps < ring.size:
-        raise InvalidTask(f"shift constant {cls.eps} is not an element of "
-                          f"a ring of size {ring.size}")
+    if cls.eps is not None:
+        require_shift(ring, cls.eps)
     if cls.kind == "logarithmic":
         off_units, on_units = ring.unit_pairs
         identities = _shared_identities(name)

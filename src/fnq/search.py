@@ -89,7 +89,7 @@ import numpy as np
 
 from .algebra import Ring, same_carrier
 from .eqdsl import (Add, Expr, FnApp, IntLit, Mul, Neg, PairConstraint, Param,
-                    Sub, Var)
+                    Sub, Var, children)
 from .errors import BudgetExceeded, EvalDomainError, FnqError, UnboundName
 
 # the default budget of every search, solve, enumeration and check
@@ -340,20 +340,18 @@ def _scan(expr: Expr, nested: set[str], constant: list[Expr]
     reading no variable and no unknown, to ``constant``."""
     if isinstance(expr, Var):
         return set(), True
+    inner, var = set(), False
+    for child in children(expr):
+        applied, reads = _scan(child, nested, constant)
+        inner |= applied
+        var = var or reads
     if isinstance(expr, FnApp):
-        inner, var = _scan(expr.arg, nested, constant)
         if inner:
             nested |= inner | {expr.name}
         elif not var:
             constant.append(expr.arg)
-        return inner | {expr.name}, var
-    if isinstance(expr, Neg):
-        return _scan(expr.operand, nested, constant)
-    if isinstance(expr, (Add, Sub, Mul)):
-        left, left_var = _scan(expr.left, nested, constant)
-        right, right_var = _scan(expr.right, nested, constant)
-        return left | right, left_var or right_var
-    return set(), False
+        inner.add(expr.name)
+    return inner, var
 
 
 def search(constraints: list[PairConstraint], unknowns: tuple[str, ...],

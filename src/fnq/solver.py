@@ -41,8 +41,7 @@ import numpy as np
 from .algebra import Ring
 from .errors import BudgetExceeded, FnqError, InvalidTask
 from .eqdsl import (Binding, Definition, EquationAst, FnApp, PairConstraint,
-                    compile_side, equation_to_text, grid_satisfies,
-                    pivot_reduce)
+                    compile_side, equation_to_text, grid_masks, pivot_reduce)
 from .maps import (FnTable, FunctionClass, class_constraints, class_space_size,
                    logarithmic_order)
 from .search import DEFAULT_BUDGET, lex_sorted, search
@@ -105,11 +104,11 @@ def batch_satisfies(ast: EquationAst, ring: Ring, fixed: dict[str, FnTable],
                     batch: dict[str, np.ndarray], params: dict[str, int]) -> np.ndarray:
     """Boolean mask over batched candidates satisfying the equation everywhere.
 
-    Both sides are evaluated over the whole (candidate, x, y) grid; a fixed
-    table counts as a batch of one row.
+    The verdict of :func:`fnq.eqdsl.grid_masks` over all domain pairs; a
+    fixed table counts as a batch of one row.
     """
     tables = {n: t.as_array()[None, :] for n, t in fixed.items()} | batch
-    return grid_satisfies(PairConstraint(ast), ring, ring, tables, params)
+    return grid_masks([ast], None, ring, ring, tables, params)[0]
 
 
 # --------------------------------------------------------------- residuals

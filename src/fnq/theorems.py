@@ -29,13 +29,12 @@ from math import prod
 import numpy as np
 
 from .algebra import Ring, same_carrier
-from .eqdsl import (Binding, EquationAst, PairConstraint, grid_satisfies,
-                    parse_equation)
+from .eqdsl import Binding, EquationAst, grid_masks, parse_equation
 from .errors import (BothZero, EpsilonZero, InvalidTask, NotAField,
                      NotCentral, ResidualNonzero, Unclassifiable)
 from .maps import (ARBITRARY, FnTable, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
                    class_mask, class_rows, leibniz_equation,
-                   row_ids, zero_map)
+                   require_shift, row_ids, zero_map)
 from .search import DEFAULT_BUDGET
 from .solver import SolveTask, residual, solve
 from .symbolic import (DERIVED_INVERSES, PEXIDER_FAMILIES, check_identity,
@@ -201,8 +200,10 @@ class FamilyTag:
 # ----------------------------------------------------------- thm4 (shift)
 
 def multiplicative_shift(h: FnTable, eps: int) -> FnTable:
-    """The map x -> eps*h(x) + x on h's domain."""
+    """The map x -> eps*h(x) + x on h's domain; a shift constant that is
+    not an element of h's codomain raises :class:`InvalidTask`."""
     ring = h.codomain
+    require_shift(ring, eps)
     elems = h.domain.element_array
     vals = ring.add[ring.mul[eps, h.as_array()], elems]
     return FnTable(h.domain, ring, tuple(int(v) for v in vals))
@@ -220,11 +221,14 @@ def verify_sofy(ring: Ring, eps: int,
     ``_WITNESS_LIMIT`` counterexamples with at most five violating pairs
     each, are a sample (:func:`_outside`), as is ``witness_sample``.  When
     eps is a unit the two directions form a bijection and the counts are
-    compared.
+    compared.  A zero ``eps`` raises :class:`EpsilonZero`, one that is no
+    element of ``ring`` :class:`InvalidTask`, and then one that is not
+    central :class:`NotCentral`.
     """
     eps = operator.index(eps)
     if eps == ring.zero:
         raise EpsilonZero("the shift constant must be nonzero")
+    require_shift(ring, eps)
     if eps not in set(ring.center):
         raise NotCentral(f"element {eps} is not central")
     ast = homo_derivation_equation()
@@ -742,8 +746,8 @@ def verify_pexider(field_ring: Ring,
     families = [name for name, rows in closure for _ in range(len(rows[0]))]
     samples = [np.concatenate([rows[i] for _, rows in closure])
                for i in range(3)]
-    holds = grid_satisfies(PairConstraint(ast), field_ring, field_ring,
-                           dict(zip("fhk", samples)), {})
+    holds = grid_masks([ast], None, field_ring, field_ring,
+                       dict(zip("fhk", samples)), {})[0]
     for row in np.flatnonzero(~holds):
         binding = Binding(functions={n: _table(field_ring, v[row])
                                      for n, v in zip("fhk", samples)},

@@ -495,6 +495,31 @@ def test_a_build_proves_once_and_walks_the_generators_once(monkeypatch):
         assert calls == {"_verify_axioms": 1, "_additive_generators": walks}, spec
 
 
+@pytest.mark.parametrize("spec", [
+    RingSpec(kind="Zn", n=12), RingSpec(kind="GF", p=2, k=3),
+    RingSpec(kind="UT2", p=3), RingSpec(kind="Zn", n=12, subring=(0, 4, 8)),
+    RingSpec(kind="Product", left=RingSpec(kind="Zn", n=2),
+             right=RingSpec(kind="UT2", p=2))],
+    ids=["z12", "gf8", "ut2_3", "z12{0,4,8}", "z2xut2_2"])
+def test_center_units_and_regular_are_read_from_the_tables(spec):
+    """A build leaves the center, units and regular elements unread; on
+    first read each is its definition, checked element by element, also
+    on a declared subring, where they are the carrier's."""
+    ring = fnq.build_ring(spec)
+    assert not {"center", "units", "regular"} & set(vars(ring))
+    mul, n = ring.mul.tolist(), ring.size
+    assert ring.center == tuple(
+        x for x in range(n) if all(mul[x][y] == mul[y][x] for y in range(n)))
+    assert ring.units == tuple(
+        x for x in range(n)
+        if any(mul[x][y] == mul[y][x] == ring.one for y in range(n)))
+    divides = [any(y != ring.zero and ring.zero in (mul[x][y], mul[y][x])
+                   for y in range(n)) for x in range(n)]
+    assert ring.regular == tuple(x for x in range(n)
+                                 if x != ring.zero and not divides[x])
+    assert ring.center is ring.center
+
+
 def test_vectorized_builders_reproduce_pinned_tables():
     """Table hashes of GF(p^k) for every p^k <= 256 (three explicit moduli),
     PolyQuot, UT2 and products, as computed by the scalar builders, and of

@@ -1,3 +1,4 @@
+import json
 from itertools import product as iproduct
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fnq
-from fnq import eqdsl, maps
+from fnq import eqdsl, maps, search
 from fnq.eqdsl import (Add, Binding, Constraint, Definition, FnApp, IntLit,
                        Mul, Neg, NotReducible, Param, Sub, Var,
-                       PairConstraint, compile_side, equation_to_text,
-                       eval_side, expr_to_text, grid_masks, grid_satisfies,
-                       parse_equation, pivot_reduce, substitute)
+                       compile_side, equation_to_text,
+                       children, eval_side, expr_to_json, expr_to_text,
+                       grid_masks, parse_equation, pivot_reduce, substitute)
 from fnq.errors import (ArityError, EquationSyntaxError, EvalDomainError,
                         InvalidTask, LiteralInNonUnitalRing, UnboundName)
 from fnq.maps import FnTable, identity_map, zero_map
@@ -144,11 +145,7 @@ def test_parameter_values_outside_the_ring_raise():
             residual(ast, binding, ring)
         for value in (bad, np.array([0, bad, 1])):
             with pytest.raises(InvalidTask):
-                grid_satisfies(PairConstraint(ast), ring, ring, {"f": rows},
-                               {"e": value})
-            with pytest.raises(InvalidTask):
-                grid_satisfies(PairConstraint(ast, params={"e": value}),
-                               ring, ring, {"f": rows}, {})
+                grid_masks([ast], None, ring, ring, {"f": rows}, {"e": value})
     # the scalar errors come in evaluation order, left operand first
     binding = Binding({}, {"e": 7})
     with pytest.raises(UnboundName):
@@ -271,6 +268,147 @@ def test_round_trip_random_asts(lhs, rhs):
     assert ast.rhs == rhs
 
 
+# the structural walks as they were written before they went through
+# eqdsl.children, one branch per node type, kept here as the reference
+
+
+def _reference_substitute(expr, name, replacement):
+    if isinstance(expr, Var):
+        return replacement if expr.name == name else expr
+    if isinstance(expr, (Param, IntLit)):
+        return expr
+    if isinstance(expr, FnApp):
+        return FnApp(expr.name, _reference_substitute(expr.arg, name,
+                                                      replacement))
+    if isinstance(expr, Neg):
+        return Neg(_reference_substitute(expr.operand, name, replacement))
+    return type(expr)(_reference_substitute(expr.left, name, replacement),
+                      _reference_substitute(expr.right, name, replacement))
+
+
+def _reference_strip_ones(expr):
+    if isinstance(expr, Mul):
+        left = _reference_strip_ones(expr.left)
+        right = _reference_strip_ones(expr.right)
+        if left == IntLit(1):
+            return right
+        if right == IntLit(1):
+            return left
+        return Mul(left, right)
+    if isinstance(expr, FnApp):
+        return FnApp(expr.name, _reference_strip_ones(expr.arg))
+    if isinstance(expr, (Add, Sub)):
+        return type(expr)(_reference_strip_ones(expr.left),
+                          _reference_strip_ones(expr.right))
+    if isinstance(expr, Neg):
+        return Neg(_reference_strip_ones(expr.operand))
+    return expr
+
+
+def _reference_contains_fn(expr, name):
+    if isinstance(expr, FnApp):
+        return expr.name == name or _reference_contains_fn(expr.arg, name)
+    if isinstance(expr, (Add, Sub, Mul)):
+        return (_reference_contains_fn(expr.left, name)
+                or _reference_contains_fn(expr.right, name))
+    if isinstance(expr, Neg):
+        return _reference_contains_fn(expr.operand, name)
+    return False
+
+
+def _reference_collect_names(expr, functions, params):
+    if isinstance(expr, FnApp):
+        if expr.name not in functions:
+            functions.append(expr.name)
+        _reference_collect_names(expr.arg, functions, params)
+    elif isinstance(expr, Param):
+        if expr.name not in params:
+            params.append(expr.name)
+    elif isinstance(expr, (Add, Sub, Mul)):
+        _reference_collect_names(expr.left, functions, params)
+        _reference_collect_names(expr.right, functions, params)
+    elif isinstance(expr, Neg):
+        _reference_collect_names(expr.operand, functions, params)
+
+
+def _reference_to_json(expr):
+    if isinstance(expr, (Var, Param)):
+        return {"node": "var" if isinstance(expr, Var) else "param",
+                "name": expr.name}
+    if isinstance(expr, IntLit):
+        return {"node": "int", "value": expr.value}
+    if isinstance(expr, FnApp):
+        return {"node": "apply", "name": expr.name,
+                "arg": _reference_to_json(expr.arg)}
+    if isinstance(expr, Neg):
+        return {"node": "neg", "operand": _reference_to_json(expr.operand)}
+    return {"node": type(expr).__name__.lower(),
+            "left": _reference_to_json(expr.left),
+            "right": _reference_to_json(expr.right)}
+
+
+def _reference_scan(expr, nested, constant):
+    if isinstance(expr, Var):
+        return set(), True
+    if isinstance(expr, FnApp):
+        inner, var = _reference_scan(expr.arg, nested, constant)
+        if inner:
+            nested |= inner | {expr.name}
+        elif not var:
+            constant.append(expr.arg)
+        return inner | {expr.name}, var
+    if isinstance(expr, Neg):
+        return _reference_scan(expr.operand, nested, constant)
+    if isinstance(expr, (Add, Sub, Mul)):
+        left, left_var = _reference_scan(expr.left, nested, constant)
+        right, right_var = _reference_scan(expr.right, nested, constant)
+        return left | right, left_var or right_var
+    return set(), False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(expr=exprs(4), replacement=exprs(1))
+def test_tree_walks_match_their_reference(expr, replacement):
+    for name in ("x", "y"):
+        assert substitute(expr, name, replacement) == _reference_substitute(
+            expr, name, replacement)
+    assert eqdsl._strip_ones(expr) == _reference_strip_ones(expr)
+    for name in ("f", "g"):
+        assert eqdsl._contains_fn(expr, name) == _reference_contains_fn(
+            expr, name)
+    names, reference = ([], []), ([], [])
+    for side in (expr, replacement):
+        eqdsl._collect_names(side, *names)
+        _reference_collect_names(side, *reference)
+    assert names == reference
+    # the dump is compared as text, so the order of its keys counts too
+    assert json.dumps(expr_to_json(expr)) == json.dumps(
+        _reference_to_json(expr))
+    scanned, reference = (set(), []), (set(), [])
+    assert search._scan(expr, *scanned) == _reference_scan(expr, *reference)
+    assert scanned == reference
+
+
+@pytest.mark.parametrize("value", [None, 1, "x", ("f", Var("x")),
+                                   parse_equation("f(x)=0")])
+def test_children_and_rebuilt_raise_on_a_value_that_is_no_node(value):
+    with pytest.raises(TypeError, match="not an expression node"):
+        children(value)
+    with pytest.raises(TypeError, match="not an expression node"):
+        eqdsl._rebuilt(value, substitute, "x", IntLit(1))
+
+
+def test_children_are_left_operand_first():
+    x, y = Var("x"), Var("y")
+    for node in (Add(x, y), Sub(x, y), Mul(x, y)):
+        assert children(node) == (x, y)
+        assert eqdsl._rebuilt(node, substitute, "x", y) == type(node)(y, y)
+    assert children(FnApp("f", x)) == (x,) == children(Neg(x))
+    for leaf in (x, Param("lam"), IntLit(3)):
+        assert children(leaf) == ()
+        assert eqdsl._rebuilt(leaf, substitute, "x", y) is leaf
+
+
 def test_substitute():
     expr = parse_equation("f(x*y)=h(x)*y+y").rhs
     replaced = substitute(expr, "y", IntLit(1))
@@ -303,10 +441,9 @@ def test_grid_slices_match_scalar_residual(text, ring):
     rng = np.random.default_rng(5)
     rows = np.vstack([rng.integers(ring.size, size=(10, m)),
                       rng.choice(ring.center, size=(10, m))])
-    constraint = PairConstraint(ast)
-    together = grid_satisfies(constraint, ring, ring, {"f": rows}, {})
-    one_by_one = [bool(grid_satisfies(constraint, ring, ring,
-                                      {"f": row[None]}, {})[0])
+    together, = grid_masks([ast], None, ring, ring, {"f": rows}, {})
+    one_by_one = [bool(grid_masks([ast], None, ring, ring,
+                                  {"f": row[None]}, {})[0][0])
                   for row in rows]
     scalar = [not residual(ast, Binding({"f": FnTable(
         ring, ring, tuple(row.tolist()))}, {}), ring) for row in rows]
@@ -329,42 +466,36 @@ def test_grid_parameter_arrays_match_scalar_residual(name):
     # ring element, or the i-th table against the i-th value
     ring, rows = _additive_rows(name)
     ast = parse_equation("f(x*y)=f(x)*y+x*f(y)+e*f(x)*f(y)")
-    c = PairConstraint(ast)
     every = np.arange(ring.size)
     scalar = [[not residual(ast, Binding({"f": FnTable(ring, ring, tuple(row))},
                                          {"e": e}), ring) for e in every]
               for row in rows.tolist()]
     assert any(map(any, scalar)) and not all(map(all, scalar))
-    per_value = [grid_satisfies(c, ring, ring, {"f": rows}, {"e": e})
-                 for e in every]
+
+    def verdict(tables, params):
+        return grid_masks([ast], None, ring, ring, tables, params)[0]
+
+    per_value = [verdict({"f": rows}, {"e": e}) for e in every]
     assert np.array(per_value).T.tolist() == scalar
-    one_row = [grid_satisfies(c, ring, ring, {"f": row[None]}, {"e": every})
-               for row in rows]
-    assert [mask.tolist() for mask in one_row] == scalar
-    listed = PairConstraint(ast, params={"e": every})
-    assert grid_satisfies(listed, ring, ring, {"f": rows[:1]},
-                          {}).tolist() == scalar[0]
+    one_row = [verdict({"f": row[None]}, {"e": every}) for row in rows]
+    assert [held.tolist() for held in one_row] == scalar
     picked = np.arange(len(rows)) % ring.size
-    assert grid_satisfies(c, ring, ring, {"f": rows}, {"e": picked}).tolist(
-        ) == [values[e] for values, e in zip(scalar, picked)]
+    assert verdict({"f": rows}, {"e": picked}).tolist() == [
+        values[e] for values, e in zip(scalar, picked)]
     # in one call with the shifted identity, an equation reading no
     # parameter counts the parameter's rows as a call of its own does
     leibniz = parse_equation("f(x*y)=f(x)*y+x*f(y)")
-    alone = grid_satisfies(PairConstraint(leibniz), ring, ring,
-                           {"f": rows[:1]}, {"e": every})
+    alone, = grid_masks([leibniz], None, ring, ring, {"f": rows[:1]},
+                        {"e": every})
     both = grid_masks([leibniz, ast], None, ring, ring, {"f": rows[:1]},
                       {"e": every})
-    assert alone.tolist() == both[0].all(axis=1).tolist()
-    assert alone.tolist() == [alone[0]] * ring.size
-    assert both[1].all(axis=1).tolist() == scalar[0]
+    assert alone.tolist() == both[0].tolist() == [alone[0]] * ring.size
+    assert both[1].tolist() == scalar[0]
     # a row count that is neither 1 nor the tables'
     with pytest.raises(ValueError):
-        grid_satisfies(c, ring, ring, {"f": rows}, {"e": every[:-1]})
+        verdict({"f": rows}, {"e": every[:-1]})
     with pytest.raises(ValueError):
-        grid_satisfies(c, ring, ring, {"f": rows[:1]},
-                       {"e": every, "k": every[:-1]})
-    with pytest.raises(ValueError):
-        grid_masks([ast], None, ring, ring, {"f": rows}, {"e": every[:-1]})
+        verdict({"f": rows[:1]}, {"e": every, "k": every[:-1]})
 
 
 MASK_TEXTS = ["f(x*y)=f(x)*y+x*f(y)+e*f(x)*f(y)", "f(x*y)=f(x)*y+x*f(y)",
@@ -373,32 +504,49 @@ MASK_TEXTS = ["f(x*y)=f(x)*y+x*f(y)+e*f(x)*f(y)", "f(x*y)=f(x)*y+x*f(y)",
 
 
 @pytest.mark.parametrize("name", ["ut2_2", "z12"])
-def test_grid_masks_match_scalar_residual_per_pair(name):
-    # several equations in one call: each per-pair mask is False exactly at
-    # the scalar residual's violations, in row-major pair order, over all
+def test_grid_masks_match_scalar_residual_per_row(name):
+    # several equations in one call: each row's verdict is True exactly
+    # when the scalar residual finds no violation among the pairs, over all
     # pairs and over listed ones, with e one element or one per row
     ring, rows = _additive_rows(name)
     equations = [parse_equation(text) for text in MASK_TEXTS]
-    elems = ring.domain_elements
-    every = [(x, y) for x in elems for y in elems]
     rng = np.random.default_rng(3)
-    listed = np.array(every)[rng.choice(len(every), size=17)]
+    m = len(ring.domain_elements)
+    listed = ring.element_array[rng.integers(m, size=(17, 2))]
     per_row = np.arange(len(rows)) * 5 % ring.size
     for pairs in (None, listed):
-        at = every if pairs is None else [tuple(p) for p in listed.tolist()]
         for e in (ring.size - 1, per_row):
-            masks = grid_masks(equations, pairs, ring, ring, {"f": rows},
-                               {"e": e})
-            assert any(mask.any() and not mask.all() for mask in masks)
-            for ast, mask in zip(equations, masks):
-                assert mask.shape == (len(rows), len(at))
+            verdicts = grid_masks(equations, pairs, ring, ring, {"f": rows},
+                                  {"e": e})
+            assert any(v.any() and not v.all() for v in verdicts)
+            for ast, verdict in zip(equations, verdicts):
+                assert verdict.shape == (len(rows),)
                 for i, row in enumerate(rows.tolist()):
                     value = int(np.broadcast_to(e, len(rows))[i])
                     bad = set(residual(ast, Binding(
                         {"f": FnTable(ring, ring, tuple(row))},
                         {"e": value}), ring))
-                    assert mask[i].tolist() == [p not in bad for p in at], (
-                        equation_to_text(ast), i)
+                    if pairs is not None:
+                        bad &= set(map(tuple, listed.tolist()))
+                    assert verdict[i] == (not bad), (equation_to_text(ast), i)
+
+
+@pytest.mark.parametrize("pairs", [None, np.array([(1, 2)]),
+                                   np.zeros((0, 2), dtype=np.int64)],
+                         ids=["all", "listed", "none"])
+def test_grid_masks_over_zero_rows_give_empty_verdicts(pairs):
+    ring = fnq.zn(4)
+    equations = [parse_equation(text) for text in MASK_TEXTS]
+    empty = np.zeros((0, 4), dtype=np.int64)
+    for params in ({"e": 1}, {"e": np.zeros(0, dtype=np.int64)}):
+        verdicts = grid_masks(equations, pairs, ring, ring, {"f": empty},
+                              params)
+        assert [v.shape for v in verdicts] == [(0,)] * len(equations)
+        assert all(v.dtype == bool for v in verdicts)
+    # an equation reading no unknown still gives a verdict per row
+    constant, = grid_masks([parse_equation("x=x")], pairs, ring, ring,
+                           {"f": empty}, {})
+    assert constant.shape == (0,)
 
 
 def test_grid_masks_fail_a_cross_carrier_equation_alone():
@@ -408,15 +556,15 @@ def test_grid_masks_fail_a_cross_carrier_equation_alone():
     rows = np.array(list(iproduct(range(4), repeat=2)), dtype=np.int64)
     additive, leibniz, multiplicative = (parse_equation(t) for t in (
         "f(x+y)=f(x)+f(y)", "f(x*y)=f(x)*y+x*f(y)", "f(x*y)=f(x)*f(y)"))
-    masks = grid_masks([additive, leibniz, multiplicative], None, z2, z4,
-                       {"f": rows}, {})
-    assert masks[1].shape == (16, 4) and not masks[1].any()
-    for ast, mask in zip((additive, multiplicative), masks[::2]):
-        alone = grid_satisfies(PairConstraint(ast), z2, z4, {"f": rows}, {})
-        assert mask.all(axis=1).tolist() == alone.tolist()
+    verdicts = grid_masks([additive, leibniz, multiplicative], None, z2, z4,
+                          {"f": rows}, {})
+    assert verdicts[1].shape == (16,) and not verdicts[1].any()
+    for ast, verdict in zip((additive, multiplicative), verdicts[::2]):
+        alone, = grid_masks([ast], None, z2, z4, {"f": rows}, {})
+        assert verdict.tolist() == alone.tolist()
         assert alone.any() and not alone.all()
-    with pytest.raises(EvalDomainError):
-        grid_satisfies(PairConstraint(leibniz), z2, z4, {"f": rows}, {})
+    alone, = grid_masks([leibniz], None, z2, z4, {"f": rows}, {})
+    assert alone.shape == (16,) and not alone.any()
 
 
 @pytest.mark.parametrize("name", ["ut2_2", "z12"])
@@ -444,13 +592,12 @@ def test_one_grid_call_shares_cells_across_equations(name, monkeypatch):
         together = len(evaluated)
         assert together == len(set(evaluated))
         evaluated.clear()
-        separate = [grid_satisfies(PairConstraint(ast, pairs), ring, ring,
-                                   {"f": rows}, {"e": 1})
+        separate = [grid_masks([ast], pairs, ring, ring, {"f": rows},
+                               {"e": 1})[0]
                     for ast in equations]
         # the shifted identity computes Leibniz's 11 nodes again, and the
         # product identity f(x*y), x*y, x and y inside arguments, f(x) and
         # f(y)
         assert len(evaluated) == together + 11 + 6
-        assert [m.all(axis=1).tolist() for m in masks] == [
-            s.tolist() for s in separate]
+        assert [m.tolist() for m in masks] == [s.tolist() for s in separate]
     assert [equation_to_text(ast) for ast in equations[::2]] == texts

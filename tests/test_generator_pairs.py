@@ -18,7 +18,7 @@ import pytest
 
 import fnq
 from fnq import maps, search as kernel
-from fnq.eqdsl import PairConstraint, grid_satisfies
+from fnq.eqdsl import PairConstraint, grid_masks
 from fnq.maps import (ADDITIVE, HOMOMORPHISM, LEIBNIZ, DERIVATION,
                       HOMO_DERIV_MP, LOGARITHMIC, MULTIPLICATIVE, FnTable,
                       class_mask, classify_map, enumerate_maps, homo_deriv_sofy,
@@ -135,9 +135,10 @@ def full_grid_mask(ring, rows, cls):
     ok = np.ones(len(rows), dtype=bool)
     params = {"e": cls.eps} if cls.eps is not None else {}
     for kind in maps._CLASS_IDENTITIES[cls.kind]:
-        constraint = PairConstraint(maps._F_IDENTITIES[kind], params=params)
+        equation = maps._F_IDENTITIES[kind]
         ok &= np.concatenate([
-            grid_satisfies(constraint, ring, ring, {"f": rows[i:i + _ROWS]}, {})
+            grid_masks([equation], None, ring, ring, {"f": rows[i:i + _ROWS]},
+                       params)[0]
             for i in range(0, len(rows), _ROWS)] or [ok[:0]])
     return ok
 
@@ -170,7 +171,8 @@ def test_class_mask_is_the_grid_check_of_class_constraints(name):
     rows = np.array(list(brute_tables(ring)), dtype=np.int64)
     for cls in classes(ring):
         want = np.logical_and.reduce([
-            grid_satisfies(c, ring, ring, {"f": rows}, {})
+            grid_masks([c.equation], c.pairs, ring, ring, {"f": rows},
+                       c.params)[0]
             for c in maps.class_constraints(ring, "f", cls)])
         got = class_mask(ring, ring, rows, cls)
         assert np.array_equal(got, want), cls

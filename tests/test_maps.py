@@ -333,6 +333,22 @@ def test_class_mask_matches_scalar_oracle(ring_name, request):
     assert class_mask(ring, ring, rows[:0], MULTIPLICATIVE).shape == (0,)
 
 
+def test_class_mask_fails_a_constraint_leaving_the_subring(monkeypatch):
+    # a constraint whose argument leaves the declared domain {0, 2, 4} of
+    # Z6 fails every row, before or after the class's own constraints: the
+    # grid fails that equation alone, so class_mask catches nothing
+    ring = fnq.zn(6, subring=(0, 2, 4))
+    rows = np.array(list(iproduct(ring.domain_elements, repeat=3)))
+    additive = maps.class_constraints(ring, "f", ADDITIVE)
+    assert class_mask(ring, ring, rows, ADDITIVE).sum() == 3
+    leaving = eqdsl.PairConstraint(parse_equation("f(x+1)=f(x)"))
+    for constraints in ([leaving, *additive], [*additive, leaving]):
+        monkeypatch.setattr(maps, "class_constraints",
+                            lambda *args: constraints)
+        assert class_mask(ring, ring, rows, ADDITIVE).tolist() == [
+            False] * len(rows)
+
+
 def _two_ring_value(expr, dom, cod, values, x, y, e, in_arg=False):
     """One side of a parsed identity at (x, y), arguments in the domain's
     tables and values in the codomain's, the parameter bound to ``e``; a

@@ -10,8 +10,9 @@ The first six cases are the paper's checks of the benchmark's
 verify-solve workload, with their argv as ``perfbench/workloads.py``
 builds it; then come ``solve`` tasks over the three output formats that
 cover the y=1 pivot, a proper subring, a nested unknown, parameters and
-class-restricted unknowns, and ``enumerate`` reports of three classes in
-each format.
+class-restricted unknowns, ``enumerate`` reports of three classes in
+each format, three dry runs, one of them over an equation that holds every
+node kind, and the ``symbolic`` reports of the built-in families.
 
 Regenerate the fixture only for a change that is meant to alter a report,
 and say so where the change is described::
@@ -56,6 +57,10 @@ def _solve(ring: str, eq: str, out: str, *flags: str) -> list[str]:
 
 def _enumerate(ring: str, cls: str, out: str) -> list[str]:
     return ["enumerate", "--ring", ring, "--class", cls, "--out", out]
+
+
+def _symbolic(family: str, out: str) -> list[str]:
+    return ["symbolic", "--family", family, "--out", out]
 
 
 PEXIDER = "f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y"
@@ -116,6 +121,18 @@ CASES = {
            ("logarithmic gf8", _gf(2, 3), "logarithmic"),
            ("additive ut2(2)", _ring({"kind": "UT2", "p": 2}), "additive"))
        for out in ("json", "csv", "text")},
+    # every node kind of the expression tree in one equation, and the order
+    # of its free names, as the dry run dumps them
+    "dry-run solve every node z5 json": _solve(
+        _zn(5), "f(x*y)-lam=-(g(x+1)*2)", "json", "--dry-run"),
+    "dry-run enumerate homomorphism z12": [
+        *_enumerate(_zn(12), "homomorphism", "json"), "--dry-run"],
+    "dry-run verify pexider gf5": _verify("pexider", _gf(5), "--dry-run"),
+    **{f"symbolic {family} json": _symbolic(family, "json")
+       for family in ("thm5", "prop4", "prop3", "all-linear", "mixed",
+                      "sofy-shift", "ansatz2")},
+    "symbolic thm5 text": _symbolic("thm5", "text"),
+    "symbolic mixed text": _symbolic("mixed", "text"),
 }
 
 

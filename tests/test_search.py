@@ -22,8 +22,7 @@ import pytest
 
 import fnq
 from fnq import maps, search as kernel
-from fnq.eqdsl import (PairConstraint, grid_masks, grid_satisfies,
-                       parse_equation)
+from fnq.eqdsl import PairConstraint, grid_masks, parse_equation
 from fnq.errors import BudgetExceeded, EvalDomainError
 from fnq.maps import (ADDITIVE, DERIVATION, HOMO_DERIV_MP, HOMOMORPHISM,
                       LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE, class_mask,
@@ -280,18 +279,23 @@ def test_a_lone_application_on_either_side_defines_its_digit(monkeypatch):
     assert grown == [0, 1, 0, 1]
 
 
-def test_grid_check_on_a_subring_still_raises_outside_the_domain():
-    # on Z6 restricted to {0, 2, 4}, x+1 leaves the domain at every x
+def test_grid_check_on_a_subring_fails_outside_the_domain():
+    # on Z6 restricted to {0, 2, 4}, x+1 leaves the domain at every x: the
+    # equation fails in every row, alone and among several equations, at
+    # all pairs and at a listed one, and the others still hold
     r = fnq.zn(6, subring=(0, 2, 4))
     rows = np.zeros((2, 3), dtype=np.int64)
-    constraint = PairConstraint(parse_equation("f(x+1)=f(x)"))
-    with pytest.raises(EvalDomainError):
-        grid_satisfies(constraint, r, r, {"f": rows}, {})
-    # among several equations it fails alone, and a listed pair fails too
+    leaving = parse_equation("f(x+1)=f(x)")
     for pairs in (None, np.array([(2, 4)])):
-        masks = grid_masks([constraint.equation, parse_equation("f(x)=f(x)")],
-                           pairs, r, r, {"f": rows}, {})
-        assert not masks[0].any() and masks[1].all()
+        alone, = grid_masks([leaving], pairs, r, r, {"f": rows}, {})
+        assert alone.tolist() == [False, False]
+        verdicts = grid_masks([leaving, parse_equation("f(x)=f(x)")],
+                              pairs, r, r, {"f": rows}, {})
+        assert verdicts[0].tolist() == [False, False]
+        assert verdicts[1].tolist() == [True, True]
+    # the kernel raises where the grid check fails the equation
+    with pytest.raises(EvalDomainError):
+        kernel.search([PairConstraint(leaving)], ("f",), r, r)
 
 
 def test_nested_pair_defines_no_digit_on_a_subring():

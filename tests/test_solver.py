@@ -16,7 +16,7 @@ from fnq.maps import (ADDITIVE, ARBITRARY, LOGARITHMIC, FnTable,
                       homo_deriv_sofy)
 from fnq.solver import (SolveTask, residual, solution_set_to_csv,
                         solution_set_to_json, solve)
-from fnq.eqdsl import grid_satisfies
+from fnq.eqdsl import grid_masks
 from fnq.search import PairConstraint, search
 
 from conftest import (brute_tables, in_class, is_homo_deriv_at,
@@ -641,9 +641,9 @@ def test_residual_matches_reference_and_grid_on_generated_tasks(task, data):
                                  for n, v in tables.items()}, params=params)
     bad = residual(ast, binding, ring)
     assert bad == reference_residual(ast, binding, ring)
-    grid = grid_satisfies(PairConstraint(ast), ring, ring,
-                          {n: np.asarray([v]) for n, v in tables.items()},
-                          params)
+    grid, = grid_masks([ast], None, ring, ring,
+                       {n: np.asarray([v]) for n, v in tables.items()},
+                       params)
     assert bool(grid[0]) == (bad == [])
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fnq
-from fnq.eqdsl import PairConstraint, grid_satisfies
+from fnq.eqdsl import grid_masks
 from fnq.errors import (BothZero, EpsilonZero, InvalidTask, NotAField,
                         NotCentral, ResidualNonzero, Unclassifiable)
 from fnq.maps import (LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE, FnTable,
@@ -153,6 +153,22 @@ def test_thm4_argument_guards(z6, ut2_2):
         verify_sofy(z6, 0)
     with pytest.raises(NotCentral):
         verify_sofy(ut2_2, 1)  # [[0,0],[0,1]] is not central
+
+
+@pytest.mark.parametrize("eps", [-1, 8, 13], ids=["minus1", "size",
+                                                   "size+5"])
+def test_shift_constant_outside_the_ring_is_refused(eps):
+    # a negative index would wrap to 7 and one past the carrier would be
+    # an IndexError or a centrality verdict; each is an InvalidTask with
+    # the wording of class_constraints, before the centrality check
+    z8 = fnq.zn(8)
+    message = f"shift constant {eps} is not an element of a ring of size 8"
+    with pytest.raises(InvalidTask, match=message):
+        multiplicative_shift(zero_map(z8), eps)
+    with pytest.raises(InvalidTask, match=message):
+        verify_sofy(z8, eps)
+    with pytest.raises(InvalidTask, match=message):
+        fnq.maps.class_constraints(z8, "f", fnq.maps.homo_deriv_sofy(eps))
 
 
 def test_multiplicative_shift_examples(z2, z4):
@@ -565,8 +581,8 @@ def test_every_family_instance_solves_the_equation(p, k, monkeypatch):
         + q ** 4 * len(mult) * len(log))
     tables = {n: np.concatenate([r[i] for r in rows])
               for i, n in enumerate("fhk")}
-    assert grid_satisfies(PairConstraint(pexider_equation()), ring, ring,
-                          tables, {}).all()
+    assert grid_masks([pexider_equation()], None, ring, ring,
+                      tables, {})[0].all()
 
 
 @pytest.mark.parametrize("name,params,witness_field", [
