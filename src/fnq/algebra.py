@@ -33,8 +33,9 @@ from .errors import (
     AxiomViolation,
     BudgetExceeded,
     InvalidRingSpec,
-    LiteralInNonUnitalRing,
+    InvalidTask,
     NonPrimeModulus,
+    NotAField,
     ReducibleModulus,
 )
 
@@ -155,8 +156,8 @@ class Ring:
     """A finite ring as verified addition/multiplication tables.
 
     Instances are immutable after construction and safe to share between
-    threads.  ``one`` is ``None`` for non-unital carriers (no built-in
-    constructor produces one, but the representation allows it).
+    threads.  Every carrier has a unit ``one``; a domain without it is a
+    declared ``subring`` of a unital carrier.
     """
 
     spec: RingSpec
@@ -165,7 +166,7 @@ class Ring:
     mul: np.ndarray
     neg: np.ndarray
     zero: int
-    one: int | None
+    one: int
     names: tuple[str, ...]
     subring: tuple[int, ...] | None
 
@@ -178,12 +179,7 @@ class Ring:
     @cached_property
     def units(self) -> tuple[int, ...]:
         """Elements with an inverse in the carrier, ascending."""
-        if self.one is None:
-            return ()
-        # in a finite ring xy = 1 gives yx = 1: z -> yz is one to one, as
-        # x(yz) = z, so yw = 1 for some w, and x = x(yw) = (xy)w = w
-        return tuple(np.flatnonzero((self.mul == self.one).any(axis=1))
-                     .tolist())
+        return tuple(np.flatnonzero(self.inverse >= 0).tolist())
 
     @cached_property
     def regular(self) -> tuple[int, ...]:
@@ -259,8 +255,7 @@ class Ring:
         """Domain positions in the kernel's default order (:mod:`fnq.search`):
         the positions ``first`` (once each, -1 dropped), then the unit's and
         zero's, then the rest ascending."""
-        lead = [*first, *(int(self.position[e]) for e in (self.one, self.zero)
-                          if e is not None)]
+        lead = [*first, *(int(self.position[e]) for e in (self.one, self.zero))]
         lead = [p for p in dict.fromkeys(lead) if p >= 0]
         taken = set(lead)
         return lead + [p for p in range(len(self.domain_elements))
@@ -315,19 +310,19 @@ class Ring:
         return off, on
 
     @cached_property
-    def char(self) -> int | None:
-        """Additive order of the unit element, or None without a unit."""
-        if self.one is None:
-            return None
-        n, acc = 1, self.one
+    def _multiples(self) -> tuple[int, ...]:
+        """The walk 0, 1, 1+1, ... up to its return to 0: the image of
+        each integer below ``char``, at its own index."""
+        walk, acc = [self.zero], self.one
         while acc != self.zero:
+            walk.append(acc)
             acc = int(self.add[acc, self.one])
-            n += 1
-        return n
+        return tuple(walk)
 
     @cached_property
-    def _regular_set(self) -> frozenset:
-        return frozenset(self.regular)
+    def char(self) -> int:
+        """Additive order of the unit element."""
+        return len(self._multiples)
 
     @cached_property
     def has_zero_divisors(self) -> bool:
@@ -335,23 +330,21 @@ class Ring:
 
     @cached_property
     def is_field(self) -> bool:
-        return self.one is not None and len(self.units) == self.size - 1
+        return len(self.units) == self.size - 1
 
     @cached_property
     def inverse(self) -> np.ndarray:
         """Two-sided inverse table (-1 where no inverse exists)."""
         inv = np.full(self.size, -1, dtype=np.int64)
-        if self.one is not None:
-            both = (self.mul == self.one) & (self.mul.T == self.one)
-            rows, cols = np.nonzero(both)
-            inv[rows] = cols
+        rows, cols = np.nonzero((self.mul == self.one) & (self.mul.T == self.one))
+        inv[rows] = cols
         return inv
 
     @cached_property
     def domain_units(self) -> tuple[int, ...]:
         """Units of the declared domain: elements whose two-sided inverse
         lies in it too, in domain order (none when ``one`` lies outside)."""
-        if self.one is None or self.position[self.one] < 0:
+        if self.position[self.one] < 0:
             return ()
         elems = self.element_array
         inv = self.inverse[elems]
@@ -370,16 +363,7 @@ class Ring:
 
     def int_embed(self, value: int) -> int:
         """Interpret an integer literal as ``value * 1`` in the ring."""
-        if value == 0:
-            return self.zero
-        if self.one is None:
-            raise LiteralInNonUnitalRing(
-                f"literal {value} needs a unit element in a ring without one")
-        value %= self.char
-        acc = self.zero
-        for _ in range(value):
-            acc = int(self.add[acc, self.one])
-        return acc
+        return self._multiples[value % self.char]
 
     @cached_property
     def table_hash(self) -> str:
@@ -539,10 +523,9 @@ def _product_tables(left, right):
     nl, l_add, l_mul, l_neg, _, l_one, l_names = left
     nr, r_add, r_mul, r_neg, _, r_one, r_names = right
     neg = (l_neg[:, None] * nr + r_neg).reshape(-1)
-    one = None if l_one is None or r_one is None else l_one * nr + r_one
     names = tuple(f"({a}|{b})" for a in l_names for b in r_names)
-    return (nl * nr, _pairs(l_add, r_add), _pairs(l_mul, r_mul), neg, 0, one,
-            names)
+    return (nl * nr, _pairs(l_add, r_add), _pairs(l_mul, r_mul), neg, 0,
+            l_one * nr + r_one, names)
 
 
 def _ut2_tables(p: int):
@@ -646,7 +629,9 @@ def _additive_generators(add: np.ndarray, zero: int, outside=None,
 def _verify_axioms(size, add, mul, neg, zero, one):
     """Exact check of every ring axiom on the full carrier.
 
-    Totality, the zero, negation and the unit are checked cell by cell.
+    Totality, the zero, negation and the unit are checked cell by cell;
+    ``one`` is None only for hand-built tables without a unit, which no
+    constructor makes.
     The laws over three elements, and commutativity of +, are checked with
     one argument running over a generating set A of (R, +), picked by
     ``_additive_generators`` with the unit first: every element is a sum of
@@ -824,8 +809,11 @@ def _tables(spec: RingSpec):
     else:
         raise InvalidRingSpec(f"unknown ring kind {spec.kind!r}")
     size, add, mul, neg, zero, one, names = tables
-    # F_p[x]/(m) is a field exactly when m is irreducible; the units are the
-    # rows that hold 1 (see Ring.units)
+    # F_p[x]/(m) is a field exactly when m is irreducible.  The axioms are
+    # not proven yet, so the units are counted as the rows that hold 1: in a
+    # finite ring xy = 1 gives yx = 1, as z -> yz is one to one (x(yz) = z),
+    # so yw = 1 for some w, and x = x(yw) = (xy)w = w; Ring.units, read from
+    # the two-sided inverse, then holds the same elements
     if (spec.kind == "GF"
             and np.count_nonzero((mul == one).any(axis=1)) != size - 1):
         raise ReducibleModulus(
@@ -909,11 +897,25 @@ def center(ring: Ring) -> tuple[int, ...]:
     return ring.center
 
 
+def require_field(ring: Ring) -> None:
+    """Raise :class:`NotAField` unless every nonzero element is a unit."""
+    if not ring.is_field:
+        raise NotAField(f"{ring.spec.kind} of size {ring.size} is not a field")
+
+
+def require_element(ring: Ring, value: int, what: str) -> None:
+    """Raise :class:`InvalidTask` unless ``value``, named ``what`` in the
+    message, is the index of an element of ``ring``."""
+    if not 0 <= value < ring.size:
+        raise InvalidTask(
+            f"{what} is not an element of a ring of size {ring.size}")
+
+
 def is_regular(ring: Ring, e: int) -> bool:
     """True iff ``e`` is nonzero and annihilates nothing nonzero on either side."""
     if not 0 <= e < ring.size:
         raise InvalidRingSpec(f"element index {e} out of range")
-    return e in ring._regular_set
+    return e in ring.regular
 
 
 # convenience constructors used throughout tests and demos

@@ -466,9 +466,6 @@ def compile_side(side: Expr, binding: Binding, ring: Ring) -> Scalar:
                               f"not an element of a ring of size {ring.size}")
             return value
         if isinstance(e, IntLit):
-            if e.value != 0 and ring.one is None:
-                # raises LiteralInNonUnitalRing when evaluation reaches it
-                return lambda x, y: ring.int_embed(e.value)
             return ring.int_embed(e.value)
         raise TypeError(f"not an expression node: {e!r}")
 
@@ -731,7 +728,7 @@ def pivot_reduce(ast: EquationAst, pivot_fn: str) -> PivotResult:
     across sides; if the pivot then survives only as the lone left-hand
     term, its definition is the remaining right side, otherwise the
     residual identity is returned as a constraint.  The caller is
-    responsible for only using the result over unital rings.
+    responsible for only using the result over a domain that holds 1.
     """
     target = FnApp(pivot_fn, Mul(Var("x"), Var("y")))
     if ast.lhs != target:

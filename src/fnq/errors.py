@@ -53,10 +53,6 @@ class UnboundName(FnqError):
     """Evaluation met a function or parameter with no binding."""
 
 
-class LiteralInNonUnitalRing(FnqError):
-    """A nonzero integer literal cannot be embedded without a unit element."""
-
-
 class EvalDomainError(FnqError):
     """A function table was applied to an element outside its domain."""
 
@@ -65,8 +61,8 @@ class EvalDomainError(FnqError):
 
 class InvalidTask(FnqError):
     """A task is malformed: a free name of its equation is not covered, a
-    class string names no class, or a shift constant or parameter value is
-    no element."""
+    class string names no class, or a shift constant, parameter value or
+    other given element is no element of the ring."""
 
 
 class InvalidBudget(FnqError):

@@ -51,10 +51,10 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .algebra import Ring, same_carrier
+from .algebra import Ring, require_element, require_field, same_carrier
 from .eqdsl import (Add, EquationAst, Expr, FnApp, IntLit, Mul, PairConstraint,
                     Param, Var, grid_masks)
-from .errors import EvalDomainError, InvalidTask, NotAField
+from .errors import EvalDomainError, InvalidTask
 from .search import DEFAULT_BUDGET, search
 
 
@@ -241,7 +241,9 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
 
 
 def inner_derivation(ring: Ring, b: int) -> FnTable:
-    """The commutator map x -> x*b - b*x over the declared domain."""
+    """The commutator map x -> x*b - b*x over the declared domain; a
+    ``b`` that is not an element of ``ring`` raises :class:`InvalidTask`."""
+    require_element(ring, b, f"element {b}")
     elems = ring.element_array
     values = ring.add[ring.mul[elems, b], ring.neg[ring.mul[b, elems]]]
     return FnTable(ring, ring, tuple(values.tolist()))
@@ -299,14 +301,6 @@ def leibniz_equation(fn: str = "f") -> EquationAst:
     return _shared_identities(fn)["leibniz"]
 
 
-def require_shift(ring: Ring, eps: int) -> None:
-    """Raise :class:`InvalidTask` unless the shift constant ``eps`` is an
-    element of ``ring``."""
-    if not 0 <= eps < ring.size:
-        raise InvalidTask(f"shift constant {eps} is not an element of "
-                          f"a ring of size {ring.size}")
-
-
 def class_constraints(ring: Ring, name: str,
                       cls: FunctionClass) -> list[PairConstraint]:
     """Membership of unknown ``name`` in a class, as search constraints.
@@ -333,7 +327,7 @@ def class_constraints(ring: Ring, name: str,
     both read these constraints.
     """
     if cls.eps is not None:
-        require_shift(ring, cls.eps)
+        require_element(ring, cls.eps, f"shift constant {cls.eps}")
     if cls.kind == "logarithmic":
         off_units, on_units = ring.unit_pairs
         identities = _shared_identities(name)
@@ -457,11 +451,6 @@ def class_space_size(domain: Ring, codomain: Ring, cls: FunctionClass) -> int:
 
 # ------------------------------------------------------------- linear rank
 
-def _require_field(scalars: Ring) -> None:
-    if not scalars.is_field:
-        raise NotAField(f"{scalars.spec.kind} of size {scalars.size} is not a field")
-
-
 def _eliminate(rows: list[list[int]], ncols: int,
                scalars: Ring) -> list[tuple[int, int]]:
     """Gauss-Jordan elimination of ``rows`` in place over the field
@@ -496,7 +485,7 @@ def lin_rank(tables: list[FnTable], scalars: Ring) -> int:
     Gaussian elimination with exact field arithmetic through the lookup
     tables; all maps must share a domain and take values in ``scalars``.
     """
-    _require_field(scalars)
+    require_field(scalars)
     if not tables:
         return 0
     m = len(tables[0].values)
@@ -511,7 +500,7 @@ def lin_rank(tables: list[FnTable], scalars: Ring) -> int:
 def linear_combination(target: FnTable, basis: list[FnTable],
                        scalars: Ring) -> tuple[int, ...] | None:
     """Coefficients writing target as a combination of basis maps, if any."""
-    _require_field(scalars)
+    require_field(scalars)
     n = len(basis)
     # augmented system: columns are basis vectors, rhs is the target
     matrix = [[b.values[i] for b in basis] + [v]

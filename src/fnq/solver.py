@@ -38,7 +38,7 @@ from math import prod
 
 import numpy as np
 
-from .algebra import Ring
+from .algebra import Ring, require_element
 from .errors import BudgetExceeded, FnqError, InvalidTask
 from .eqdsl import (Binding, Definition, EquationAst, FnApp, PairConstraint,
                     compile_side, equation_to_text, grid_masks, pivot_reduce)
@@ -152,16 +152,14 @@ def solve(task: SolveTask) -> SolutionSet:
     task = replace(task, params={p: operator.index(v)
                                  for p, v in task.params.items()})
     for p, v in task.params.items():
-        if not 0 <= v < ring.size:
-            raise InvalidTask(f"parameter {p!r} = {v} is not an element of "
-                              f"a ring of size {ring.size}")
+        require_element(ring, v, f"parameter {p!r} = {v}")
     m = len(ring.domain_elements)
 
     # pivot: only when the left side is one unknown applied to x*y and the
     # unit element is part of the quantified domain
     pivot_name = None
     if (isinstance(ast.lhs, FnApp) and ast.lhs.name in names
-            and ring.one is not None and ring.one in set(ring.domain_elements)
+            and ring.position[ring.one] >= 0
             and isinstance(pivot_reduce(ast, ast.lhs.name), Definition)):
         pivot_name = ast.lhs.name
 

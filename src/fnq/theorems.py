@@ -28,13 +28,12 @@ from math import prod
 
 import numpy as np
 
-from .algebra import Ring, same_carrier
+from .algebra import Ring, require_element, require_field, same_carrier
 from .eqdsl import Binding, EquationAst, grid_masks, parse_equation
-from .errors import (BothZero, EpsilonZero, InvalidTask, NotAField,
-                     NotCentral, ResidualNonzero, Unclassifiable)
+from .errors import (BothZero, EpsilonZero, InvalidTask, NotCentral,
+                     ResidualNonzero, Unclassifiable)
 from .maps import (ARBITRARY, FnTable, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
-                   class_mask, class_rows, leibniz_equation,
-                   require_shift, row_ids, zero_map)
+                   class_mask, class_rows, leibniz_equation, row_ids, zero_map)
 from .search import DEFAULT_BUDGET
 from .solver import SolveTask, residual, solve
 from .symbolic import (DERIVED_INVERSES, PEXIDER_FAMILIES, check_identity,
@@ -203,7 +202,7 @@ def multiplicative_shift(h: FnTable, eps: int) -> FnTable:
     """The map x -> eps*h(x) + x on h's domain; a shift constant that is
     not an element of h's codomain raises :class:`InvalidTask`."""
     ring = h.codomain
-    require_shift(ring, eps)
+    require_element(ring, eps, f"shift constant {eps}")
     elems = h.domain.element_array
     vals = ring.add[ring.mul[eps, h.as_array()], elems]
     return FnTable(h.domain, ring, tuple(int(v) for v in vals))
@@ -228,7 +227,7 @@ def verify_sofy(ring: Ring, eps: int,
     eps = operator.index(eps)
     if eps == ring.zero:
         raise EpsilonZero("the shift constant must be nonzero")
-    require_shift(ring, eps)
+    require_element(ring, eps, f"shift constant {eps}")
     if eps not in set(ring.center):
         raise NotCentral(f"element {eps} is not central")
     ast = homo_derivation_equation()
@@ -408,12 +407,6 @@ class PexiderClassification:
     details: dict
 
 
-def _require_field(scalars: Ring) -> None:
-    if not scalars.is_field:
-        raise NotAField(
-            f"classification needs field scalars, got size {scalars.size}")
-
-
 # the class each family witness must lie in; rebuilding the triple from
 # the family's parameters does not imply it
 _WITNESS_CLASSES = {"delta": LEIBNIZ, "m": MULTIPLICATIVE, "l": LOGARITHMIC}
@@ -452,7 +445,7 @@ def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassificatio
     is the row-wise classifier :func:`verify_pexider` runs on all solutions
     at once, applied to one row.
     """
-    _require_field(f.codomain)
+    require_field(f.codomain)
     binding = Binding(functions={"f": f, "h": h, "k": k}, params={})
     bad = residual(pexider_equation(), binding, f.domain)
     if bad:
@@ -638,7 +631,7 @@ def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
     template inverts (LambdaKFamilyB's ``lam``).  A parameter the template
     does not read, such as TwoExponential's derived ``g2``, is accepted.
     """
-    _require_field(field_ring)
+    require_field(field_ring)
     if name not in PEXIDER_FAMILIES:
         raise InvalidTask(f"unknown family {name!r}; choose from "
                           f"{sorted(PEXIDER_FAMILIES)}")
@@ -649,9 +642,7 @@ def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
     if missing:
         raise InvalidTask(f"{name} needs values for {missing}")
     for p, v in params.items():
-        if not 0 <= v < field_ring.size:
-            raise InvalidTask(f"parameter {p!r} = {v} is not an element of "
-                              f"a field of size {field_ring.size}")
+        require_element(field_ring, v, f"parameter {p!r} = {v}")
     for w, t in witnesses.items():
         if not (same_carrier(t.domain, field_ring)
                 and same_carrier(t.codomain, field_ring)):
@@ -709,7 +700,7 @@ def pexider_closure_samples(field_ring: Ring):
     template evaluator; :func:`verify_pexider` checks the same rows in one grid
     evaluation.
     """
-    _require_field(field_ring)
+    require_field(field_ring)
     for name, rows in _closure_rows(field_ring):
         for triple in zip(*(r.tolist() for r in rows)):
             yield name, Binding(functions={n: _table(field_ring, v)
@@ -721,7 +712,7 @@ def verify_pexider(field_ring: Ring,
                    budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Solve the Pexider equation, classify every solution, and check the
     first 200 instances of each family (:func:`pexider_closure_samples`)."""
-    _require_field(field_ring)
+    require_field(field_ring)
     ast = pexider_equation()
     task = SolveTask(ast=ast, ring=field_ring,
                      classes={"f": ARBITRARY, "h": ARBITRARY, "k": ARBITRARY},
@@ -783,7 +774,7 @@ def verify_alien(ring: Ring, lam: int, mu: int,
     lam, mu = operator.index(lam), operator.index(mu)
     if lam == ring.zero and mu == ring.zero:
         raise BothZero("lam and mu must not vanish simultaneously")
-    _require_field(ring)
+    require_field(ring)
     ast = alien_combination_equation()
     task = SolveTask(ast=ast, ring=ring, classes={"f": ARBITRARY},
                      params={"lam": lam, "mu": mu}, budget=budget)

@@ -12,8 +12,7 @@ import fnq
 from fnq import algebra
 from fnq.algebra import RingSpec, _verify_axioms
 from fnq.errors import (AxiomViolation, BudgetExceeded, InvalidRingSpec,
-                        LiteralInNonUnitalRing, NonPrimeModulus,
-                        ReducibleModulus)
+                        NonPrimeModulus, ReducibleModulus)
 
 
 def test_zn6_shape(z6):
@@ -504,7 +503,9 @@ def test_a_build_proves_once_and_walks_the_generators_once(monkeypatch):
 def test_center_units_and_regular_are_read_from_the_tables(spec):
     """A build leaves the center, units and regular elements unread; on
     first read each is its definition, checked element by element, also
-    on a declared subring, where they are the carrier's."""
+    on a declared subring, where they are the carrier's.  The unit is an
+    int, the characteristic its additive order, and a literal v its
+    v-fold sum."""
     ring = fnq.build_ring(spec)
     assert not {"center", "units", "regular"} & set(vars(ring))
     mul, n = ring.mul.tolist(), ring.size
@@ -518,6 +519,20 @@ def test_center_units_and_regular_are_read_from_the_tables(spec):
     assert ring.regular == tuple(x for x in range(n)
                                  if x != ring.zero and not divides[x])
     assert ring.center is ring.center
+    assert type(ring.one) is int
+    add = ring.add.tolist()
+
+    def times_one(v):
+        """The |v|-fold sum of the unit, negated for v < 0."""
+        acc = ring.zero
+        for _ in range(abs(v)):
+            acc = add[acc][ring.one]
+        return acc if v >= 0 else int(ring.neg[acc])
+    char = ring.char
+    assert [times_one(v) == ring.zero for v in range(1, char + 1)] == (
+        [False] * (char - 1) + [True])
+    for v in range(-2 * char, 2 * char + 1):
+        assert ring.int_embed(v) == times_one(v), v
 
 
 def test_vectorized_builders_reproduce_pinned_tables():
@@ -714,10 +729,6 @@ def test_int_embed(z6, gf4):
     assert z6.int_embed(7) == 1
     assert z6.int_embed(-1) == 5
     assert gf4.int_embed(2) == 0  # characteristic 2
-    import dataclasses
-    no_unit = dataclasses.replace(fnq.zn(2), one=None)
-    with pytest.raises(LiteralInNonUnitalRing):
-        no_unit.int_embed(1)
 
 
 def test_table_hash_stable(z6):

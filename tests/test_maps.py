@@ -10,7 +10,8 @@ import pytest
 import fnq
 from fnq import eqdsl, maps
 from fnq.eqdsl import equation_to_text, parse_equation
-from fnq.errors import BudgetExceeded, EvalDomainError, NotAField
+from fnq.errors import (BudgetExceeded, EvalDomainError, InvalidTask,
+                        NotAField)
 from fnq.maps import (ADDITIVE, ARBITRARY, DERIVATION, HOMOMORPHISM,
                       HOMO_DERIV_MP, LEIBNIZ, LOGARITHMIC, MULTIPLICATIVE,
                       FnTable, class_mask, class_space_size, classify_map,
@@ -95,6 +96,16 @@ def test_inner_derivation_ut2(ut2_2):
     assert list(ad.values) == expected
     assert any(v != 0 for v in ad.values)
     assert DERIVATION in classify_map(ad)
+
+
+@pytest.mark.parametrize("b", [-1, 8, 13], ids=["minus1", "size",
+                                                 "size+5"])
+def test_inner_derivation_refuses_an_element_outside_the_ring(ut2_2, b):
+    # numpy would wrap -1 to 7 and raise a bare IndexError past the carrier
+    message = f"element {b} is not an element of a ring of size 8"
+    with pytest.raises(InvalidTask) as caught:
+        inner_derivation(ut2_2, b)
+    assert str(caught.value) == message
 
 
 def test_inner_derivations_always_derive(ut2_2):

@@ -171,6 +171,45 @@ def test_shift_constant_outside_the_ring_is_refused(eps):
         fnq.maps.class_constraints(z8, "f", fnq.maps.homo_deriv_sofy(eps))
 
 
+@pytest.mark.parametrize("value", [-1, 8, 13], ids=["minus1", "size",
+                                                     "size+5"])
+def test_out_of_ring_parameters_share_the_shift_constant_wording(value):
+    """A parameter outside the ring is refused by solve and by
+    pexider_family_binding, in the field GF(8), with the wording of
+    fnq.algebra.require_element that the shift constant has (see
+    test_shift_constant_outside_the_ring_is_refused)."""
+    calls = {
+        "e": lambda: fnq.solve(fnq.SolveTask(
+            fnq.parse_equation("f(x*y)=e*f(x)"), fnq.zn(8),
+            {"f": fnq.ARBITRARY}, params={"e": value})),
+        "lam1": lambda: pexider_family_binding("AllLinear", fnq.gf(2, 3),
+                                               {"lam1": value, "lam2": 0})}
+    for name, call in calls.items():
+        with pytest.raises(InvalidTask) as caught:
+            call()
+        assert str(caught.value) == (f"parameter {name!r} = {value} is not an "
+                                     "element of a ring of size 8")
+
+
+def test_not_a_field_has_one_wording(z6):
+    """Every check for field scalars raises fnq.algebra.require_field's
+    NotAField, with one message."""
+    ident, z = identity_map(z6), zero_map(z6)
+    calls = [
+        lambda: fnq.maps.lin_rank([ident], z6),
+        lambda: fnq.maps.linear_combination(ident, [ident], z6),
+        lambda: classify_pexider(z, z, z),
+        lambda: verify_pexider(z6),
+        lambda: verify_alien(z6, 1, 1),
+        lambda: pexider_family_binding("AllLinear", z6,
+                                       {"lam1": 1, "lam2": 1}),
+        lambda: next(pexider_closure_samples(z6))]
+    for call in calls:
+        with pytest.raises(NotAField) as caught:
+            call()
+        assert str(caught.value) == "Zn of size 6 is not a field"
+
+
 def test_multiplicative_shift_examples(z2, z4):
     ident = identity_map(z4)
     assert multiplicative_shift(zero_map(z4), 1).values == ident.values
