@@ -12,7 +12,8 @@ builds it; then come ``solve`` tasks over the three output formats that
 cover the y=1 pivot, a proper subring, a nested unknown, parameters and
 class-restricted unknowns, ``enumerate`` reports of three classes in
 each format, three dry runs, one of them over an equation that holds every
-node kind, and the ``symbolic`` reports of the built-in families.
+node kind, the ``symbolic`` reports of the built-in families, and
+``classify`` reports of four Pexider families and of one non-solution.
 
 Regenerate the fixture only for a change that is meant to alter a report,
 and say so where the change is described::
@@ -61,6 +62,12 @@ def _enumerate(ring: str, cls: str, out: str) -> list[str]:
 
 def _symbolic(family: str, out: str) -> list[str]:
     return ["symbolic", "--family", family, "--out", out]
+
+
+def _classify(ring: str, f: list[int], h: list[int], k: list[int],
+              out: str) -> list[str]:
+    return ["classify", "--ring", ring, "--out", out,
+            "--solution", json.dumps({"f": f, "h": h, "k": k})]
 
 
 PEXIDER = "f(x*y)=h(x)*h(y)+x*k(y)+k(x)*y"
@@ -133,6 +140,21 @@ CASES = {
                       "sofy-shift", "ansatz2")},
     "symbolic thm5 text": _symbolic("thm5", "text"),
     "symbolic mixed text": _symbolic("mixed", "text"),
+    # one solution triple of each family; GF(4) carries the caveat of
+    # characteristic 2
+    **{f"classify {name} {out}": _classify(ring, *triple, out)
+       for name, ring, triple in (
+           ("all-linear gf5", _gf(5),
+            ([0, 0, 0, 0, 0], [0, 2, 4, 1, 3], [0, 3, 1, 4, 2])),
+           ("two-exponential gf5", _gf(5),
+            ([0, 1, 0, 2, 2], [0, 3, 0, 1, 1], [0, 1, 3, 1, 0])),
+           ("lambda-k-b gf5", _gf(5),
+            ([0, 2, 1, 2, 0], [0, 3, 3, 0, 4], [0, 4, 4, 0, 2])),
+           ("multiplicative-square gf4", _gf(2, 2),
+            ([0, 3, 2, 1], [0, 3, 2, 1], [0, 0, 0, 0])))
+       for out in ("json", "text")},
+    "classify residual-nonzero gf5 json": _classify(
+        _gf(5), [0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4], "json"),
 }
 
 
