@@ -2,8 +2,9 @@
 
 f(xy) = h(x)h(y) + xk(y) + k(x)y is solved exactly: the left side pivots
 at y = 1, so only (h, k) pairs are enumerated and f is computed.  Every
-solution triple is then classified by the rank of {id, h, k} and exact
-witness extraction.
+solution triple is then classified by exact lookup in the family images:
+every instance of every family, built once over the field, with each row's
+first instance giving its family, parameters and witnesses.
 
 One outcome worth pausing on: at rank 2 the classical case split by
 pairwise dependence ({id,h}, {id,k}, {h,k}) is not exhaustive.  Over GF(3)
@@ -47,4 +48,4 @@ report = fnq.verify_pexider(gf3)
 print(f"  families: {report.details['families']}")
 print(f"  unclassifiable: {report.details['unclassifiable']}, "
       f"closure failures: {report.details['closure_failures']} "
-      f"of {report.details['closure_samples']} sampled instantiations")
+      f"of {report.details['closure_samples']} instantiations, all of them")

@@ -913,8 +913,7 @@ def require_element(ring: Ring, value: int, what: str) -> None:
 
 def is_regular(ring: Ring, e: int) -> bool:
     """True iff ``e`` is nonzero and annihilates nothing nonzero on either side."""
-    if not 0 <= e < ring.size:
-        raise InvalidRingSpec(f"element index {e} out of range")
+    require_element(ring, e, f"element {e}")
     return e in ring.regular
 
 

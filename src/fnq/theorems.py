@@ -42,8 +42,6 @@ from .symbolic import (DERIVED_INVERSES, PEXIDER_FAMILIES, check_identity,
 _WITNESS_LIMIT = 20
 # rows of one block of the converse sample walk
 _SAMPLE_CHUNK = 1 << 12
-# instances of each Pexider family the closure check takes
-_CLOSURE_CAP = 200
 
 
 # ------------------------------------------------------ equations, reports
@@ -175,8 +173,9 @@ class FamilyTag:
     NonDegenerate, AlienA, AlienB, AlienZero, AlienScaled.
 
     LambdaKFamilyA is AllLinear with lam1 = lam*gamma and lam2 = gamma, so
-    the classifier, which tries AllLinear first, never returns it; it is kept
-    because its instances count among the closure samples.
+    the lookup, which takes a row's first instance with AllLinear first,
+    never returns it; it is kept because the closure check covers its
+    instances too.
 
     NonDegenerate can be built by :func:`pexider_family_binding` but is
     never returned by :func:`classify_pexider` over a finite field: its
@@ -414,16 +413,6 @@ _WITNESS_CLASSES = {"delta": LEIBNIZ, "m": MULTIPLICATIVE, "l": LOGARITHMIC}
 _WITNESS_SYMBOLS = {"m_t": "m", "d_t": "delta", "l_t": "l"}
 
 
-@dataclass
-class _Fit:
-    """One row's family, parameters and witness value rows."""
-
-    name: str
-    params: dict[str, int]
-    witnesses: dict[str, np.ndarray]
-    rank: int
-
-
 def _classification_details(scalars: Ring) -> dict:
     details: dict = {"characteristic": scalars.char}
     if scalars.char == 2:
@@ -436,140 +425,23 @@ def _classification_details(scalars: Ring) -> dict:
 def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassification:
     """Assign a solution triple of the Pexider equation to its family.
 
-    Dispatches on the rank of {id, h, k} over the scalar field.  Each branch
-    reads the family parameters and generator witnesses off the value
-    vectors; the family's template instantiated with them must reproduce
-    the input triple exactly, and each witness must lie in its class, so
-    nothing is matched heuristically.  Ties between families resolve to the
-    lowest rank.  After checking that the triple solves the equation, this
-    is the row-wise classifier :func:`verify_pexider` runs on all solutions
-    at once, applied to one row.
+    After checking that the triple solves the equation, this looks it up in
+    the family images over its field (:class:`_Images`), as
+    :func:`verify_pexider` does for all solutions at once.  The tag is the
+    first instance that builds the triple exactly, so nothing is matched
+    heuristically; a triple in no image raises :class:`Unclassifiable`.
     """
     require_field(f.codomain)
     binding = Binding(functions={"f": f, "h": h, "k": k}, params={})
     bad = residual(pexider_equation(), binding, f.domain)
     if bad:
         raise ResidualNonzero("the triple does not solve the equation", bad)
-    ring = f.domain
-    (fit,) = _classify_rows(ring, *(t.as_array()[None, :] for t in (f, h, k)))
-    if isinstance(fit, str):
-        raise Unclassifiable(fit)
-    witnesses = {n: _table(ring, v) for n, v in fit.witnesses.items()}
-    return PexiderClassification(FamilyTag(fit.name, fit.params, witnesses),
-                                 fit.rank, _classification_details(f.codomain))
-
-
-def _classify_rows(ring: Ring, f: np.ndarray, h: np.ndarray,
-                   k: np.ndarray) -> list[_Fit | str]:
-    """The family fit of each solution triple (f, h, k), given as (N, m)
-    value rows, or the reason the triple is unclassifiable.
-
-    The rank of {id, h, k} and the pairwise dependences come off each row:
-    h lies in span{id} exactly when h = h(1)*id; h = lam*k is read at k's
-    first nonzero position; k = a*id + b*h is solved at 1 and at the first
-    position where h leaves span{id}, then checked everywhere.  The branches
-    are taken in order, lowest rank first.  A row is accepted only if the
-    family's template rebuilds f, h and k from its parameters and witnesses and
-    every witness lies in its class.
-    """
-    add, mul, neg, inv = ring.add, ring.mul, ring.neg, ring.inverse
-    zero, one = ring.zero, ring.one
-    elems = ring.element_array
-    at = np.arange(len(f))
-    one_pos = int(ring.position[one])
-
-    def div(a, b):
-        # a/b, reading b = 0 as 1 on the rows where no branch uses it
-        return mul[a, inv[np.where(b == zero, one, b)]]
-
-    def col(v):
-        return v[:, None]
-
-    h1, k1 = h[:, one_pos], k[:, one_pos]
-    h_off = mul[col(h1), elems] != h
-    h_lin = ~h_off.any(axis=1)
-    k_lin = (mul[col(k1), elems] == k).all(axis=1)
-    p = np.argmax(h_off, axis=1)
-    b = div(add[k[at, p], neg[mul[elems[p], k1]]],
-            add[h[at, p], neg[mul[h1, elems[p]]]])
-    a = add[k1, neg[mul[b, h1]]]
-    in_span = (add[mul[col(a), elems], mul[col(b), h]] == k).all(axis=1)
-    p = np.argmax(k != zero, axis=1)
-    lam = div(h[at, p], k[at, p])
-    proportional = (mul[col(lam), k] == h).all(axis=1)
-    rank = np.where(h_lin & k_lin, 1, np.where(h_lin | k_lin | in_span, 2, 3))
-
-    u = div(one, mul[lam, lam])
-    gamma = add[k1, u]
-    # no dependent pair at rank 2: h = b1*id + b2*m and k = g1*id + g2*m with
-    # g2 = -b1*b2, so k = (g1 + b1^2)*id - b1*h, and m(1) = 1 for the
-    # multiplicative m != 0 gives b2 = h(1) - b1
-    b1 = neg[b]
-    g1 = add[a, neg[mul[b1, b1]]]
-    b2 = add[h1, neg[b1]]
-    no_pair = "rank-2 triple admits no two-generator extraction"
-    rank2 = rank == 2
-    mixed = rank2 & ~h_lin & ~k_lin
-    # (family, rows, guard, params, witnesses, reason), in branch order
-    branches = (
-        ("AllLinear", rank == 1, None, {"lam1": h1, "lam2": k1}, {},
-         "rank-1 triple is not a pair of scalings"),
-        ("LinearPlusLeibniz", rank2 & h_lin, None, {"lam": h1, "k1": k1},
-         {"delta": add[k, neg[mul[col(k1), elems]]]},
-         "dependent {id,h} but no Leibniz remainder"),
-        ("MultiplicativeSquare", rank2 & ~h_lin & k_lin,
-         (h1 == zero, "vanishing h(1) with nonlinear h"),
-         {"h1": h1, "lam": k1}, {"m": div(h, col(h1))},
-         "dependent {id,k} but no multiplicative core"),
-        # h = lam*k with both outside span{id}
-        ("LambdaKFamilyB", mixed & proportional,
-         (gamma == zero, "degenerate mixed family (gamma = 0)"),
-         {"lam": lam, "gamma": gamma},
-         {"m": div(add[k, mul[col(u), elems]], col(gamma))},
-         "dependent {h,k} but no multiplicative core"),
-        ("TwoExponential", mixed & ~proportional, (b2 == zero, no_pair),
-         {"b1": b1, "b2": b2, "g1": g1, "g2": add[k1, neg[g1]]},
-         {"m": div(add[h, neg[mul[col(b1), elems]]], col(b2))}, no_pair),
-    )
-    # no rank-3 row fits: the only rank-3 family, NonDegenerate, needs a
-    # nonzero logarithmic witness, which no finite field has (see FamilyTag)
-    reason = np.full(len(f), None, dtype=object)
-    reason[rank == 3] = "rank-3 triple admits no consistent extraction"
-    branch_of = np.full(len(f), -1)
-    members: dict = {}  # witness class -> [(rows, witness rows, reason)]
-    for i, (name, rows, guard, params, witnesses, why) in enumerate(branches):
-        if guard is not None:
-            reason[rows & guard[0]] = guard[1]
-            rows = rows & ~guard[0]
-        sel = np.flatnonzero(rows)
-        built = _family_rows(name, ring,
-                             {n: col(v[sel]) for n, v in params.items()},
-                             {n: w[sel] for n, w in witnesses.items()})
-        same = np.logical_and.reduce([(b == t[sel]).all(axis=1)
-                                      for b, t in zip(built, (f, h, k))])
-        reason[sel[~same]] = why
-        branch_of[sel] = i
-        for n, w in witnesses.items():
-            members.setdefault(_WITNESS_CLASSES[n], []).append(
-                (sel[same], w[sel[same]], why))
-    for cls, parts in members.items():
-        rows = np.concatenate([w for _, w, _ in parts])
-        member = class_mask(ring, ring, rows, cls)
-        start = 0
-        for sel, _, why in parts:
-            reason[sel[~member[start:start + len(sel)]]] = why
-            start += len(sel)
-
-    fits: list[_Fit | str] = []
-    for row, (why, i) in enumerate(zip(reason.tolist(), branch_of.tolist())):
-        if why is not None:
-            fits.append(why)
-            continue
-        name, _, _, params, witnesses, _ = branches[i]
-        fits.append(_Fit(name, {n: int(v[row]) for n, v in params.items()},
-                         {n: w[row] for n, w in witnesses.items()},
-                         int(rank[row])))
-    return fits
+    images = _Images(f.domain)
+    (instance,) = images.find(np.concatenate([t.as_array()
+                                              for t in (f, h, k)])[None, :])
+    if instance < 0:
+        raise Unclassifiable("in no family image")
+    return images.classify(int(instance))
 
 
 # --------------------------------------------- pexider family instantiation
@@ -660,103 +532,159 @@ def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
                               for n, r in zip("fhk", rows)}, params={})
 
 
-def _closure_rows(field_ring: Ring):
-    """(family name, (f, h, k) value rows) of each family's first
-    ``_CLOSURE_CAP`` instances: the parameters vary in the order listed,
-    the witness fastest."""
-    n = field_ring.size
-    leibniz = {"delta": class_rows(field_ring, field_ring, LEIBNIZ)}
-    multiplicative = {"m": class_rows(field_ring, field_ring, MULTIPLICATIVE)}
-    every = np.arange(n)
-    nonzero = every[every != field_ring.zero]
-    families = (
-        ("AllLinear", {"lam1": every, "lam2": every}, {}),
-        ("LinearPlusLeibniz", {"lam": every, "k1": every}, leibniz),
-        ("MultiplicativeSquare", {"h1": every, "lam": every}, multiplicative),
-        ("LambdaKFamilyA", {"gamma": every, "lam": every}, {}),
-        ("LambdaKFamilyB", {"lam": nonzero, "gamma": every}, multiplicative),
-        ("TwoExponential", {"b1": every, "b2": every, "g1": every},
-         multiplicative))
-    for name, params, witnesses in families:
-        axes = [*params.values(), *witnesses.values()]
-        sizes = [len(axis) for axis in axes]
-        index = np.unravel_index(np.arange(min(_CLOSURE_CAP, prod(sizes))),
-                                 sizes)
-        picked = [axis[i] for axis, i in zip(axes, index)]
-        yield name, _family_rows(
-            name, field_ring,
-            {p: v[:, None] for p, v in zip(params, picked)},
-            dict(zip(witnesses, picked[len(params):])))
+def _pick(axes: list[np.ndarray], flat) -> list[np.ndarray]:
+    """The value of each axis at flat indices into the grid of the axes,
+    the last axis fastest."""
+    index = np.unravel_index(flat, [len(axis) for axis in axes])
+    return [axis[i] for axis, i in zip(axes, index)]
+
+
+class _Images:
+    """Every instance of each Pexider family over one field.
+
+    ``families`` lists (name, parameter axes, witness axes) in the order a
+    triple's family is chosen: AllLinear first, and LambdaKFamilyA, which
+    AllLinear holds, is never chosen.  Each family takes every parameter
+    times every witness of its class (:func:`fnq.maps.class_rows`), the
+    parameters varying in the order listed and the witness fastest.
+    ``rows`` holds the (f, h, k) value rows of all instances in this order,
+    shaped (instances, 3, m) like :attr:`fnq.solver.SolutionSet.rows`, and
+    ``family`` each instance's index into ``families``.  ``ids`` are the
+    ascending :func:`fnq.maps.row_ids` of the distinct rows over their 3m
+    digits, and ``first`` the first instance that builds each.
+    """
+
+    def __init__(self, field_ring: Ring):
+        self.ring = field_ring
+        leibniz = {"delta": class_rows(field_ring, field_ring, LEIBNIZ)}
+        multiplicative = {"m": class_rows(field_ring, field_ring,
+                                          MULTIPLICATIVE)}
+        every = np.arange(field_ring.size)
+        nonzero = every[every != field_ring.zero]
+        self.families = (
+            ("AllLinear", {"lam1": every, "lam2": every}, {}),
+            ("LinearPlusLeibniz", {"lam": every, "k1": every}, leibniz),
+            ("MultiplicativeSquare", {"h1": every, "lam": every},
+             multiplicative),
+            ("LambdaKFamilyA", {"gamma": every, "lam": every}, {}),
+            ("LambdaKFamilyB", {"lam": nonzero, "gamma": every},
+             multiplicative),
+            ("TwoExponential", {"b1": every, "b2": every, "g1": every},
+             multiplicative))
+        built = []
+        for name, params, witnesses in self.families:
+            axes = [*params.values(), *witnesses.values()]
+            picked = _pick(axes, np.arange(prod(len(axis) for axis in axes)))
+            built.append(np.stack(_family_rows(
+                name, field_ring,
+                {p: v[:, None] for p, v in zip(params, picked)},
+                dict(zip(witnesses, picked[len(params):]))), axis=1))
+        sizes = [len(b) for b in built]
+        self.rows = np.concatenate(built)
+        self.family = np.repeat(np.arange(len(sizes)), sizes)
+        self._start = np.cumsum([0, *sizes])
+        self.ids, self.first = np.unique(
+            row_ids(self.rows.reshape(len(self.rows), -1), field_ring.size),
+            return_index=True)
+
+    def name(self, instance: int) -> str:
+        return self.families[self.family[instance]][0]
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The first instance that builds each (f, h, k) row, given as
+        (N, 3m) or (N, 3, m) values, or -1 for a row in no image."""
+        keys = row_ids(rows.reshape(len(rows), -1), self.ring.size)
+        at = np.minimum(np.searchsorted(self.ids, keys), len(self.ids) - 1)
+        return np.where(self.ids[at] == keys, self.first[at], -1)
+
+    def classify(self, instance: int) -> PexiderClassification:
+        """The family, parameters and witnesses of one instance.  The rank
+        of {id, h, k} is 1 for AllLinear and 2 for every other family: a
+        solution of rank 1 is an AllLinear instance, and every family
+        before the rank-3 NonDegenerate spans at most {id, one generator}.
+        """
+        j = self.family[instance]
+        name, params, witnesses = self.families[j]
+        picked = _pick([*params.values(), *witnesses.values()],
+                       instance - self._start[j])
+        tag = FamilyTag(name, {p: int(v) for p, v in zip(params, picked)},
+                        {w: _table(self.ring, v) for w, v
+                         in zip(witnesses, picked[len(params):])})
+        if name == "TwoExponential":
+            # the coefficient of m in k, which the template derives
+            neg, mul = self.ring.neg, self.ring.mul
+            tag.params["g2"] = int(neg[mul[tag.params["b1"],
+                                           tag.params["b2"]]])
+        return PexiderClassification(tag, 1 if name == "AllLinear" else 2,
+                                     _classification_details(self.ring))
 
 
 def pexider_closure_samples(field_ring: Ring):
-    """Deterministic family instantiations, the first ``_CLOSURE_CAP`` of
-    each family.
-
-    Yields (family name, binding) pairs covering every scalar parameter and
-    every enumerated Leibniz / multiplicative witness; within a family the
-    parameters vary in the order listed, the witness fastest.  Each family's
-    parameter-by-witness grid is built as value rows in one call of the
-    template evaluator; :func:`verify_pexider` checks the same rows in one grid
-    evaluation.
+    """Every instance of each Pexider family, as (family name, binding)
+    pairs in the order of :class:`_Images`: the families in their lookup
+    order, within a family the parameters varying in the order listed and
+    the witness fastest.  :func:`verify_pexider` checks the same rows in one
+    grid evaluation.
     """
     require_field(field_ring)
-    for name, rows in _closure_rows(field_ring):
-        for triple in zip(*(r.tolist() for r in rows)):
-            yield name, Binding(functions={n: _table(field_ring, v)
-                                           for n, v in zip("fhk", triple)},
-                                params={})
+    images = _Images(field_ring)
+    for instance, triple in enumerate(images.rows.tolist()):
+        yield images.name(instance), Binding(
+            functions={n: _table(field_ring, v) for n, v in zip("fhk", triple)},
+            params={})
 
 
 def verify_pexider(field_ring: Ring,
                    budget: int = DEFAULT_BUDGET) -> TheoremReport:
-    """Solve the Pexider equation, classify every solution, and check the
-    first 200 instances of each family (:func:`pexider_closure_samples`)."""
+    """Solve the Pexider equation and compare the solutions with the family
+    images (:class:`_Images`) both ways.
+
+    Forward: each solution is classified by lookup, and one in no image is a
+    counterexample.  Backward: every instance of every family is checked
+    against the equation in one grid evaluation, and a failing one lists its
+    violations.  ``predicted_count`` is the number of distinct image rows.
+    """
     require_field(field_ring)
     ast = pexider_equation()
     task = SolveTask(ast=ast, ring=field_ring,
                      classes={"f": ARBITRARY, "h": ARBITRARY, "k": ARBITRARY},
                      budget=budget)
     sols = solve(task)
+    images = _Images(field_ring)
 
-    histogram: dict[str, int] = {}
-    counterexamples: list = []
     # solve has already checked every triple at every pair; the unknowns
     # are in free-function order, f, h and k
-    found = list(sols.rows.swapaxes(0, 1))
-    for row, fit in enumerate(_classify_rows(field_ring, *found)):
-        if isinstance(fit, str):
-            counterexamples.append({"direction": "forward", "reason": fit,
-                                    **{n: v[row].tolist()
-                                       for n, v in zip("fhk", found)}})
-        else:
-            histogram[fit.name] = histogram.get(fit.name, 0) + 1
+    instance = images.find(sols.rows)
+    counterexamples: list = [
+        {"direction": "forward", "reason": "in no family image",
+         **dict(zip("fhk", sols.rows[row].tolist()))}
+        for row in np.flatnonzero(instance < 0)]
     unclassifiable = len(counterexamples)
+    counts = np.bincount(images.family[instance[instance >= 0]],
+                         minlength=len(images.families))
+    histogram = {name: int(c) for (name, _, _), c
+                 in zip(images.families, counts) if c}
 
-    closure = list(_closure_rows(field_ring))
-    families = [name for name, rows in closure for _ in range(len(rows[0]))]
-    samples = [np.concatenate([rows[i] for _, rows in closure])
-               for i in range(3)]
     holds = grid_masks([ast], None, field_ring, field_ring,
-                       dict(zip("fhk", samples)), {})[0]
+                       dict(zip("fhk", images.rows.swapaxes(0, 1))), {})[0]
     for row in np.flatnonzero(~holds):
-        binding = Binding(functions={n: _table(field_ring, v[row])
-                                     for n, v in zip("fhk", samples)},
+        binding = Binding(functions={n: _table(field_ring, v)
+                                     for n, v in zip("fhk", images.rows[row])},
                           params={})
         counterexamples.append({
-            "direction": "backward", "family": families[row],
-            "f": samples[0][row].tolist(),
+            "direction": "backward", "family": images.name(row),
+            "f": images.rows[row, 0].tolist(),
             "violations": residual(ast, binding, field_ring)[:5]})
     closure_failures = int((~holds).sum())
     return TheoremReport(
         theorem="pexider", ring=_ring_doc(field_ring), params={},
-        solutions_found=len(sols.rows), predicted_count=None,
+        solutions_found=len(sols.rows), predicted_count=len(images.ids),
         forward_ok=unclassifiable == 0,
         backward_ok=closure_failures == 0,
         counterexamples=counterexamples,
         details={"families": dict(sorted(histogram.items())),
                  "unclassifiable": unclassifiable,
-                 "closure_samples": len(families),
+                 "closure_samples": len(images.rows),
                  "closure_failures": closure_failures,
                  "enumerated_count": sols.enumerated_count,
                  "pruned_by_pivot": sols.pruned_by_pivot})

@@ -188,7 +188,7 @@ def thm4_backward_violations(ring, eps):
 def domain_units(ring):
     """Units of the declared domain, by a scalar scan."""
     elems = ring.domain_elements
-    if ring.one is None or ring.one not in elems:
+    if ring.one not in elems:
         return []
     return [u for u in elems
             if any(int(ring.mul[u, v]) == ring.one

@@ -93,7 +93,7 @@ def test_c3_annihilator_system():
 
 
 def test_c4_degenerate_family_closure():
-    with verdict("4", "200 sampled instantiations per family have empty "
+    with verdict("4", "every instantiation of every family has empty "
                       "residual over GF(3) and GF(5), zero failures"):
         ast = pexider_equation()
         for q in (3, 5):
@@ -105,8 +105,13 @@ def test_c4_degenerate_family_closure():
                 if residual(ast, binding, field):
                     failures += 1
             assert failures == 0
-            assert all(count <= 200 for count in per_family.values())
-            assert len(per_family) >= 5
+            # GF(q) has q + 1 multiplicative maps: 0, 1 and x^e for
+            # e = 1..q-1
+            assert per_family["TwoExponential"] == q ** 3 * (q + 1)
+            assert per_family["LambdaKFamilyB"] == (q - 1) * q * (q + 1)
+            assert {per_family[n] for n in ("AllLinear", "LambdaKFamilyA")
+                    } == {q * q}
+            assert len(per_family) == 6
 
 
 def test_c5_pexider_completeness_on_gf3():

@@ -12,7 +12,7 @@ import fnq
 from fnq import algebra
 from fnq.algebra import RingSpec, _verify_axioms
 from fnq.errors import (AxiomViolation, BudgetExceeded, InvalidRingSpec,
-                        NonPrimeModulus, ReducibleModulus)
+                        InvalidTask, NonPrimeModulus, ReducibleModulus)
 
 
 def test_zn6_shape(z6):
@@ -66,7 +66,9 @@ def test_is_regular_examples(z6, gf5):
     assert fnq.is_regular(z6, 3) is False  # 3 * 2 = 0
     assert fnq.is_regular(z6, 5) is True
     assert fnq.is_regular(gf5, 0) is False
-    with pytest.raises(InvalidRingSpec):
+    # the wording and type of every element check (require_element)
+    with pytest.raises(InvalidTask, match="^element 99 is not an element of "
+                                          "a ring of size 6$"):
         fnq.is_regular(z6, 99)
 
 

@@ -189,3 +189,49 @@ def test_pexider_equation_is_transported(name):
     assert len(want) > 1
     assert np.array_equal(transported(phi, solved(r, pexider_equation())),
                           want)
+
+
+# ------------------------------------------- the Frobenius automorphism
+
+
+def frobenius(ring) -> np.ndarray:
+    """x ↦ x^p as an array, p the characteristic, by repeated products."""
+    elems = np.arange(ring.size)
+    phi = elems
+    for _ in range(ring.char - 1):
+        phi = ring.mul[phi, elems]
+    return phi
+
+
+def conjugated(ring, rows: np.ndarray, moved: int) -> np.ndarray:
+    """φ∘g∘φ⁻¹ of every row g for the Frobenius φ, in lexicographic order,
+    after checking that φ is an automorphism other than the identity and
+    that it moves exactly ``moved`` rows."""
+    phi = frobenius(ring)
+    assert sorted(phi.tolist()) == list(range(ring.size))
+    assert phi.tolist() != list(range(ring.size))
+    assert np.array_equal(phi[ring.add], ring.add[phi[:, None], phi[None, :]])
+    assert np.array_equal(phi[ring.mul], ring.mul[phi[:, None], phi[None, :]])
+    image = np.empty_like(rows)
+    image[..., phi] = phi[rows]
+    assert int((image != rows).any(axis=(1, 2)).sum()) == moved
+    return transported(phi, rows)
+
+
+@pytest.mark.parametrize("p,k,moved", [(2, 2, 144), (2, 3, 3168)],
+                         ids=["gf4", "gf8"])
+def test_frobenius_maps_the_pexider_solutions_onto_themselves(p, k, moved):
+    ring = fnq.gf(p, k)
+    rows = solved(ring, pexider_equation())
+    assert np.array_equal(conjugated(ring, rows, moved), rows)
+
+
+@pytest.mark.parametrize("p,k,moved", [(3, 2, 5112), (2, 4, 57792)],
+                         ids=["gf9", "gf16"])
+def test_frobenius_maps_the_family_images_onto_themselves(p, k, moved):
+    # the distinct image rows in ascending id order, which is lexicographic
+    from fnq.theorems import _Images
+    ring = fnq.gf(p, k)
+    images = _Images(ring)
+    rows = images.rows[images.first]
+    assert np.array_equal(conjugated(ring, rows, moved), rows)
