@@ -4,7 +4,8 @@ f(xy) = h(x)h(y) + xk(y) + k(x)y is solved exactly: the left side pivots
 at y = 1, so only (h, k) pairs are enumerated and f is computed.  Every
 solution triple is then classified by exact lookup in the family images:
 every instance of every family, built once over the field, with each row's
-first instance giving its family, parameters and witnesses.
+first instance giving its family, parameters and witnesses.  Classifying
+one triple builds only the instances that may build it.
 
 One outcome worth pausing on: at rank 2 the classical case split by
 pairwise dependence ({id,h}, {id,k}, {h,k}) is not exhaustive.  Over GF(3)

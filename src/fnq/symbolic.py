@@ -193,6 +193,13 @@ class SolutionFamily:
     side_conditions: tuple[str, ...] = ()
     equation_text: str | None = None
 
+    def coefficients(self) -> dict[tuple[str, Monomial], SymExpr]:
+        """Each template's coefficient of each template monomial (``t``,
+        ``m_t``, ...), a polynomial in the parameters, keyed by (function,
+        monomial)."""
+        return {(n, mono): c for n, e in self.functions.items()
+                for mono, c in _coefficient_split(e, _TEMPLATE).items()}
+
     def params(self) -> set[str]:
         out: set[str] = set()
         for expr in self.functions.values():
@@ -245,12 +252,14 @@ def family_substitute(family: SolutionFamily,
     return _expand(ast.lhs, family), _expand(ast.rhs, family)
 
 
-def _coefficient_split(poly: SymExpr) -> dict[Monomial, SymExpr]:
-    """Group by indeterminate monomial; values are parameter polynomials."""
+def _coefficient_split(poly: SymExpr, over=INDETERMINATES
+                       ) -> dict[Monomial, SymExpr]:
+    """Group by monomial in the symbols ``over`` (the indeterminates);
+    values are polynomials in the other symbols, the parameters."""
     grouped: dict[Monomial, dict[Monomial, Fraction]] = {}
     for mono, coeff in poly.terms:
-        indet = tuple((n, e) for n, e in mono if n in INDETERMINATES)
-        par = tuple((n, e) for n, e in mono if n not in INDETERMINATES)
+        indet = tuple((n, e) for n, e in mono if n in over)
+        par = tuple((n, e) for n, e in mono if n not in over)
         bucket = grouped.setdefault(indet, {})
         bucket[par] = bucket.get(par, Fraction(0)) + coeff
     return {indet: SymExpr._from_dict(bucket)

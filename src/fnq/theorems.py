@@ -40,7 +40,7 @@ from .symbolic import (DERIVED_INVERSES, PEXIDER_FAMILIES, check_identity,
                        derive_constraints, thm5_family)
 
 _WITNESS_LIMIT = 20
-# rows of one block of the converse sample walk
+# rows of one block of the converse sample walk and of the closure samples
 _SAMPLE_CHUNK = 1 << 12
 
 
@@ -425,26 +425,65 @@ def _classification_details(scalars: Ring) -> dict:
 def classify_pexider(f: FnTable, h: FnTable, k: FnTable) -> PexiderClassification:
     """Assign a solution triple of the Pexider equation to its family.
 
-    After checking that the triple solves the equation, this looks it up in
-    the family images over its field (:class:`_Images`), as
-    :func:`verify_pexider` does for all solutions at once.  The tag is the
-    first instance that builds the triple exactly, so nothing is matched
-    heuristically; a triple in no image raises :class:`Unclassifiable`.
+    After checking that the triple solves the equation, this looks it up
+    among the family instances that may build it (:class:`_Images` given
+    the triple), as :func:`verify_pexider` does for all solutions in the
+    full images.  The tag is the first instance that builds the triple
+    exactly, so nothing is matched heuristically; a triple in no image
+    raises :class:`Unclassifiable`.  No witness class is enumerated, so
+    this answers on every field the size budget admits.
     """
     require_field(f.codomain)
     binding = Binding(functions={"f": f, "h": h, "k": k}, params={})
     bad = residual(pexider_equation(), binding, f.domain)
     if bad:
         raise ResidualNonzero("the triple does not solve the equation", bad)
-    images = _Images(f.domain)
-    (instance,) = images.find(np.concatenate([t.as_array()
-                                              for t in (f, h, k)])[None, :])
+    triple = np.stack([t.as_array() for t in (f, h, k)])[None]
+    images = _Images(f.domain, triple)
+    (instance,) = images.find(triple)
     if instance < 0:
         raise Unclassifiable("in no family image")
     return images.classify(int(instance))
 
 
 # --------------------------------------------- pexider family instantiation
+
+def _inverse(name: str, field_ring: Ring, v, what: str):
+    if np.any(v == field_ring.zero):
+        raise InvalidTask(f"{name} needs a nonzero {what}")
+    return field_ring.inverse[v]
+
+
+def _evaluate(name: str, field_ring: Ring, poly, values: dict):
+    """The value of a polynomial of ``name``'s template at ``values``,
+    arrays of elements that broadcast: a rational coefficient p/q is
+    ``int_embed(p)`` over ``int_embed(q)``."""
+    add, mul = field_ring.add, field_ring.mul
+    total = field_ring.zero
+    for mono, c in poly.terms:
+        term = field_ring.int_embed(c.numerator)
+        if c.denominator != 1:
+            den = field_ring.int_embed(c.denominator)
+            term = mul[term, _inverse(name, field_ring, den,
+                                      f"denominator {c.denominator}")]
+        for s, exp in mono:
+            for _ in range(exp):
+                term = mul[term, values[s]]
+        total = add[total, term]
+    return total
+
+
+def _derive(name: str, field_ring: Ring, values: dict) -> None:
+    """Add to ``values`` each parameter of
+    :data:`fnq.symbolic.DERIVED_INVERSES` that ``name``'s template reads,
+    once the symbols of its polynomial are all set."""
+    for s, poly in DERIVED_INVERSES.items():
+        if (s in PEXIDER_FAMILIES[name].params()
+                and poly.symbols() <= values.keys()):
+            values[s] = _inverse(name, field_ring,
+                                 _evaluate(name, field_ring, poly, values),
+                                 poly.render())
+
 
 def _family_rows(name: str, field_ring: Ring, params: dict[str, np.ndarray],
                  witnesses: dict[str, np.ndarray]
@@ -453,42 +492,27 @@ def _family_rows(name: str, field_ring: Ring, params: dict[str, np.ndarray],
 
     ``params`` are (N, 1) columns of elements and ``witnesses`` (N, m) value
     rows; a single row broadcasts.  This evaluates the family's template in
-    :data:`fnq.symbolic.PEXIDER_FAMILIES` with the field tables: ``t`` is
-    each element, the generators are the witness rows, a rational
-    coefficient p/q is ``int_embed(p)`` over ``int_embed(q)``, and a
-    parameter of :data:`fnq.symbolic.DERIVED_INVERSES` is the inverse of its
-    polynomial.  A zero that would be inverted raises :class:`InvalidTask`.
+    :data:`fnq.symbolic.PEXIDER_FAMILIES` with the field tables
+    (:func:`_evaluate`): ``t`` is each element, the generators are the
+    witness rows, and a parameter of :data:`fnq.symbolic.DERIVED_INVERSES`
+    is the inverse of its polynomial.  A zero that would be inverted raises
+    :class:`InvalidTask`.
     """
     family = PEXIDER_FAMILIES[name]
-    add, mul, zero = field_ring.add, field_ring.mul, field_ring.zero
     values = {"t": field_ring.element_array, **params,
               **{s: witnesses[w] for s, w in _WITNESS_SYMBOLS.items()
                  if w in witnesses}}
-
-    def inverse(v, what):
-        if np.any(v == zero):
-            raise InvalidTask(f"{name} needs a nonzero {what}")
-        return field_ring.inverse[v]
-
-    def evaluate(poly):
-        total = zero
-        for mono, c in poly.terms:
-            term = field_ring.int_embed(c.numerator)
-            if c.denominator != 1:
-                den = field_ring.int_embed(c.denominator)
-                term = mul[term, inverse(den, f"denominator {c.denominator}")]
-            for s, exp in mono:
-                for _ in range(exp):
-                    term = mul[term, values[s]]
-            total = add[total, term]
-        return total
-
-    for s, poly in DERIVED_INVERSES.items():
-        if s in family.params():
-            values[s] = inverse(evaluate(poly), poly.render())
-    rows = [evaluate(family.functions[n]) for n in "fhk"]
+    _derive(name, field_ring, values)
+    rows = [_evaluate(name, field_ring, family.functions[n], values)
+            for n in "fhk"]
     shape = np.broadcast_shapes(*(np.shape(v) for v in rows))
     return tuple(np.broadcast_to(v, shape) for v in rows)
+
+
+def _triple_binding(field_ring: Ring, rows) -> Binding:
+    """The (f, h, k) value rows as a binding of tables."""
+    return Binding(functions={n: _table(field_ring, v)
+                              for n, v in zip("fhk", rows)}, params={})
 
 
 def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
@@ -528,8 +552,34 @@ def pexider_family_binding(name: str, field_ring: Ring, params: dict[str, int],
         name, field_ring,
         {n: np.array([[v]], dtype=np.int64) for n, v in params.items()},
         {n: t.as_array()[None, :] for n, t in witnesses.items()})
-    return Binding(functions={n: _table(field_ring, r[0])
-                              for n, r in zip("fhk", rows)}, params={})
+    return _triple_binding(field_ring, [r[0] for r in rows])
+
+
+def _families(field_ring: Ring):
+    """(name, parameter axes, witness or None) of each Pexider family, in
+    the order a triple's family is chosen: AllLinear first, and
+    LambdaKFamilyA, which AllLinear holds, is never chosen.  A family's
+    instances are every parameter times every witness of its class, the
+    parameters varying in the order listed and the witness fastest, the
+    witnesses in the lexicographic order of :func:`fnq.maps.class_rows`."""
+    every = np.arange(field_ring.size)
+    nonzero = every[every != field_ring.zero]
+    return (("AllLinear", {"lam1": every, "lam2": every}, None),
+            ("LinearPlusLeibniz", {"lam": every, "k1": every}, "delta"),
+            ("MultiplicativeSquare", {"h1": every, "lam": every}, "m"),
+            ("LambdaKFamilyA", {"gamma": every, "lam": every}, None),
+            ("LambdaKFamilyB", {"lam": nonzero, "gamma": every}, "m"),
+            ("TwoExponential", {"b1": every, "b2": every, "g1": every}, "m"))
+
+
+def _grids(field_ring: Ring):
+    """(name, value names, axes) of each family's grid of instances, the
+    witness axis being the value rows of its class."""
+    rows = {w: class_rows(field_ring, field_ring, _WITNESS_CLASSES[w])
+            for w in ("delta", "m")}
+    return [(name, [*params, *([w] if w else [])],
+             [*params.values(), *([rows[w]] if w else [])])
+            for name, params, w in _families(field_ring)]
 
 
 def _pick(axes: list[np.ndarray], flat) -> list[np.ndarray]:
@@ -539,61 +589,124 @@ def _pick(axes: list[np.ndarray], flat) -> list[np.ndarray]:
     return [axis[i] for axis, i in zip(axes, index)]
 
 
-class _Images:
-    """Every instance of each Pexider family over one field.
+def _instance_rows(name: str, field_ring: Ring, values: dict) -> np.ndarray:
+    """(instances, 3, m) (f, h, k) rows of a family at parameter columns
+    and witness rows (``values``)."""
+    return np.stack(_family_rows(
+        name, field_ring, {n: v[:, None] for n, v in values.items()
+                           if v.ndim == 1},
+        {n: v for n, v in values.items() if v.ndim == 2}), axis=1)
 
-    ``families`` lists (name, parameter axes, witness axes) in the order a
-    triple's family is chosen: AllLinear first, and LambdaKFamilyA, which
-    AllLinear holds, is never chosen.  Each family takes every parameter
-    times every witness of its class (:func:`fnq.maps.class_rows`), the
-    parameters varying in the order listed and the witness fastest.
-    ``rows`` holds the (f, h, k) value rows of all instances in this order,
-    shaped (instances, 3, m) like :attr:`fnq.solver.SolutionSet.rows`, and
+
+# the value at 1 of a witness that is no multiple of id: m(1) = m(1)^2
+# with m != 0 gives 1, and delta(1) = 2*delta(1) gives 0
+_WITNESS_AT_ONE = {"delta": "zero", "m": "one"}
+
+
+def _candidates(field_ring: Ring, name: str, params: dict, witness,
+                triples: np.ndarray) -> dict:
+    """The instances of one family that may build one of ``triples``, given
+    as (N, 3, m) value rows: every instance that builds one, in the
+    family's grid order, as parameter columns and witness rows.
+
+    Each template is a sum of parameter polynomials times ``t`` or the
+    generator (:meth:`fnq.symbolic.SolutionFamily.coefficients`).  A
+    witness w that builds a triple beyond AllLinear's reach lies in
+    V = span{id, f, h, k} outside span{id}, with w(1) fixed by its class,
+    so w = w(1)*id + beta*g for g in V vanishing at 1 and beta != 0; an
+    instance with w in span{id} builds only AllLinear triples.  Each such
+    (triple, beta) seed, or each triple for a family without a witness,
+    fixes every coefficient.  The parameters are enumerated one axis at a
+    time, keeping the seeds at which each coefficient whose parameters are
+    all set takes its value, and the witnesses left must lie in their class.
+    """
+    add, mul, neg, inv = (field_ring.add, field_ring.mul, field_ring.neg,
+                          field_ring.inverse)
+    zero, elems = field_ring.zero, field_ring.element_array
+    t = (("t", 1),)
+    at_one = triples[:, :, field_ring.position[field_ring.one]]
+    targets = {(n, t): at_one[:, i] for i, n in enumerate("fhk")}
+    if witness is not None:
+        # f, h and k less their part in span{id}, and g the first nonzero
+        rest = add[triples, neg[mul[at_one[:, :, None], elems]]]
+        outside = (rest != zero).any(axis=2)
+        keep = np.flatnonzero(outside.any(axis=1))
+        g = rest[keep, np.argmax(outside[keep], axis=1)]
+        pos = np.argmax(g != zero, axis=1)
+        b = mul[rest[keep, :, pos], inv[g[np.arange(len(keep)), pos]][:, None]]
+        beta = elems[elems != zero]
+        w1 = getattr(field_ring, _WITNESS_AT_ONE[witness])
+        w_rows = add[mul[w1, elems], mul[beta[:, None, None], g]]
+        w_rows = w_rows.swapaxes(0, 1).reshape(-1, len(elems))
+        c_w = mul[b[:, None, :], inv[beta][None, :, None]].reshape(-1, 3)
+        c_t = add[np.repeat(at_one[keep], len(beta), axis=0), neg[mul[w1, c_w]]]
+        gen = (({w: s for s, w in _WITNESS_SYMBOLS.items()}[witness], 1),)
+        targets = {**{(n, t): c_t[:, i] for i, n in enumerate("fhk")},
+                   **{(n, gen): c_w[:, i] for i, n in enumerate("fhk")}}
+    checks = PEXIDER_FAMILIES[name].coefficients()
+    seed, cols = np.arange(len(targets["f", t])), {}
+    for p, axis in params.items():
+        cols = {s: np.repeat(v, len(axis)) for s, v in cols.items()}
+        cols[p], seed = np.tile(axis, len(seed)), np.repeat(seed, len(axis))
+        _derive(name, field_ring, cols)
+        for key in [key for key, poly in checks.items()
+                    if poly.symbols() <= cols.keys()]:
+            hit = (_evaluate(name, field_ring, checks.pop(key), cols)
+                   == targets[key][seed])
+            seed, cols = seed[hit], {s: v[hit] for s, v in cols.items()}
+    values = {p: cols[p] for p in params}
+    if witness is not None:
+        values[witness] = w_rows[seed]
+        hit = class_mask(field_ring, field_ring, values[witness],
+                         _WITNESS_CLASSES[witness])
+        values = {s: v[hit] for s, v in values.items()}
+    order = np.lexsort([*(values[witness].T[::-1] if witness else ()),
+                        *(values[p] for p in reversed(params))])
+    return {s: v[order] for s, v in values.items()}
+
+
+class _Images:
+    """Instances of each Pexider family over one field.
+
+    Without ``triples`` these are every instance of each family's grid
+    (:func:`_grids`); with (N, 3, m) ``triples`` only the instances that may
+    build one of them (:func:`_candidates`), which keeps the first instance
+    that builds each and needs no class enumeration.  ``families`` lists
+    (name, values) in lookup order, ``values`` mapping each parameter to a
+    column and the witness to value rows, one per instance.  ``rows``
+    holds the (f, h, k) value rows of all instances in this order, shaped
+    (instances, 3, m) like :attr:`fnq.solver.SolutionSet.rows`, and
     ``family`` each instance's index into ``families``.  ``ids`` are the
     ascending :func:`fnq.maps.row_ids` of the distinct rows over their 3m
     digits, and ``first`` the first instance that builds each.
     """
 
-    def __init__(self, field_ring: Ring):
+    def __init__(self, field_ring: Ring, triples: np.ndarray | None = None):
         self.ring = field_ring
-        leibniz = {"delta": class_rows(field_ring, field_ring, LEIBNIZ)}
-        multiplicative = {"m": class_rows(field_ring, field_ring,
-                                          MULTIPLICATIVE)}
-        every = np.arange(field_ring.size)
-        nonzero = every[every != field_ring.zero]
-        self.families = (
-            ("AllLinear", {"lam1": every, "lam2": every}, {}),
-            ("LinearPlusLeibniz", {"lam": every, "k1": every}, leibniz),
-            ("MultiplicativeSquare", {"h1": every, "lam": every},
-             multiplicative),
-            ("LambdaKFamilyA", {"gamma": every, "lam": every}, {}),
-            ("LambdaKFamilyB", {"lam": nonzero, "gamma": every},
-             multiplicative),
-            ("TwoExponential", {"b1": every, "b2": every, "g1": every},
-             multiplicative))
-        built = []
-        for name, params, witnesses in self.families:
-            axes = [*params.values(), *witnesses.values()]
-            picked = _pick(axes, np.arange(prod(len(axis) for axis in axes)))
-            built.append(np.stack(_family_rows(
-                name, field_ring,
-                {p: v[:, None] for p, v in zip(params, picked)},
-                dict(zip(witnesses, picked[len(params):]))), axis=1))
+        if triples is None:
+            self.families = [
+                (name, dict(zip(names, _pick(axes, np.arange(prod(map(
+                    len, axes))))))) for name, names, axes in _grids(field_ring)]
+        else:
+            self.families = [
+                (name, _candidates(field_ring, name, params, w, triples))
+                for name, params, w in _families(field_ring)]
+        built = [_instance_rows(name, field_ring, values)
+                 for name, values in self.families]
         sizes = [len(b) for b in built]
         self.rows = np.concatenate(built)
         self.family = np.repeat(np.arange(len(sizes)), sizes)
         self._start = np.cumsum([0, *sizes])
         self.ids, self.first = np.unique(
-            row_ids(self.rows.reshape(len(self.rows), -1), field_ring.size),
-            return_index=True)
-
-    def name(self, instance: int) -> str:
-        return self.families[self.family[instance]][0]
+            row_ids(self.rows.reshape(len(self.rows), 3 * field_ring.size),
+                    field_ring.size), return_index=True)
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """The first instance that builds each (f, h, k) row, given as
         (N, 3m) or (N, 3, m) values, or -1 for a row in no image."""
         keys = row_ids(rows.reshape(len(rows), -1), self.ring.size)
+        if not len(self.ids):
+            return np.full(len(rows), -1)
         at = np.minimum(np.searchsorted(self.ids, keys), len(self.ids) - 1)
         return np.where(self.ids[at] == keys, self.first[at], -1)
 
@@ -604,12 +717,12 @@ class _Images:
         before the rank-3 NonDegenerate spans at most {id, one generator}.
         """
         j = self.family[instance]
-        name, params, witnesses = self.families[j]
-        picked = _pick([*params.values(), *witnesses.values()],
-                       instance - self._start[j])
-        tag = FamilyTag(name, {p: int(v) for p, v in zip(params, picked)},
-                        {w: _table(self.ring, v) for w, v
-                         in zip(witnesses, picked[len(params):])})
+        name, values = self.families[j]
+        at = instance - self._start[j]
+        tag = FamilyTag(name, {n: int(v[at]) for n, v in values.items()
+                               if v.ndim == 1},
+                        {n: _table(self.ring, v[at]) for n, v in values.items()
+                         if v.ndim == 2})
         if name == "TwoExponential":
             # the coefficient of m in k, which the template derives
             neg, mul = self.ring.neg, self.ring.mul
@@ -624,14 +737,18 @@ def pexider_closure_samples(field_ring: Ring):
     pairs in the order of :class:`_Images`: the families in their lookup
     order, within a family the parameters varying in the order listed and
     the witness fastest.  :func:`verify_pexider` checks the same rows in one
-    grid evaluation.
+    grid evaluation.  The pairs are built lazily, ``_SAMPLE_CHUNK``
+    instances at a time, so memory stays bounded on any field whose
+    witness classes :func:`fnq.maps.class_rows` enumerates.
     """
     require_field(field_ring)
-    images = _Images(field_ring)
-    for instance, triple in enumerate(images.rows.tolist()):
-        yield images.name(instance), Binding(
-            functions={n: _table(field_ring, v) for n, v in zip("fhk", triple)},
-            params={})
+    for name, names, axes in _grids(field_ring):
+        total = prod(map(len, axes))
+        for flat in np.split(np.arange(total),
+                             range(_SAMPLE_CHUNK, total, _SAMPLE_CHUNK)):
+            for triple in _instance_rows(name, field_ring,
+                                         dict(zip(names, _pick(axes, flat)))):
+                yield name, _triple_binding(field_ring, triple)
 
 
 def verify_pexider(field_ring: Ring,
@@ -662,19 +779,18 @@ def verify_pexider(field_ring: Ring,
     unclassifiable = len(counterexamples)
     counts = np.bincount(images.family[instance[instance >= 0]],
                          minlength=len(images.families))
-    histogram = {name: int(c) for (name, _, _), c
+    histogram = {name: int(c) for (name, _), c
                  in zip(images.families, counts) if c}
 
     holds = grid_masks([ast], None, field_ring, field_ring,
                        dict(zip("fhk", images.rows.swapaxes(0, 1))), {})[0]
     for row in np.flatnonzero(~holds):
-        binding = Binding(functions={n: _table(field_ring, v)
-                                     for n, v in zip("fhk", images.rows[row])},
-                          params={})
         counterexamples.append({
-            "direction": "backward", "family": images.name(row),
+            "direction": "backward",
+            "family": images.families[images.family[row]][0],
             "f": images.rows[row, 0].tolist(),
-            "violations": residual(ast, binding, field_ring)[:5]})
+            "violations": residual(ast, _triple_binding(
+                field_ring, images.rows[row]), field_ring)[:5]})
     closure_failures = int((~holds).sum())
     return TheoremReport(
         theorem="pexider", ring=_ring_doc(field_ring), params={},
