@@ -486,8 +486,9 @@ def grid_masks(equations: Sequence[EquationAst], pairs, domain: Ring,
     ``pairs`` is one pair set for all the equations, as in
     :class:`PairConstraint`: an array of shape (P, 2), or ``None`` for all
     m*m domain pairs.  Each verdict is a bool array of shape (rows,), True
-    where the equation holds at every pair; each row's equality cells are
-    reduced as they are, with no per-pair copy.  Every subexpression,
+    where the equation holds at every pair, from one reduction of the
+    equality cells as they are, with no per-pair copy: cells of one row
+    give one verdict for every row.  Every subexpression,
     however many of the equations share it as a node, is computed once per
     call.  An equation whose evaluation raises :class:`EvalDomainError`
     fails alone, in every row; any other error propagates.
@@ -521,9 +522,14 @@ def grid_masks(equations: Sequence[EquationAst], pairs, domain: Ring,
         except EvalDomainError:
             verdicts.append(np.zeros(grid.rows, dtype=bool))
             continue
-        # one entry per row that the tables or parameters read, or one for all
-        held = np.broadcast_to(equal, (len(equal), *grid.shape)).all(axis=(1, 2))
-        verdicts.append(held.repeat(grid.rows if len(held) == 1 else 1))
+        # the cells broadcast over the grid, so a reduction of the cells
+        # decides each row unless there is no pair to broadcast them over
+        if grid.vacuous:
+            verdicts.append(np.ones(grid.rows, dtype=bool))
+        elif len(equal) == 1:  # one row of cells counts for every row
+            verdicts.append(np.full(grid.rows, equal.all()))
+        else:
+            verdicts.append(equal.all(axis=(1, 2)))
     return verdicts
 
 
@@ -561,7 +567,7 @@ class _Grid:
         else:
             pairs = np.asarray(pairs, dtype=np.int64).reshape(1, -1, 2)
             self.xs, self.ys = pairs[..., :1], pairs[..., 1:]
-        self.shape = np.broadcast_shapes(self.xs.shape, self.ys.shape)[1:]
+        self.vacuous = not self.xs.size
         # each unknown over the whole carrier, -1 outside a declared subring;
         # over the whole carrier no argument can leave the domain
         self.carrier = tables
@@ -588,23 +594,19 @@ class _Grid:
     def cells(self, expr: Expr, in_arg: bool) -> np.ndarray:
         """Values over the grid, shaped (1 or rows, *grid), computed once."""
         key = (id(expr), in_arg)
-        if key not in self.memo:
-            self.memo[key] = self.evaluate(expr, in_arg)
-        return self.memo[key]
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self.evaluate(expr, in_arg)
+        return out
 
     def evaluate(self, expr: Expr, in_arg: bool) -> np.ndarray:
         ring = self.domain if in_arg else self.codomain
-        if isinstance(expr, Var):
-            if not in_arg:
-                self.mixing("a domain element outside an argument")
-            return self.xs if expr.name == "x" else self.ys
-        if isinstance(expr, IntLit):
-            return np.full((1, 1, 1), ring.int_embed(expr.value))
-        if isinstance(expr, Param):
-            if expr.name not in self.bound:
-                raise UnboundName(f"parameter {expr.name!r} is not bound")
-            return self.bound[expr.name].reshape(-1, 1, 1)
-        if isinstance(expr, FnApp):
+        kind = type(expr)  # the common nodes first
+        if kind is Add or kind is Mul:
+            return self.combine(ring.add if kind is Add else ring.mul,
+                                self.cells(expr.left, in_arg),
+                                self.cells(expr.right, in_arg))
+        if kind is FnApp:
             if expr.name not in self.carrier:
                 raise UnboundName(f"function {expr.name!r} is not bound")
             if in_arg:
@@ -617,15 +619,22 @@ class _Grid:
             if self.checked and (out < 0).any():
                 raise EvalDomainError("function applied outside declared domain")
             return out
-        if isinstance(expr, Neg):
-            return ring.neg.take(self.cells(expr.operand, in_arg))
-        if isinstance(expr, (Add, Sub, Mul)):
+        if kind is Var:
+            if not in_arg:
+                self.mixing("a domain element outside an argument")
+            return self.xs if expr.name == "x" else self.ys
+        if kind is Sub:
             left = self.cells(expr.left, in_arg)
-            right = self.cells(expr.right, in_arg)
-            if isinstance(expr, Sub):
-                right = ring.neg.take(right)
-            table = ring.mul if isinstance(expr, Mul) else ring.add
-            return self.combine(table, left, right)
+            return self.combine(ring.add, left, ring.neg.take(
+                self.cells(expr.right, in_arg)))
+        if kind is Neg:
+            return ring.neg.take(self.cells(expr.operand, in_arg))
+        if kind is IntLit:
+            return np.full((1, 1, 1), ring.int_embed(expr.value))
+        if kind is Param:
+            if expr.name not in self.bound:
+                raise UnboundName(f"parameter {expr.name!r} is not bound")
+            return self.bound[expr.name].reshape(-1, 1, 1)
         raise TypeError(f"not an expression node: {expr!r}")
 
     @staticmethod
@@ -646,7 +655,8 @@ class _Grid:
             if left.shape[1] == right.shape[2] == 1:
                 return table.take(left[0, 0], axis=0).take(
                     right[0, :, 0], axis=1).T[None]
-        return table.reshape(-1).take(left.astype(np.intp) * len(table) + right)
+        return table.reshape(-1).take(
+            np.multiply(left, len(table), dtype=np.intp) + right)
 
 
 # ----------------------------------------------------------- pivot at y=1

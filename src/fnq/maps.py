@@ -45,6 +45,7 @@ each, which the grid computes as one slice of a ring table.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -208,35 +209,30 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
     domain, codomain = f.domain, f.codomain
     values = f.as_array()
     tables = {"f": values[None, :]}
-    across = domain.generator_pairs
-    kinds = ["additive", "multiplicative", "leibniz"]
-    shifts = np.array([e for e in codomain.center if e != codomain.zero],
-                      dtype=np.int64)
+    equations = [_F_IDENTITIES[k] for k in _TAGGED]
+    center = np.array(codomain.center, dtype=np.int64)
+    shifts = center[center != codomain.zero]
     params = {}
     if len(shifts) and same_carrier(domain, codomain):
         # f reads only x, y and x*y, which a declared subring keeps inside
-        kinds.append("sofy")
+        equations.append(_F_IDENTITIES["sofy"])
         params = {"e": shifts}
-    held = dict(zip(kinds, grid_masks([_F_IDENTITIES[k] for k in kinds],
-                                      across, domain, codomain, tables,
-                                      params)))
-    found = {k: bool(held[k].all())
-             for k in ("additive", "multiplicative", "leibniz")}
-    if not found["additive"]:
-        found["multiplicative"], found["leibniz"] = (
-            bool(verdict[0]) for verdict in grid_masks(
-                [_F_IDENTITIES["multiplicative"], _F_IDENTITIES["leibniz"]],
-                None, domain, codomain, tables, {}))
-    tags = {cls for cls in _NAMED.values() if cls.kind in _CLASS_IDENTITIES
-            and all(found[i] for i in _CLASS_IDENTITIES[cls.kind])}
+    held = grid_masks(equations, domain.generator_pairs, domain, codomain,
+                      tables, params)
+    # a verdict not reading e is the same in every row
+    found = [bool(verdict[0]) for verdict in held[:3]]
+    if not found[0]:
+        found[1:] = (bool(verdict[0]) for verdict in grid_masks(
+            equations[1:3], None, domain, codomain, tables, {}))
+    tags = set(_NAMED_TAGS[tuple(found)])
     off_units, on_units = domain.unit_pairs
     off = values[domain.position[off_units[:, 0]]]
     if (off == codomain.zero).all() and grid_masks(
             [_F_IDENTITIES["logarithmic"]], on_units, domain, codomain,
             tables, {})[0][0]:
         tags.add(LOGARITHMIC)
-    if found["additive"] and "sofy" in held:
-        tags |= {homo_deriv_sofy(int(e)) for e in shifts[held["sofy"]]}
+    if found[0] and len(held) > 3:
+        tags |= {homo_deriv_sofy(int(e)) for e in shifts[held[3]]}
     return tags
 
 
@@ -291,6 +287,14 @@ _CLASS_IDENTITIES = {
     "homo-deriv-mp": ("additive", "multiplicative", "leibniz"),
     "homo-deriv-sofy": ("additive", "sofy"),
 }
+# the identities classify_map decides for every map, and the named classes
+# but logarithmic that each of their verdicts tags
+_TAGGED = ("additive", "multiplicative", "leibniz")
+_NAMED_TAGS = {
+    found: frozenset(cls for cls in _NAMED.values() if cls.kind in
+                     _CLASS_IDENTITIES and set(_CLASS_IDENTITIES[cls.kind])
+                     <= {k for k, ok in zip(_TAGGED, found) if ok})
+    for found in itertools.product((False, True), repeat=len(_TAGGED))}
 
 
 def multiplicative_equation(fn: str = "f") -> EquationAst:
