@@ -624,9 +624,8 @@ class _Grid:
                 self.mixing("a domain element outside an argument")
             return self.xs if expr.name == "x" else self.ys
         if kind is Sub:
-            left = self.cells(expr.left, in_arg)
-            return self.combine(ring.add, left, ring.neg.take(
-                self.cells(expr.right, in_arg)))
+            return self.combine(ring.add, self.cells(expr.left, in_arg),
+                                ring.neg.take(self.cells(expr.right, in_arg)))
         if kind is Neg:
             return ring.neg.take(self.cells(expr.operand, in_arg))
         if kind is IntLit:

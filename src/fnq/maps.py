@@ -220,7 +220,7 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
     held = grid_masks(equations, domain.generator_pairs, domain, codomain,
                       tables, params)
     # a verdict not reading e is the same in every row
-    found = [bool(verdict[0]) for verdict in held[:3]]
+    found = [bool(verdict[0]) for verdict in held[:len(_TAGGED)]]
     if not found[0]:
         found[1:] = (bool(verdict[0]) for verdict in grid_masks(
             equations[1:3], None, domain, codomain, tables, {}))
@@ -231,8 +231,8 @@ def classify_map(f: FnTable) -> set[FunctionClass]:
             [_F_IDENTITIES["logarithmic"]], on_units, domain, codomain,
             tables, {})[0][0]:
         tags.add(LOGARITHMIC)
-    if found[0] and len(held) > 3:
-        tags |= {homo_deriv_sofy(int(e)) for e in shifts[held[3]]}
+    if found[0] and params:
+        tags |= {homo_deriv_sofy(int(e)) for e in shifts[held[-1]]}
     return tags
 
 

@@ -545,6 +545,20 @@ def test_grid_masks_over_zero_rows_give_empty_verdicts(pairs):
     assert constant.shape == (0,)
 
 
+def test_grid_masks_over_no_pairs_hold_in_every_row():
+    # an equation whose cells read neither x nor y still holds at every
+    # pair of an empty pair set, in every row and for one row of cells
+    ring = fnq.zn(4)
+    none = np.zeros((0, 2), dtype=np.int64)
+    rows = np.array([[2, 2, 0, 3], [1, 1, 1, 1], [3, 0, 0, 0]])
+    equations = [parse_equation(t) for t in ("f(0)=2", "0=1", "f(x)=2")]
+    for verdict in grid_masks(equations, none, ring, ring, {"f": rows}, {}):
+        assert verdict.tolist() == [True] * 3
+    assert [v.tolist() for v in grid_masks(
+        equations, [(1, 2)], ring, ring, {"f": rows}, {})] == [
+        [True, False, False], [False] * 3, [True, False, False]]
+
+
 def test_grid_masks_fail_a_cross_carrier_equation_alone():
     # x*f(y) reads a domain element in the codomain, which Z2 -> Z4 lacks:
     # the Leibniz mask is all False and the other equations still count

@@ -12,12 +12,14 @@ set and is checked on both full tables, with code of its own that shares
 nothing with :mod:`fnq`.
 """
 import functools
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
 import fnq
-from fnq.maps import ARBITRARY, enumerate_maps, homo_deriv_sofy
+from fnq.maps import (ADDITIVE, ARBITRARY, FnTable, classify_map,
+                      enumerate_maps, homo_deriv_sofy)
 from fnq.theorems import homo_derivation_equation, pexider_equation
 
 from test_generator_pairs import NAMED
@@ -37,6 +39,16 @@ PRESENTATIONS = {
     # x^3+x+1 and x^3+x^2+1, constant term first
     "gf8": (lambda: fnq.gf(2, 3, modulus=(1, 1, 0, 1)),
             lambda: fnq.gf(2, 3, modulus=(1, 0, 1, 1))),
+    # each other irreducible modulus against the default, x^2+1 for GF(9)
+    # and x^4+x^3+1 for GF(16)
+    "gf9/x2+x+2": (lambda: fnq.gf(3, 2),
+                   lambda: fnq.gf(3, 2, modulus=(2, 1, 1))),
+    "gf9/x2+2x+2": (lambda: fnq.gf(3, 2),
+                    lambda: fnq.gf(3, 2, modulus=(2, 2, 1))),
+    "gf16/x4+x+1": (lambda: fnq.gf(2, 4),
+                    lambda: fnq.gf(2, 4, modulus=(1, 1, 0, 0, 1))),
+    "gf16/x4+x3+x2+x+1": (lambda: fnq.gf(2, 4),
+                          lambda: fnq.gf(2, 4, modulus=(1, 1, 1, 1, 1))),
 }
 
 
@@ -203,18 +215,30 @@ def frobenius(ring) -> np.ndarray:
     return phi
 
 
-def conjugated(ring, rows: np.ndarray, moved: int) -> np.ndarray:
-    """φ∘g∘φ⁻¹ of every row g for the Frobenius φ, in lexicographic order,
-    after checking that φ is an automorphism other than the identity and
-    that it moves exactly ``moved`` rows."""
+def automorphism(ring) -> np.ndarray:
+    """The Frobenius φ, after checking that it is an automorphism other
+    than the identity."""
     phi = frobenius(ring)
     assert sorted(phi.tolist()) == list(range(ring.size))
     assert phi.tolist() != list(range(ring.size))
     assert np.array_equal(phi[ring.add], ring.add[phi[:, None], phi[None, :]])
     assert np.array_equal(phi[ring.mul], ring.mul[phi[:, None], phi[None, :]])
+    return phi
+
+
+def moved(phi: np.ndarray, rows: np.ndarray) -> int:
+    """How many rows g differ from φ∘g∘φ⁻¹."""
     image = np.empty_like(rows)
     image[..., phi] = phi[rows]
-    assert int((image != rows).any(axis=(1, 2)).sum()) == moved
+    return int((image != rows).any(axis=tuple(range(1, rows.ndim))).sum())
+
+
+def conjugated(ring, rows: np.ndarray, count: int) -> np.ndarray:
+    """φ∘g∘φ⁻¹ of every row g for the Frobenius φ, in lexicographic order,
+    after checking that φ is an automorphism other than the identity and
+    that it moves exactly ``count`` rows."""
+    phi = automorphism(ring)
+    assert moved(phi, rows) == count
     return transported(phi, rows)
 
 
@@ -235,3 +259,79 @@ def test_frobenius_maps_the_family_images_onto_themselves(p, k, moved):
     images = _Images(ring)
     rows = images.rows[images.first]
     assert np.array_equal(conjugated(ring, rows, moved), rows)
+
+
+FIELDS = {"gf4": (2, 2), "gf8": (2, 3), "gf9": (3, 2), "gf16": (2, 4)}
+
+
+def shifts(ring) -> list[int]:
+    return [e for e in ring.center if e != ring.zero]
+
+
+@pytest.mark.parametrize("name,count", [
+    ("gf4", 16), ("gf8", 522), ("gf9", 84), ("gf16", 65_576)])
+def test_frobenius_transports_every_named_class(name, count):
+    # each named class onto itself, and homo-deriv-sofy(e) onto
+    # homo-deriv-sofy(φ(e)); ``count`` rows move over all the classes
+    ring = fnq.gf(*FIELDS[name])
+    phi = automorphism(ring)
+    pairs = [(cls, cls) for cls in NAMED] + [
+        (homo_deriv_sofy(e), homo_deriv_sofy(int(phi[e])))
+        for e in shifts(ring)]
+    total = 0
+    for left, right in pairs:
+        rows = enumerated(ring, left)
+        assert len(rows) and np.array_equal(transported(phi, rows),
+                                            enumerated(ring, right)), left
+        total += moved(phi, rows)
+    assert total == count
+
+
+@pytest.mark.parametrize("name,count", [
+    ("gf4", 8), ("gf8", 48), ("gf9", 54), ("gf16", 224)])
+def test_frobenius_transports_thm4_at_every_shift(name, count):
+    # the solutions at ε onto the solutions at φ(ε)
+    ring = fnq.gf(*FIELDS[name])
+    phi = automorphism(ring)
+    ast = homo_derivation_equation()
+    total = 0
+    for e in shifts(ring):
+        rows = solved(ring, ast, {"e": e})
+        assert len(rows) and np.array_equal(
+            transported(phi, rows), solved(ring, ast, {"e": int(phi[e])})), e
+        total += moved(phi, rows)
+    assert total == count
+
+
+def classify_tables(name) -> np.ndarray:
+    """Every map of GF(4); on the larger fields every row of a named or
+    shifted class, but at most 512 additive ones at an even stride, and 64
+    seeded random maps."""
+    ring = fnq.gf(*FIELDS[name])
+    if name == "gf4":
+        return np.array(list(iproduct(range(4), repeat=4)), dtype=np.int64)
+    additive = enumerated(ring, ADDITIVE)[:, 0]
+    rows = [additive[::max(1, len(additive) // 512)],
+            np.random.default_rng(7).integers(ring.size, size=(64, ring.size))]
+    rows += [enumerated(ring, cls)[:, 0] for cls in NAMED if cls != ADDITIVE]
+    rows += [enumerated(ring, homo_deriv_sofy(e))[:, 0] for e in shifts(ring)]
+    return np.unique(np.concatenate(rows), axis=0)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_frobenius_transports_classify_map_tags(name):
+    # the tags of φ∘f∘φ⁻¹ are the tags of f, each shift e sent to φ(e);
+    # at least 85 % of the tables move, 240 of GF(4)'s 256
+    ring = fnq.gf(*FIELDS[name])
+    phi = automorphism(ring)
+    tables = classify_tables(name)
+    conjugates = np.empty_like(tables)
+    conjugates[:, phi] = phi[tables]
+    assert moved(phi, tables) >= 0.85 * len(tables)
+
+    def image(cls):
+        return cls if cls.eps is None else homo_deriv_sofy(int(phi[cls.eps]))
+    for values, conjugate in zip(tables.tolist(), conjugates.tolist()):
+        tags = classify_map(FnTable(ring, ring, tuple(values)))
+        assert classify_map(FnTable(ring, ring, tuple(conjugate))) == {
+            image(cls) for cls in tags}, values

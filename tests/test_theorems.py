@@ -380,6 +380,33 @@ def test_annihilator_witness_matches_a_scalar_scan(ring):
         assert annihilator_witness(f) == _scalar_witness(ring, image)
 
 
+def _prop1_brute_solutions(ring):
+    """The maps solving f(xy) = f(x)f(y) = f(x)y + xf(y) at every domain
+    pair, by brute force over plain lists, in lexicographic order."""
+    add, mul = ring.add.tolist(), ring.mul.tolist()
+    elems = ring.domain_elements
+    at = {x: i for i, x in enumerate(elems)}
+    pairs = [(at[x], at[y], at[mul[x][y]], x, y) for x in elems for y in elems]
+    return [list(f) for f in brute_tables(ring) if all(
+        f[p] == mul[f[i]][f[j]] == add[mul[f[i]][y]][mul[x][f[j]]]
+        for i, j, p, x, y in pairs)]
+
+
+@pytest.mark.parametrize("n, subring, count", [
+    (4, (0, 2), 2), (8, (0, 2, 4, 6), 4), (9, (0, 3, 6), 9),
+    (16, (0, 4, 8, 12), 64), (16, tuple(range(0, 16, 2)), 32)],
+    ids=["Z4{0,2}", "Z8{0,2,4,6}", "Z9{0,3,6}", "Z16{0,4,8,12}", "Z16evens"])
+def test_prop1_on_non_unital_subrings(n, subring, count):
+    # every solution carries an annihilator witness; the carriers of at
+    # most 16**4 maps are cross-checked by brute force
+    ring = fnq.zn(n, subring=subring)
+    report = verify_mp(ring)
+    assert report.forward_ok and report.solutions_found == count
+    assert len(report.details["solutions"]) == count
+    if n ** len(subring) <= 16 ** 4:
+        assert report.details["solutions"] == _prop1_brute_solutions(ring)
+
+
 def test_prop1_no_zero_divisors(gf3, gf5, gf4):
     for ring in (gf3, gf5, gf4):
         report = verify_mp(ring)
